@@ -8,6 +8,8 @@ initial-data families), `harness` (estimate measurement and checking),
 and `cli` (batch orchestration).
 """
 
+__version__ = "0.1.0"  # set before the imports: runner reads it
+
 from .fields import (
     FieldError,
     ScalarField,
@@ -67,11 +69,7 @@ from .harness import (
     EstimateReport,
     ScenarioResult,
     build_reports,
-    check_flat_representative,
-    check_flow_bounds,
     check_scalar_floor,
-    check_volume_density,
-    check_weak_convergence,
     default_test_forms,
     family_summary,
     fit_rate,
@@ -98,8 +96,6 @@ from .runner import (
     run_experiment,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "FieldError", "ScalarField", "TorusGeometry", "complex_hessian",
     "constant_field", "flat_laplacian", "from_spectral", "integrate",
@@ -114,9 +110,7 @@ __all__ = [
     "BracketFailure", "Scenario", "ScenarioError", "ScenarioSpec",
     "ZeroShape", "calibrate_amplitude", "make_sequence",
     "CheckResult", "EstimateReport", "ScenarioResult", "build_reports",
-    "check_flat_representative", "check_flow_bounds", "check_scalar_floor",
-    "check_volume_density", "check_weak_convergence", "default_test_forms",
-    "family_summary", "fit_rate",
+    "check_scalar_floor", "default_test_forms", "family_summary", "fit_rate",
     "DistanceQuery", "MetricGraph", "StencilConfig",
     "check_distance_estimate", "flat_accuracy_battery",
     "flat_distance_exact", "graph_distance", "primitive_offsets", "random_queries",

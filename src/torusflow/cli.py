@@ -10,26 +10,27 @@ errors, 3 config errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import io as tfio
-from .flow import FlowFailure, run_flow
+from .flow import FlowFailure
 from .geometry import ProjectionError, harmonic_projection, ricci, volume
-from .distances import check_distance_estimate, flat_accuracy_battery, random_queries
 from .runner import (
     ConfigError,
-    config_from_dict,
+    distance_fragment,
+    distance_passed,
+    ensure_trace,
     exit_code_of,
+    first_scenario,
+    parse_config,
     run_experiment,
-    _flat_scenarios,
-    _scenario_dir,
-    _trace_is_reusable,
+    scenario_dir,
+    write_distance_csv,
 )
-from .scenarios import ScenarioError, make_sequence
+from .scenarios import ScenarioError
 
 EXIT_OK = 0
 EXIT_CHECK_FAIL = 1
@@ -59,23 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args):
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError([f"config file not found: {path}"])
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
-    if args.seed is not None:
-        if not isinstance(raw, dict):
-            raise ConfigError(["top level: expected a JSON object"])
-        raw["seed"] = args.seed
-        if isinstance(raw.get("scenario"), dict):
-            raw["scenario"].pop("seed", None)  # derive everything from --seed
-    return config_from_dict(raw)
-
-
 def _resolve_out(args, config) -> Path:
     out = args.out or config.output
     if out is None:
@@ -83,35 +67,8 @@ def _resolve_out(args, config) -> Path:
     return Path(out)
 
 
-def _first_scenario(config):
-    spec = config.scenario
-    if config.flat_mode:
-        return _flat_scenarios(config)[0]
-    first = type(spec)(
-        geometry=spec.geometry,
-        seed=spec.seed,
-        indices=(spec.indices[0],),
-        max_mode=spec.max_mode,
-        background=spec.background,
-        lambda_gate=spec.lambda_gate,
-        p=spec.p,
-    )
-    return make_sequence(first)[0]
-
-
-def _ensure_trace(config, out: Path, scenario):
-    sdir = _scenario_dir(out, scenario.index)
-    if _trace_is_reusable(sdir, config.trace_key):
-        return tfio.load_trace(sdir / "trace")
-    trace = run_flow(scenario.metric, config.flow)
-    sdir.mkdir(parents=True, exist_ok=True)
-    tfio.save_trace(trace, sdir / "trace")
-    (sdir / "trace_key.txt").write_text(config.trace_key + "\n")
-    return trace
-
-
 def _cmd_run(args) -> int:
-    config = _load_config(args)
+    config = parse_config(args.config, args.seed)
     out = _resolve_out(args, config)
     manifest = run_experiment(config, out, jobs=max(1, args.jobs))
     for row in manifest.scenarios:
@@ -127,15 +84,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    config = _load_config(args)
+    config = parse_config(args.config, args.seed)
     out = _resolve_out(args, config)
     try:
-        scenario = _first_scenario(config)
+        scenario = first_scenario(config)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
     try:
-        trace = _ensure_trace(config, out, scenario)
+        trace = ensure_trace(config, out, scenario)
     except FlowFailure as exc:
         print(f"flow failed: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
@@ -143,14 +100,14 @@ def _cmd_flow(args) -> int:
     print(f"flow complete: i={scenario.index}, t={last.t:.6g}, steps={len(trace.diagnostics) - 1}")
     print(f"  final min scalar curvature {last.min_scalar_curvature:.6g}, "
           f"volume {last.volume:.12g}, min eigenvalue {last.min_eigenvalue:.6g}")
-    print(f"  trace: {_scenario_dir(out, scenario.index) / 'trace'}")
+    print(f"  trace: {scenario_dir(out, scenario.index) / 'trace'}")
     return EXIT_OK
 
 
 def _cmd_project(args) -> int:
-    config = _load_config(args)
+    config = parse_config(args.config, args.seed)
     try:
-        scenario = _first_scenario(config)
+        scenario = first_scenario(config)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
@@ -175,49 +132,31 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    config = _load_config(args)
+    config = parse_config(args.config, args.seed)
     out = _resolve_out(args, config)
     try:
-        scenario = _first_scenario(config)
-        trace = _ensure_trace(config, out, scenario)
+        scenario = first_scenario(config)
+        trace = ensure_trace(config, out, scenario)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
     except FlowFailure as exc:
         print(f"flow failed: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
-    queries = random_queries(config.geometry, config.distance_queries, config.distance_seed)
-    frag = check_distance_estimate(
-        trace, queries, times=config.distance_times, stencil=config.stencil
-    )
-    battery = flat_accuracy_battery(
-        trace.alpha, config.geometry,
-        count=config.distance_flat_queries,
-        seed=config.distance_seed + 1,
-        stencil=config.stencil,
-    )
-    sdir = _scenario_dir(out, scenario.index)
-    rows = [
-        (r["query"], repr(r["t"]), repr(r["dt"]), "graph", repr(r["slack"]))
-        for r in frag["rows"]
-    ]
-    rows.extend(
-        (r["query"], "0.0", repr(r["d0"]), "flat_exact", repr(r["rel_gap"]))
-        for r in frag["flat_rows"]
-    )
-    tfio.write_csv_atomic(sdir / "distance.csv", ("query", "t", "d", "method", "slack"), rows)
+    frag = distance_fragment(config, trace)
+    battery = frag["flat_battery"]
+    table = write_distance_csv(scenario_dir(out, scenario.index), frag)
     print(f"distance battery on scenario i={scenario.index}:")
     print(f"  L = {frag['L']:.6g}, fitted C = {frag['fitted_C']:.6g}, "
           f"min slack = {frag['min_slack']:.3g}")
     print(f"  flat battery ({battery['count']} queries): max relative error "
           f"{battery['max_rel_error']:.4%}")
-    print(f"  table: {sdir / 'distance.csv'}")
-    ok = frag["pass"] and battery["max_rel_error"] <= 0.02
-    return EXIT_OK if ok else EXIT_CHECK_FAIL
+    print(f"  table: {table}")
+    return EXIT_OK if distance_passed(frag) else EXIT_CHECK_FAIL
 
 
 def _cmd_check(args) -> int:
-    config = _load_config(args)
+    config = parse_config(args.config, args.seed)
     out = _resolve_out(args, config)
     manifest = run_experiment(config, out, jobs=max(1, args.jobs), resume_only=True)
     for row in manifest.scenarios:

@@ -19,9 +19,8 @@ from scipy.sparse.csgraph import dijkstra
 from .fields import TorusGeometry
 from .geometry import (
     FlatMetric,
-    HermitianField,
-    KahlerMetric,
     PositivityError,
+    _coefficients,
     assemble,
     min_eigenvalue,
     riemann_norm,
@@ -75,21 +74,6 @@ def primitive_offsets(radius: int, dim: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _grid_coefficients(metric, geometry=None):
-    if isinstance(metric, HermitianField):
-        return metric.geometry, metric.values
-    if isinstance(metric, KahlerMetric):
-        g = assemble(metric)
-        return g.geometry, g.values
-    if isinstance(metric, FlatMetric):
-        geo = metric.geometry if metric.geometry is not None else geometry
-        if geo is None:
-            raise ValueError("flat metric carries no grid; pass geometry explicitly")
-        vals = np.broadcast_to(metric.H, geo.shape + (geo.n, geo.n))
-        return geo, vals
-    raise TypeError(f"not a metric-like object: {type(metric).__name__}")
-
-
 class MetricGraph:
     """Shortest-path oracle over one metric snapshot.
 
@@ -100,7 +84,11 @@ class MetricGraph:
     """
 
     def __init__(self, metric, stencil: StencilConfig = StencilConfig(), geometry=None):
-        geo, vals = _grid_coefficients(metric, geometry)
+        geo, vals = _coefficients(metric)
+        geo = geo or geometry
+        if geo is None:
+            raise ValueError("flat metric carries no grid; pass geometry explicitly")
+        vals = np.broadcast_to(vals, geo.shape + (geo.n, geo.n))
         if min_eigenvalue(metric) <= 0:
             raise PositivityError("distance on a non-positive metric")
         self.geometry = geo

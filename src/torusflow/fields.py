@@ -32,10 +32,8 @@ __all__ = [
     "FieldError",
     "TorusGeometry",
     "ScalarField",
-    "ComplexField",
     "SpectralCoeffs",
     "HermitianField",
-    "as_field",
     "constant_field",
     "to_spectral",
     "from_spectral",
@@ -206,17 +204,6 @@ class ScalarField:
 
 
 @dataclass(frozen=True, eq=False)
-class ComplexField:
-    """Complex scalar sample per grid point (mixed Hessian entries)."""
-
-    geometry: TorusGeometry
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _check_values(self.geometry, self.values, np.complex128))
-
-
-@dataclass(frozen=True, eq=False)
 class SpectralCoeffs:
     """Unnormalized DFT coefficients in np.fft layout."""
 
@@ -252,31 +239,19 @@ class HermitianField:
             raise FieldError(f"matrix field is not Hermitian (defect {gap:.3e})")
         object.__setattr__(self, "values", np.ascontiguousarray(arr))
 
-    def entry(self, j: int, k: int) -> np.ndarray:
-        return self.values[..., j, k]
-
-
-def as_field(geometry: TorusGeometry, data) -> ScalarField:
-    """Broadcast a scalar or array to a full-grid ScalarField."""
-    arr = np.broadcast_to(np.asarray(data, dtype=np.float64), geometry.shape)
-    return ScalarField(geometry, arr.copy())
-
 
 def constant_field(geometry: TorusGeometry, value: float) -> ScalarField:
-    return as_field(geometry, float(value))
+    return ScalarField(geometry, np.full(geometry.shape, float(value)))
 
 
-def to_spectral(field) -> SpectralCoeffs:
-    """Forward DFT of a scalar or complex field."""
+def to_spectral(field: ScalarField) -> SpectralCoeffs:
+    """Forward DFT of a scalar field."""
     return SpectralCoeffs(field.geometry, np.fft.fftn(field.values))
 
 
-def from_spectral(coeffs: SpectralCoeffs, real: bool = True):
-    """Inverse DFT; with real=True drops the O(eps) imaginary residue."""
-    vals = np.fft.ifftn(coeffs.values)
-    if real:
-        return ScalarField(coeffs.geometry, vals.real)
-    return ComplexField(coeffs.geometry, vals)
+def from_spectral(coeffs: SpectralCoeffs) -> ScalarField:
+    """Inverse DFT, dropping the O(eps) imaginary residue."""
+    return ScalarField(coeffs.geometry, np.fft.ifftn(coeffs.values).real)
 
 
 def complex_hessian(phi: ScalarField) -> HermitianField:

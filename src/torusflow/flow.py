@@ -36,16 +36,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, TorusGeometry, complex_hessian, integrate
+from .fields import ScalarField, TorusGeometry, complex_hessian, truncate_modes
 from .geometry import (
     EPS_POS,
     FlatMetric,
     HermitianField,
     KahlerMetric,
+    _det,
+    _eigenvalues,
+    assemble,
     eigenvalue_range,
     harmonic_projection,
     log_det_field,
     scalar_curvature_of,
+    volume,
 )
 
 __all__ = [
@@ -156,14 +160,19 @@ class FlowTrace:
 
 
 class _Evaluation:
-    __slots__ = ("rhs", "coeffs", "min_eig", "stiffness", "det_mean")
+    __slots__ = ("rhs", "coeffs", "min_eig", "stiffness")
 
-    def __init__(self, rhs, coeffs, min_eig, stiffness, det_mean):
+    def __init__(self, rhs, coeffs, min_eig, stiffness):
         self.rhs = rhs              # ndarray, d phi/dt field
         self.coeffs = coeffs        # ndarray, assembled metric coefficients
         self.min_eig = min_eig      # float, absolute eigenvalue floor
         self.stiffness = stiffness  # float, max eigenvalue of g^{-1} wrt H0
-        self.det_mean = det_mean    # float, grid mean of det g
+
+
+def _rhs(g: HermitianField, alpha: FlatMetric, config: FlowConfig) -> ScalarField:
+    """d phi/dt = log det g - log det H_alpha, 2/3-truncated when config.dealias."""
+    rhs = log_det_field(g, config.eps_pos) - math.log(_det(alpha.H))
+    return truncate_modes(rhs) if config.dealias else rhs
 
 
 class _Stepper:
@@ -172,11 +181,11 @@ class _Stepper:
     def __init__(self, base: KahlerMetric, config: FlowConfig, alpha: FlatMetric):
         self.base = base
         self.config = config
+        self.alpha = alpha
         self.geometry = base.geometry
         geo = self.geometry
         self.H0 = base.H
         self.base_hess = complex_hessian(base.phi).values
-        self.logdet_alpha = float(np.log(np.linalg.det(alpha.H).real))
         Hinv = np.linalg.inv(self.H0)
         w = geo.wirtinger_modes
         q = 0.0
@@ -184,11 +193,6 @@ class _Stepper:
             for k in range(geo.n):
                 q = q + (Hinv[j, k] * w[j] * np.conj(w[k]))
         self.stab_symbol = -math.pi**2 * np.broadcast_to(np.real(q), geo.shape)
-        evals, evecs = np.linalg.eigh(self.H0)
-        self.h0_isqrt = (evecs * (1.0 / np.sqrt(evals))) @ evecs.conj().T
-        self.h0_is_identity = bool(
-            np.allclose(self.H0, np.eye(geo.n), rtol=0.0, atol=1e-14)
-        )
 
     def evaluate(self, phi_full: np.ndarray) -> _Evaluation:
         geo = self.geometry
@@ -197,25 +201,10 @@ class _Stepper:
         g = HermitianField(geo, coeffs)
         lo, _ = eigenvalue_range(g)
         if lo < self.config.eps_pos:
-            return _Evaluation(None, coeffs, lo, math.inf, math.nan)
-        if self.h0_is_identity:
-            rel = g
-        else:
-            s = self.h0_isqrt
-            rel = HermitianField(geo, np.einsum("ab,...bc,cd->...ad", s, coeffs, s))
-        rel_lo, _ = eigenvalue_range(rel)
-        stiffness = 1.0 / rel_lo
-        ld = log_det_field(g, self.config.eps_pos)
-        rhs = ld.values - self.logdet_alpha
-        if self.config.dealias:
-            rhs_hat = np.where(geo.dealias_keep, np.fft.fftn(rhs), 0.0)
-            rhs = np.fft.ifftn(rhs_hat).real
-        if geo.n == 1:
-            det_mean = float(coeffs[..., 0, 0].real.mean())
-        else:
-            det = coeffs[..., 0, 0].real * coeffs[..., 1, 1].real - np.abs(coeffs[..., 0, 1]) ** 2
-            det_mean = float(det.mean())
-        return _Evaluation(rhs, coeffs, lo, stiffness, det_mean)
+            return _Evaluation(None, coeffs, lo, math.inf)
+        # c = 1 / smallest root of det(g - lam H0): the top eigenvalue of g^{-1} wrt H0
+        stiffness = 1.0 / float(_eigenvalues(coeffs, self.H0)[0].min())
+        return _Evaluation(_rhs(g, self.alpha, self.config).values, coeffs, lo, stiffness)
 
     def target_dt(self, t: float, ev: _Evaluation) -> float:
         cfg = self.config
@@ -238,7 +227,6 @@ class _Stepper:
 def _diagnostics(geo: TorusGeometry, t: float, dt: float, ev: _Evaluation) -> StepDiagnostics:
     g = HermitianField(geo, ev.coeffs)
     curv = scalar_curvature_of(g)
-    factor = (2.0**geo.n) * math.factorial(geo.n)
     return StepDiagnostics(
         t=t,
         dt=dt,
@@ -246,7 +234,7 @@ def _diagnostics(geo: TorusGeometry, t: float, dt: float, ev: _Evaluation) -> St
         min_dot_phi=float(ev.rhs.min()),
         max_dot_phi=float(ev.rhs.max()),
         min_eigenvalue=ev.min_eig,
-        volume=factor * ev.det_mean,
+        volume=volume(g),
     )
 
 
@@ -267,16 +255,12 @@ def dot_phi(state: FlowState, alpha: FlatMetric | None = None, dealias: bool = F
     """log(det g(t) / det H_alpha) for the state's current metric.
 
     With alpha omitted the constant representative of the state's own
-    class is used, which is the flow's stationary normalization.
+    class is used, which is the flow's stationary normalization.  Raises
+    PositivityError where the metric is not positive.
     """
-    base = state.base
     if alpha is None:
-        alpha, _ = harmonic_projection(base)
-    stepper = _Stepper(base, FlowConfig(dealias=dealias, eps_pos=EPS_POS), alpha)
-    ev = stepper.evaluate(state.phi.values)
-    if ev.rhs is None:
-        raise FlowFailure("state metric is not positive", state)
-    return ScalarField(base.geometry, ev.rhs)
+        alpha, _ = harmonic_projection(state.base)
+    return _rhs(assemble(state.metric()), alpha, FlowConfig(dealias=dealias))
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:

@@ -181,11 +181,46 @@ class TestForm:
 
 
 # ---------------------------------------------------------------------------
-# pointwise linear algebra (n is 1 or 2, so closed forms throughout)
+# pointwise linear algebra: the n <= 2 closed forms, written only here.
+# Arguments are (..., n, n) coefficient stacks or single (n, n) matrices;
+# results broadcast over the leading axes.
+
+
+def _det(v: np.ndarray) -> np.ndarray:
+    if v.shape[-1] == 1:
+        return v[..., 0, 0].real
+    return v[..., 0, 0].real * v[..., 1, 1].real - np.abs(v[..., 0, 1]) ** 2
+
+
+def _pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(adj(a) b), which is det(a) tr_a b; for n = 2 it is also a
+    quarter of the density of a /\\ b when a is an (n-1, n-1)-form."""
+    if a.shape[-1] == 1:
+        return b[..., 0, 0].real
+    return (
+        a[..., 1, 1] * b[..., 0, 0]
+        + a[..., 0, 0] * b[..., 1, 1]
+        - a[..., 0, 1] * b[..., 1, 0]
+        - a[..., 1, 0] * b[..., 0, 1]
+    ).real
+
+
+def _eigenvalues(v: np.ndarray, ref: np.ndarray | None = None) -> tuple:
+    """Ascending roots of det(v - lam ref) = 0; ref defaults to the identity."""
+    if v.shape[-1] == 1:
+        d = v[..., 0, 0].real
+        return (d,) if ref is None else (d / ref[..., 0, 0].real,)
+    if ref is None:
+        a, b = 1.0, v[..., 0, 0].real + v[..., 1, 1].real
+    else:
+        a, b = _det(ref), _pairing(ref, v)
+    disc = np.sqrt(np.maximum(b * b - 4.0 * a * _det(v), 0.0))
+    return (b - disc) / (2.0 * a), (b + disc) / (2.0 * a)
 
 
 def _coefficients(metric) -> tuple:
-    """Resolve metric-like input to (geometry_or_None, values array)."""
+    """Resolve metric-like input to (geometry or None, coefficient array);
+    a FlatMetric gives its (n, n) matrix, which broadcasts against grids."""
     if isinstance(metric, HermitianField):
         return metric.geometry, metric.values
     if isinstance(metric, KahlerMetric):
@@ -206,23 +241,14 @@ def assemble(metric: KahlerMetric, check_positivity: bool = False) -> HermitianF
 
 
 def det_field(g: HermitianField) -> np.ndarray:
-    v = g.values
-    if g.geometry.n == 1:
-        return v[..., 0, 0].real
-    return (v[..., 0, 0].real * v[..., 1, 1].real - np.abs(v[..., 0, 1]) ** 2)
+    return _det(g.values)
 
 
 def eigenvalue_range(metric) -> tuple:
     """(min, max) eigenvalue over the grid; closed form for n <= 2."""
     _, v = _coefficients(metric)
-    n = v.shape[-1]
-    if n == 1:
-        d = v[..., 0, 0].real
-        return float(d.min()), float(d.max())
-    tr = v[..., 0, 0].real + v[..., 1, 1].real
-    det = v[..., 0, 0].real * v[..., 1, 1].real - np.abs(v[..., 0, 1]) ** 2
-    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-    return float(((tr - disc) / 2.0).min()), float(((tr + disc) / 2.0).max())
+    eig = _eigenvalues(v)
+    return float(eig[0].min()), float(eig[-1].max())
 
 
 def min_eigenvalue(metric) -> float:
@@ -231,11 +257,11 @@ def min_eigenvalue(metric) -> float:
 
 def inverse_field(g: HermitianField) -> np.ndarray:
     v = g.values
+    det = _det(v)
     if g.geometry.n == 1:
         out = np.zeros_like(v)
-        out[..., 0, 0] = 1.0 / v[..., 0, 0].real
+        out[..., 0, 0] = 1.0 / det
         return out
-    det = det_field(g)
     out = np.empty_like(v)
     out[..., 0, 0] = v[..., 1, 1] / det
     out[..., 1, 1] = v[..., 0, 0] / det
@@ -245,39 +271,20 @@ def inverse_field(g: HermitianField) -> np.ndarray:
 
 
 def log_det_field(g: HermitianField, eps_pos: float = EPS_POS) -> ScalarField:
-    """log det g, via eigenvalue logs for n=2 to avoid cancellation."""
-    geo = g.geometry
-    if geo.n == 1:
-        d = g.values[..., 0, 0].real
-        if d.min() < eps_pos:
-            raise PositivityError(f"metric eigenvalue below {eps_pos:g}")
-        return ScalarField(geo, np.log(d))
-    v = g.values
-    tr = v[..., 0, 0].real + v[..., 1, 1].real
-    det = det_field(g)
-    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-    lo = (tr - disc) / 2.0
-    hi = (tr + disc) / 2.0
-    if lo.min() < eps_pos:
+    """log det g as a sum of eigenvalue logs, which avoids cancellation."""
+    eig = _eigenvalues(g.values)
+    if eig[0].min() < eps_pos:
         raise PositivityError(f"metric eigenvalue below {eps_pos:g}")
-    return ScalarField(geo, np.log(lo) + np.log(hi))
+    return ScalarField(g.geometry, sum(np.log(e) for e in eig))
 
 
 def volume(metric) -> float:
     """int omega^n = 2^n n! int det(g) dLeb; requires positivity."""
-    geo, v = _coefficients(metric)
-    n = v.shape[-1]
+    _, v = _coefficients(metric)
     if min_eigenvalue(metric) <= 0:
         raise PositivityError("volume of a non-positive metric")
-    factor = (2.0**n) * math.factorial(n)
-    if geo is None:
-        det = np.linalg.det(v).real
-        return float(factor * det)
-    if n == 1:
-        det = v[..., 0, 0].real
-    else:
-        det = v[..., 0, 0].real * v[..., 1, 1].real - np.abs(v[..., 0, 1]) ** 2
-    return float(factor * det.mean())
+    n = v.shape[-1]
+    return float((2.0**n) * math.factorial(n) * _det(v).mean())
 
 
 def ricci(metric, eps_pos: float = EPS_POS) -> HermitianField:
@@ -296,11 +303,8 @@ def ricci(metric, eps_pos: float = EPS_POS) -> HermitianField:
 
 def scalar_curvature_of(g: HermitianField, eps_pos: float = EPS_POS) -> ScalarField:
     """Scalar curvature from assembled coefficients (shared with the flow)."""
-    ld = log_det_field(g, eps_pos)
-    ric = -complex_hessian(ld).values
-    ginv = inverse_field(g)
-    val = np.einsum("...jk,...kj->...", ginv, ric).real
-    return ScalarField(g.geometry, val)
+    ric = -complex_hessian(log_det_field(g, eps_pos)).values
+    return ScalarField(g.geometry, _pairing(g.values, ric) / _det(g.values))
 
 
 def scalar_curvature(metric, eps_pos: float = EPS_POS) -> ScalarField:
@@ -371,18 +375,7 @@ def trace_wrt(a, b) -> ScalarField:
         raise FieldError("arguments live on different grids")
     if min_eigenvalue(a) <= 0:
         raise PositivityError("trace base metric is not positive")
-    n = va.shape[-1]
-    if n == 1:
-        val = vb[..., 0, 0].real / va[..., 0, 0].real
-    else:
-        det = va[..., 0, 0].real * va[..., 1, 1].real - np.abs(va[..., 0, 1]) ** 2
-        num = (
-            va[..., 1, 1] * vb[..., 0, 0]
-            + va[..., 0, 0] * vb[..., 1, 1]
-            - va[..., 0, 1] * vb[..., 1, 0]
-            - va[..., 1, 0] * vb[..., 0, 1]
-        ).real
-        val = num / det
+    val = _pairing(va, vb) / _det(va)
     return ScalarField(geo, np.broadcast_to(val, geo.shape).copy())
 
 
@@ -421,14 +414,8 @@ def harmonic_projection(metric: KahlerMetric, tol: float = 1e-6):
 def _wedge_density(coeffs: np.ndarray, beta, n: int) -> np.ndarray:
     """Density of eta /\\ omega against dLeb for constant-coefficient eta."""
     if n == 1:
-        return 2.0 * float(beta) * coeffs[..., 0, 0].real
-    md = (
-        coeffs[..., 0, 0] * beta[1, 1]
-        + coeffs[..., 1, 1] * beta[0, 0]
-        - coeffs[..., 0, 1] * beta[1, 0]
-        - coeffs[..., 1, 0] * beta[0, 1]
-    ).real
-    return 4.0 * md
+        return 2.0 * float(beta) * _det(coeffs)
+    return 4.0 * _pairing(beta, coeffs)
 
 
 def pair_test_form(metric, form: TestForm) -> float:
@@ -459,15 +446,10 @@ def volume_density(metric, reference: FlatMetric) -> ScalarField:
     geo, v = _coefficients(metric)
     if geo is None:
         raise FieldError("volume_density needs a grid-carrying metric")
-    ref_det = float(np.linalg.det(reference.H).real)
+    ref_det = float(_det(reference.H))
     if ref_det <= 0:
         raise PositivityError("reference metric is not positive")
-    n = v.shape[-1]
-    if n == 1:
-        det = v[..., 0, 0].real
-    else:
-        det = v[..., 0, 0].real * v[..., 1, 1].real - np.abs(v[..., 0, 1]) ** 2
-    return ScalarField(geo, det / ref_det)
+    return ScalarField(geo, _det(v) / ref_det)
 
 
 def linfty_vs_lp_laplacian(u: ScalarField, p: float) -> float:

@@ -29,23 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (
-    ScalarField,
-    constant_field,
-    integrate,
-    lp_norm,
-    random_band_limited,
-)
+from .fields import constant_field, integrate, random_band_limited
 from .geometry import (
     FlatMetric,
-    KahlerMetric,
     TestForm,
     assemble,
     eigenvalue_range,
-    harmonic_projection,
     pair_test_form,
     pairing_density,
-    riemann_norm,
     trace_wrt,
     volume,
     volume_density,
@@ -58,13 +49,8 @@ __all__ = [
     "ScenarioResult",
     "RateFit",
     "default_test_forms",
-    "check_flat_representative",
-    "check_flow_bounds",
     "check_scalar_floor",
-    "check_weak_convergence",
-    "check_volume_density",
     "fit_rate",
-    "family_constants",
     "build_reports",
     "family_summary",
 ]
@@ -244,7 +230,7 @@ def _measure(trace: FlowTrace, index: int, amplitude: float, forms, q_list) -> S
     pointwise_slack = float(
         (v_init.values * (1.0 + RELATIVE_PAD) - shrink * f_fin.values).min()
     )
-    measure = (2.0**n) * math.factorial(n) * float(np.linalg.det(alpha.H).real)
+    measure = volume(alpha)  # L^1 norms below are against omega_alpha^n
     l1_gap = float(np.abs(v_init.values - f_fin.values).mean() * measure)
     vol_final = float(f_fin.values.mean() * measure)
     l1_budget = 2.0 * (1.0 - shrink) * vol_final * (1.0 + RELATIVE_PAD)
@@ -262,7 +248,7 @@ def _measure(trace: FlowTrace, index: int, amplitude: float, forms, q_list) -> S
         trace_unit_vs_flat=trace_unit_vs_flat,
         volume_log_floor=volume_log_floor,
         volume_initial=volume(g0),
-        volume_flat=volume(alpha),
+        volume_flat=measure,
         sup_abs_phi=sup_abs_phi,
         inf_dot_phi=inf_dot,
         dot_phi_upper=dot_upper,
@@ -280,58 +266,13 @@ def _measure(trace: FlowTrace, index: int, amplitude: float, forms, q_list) -> S
 
 
 # ---------------------------------------------------------------------------
-# public per-scenario checks (single-scenario fits when no family is given)
-
-
-def check_flat_representative(metric: KahlerMetric, index: int,
-                              floor_constant: float | None = None) -> CheckResult:
-    """Constant representative exists, is equivalent to the background,
-    and the initial volume ratio obeys the 1/sqrt(i) floor."""
-    alpha, u = harmonic_projection(metric)
-    g0 = assemble(metric)
-    v0 = volume_density(g0, alpha)
-    floor = float(np.log(v0.values).min())
-    fitted = floor_constant if floor_constant is not None else max(0.0, -floor) * math.sqrt(index)
-    slack = floor + fitted / math.sqrt(index)
-    n = metric.geometry.n
-    unit = FlatMetric(np.eye(n))
-    constants = {
-        "sup_u": float(np.abs(u.values).max()),
-        "trace_flat_vs_unit": float(trace_wrt(unit, alpha).values.max()),
-        "trace_unit_vs_flat": float(trace_wrt(alpha, unit).values.max()),
-        "volume_log_floor": floor,
-        "floor_constant": fitted,
-        "volume_input": volume(g0),
-        "volume_flat": volume(alpha),
-    }
-    return _result("flat_representative", constants, slack, FIT_TOL)
-
-
-def check_flow_bounds(trace: FlowTrace, index: int) -> dict:
-    """Potential and rate bounds for one trace, constants self-fitted."""
-    m = _measure(trace, index, math.nan, [], [])
-    return _flow_bound_results(m, _fit_family([m]))
+# public per-scenario checks
 
 
 def check_scalar_floor(trace: FlowTrace, index: int) -> CheckResult:
     m_margin = min(d.min_scalar_curvature + 1.0 / index for d in trace.diagnostics)
     tol = 1e-3 * (1.0 + 1.0 / index)
     return _result("scalar_floor", {"margin": m_margin, "index": index}, m_margin, tol)
-
-
-def check_weak_convergence(trace: FlowTrace, index: int, forms=None) -> CheckResult:
-    if forms is None:
-        forms = default_test_forms(trace.initial.geometry)
-    m = _measure(trace, index, math.nan, forms, [])
-    return _weak_convergence_result(m)
-
-
-def check_volume_density(trace: FlowTrace, index: int, q_list=None) -> CheckResult:
-    geo = trace.initial.geometry
-    if q_list is None:
-        q_list = [float(geo.n), 1.5 * geo.n]
-    m = _measure(trace, index, math.nan, [], q_list)
-    return _volume_density_result(m)
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +293,6 @@ def _fit_family(ms) -> dict:
             default=0.0,
         ),
     }
-
-
-family_constants = _fit_family
 
 
 def _flow_bound_results(m: ScenarioMeasurement, fam: dict) -> dict:
@@ -394,25 +332,26 @@ def _flow_bound_results(m: ScenarioMeasurement, fam: dict) -> dict:
     return out
 
 
-def _weak_convergence_result(m: ScenarioMeasurement, pairing_constant=None) -> CheckResult:
+def _weak_convergence_result(m: ScenarioMeasurement, pairing_constant: float) -> CheckResult:
     rows = [
         {"label": lab, "pairing_initial": p0, "pairing_final": p1,
          "gap": gap, "identity_residual": res}
         for lab, p0, p1, gap, res in m.forms
     ]
     worst = max((r["identity_residual"] for r in rows), default=0.0)
-    constants = {"forms": rows, "max_identity_residual": worst}
-    slack = IDENTITY_TOL - worst
-    if pairing_constant is not None:
-        # family bound |gap| <= C / sqrt(i); fitted C makes this >= 0
-        budget = pairing_constant / math.sqrt(m.index)
-        bound_slack = min(
-            (budget - abs(r[3]) for r in m.forms if r[0] != "const"),
-            default=0.0,
-        )
-        constants["pairing_constant"] = pairing_constant
-        constants["min_bound_slack"] = bound_slack
-        slack = min(slack, bound_slack + FIT_TOL)
+    # family bound |gap| <= C / sqrt(i); fitted C makes this >= 0
+    budget = pairing_constant / math.sqrt(m.index)
+    bound_slack = min(
+        (budget - abs(r[3]) for r in m.forms if r[0] != "const"),
+        default=0.0,
+    )
+    constants = {
+        "forms": rows,
+        "max_identity_residual": worst,
+        "pairing_constant": pairing_constant,
+        "min_bound_slack": bound_slack,
+    }
+    slack = min(IDENTITY_TOL - worst, bound_slack + FIT_TOL)
     return _result("weak_convergence", constants, slack, 0.0)
 
 

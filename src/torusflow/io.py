@@ -21,16 +21,16 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-import math
 import os
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .fields import ScalarField, TorusGeometry, complex_hessian
-from .flow import FlowConfig, FlowState, FlowTrace, StepDiagnostics
-from .geometry import FlatMetric, HermitianField, KahlerMetric, log_det_field
+from .fields import ScalarField, TorusGeometry
+from .flow import FlowConfig, FlowState, FlowTrace, StepDiagnostics, _rhs
+from .geometry import FlatMetric, KahlerMetric, assemble
 
 __all__ = [
     "FormatError",
@@ -141,10 +141,20 @@ def load_metric_snapshot(path) -> tuple:
 
 
 def write_bytes_atomic(path, data: bytes) -> None:
+    """Write through a unique temp file in the target directory, then rename."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            # mkstemp creates the file owner-only; give it the usual umask mode
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_json_atomic(path, obj) -> None:
@@ -262,17 +272,14 @@ def _state_from_file(d: Path, entry: dict, base: KahlerMetric,
         raise FormatError("snapshot background differs from trace background")
     flow_phi = total.values - base.phi.values
     mean = float(flow_phi.mean())
-    coeffs = complex_hessian(total).values + base.H
-    ld = log_det_field(HermitianField(geo, coeffs), config.eps_pos)
-    rhs = ld.values - math.log(float(np.linalg.det(alpha.H).real))
-    if config.dealias:
-        rhs = np.fft.ifftn(np.where(geo.dealias_keep, np.fft.fftn(rhs), 0.0)).real
+    phi_osc = ScalarField(geo, flow_phi - mean)
+    g = assemble(KahlerMetric(base.H, base.phi + phi_osc))  # the state's metric()
     return FlowState(
         base=base,
         t=float(entry["t"]),
-        phi_osc=ScalarField(geo, flow_phi - mean),
+        phi_osc=phi_osc,
         phi_mean=mean,
-        dot_phi=ScalarField(geo, rhs),
+        dot_phi=_rhs(g, alpha, config),
         last_dt=float(entry["last_dt"]),
     )
 

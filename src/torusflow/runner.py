@@ -26,15 +26,16 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import io as tfio
-from .fields import TorusGeometry, constant_field, lp_norm
-from .flow import FlowConfig, FlowFailure, run_flow
-from .geometry import FlatMetric, KahlerMetric, trace_wrt
+from .fields import TorusGeometry, constant_field
+from .flow import FlowConfig, FlowTrace, run_flow
+from .geometry import KahlerMetric
 from .geometry import volume as volume_of
 from .harness import build_reports, default_test_forms, family_summary
 from .distances import (
@@ -51,12 +52,16 @@ __all__ = [
     "RunManifest",
     "parse_config",
     "config_from_dict",
+    "first_scenario",
+    "scenario_dir",
+    "ensure_trace",
+    "distance_fragment",
+    "distance_passed",
+    "write_distance_csv",
     "run_experiment",
     "emit_outputs",
     "exit_code_of",
 ]
-
-VERSION = "0.1.0"
 
 
 class ConfigError(ValueError):
@@ -342,7 +347,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
 
 
-def parse_config(path) -> ExperimentConfig:
+def parse_config(path, seed: int | None = None) -> ExperimentConfig:
+    """Load a JSON config file; a given seed replaces the file's global
+    seed, and the scenario seed is then derived from it."""
     path = Path(path)
     if not path.exists():
         raise ConfigError([f"config file not found: {path}"])
@@ -350,6 +357,12 @@ def parse_config(path) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+    if seed is not None:
+        if not isinstance(raw, dict):
+            raise ConfigError(["top level: expected a JSON object"])
+        raw["seed"] = seed
+        if isinstance(raw.get("scenario"), dict):
+            raw["scenario"].pop("seed", None)
     return config_from_dict(raw)
 
 
@@ -381,56 +394,113 @@ class RunManifest:
         }
 
 
-def _scenario_dir(out: Path, index: int) -> Path:
-    return out / f"scenario_i{index:03d}"
+def scenario_dir(out: Path, index: int) -> Path:
+    return Path(out) / f"scenario_i{index:03d}"
 
 
-def _flat_scenarios(config: ExperimentConfig):
-    spec = config.scenario
-    n = config.geometry.n
-    out = []
-    for i in spec.indices:
-        metric = KahlerMetric(spec.background, constant_field(config.geometry, 0.0))
-        tr = trace_wrt(FlatMetric(np.eye(n)), metric)
-        if math.isinf(spec.trace_exponent):
-            trace_norm = float(tr.values.max())
-        else:
-            weight = constant_field(config.geometry, (2.0**n) * math.factorial(n))
-            trace_norm = lp_norm(tr, spec.trace_exponent, weight=weight)
-        out.append(
-            Scenario(
-                index=i,
-                amplitude=0.0,
-                metric=metric,
-                curvature_floor=0.0,
-                volume=volume_of(metric),
-                trace_norm=trace_norm,
-                positive_part_budget=0.0,
-            )
-        )
-    return out
+def _flat_scenarios(spec: ScenarioSpec) -> list:
+    """The background itself, as flat initial data for every index."""
+    metric = KahlerMetric(spec.background, constant_field(spec.geometry, 0.0))
+    vol, trace_norm = volume_of(metric), spec.trace_norm(metric)
+    return [
+        Scenario(index=i, amplitude=0.0, metric=metric, curvature_floor=0.0, volume=vol,
+                 trace_norm=trace_norm, positive_part_budget=0.0)
+        for i in spec.indices
+    ]
+
+
+def _scenarios(spec: ScenarioSpec, flat: bool) -> list:
+    return _flat_scenarios(spec) if flat else make_sequence(spec)
+
+
+def first_scenario(config: ExperimentConfig) -> Scenario:
+    """The smallest-index scenario, built as run_experiment builds it."""
+    spec = replace(config.scenario, indices=config.scenario.indices[:1])
+    return _scenarios(spec, config.flat_mode)[0]
+
+
+def _flow_and_save(metric, flow_config, sdir: Path, trace_key: str) -> FlowTrace:
+    trace = run_flow(metric, flow_config)
+    tfio.save_trace(trace, sdir / "trace")
+    (sdir / "trace_key.txt").write_text(trace_key + "\n")
+    return trace
 
 
 def _flow_one(args):
     """Worker: run one flow and persist it; returns a status tuple."""
-    metric, flow_config, trace_dir, trace_key = args
+    metric, flow_config, sdir, trace_key = args
     try:
-        trace = run_flow(metric, flow_config)
-        tfio.save_trace(trace, trace_dir)
-        Path(trace_dir, "..", "trace_key.txt").resolve().write_text(trace_key + "\n")
+        _flow_and_save(metric, flow_config, sdir, trace_key)
         return ("ok", None)
-    except FlowFailure as exc:
-        return ("error", f"flow failed: {exc}")
+    except Exception as exc:  # any failure becomes this scenario's error row
+        return ("error", f"flow failed: {type(exc).__name__}: {exc}")
 
 
-def _trace_is_reusable(sdir: Path, trace_key: str) -> bool:
+def _load_trace(sdir: Path) -> tuple:
+    """(trace, None), or (None, reason) when the persisted trace does not load."""
+    try:
+        return tfio.load_trace(sdir / "trace"), None
+    except (OSError, tfio.FormatError, ValueError) as exc:
+        return None, f"trace reload failed: {exc}"
+
+
+def _persisted_trace(sdir: Path, trace_key: str) -> tuple:
+    """(trace, None) for a loadable trace persisted under trace_key, else (None, reason)."""
     key_file = sdir / "trace_key.txt"
-    meta = sdir / "trace" / "meta.json"
-    return (
+    if not (
         key_file.exists()
-        and meta.exists()
+        and (sdir / "trace" / "meta.json").exists()
         and key_file.read_text().strip() == trace_key
+    ):
+        return None, "no persisted trace for this config; run the full pipeline first"
+    return _load_trace(sdir)
+
+
+def ensure_trace(config: ExperimentConfig, out, scenario: Scenario) -> FlowTrace:
+    """The scenario's persisted trace when it matches the config and loads;
+    otherwise a fresh flow, persisted in its place."""
+    sdir = scenario_dir(out, scenario.index)
+    trace, _ = _persisted_trace(sdir, config.trace_key)
+    if trace is None:
+        sdir.mkdir(parents=True, exist_ok=True)
+        trace = _flow_and_save(scenario.metric, config.flow, sdir, config.trace_key)
+    return trace
+
+
+def distance_fragment(config: ExperimentConfig, trace: FlowTrace) -> dict:
+    """Distance estimate on one trace, plus the flat battery's summary."""
+    queries = random_queries(config.geometry, config.distance_queries, config.distance_seed)
+    frag = check_distance_estimate(
+        trace, queries, times=config.distance_times, stencil=config.stencil,
     )
+    battery = flat_accuracy_battery(
+        trace.alpha,
+        config.geometry,
+        count=config.distance_flat_queries,
+        seed=config.distance_seed + 1,
+        stencil=config.stencil,
+    )
+    frag["flat_battery"] = {k: v for k, v in battery.items() if k != "rows"}
+    return frag
+
+
+def distance_passed(frag: dict) -> bool:
+    return frag["pass"] and frag["flat_battery"]["max_rel_error"] <= 0.02
+
+
+def write_distance_csv(sdir: Path, frag: dict) -> Path:
+    """Graph rows (slack against the fitted bound), then flat-exact rows."""
+    rows = [
+        (drow["query"], _fmt(drow["t"]), _fmt(drow["dt"]), "graph", _fmt(drow["slack"]))
+        for drow in frag["rows"]
+    ]
+    rows.extend(
+        (frow["query"], "0.0", _fmt(frow["d0"]), "flat_exact", _fmt(frow["rel_gap"]))
+        for frow in frag["flat_rows"]
+    )
+    path = sdir / "distance.csv"
+    tfio.write_csv_atomic(path, ("query", "t", "d", "method", "slack"), rows)
+    return path
 
 
 def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
@@ -441,20 +511,14 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     timings: dict = {}
     t_start = time.perf_counter()
 
-    scenario_rows = []
-    scenarios = []
-    traces = {}
     try:
         t0 = time.perf_counter()
-        if config.flat_mode:
-            scenarios = _flat_scenarios(config)
-        else:
-            scenarios = make_sequence(config.scenario)
+        scenarios = _scenarios(config.scenario, config.flat_mode)
         timings["scenario_generation"] = time.perf_counter() - t0
     except ScenarioError as exc:
         manifest = RunManifest(
             config_hash=config.config_hash,
-            version=VERSION,
+            version=__version__,
             scenarios=[{"status": "error", "error": f"scenario generation failed: {exc}"}],
             family={},
             all_checks_pass=False,
@@ -465,26 +529,25 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         tfio.write_json_atomic(out / "manifest.json", manifest.as_dict())
         return manifest
 
-    # flows, resumable and optionally parallel
+    # flows, resumable and optionally parallel; a persisted trace that
+    # fails to load is recomputed, or reported when only resuming
+    traces = {}
+    statuses = {}
     pending = []
     for sc in scenarios:
-        sdir = _scenario_dir(out, sc.index)
+        sdir = scenario_dir(out, sc.index)
         sdir.mkdir(parents=True, exist_ok=True)
-        if _trace_is_reusable(sdir, config.trace_key):
-            continue
-        pending.append(sc)
+        trace, why = _persisted_trace(sdir, config.trace_key)
+        if trace is not None:
+            traces[sc.index] = trace
+        elif resume_only:
+            statuses[sc.index] = ("error", why)
+        else:
+            pending.append(sc)
     t0 = time.perf_counter()
-    statuses = {}
-    if pending and resume_only:
-        for sc in pending:
-            statuses[sc.index] = (
-                "error",
-                "no persisted trace for this config; run the full pipeline first",
-            )
-        pending = []
     if pending:
         work = [
-            (sc.metric, config.flow, str(_scenario_dir(out, sc.index) / "trace"), config.trace_key)
+            (sc.metric, config.flow, scenario_dir(out, sc.index), config.trace_key)
             for sc in pending
         ]
         if jobs > 1:
@@ -496,16 +559,19 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
                 statuses[sc.index] = _flow_one(w)
     timings["flows"] = time.perf_counter() - t0
 
+    scenario_rows = []
     ok_scenarios = []
     for sc in scenarios:
-        sdir = _scenario_dir(out, sc.index)
+        sdir = scenario_dir(out, sc.index)
         status, err = statuses.get(sc.index, ("ok", None))
+        if status == "ok" and sc.index not in traces:
+            trace, err = _load_trace(sdir)
+            if trace is None:
+                status = "error"
+            else:
+                traces[sc.index] = trace
         if status == "ok":
-            try:
-                traces[sc.index] = tfio.load_trace(sdir / "trace")
-                ok_scenarios.append(sc)
-            except (OSError, tfio.FormatError, ValueError) as exc:
-                status, err = "error", f"trace reload failed: {exc}"
+            ok_scenarios.append(sc)
         scenario_rows.append(
             {
                 "index": sc.index,
@@ -541,23 +607,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         if config.distance_enabled:
             t0 = time.perf_counter()
             for sc in ok_scenarios:
-                queries = random_queries(config.geometry, config.distance_queries, config.distance_seed)
-                frag = check_distance_estimate(
-                    traces[sc.index], queries,
-                    times=config.distance_times, stencil=config.stencil,
-                )
-                frag["flat_battery"] = {
-                    k: v
-                    for k, v in flat_accuracy_battery(
-                        traces[sc.index].alpha,
-                        config.geometry,
-                        count=config.distance_flat_queries,
-                        seed=config.distance_seed + 1,
-                        stencil=config.stencil,
-                    ).items()
-                    if k != "rows"
-                }
-                distance_frags[sc.index] = frag
+                distance_frags[sc.index] = distance_fragment(config, traces[sc.index])
             timings["distance"] = time.perf_counter() - t0
 
         outputs.extend(
@@ -572,11 +622,8 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         mono = summary.get("monotonic", {}).get("v_minus_one_l1", {})
         if mono.get("applicable", True) and not mono.get("strictly_decreasing", True):
             all_pass = False
-        for frag in distance_frags.values():
-            if not frag["pass"]:
-                all_pass = False
-            if frag["flat_battery"]["max_rel_error"] > 0.02:
-                all_pass = False
+        if not all(distance_passed(frag) for frag in distance_frags.values()):
+            all_pass = False
         family = {"constants": fam, "summary": summary}
     else:
         all_pass = False
@@ -585,7 +632,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     timings["total"] = time.perf_counter() - t_start
     manifest = RunManifest(
         config_hash=config.config_hash,
-        version=VERSION,
+        version=__version__,
         scenarios=scenario_rows,
         family=family,
         all_checks_pass=all_pass,
@@ -621,7 +668,7 @@ def emit_outputs(out: Path, config: ExperimentConfig, results, fam, summary, ms,
     by_index = {m.index: m for m in ms}
 
     for r in results:
-        sdir = _scenario_dir(out, r.index)
+        sdir = scenario_dir(out, r.index)
         report = r.report.as_dict()
         if r.index in distance_frags:
             frag = dict(distance_frags[r.index])
@@ -648,19 +695,7 @@ def emit_outputs(out: Path, config: ExperimentConfig, results, fam, summary, ms,
         written.append(sdir / "checks.csv")
 
         if r.index in distance_frags:
-            frag = distance_frags[r.index]
-            drows = [
-                (drow["query"], _fmt(drow["t"]), _fmt(drow["dt"]), "graph", _fmt(drow["slack"]))
-                for drow in frag["rows"]
-            ]
-            drows.extend(
-                (frow["query"], "0.0", _fmt(frow["d0"]), "flat_exact", _fmt(frow["rel_gap"]))
-                for frow in frag["flat_rows"]
-            )
-            tfio.write_csv_atomic(
-                sdir / "distance.csv", ("query", "t", "d", "method", "slack"), drows
-            )
-            written.append(sdir / "distance.csv")
+            written.append(write_distance_csv(sdir, distance_frags[r.index]))
 
     # family table: one row per index
     form_labels = [row[0] for row in ms[0].forms]

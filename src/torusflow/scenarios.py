@@ -18,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, TorusGeometry, lp_norm, random_band_limited
+from .fields import ScalarField, TorusGeometry, constant_field, lp_norm, random_band_limited
 from .geometry import (
     EPS_POS,
     FlatMetric,
     KahlerMetric,
     assemble,
+    det_field,
     min_eigenvalue,
     scalar_curvature,
     trace_wrt,
@@ -99,6 +100,14 @@ class ScenarioSpec:
     @property
     def trace_exponent(self) -> float:
         return 2.0 * self.geometry.n if self.p is None else float(self.p)
+
+    def trace_norm(self, metric) -> float:
+        """The trace gate's reading: the L^trace_exponent norm of tr g
+        against the unit background and its volume form."""
+        unit = FlatMetric(np.eye(self.geometry.n))
+        p = self.trace_exponent
+        weight = None if math.isinf(p) else constant_field(self.geometry, volume(unit))
+        return lp_norm(trace_wrt(unit, metric), p, weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,8 +194,6 @@ def make_sequence(spec: ScenarioSpec) -> list:
     """Calibrate every index of the family; deterministic in the seed."""
     shape = random_band_limited(spec.seed, spec.max_mode, spec.geometry)
     H0 = spec.background
-    geo = spec.geometry
-    weight_const = (2.0**geo.n) * math.factorial(geo.n)  # background volume density
     out = []
     for i in spec.indices:
         target = -1.0 / i
@@ -208,21 +215,12 @@ def make_sequence(spec: ScenarioSpec) -> list:
                 f"index {i}: volume {vol:.6g} below the non-collapsing gate "
                 f"1/{spec.lambda_gate:g}"
             )
-        tr = trace_wrt(FlatMetric(np.eye(geo.n)), coeffs)
-        p = spec.trace_exponent
-        weight = None
-        if not math.isinf(p):
-            weight = ScalarField(geo, np.full(geo.shape, weight_const))
-        tr_norm = lp_norm(tr, p, weight)
+        tr_norm = spec.trace_norm(coeffs)
         if tr_norm > spec.lambda_gate:
             raise GateViolation(
                 f"index {i}: trace norm {tr_norm:.6g} exceeds the gate {spec.lambda_gate:g}"
             )
-        if geo.n == 1:
-            det = coeffs.values[..., 0, 0].real
-        else:
-            v = coeffs.values
-            det = v[..., 0, 0].real * v[..., 1, 1].real - np.abs(v[..., 0, 1]) ** 2
+        det = det_field(coeffs)
         budget = float((np.maximum(curv.values, 0.0) * det).mean() / det.mean())
         out.append(
             Scenario(

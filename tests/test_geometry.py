@@ -7,6 +7,8 @@ same quantities through an unrelated discretization on a finer grid.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cos_field
 from fd_oracles import riemann_norm_1d, scalar_curvature_1d
@@ -14,6 +16,7 @@ from fd_oracles import riemann_norm_1d, scalar_curvature_1d
 from torusflow import (
     FieldError,
     FlatMetric,
+    HermitianField,
     KahlerMetric,
     PositivityError,
     ScalarField,
@@ -36,7 +39,7 @@ from torusflow import (
     volume,
     volume_density,
 )
-from torusflow.geometry import det_field
+from torusflow.geometry import _eigenvalues, _pairing, det_field, inverse_field
 
 B = 0.05 * np.pi**2  # metric dip of the reference scenario
 R_AT_ZERO = -18.9835170227596  # -pi^2 b / (1-b)^2
@@ -46,6 +49,43 @@ COS_RATIO = 0.28657958412537815  # 2 / (pi^2 sqrt(1/2))
 
 def bump_metric(geo, a=0.05):
     return KahlerMetric(np.eye(geo.n), a * cos_field(geo, 0))
+
+
+# ---------------------------------------------------------------------------
+# pointwise closed forms against np.linalg
+
+
+def random_positive_field(geo, seed, spread):
+    """B B^* + I/spread per point: Hermitian, eigenvalues spanning ~spread."""
+    rng = np.random.default_rng(seed)
+    shape = geo.shape + (geo.n, geo.n)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v = b @ np.conj(np.swapaxes(b, -1, -2)) + np.eye(geo.n) / spread
+    return HermitianField(geo, (v + np.conj(np.swapaxes(v, -1, -2))) / 2.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([1, 2]), seed=st.integers(0, 2**31 - 1),
+       spread=st.floats(1.0, 1e3))
+def test_pointwise_closed_forms_match_linalg(n, seed, spread):
+    geo = TorusGeometry(n=n, N=4)
+    g = random_positive_field(geo, seed, spread)
+    h = random_positive_field(geo, seed + 1, spread)
+    a, b = g.values, h.values
+    scale = np.abs(a).max() ** n
+    assert np.allclose(det_field(g), np.linalg.det(a).real, rtol=1e-10, atol=1e-12 * scale)
+    assert np.allclose(inverse_field(g), np.linalg.inv(a), rtol=1e-8, atol=1e-12)
+    eig = np.linalg.eigvalsh(a)
+    for got, want in zip(_eigenvalues(a), np.moveaxis(eig, -1, 0)):
+        assert np.allclose(got, want, rtol=1e-8, atol=1e-10 * eig.max())
+    assert eigenvalue_range(g) == pytest.approx((eig.min(), eig.max()), rel=1e-8)
+    tr = np.trace(np.linalg.inv(a) @ b, axis1=-2, axis2=-1).real
+    assert np.allclose(trace_wrt(g, h).values, tr, rtol=1e-8)
+    assert np.allclose(_pairing(a, b), np.linalg.det(a).real * tr, rtol=1e-8)
+    # pencil det(h - lam g) = 0: the eigenvalues of g^{-1} h
+    rel = np.sort(np.linalg.eigvals(np.linalg.inv(a) @ b).real, axis=-1)
+    for got, want in zip(_eigenvalues(b, a), np.moveaxis(rel, -1, 0)):
+        assert np.allclose(got, want, rtol=1e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,14 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     assert list(tmp_path.iterdir()) == [p]
 
 
+def test_atomic_write_ignores_stale_temp_name(tmp_path):
+    p = tmp_path / "out.bin"
+    (tmp_path / "out.bin.tmp").mkdir()  # what a fixed temp name would collide with
+    write_bytes_atomic(p, b"abc")
+    assert p.read_bytes() == b"abc"
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["out.bin", "out.bin.tmp"]
+
+
 def test_json_writer_deterministic(tmp_path):
     p = tmp_path / "a.json"
     obj = {"b": 2, "a": [1.5, "x"], "nested": {"z": None, "y": True}}

@@ -13,6 +13,7 @@ from torusflow.cli import (
     EXIT_SCENARIO_ERROR,
     main,
 )
+from torusflow import ProjectionError, runner
 from torusflow.runner import (
     ConfigError,
     config_from_dict,
@@ -479,6 +480,38 @@ def test_scenario_error_manifest(tmp_path):
     assert manifest.family == {}
     assert manifest.scenarios[0]["status"] == "error"
     assert (tmp_path / "manifest.json").exists()
+
+
+def test_worker_exception_becomes_error_row(tmp_path, monkeypatch):
+    def broken(metric, config):
+        raise ProjectionError("injected")
+
+    monkeypatch.setattr(runner, "run_flow", broken)
+    cfg = config_from_dict(json.loads(json.dumps(FLAT_DICT)))
+    manifest = run_experiment(cfg, tmp_path, jobs=1)
+    assert exit_code_of(manifest) == 2
+    assert [row["status"] for row in manifest.scenarios] == ["error", "error"]
+    assert "ProjectionError: injected" in manifest.scenarios[0]["error"]
+    assert (tmp_path / "manifest.json").exists()
+
+
+def test_unloadable_trace_is_recomputed(tmp_path):
+    d = json.loads(json.dumps(FLAT_DICT))
+    d["scenario"]["indices"] = [1]
+    cfg = config_from_dict(d)
+    run_experiment(cfg, tmp_path)
+    final = tmp_path / "scenario_i001" / "trace" / "final.tkrf"
+    final.write_bytes(final.read_bytes()[:100])
+
+    checked = run_experiment(cfg, tmp_path, resume_only=True)
+    assert checked.scenarios[0]["status"] == "error"
+    assert "trace reload failed" in checked.scenarios[0]["error"]
+    assert len(final.read_bytes()) == 100, "check must not rewrite the trace"
+
+    rerun = run_experiment(cfg, tmp_path)
+    assert rerun.scenarios[0]["status"] == "ok"
+    assert exit_code_of(rerun) == 0
+    assert len(final.read_bytes()) > 100
 
 
 # ---------------------------------------------------------------------------
