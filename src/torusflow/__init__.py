@@ -17,11 +17,9 @@ from .fields import (
     complex_hessian,
     constant_field,
     flat_laplacian,
-    from_spectral,
     integrate,
     lp_norm,
     random_band_limited,
-    to_spectral,
     truncate_modes,
 )
 from .geometry import (
@@ -98,8 +96,8 @@ from .runner import (
 
 __all__ = [
     "FieldError", "ScalarField", "TorusGeometry", "complex_hessian",
-    "constant_field", "flat_laplacian", "from_spectral", "integrate",
-    "lp_norm", "random_band_limited", "to_spectral", "truncate_modes",
+    "constant_field", "flat_laplacian", "integrate",
+    "lp_norm", "random_band_limited", "truncate_modes",
     "FlatMetric", "HermitianField", "KahlerMetric", "PositivityError",
     "ProjectionError", "TestForm", "assemble", "eigenvalue_range",
     "harmonic_projection", "linfty_vs_lp_laplacian", "min_eigenvalue", "pair_test_form",

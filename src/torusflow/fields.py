@@ -7,14 +7,19 @@ that order.
 
 Transforms follow numpy's FFT conventions: the forward transform is an
 unnormalized DFT and the inverse carries the 1/N^{2n} factor, with modes
-laid out as np.fft.fftfreq.  Derivatives are Fourier multipliers, exact
-to rounding for fields whose modes stay inside the resolved band, and
-the rectangle rule (the plain mean of grid values) integrates products
-of band-limited fields exactly.
+laid out as np.fft.fftfreq.  Real fields are transformed to their half
+spectrum (np.fft.rfftn over every grid axis, so the last axis keeps the
+modes 0..N/2, the Nyquist bin carrying the fftfreq value -N/2).
+Derivatives are Fourier multipliers, exact to rounding for fields whose
+modes stay inside the resolved band, and the rectangle rule (the plain
+mean of grid values) integrates products of band-limited fields exactly.
 
 Wirtinger derivatives use d/dz^j = (d/dx^j - i d/dy^j)/2 and its
 conjugate; on the mode k the multiplier of d_j d_kbar is
--pi^2 * conj(w_j) * w_k with w_j = k_{x^j} + i k_{y^j}.
+-pi^2 * conj(w_j) * w_k with w_j = k_{x^j} + i k_{y^j}.  Its real and
+imaginary parts are even in k, so each part maps a real field to a real
+field and one inverse real transform per part and entry j <= k gives
+the Hessian.
 """
 
 from __future__ import annotations
@@ -32,11 +37,8 @@ __all__ = [
     "FieldError",
     "TorusGeometry",
     "ScalarField",
-    "SpectralCoeffs",
     "HermitianField",
     "constant_field",
-    "to_spectral",
-    "from_spectral",
     "complex_hessian",
     "flat_laplacian",
     "integrate",
@@ -117,22 +119,76 @@ class TorusGeometry:
         m = self.mode_arrays
         return tuple(m[2 * j] + 1j * m[2 * j + 1] for j in range(self.n))
 
+    @property
+    def grid_axes(self) -> tuple:
+        return tuple(range(self.axes))
+
+    @cached_property
+    def half_mode_arrays(self) -> tuple:
+        """mode_arrays restricted to the half spectrum of np.fft.rfftn."""
+        half = self.N // 2 + 1
+        return tuple(m[..., :half] for m in self.mode_arrays)
+
+    @cached_property
+    def hessian_symbols(self) -> tuple:
+        """(j, k, re, im) for j <= k: the half-spectrum parts of the
+        d_j d_kbar multiplier -pi^2 conj(w_j) w_k; im is None for j = k."""
+        m = self.half_mode_arrays
+        w = [m[2 * j] + 1j * m[2 * j + 1] for j in range(self.n)]
+        out = []
+        for j in range(self.n):
+            for k in range(j, self.n):
+                sym = -PI_SQ * np.conj(w[j]) * w[k]
+                im = None if j == k else np.ascontiguousarray(sym.imag)
+                out.append((j, k, np.ascontiguousarray(sym.real), im))
+        return tuple(out)
+
     @cached_property
     def laplace_symbol(self) -> np.ndarray:
-        """Multiplier of tr_I(d dbar), i.e. -pi^2 |k|^2 on mode k."""
-        acc = 0.0
-        for w in self.wirtinger_modes:
-            acc = acc + np.abs(w) ** 2
-        return -PI_SQ * acc
+        """Half-spectrum multiplier of tr_I(d dbar), i.e. -pi^2 |k|^2."""
+        return sum(re for j, k, re, _ in self.hessian_symbols if j == k)
 
     @cached_property
     def dealias_keep(self) -> np.ndarray:
-        cut = self.dealias_cutoff
-        keep = None
-        for m in self.mode_arrays:
-            k = np.abs(m) <= cut
-            keep = k if keep is None else (keep & k)
-        return keep
+        """Half-spectrum mask of the 2/3-rule band."""
+        return _band(self.half_mode_arrays, self.dealias_cutoff)
+
+
+def _band(modes: tuple, cut: int) -> np.ndarray:
+    """Mask of the modes with every |k_axis| <= cut."""
+    keep = np.ones((), dtype=bool)
+    for m in modes:
+        keep = keep & (np.abs(m) <= cut)
+    return keep
+
+
+def _rfft(geometry: TorusGeometry, values: np.ndarray) -> np.ndarray:
+    """Half spectrum of real grid values."""
+    return np.fft.rfftn(values, axes=geometry.grid_axes)
+
+
+def _irfft(geometry: TorusGeometry, hat: np.ndarray) -> np.ndarray:
+    """Real grid values of a half spectrum."""
+    return np.fft.irfftn(hat, s=geometry.shape, axes=geometry.grid_axes)
+
+
+def _stack(geometry: TorusGeometry) -> np.ndarray:
+    """Zero grid + (n, n) complex stack, a view of entry-major storage so
+    that each entry is contiguous."""
+    n = geometry.n
+    return np.moveaxis(np.zeros((n, n) + geometry.shape, dtype=np.complex128), (0, 1), (-2, -1))
+
+
+def _hessian(geometry: TorusGeometry, hat: np.ndarray) -> np.ndarray:
+    """d_j d_kbar of the real field with half spectrum hat, as a _stack
+    holding the diagonal and upper triangle; the lower triangle is left
+    zero (Hermiticity implies it)."""
+    out = _stack(geometry)
+    for j, k, re, im in geometry.hessian_symbols:
+        out.real[..., j, k] = _irfft(geometry, re * hat)
+        if im is not None:
+            out.imag[..., j, k] = _irfft(geometry, im * hat)
+    return out
 
 
 def _check_values(geometry: TorusGeometry, values, dtype) -> np.ndarray:
@@ -204,17 +260,6 @@ class ScalarField:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralCoeffs:
-    """Unnormalized DFT coefficients in np.fft layout."""
-
-    geometry: TorusGeometry
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _check_values(self.geometry, self.values, np.complex128))
-
-
-@dataclass(frozen=True, eq=False)
 class HermitianField:
     """Per-point n x n Hermitian matrix, stored as grid + (n, n) complex.
 
@@ -234,7 +279,9 @@ class HermitianField:
         if not np.all(np.isfinite(arr)):
             raise FieldError("matrix field contains non-finite values")
         scale = max(1.0, float(np.abs(arr).max()))
-        gap = np.abs(arr - np.conj(np.swapaxes(arr, -1, -2))).max()
+        n = self.geometry.n  # the defect |a - a^H| over j <= k covers every entry
+        gap = max(float(np.abs(arr[..., j, k] - np.conj(arr[..., k, j])).max())
+                  for j in range(n) for k in range(j, n))
         if gap > 1e-12 * scale:
             raise FieldError(f"matrix field is not Hermitian (defect {gap:.3e})")
         object.__setattr__(self, "values", np.ascontiguousarray(arr))
@@ -244,39 +291,19 @@ def constant_field(geometry: TorusGeometry, value: float) -> ScalarField:
     return ScalarField(geometry, np.full(geometry.shape, float(value)))
 
 
-def to_spectral(field: ScalarField) -> SpectralCoeffs:
-    """Forward DFT of a scalar field."""
-    return SpectralCoeffs(field.geometry, np.fft.fftn(field.values))
-
-
-def from_spectral(coeffs: SpectralCoeffs) -> ScalarField:
-    """Inverse DFT, dropping the O(eps) imaginary residue."""
-    return ScalarField(coeffs.geometry, np.fft.ifftn(coeffs.values).real)
-
-
 def complex_hessian(phi: ScalarField) -> HermitianField:
     """Matrix of d_j d_kbar phi; exactly Hermitian by construction."""
     g = phi.geometry
-    hat = np.fft.fftn(phi.values)
-    w = g.wirtinger_modes
-    out = np.zeros(g.shape + (g.n, g.n), dtype=np.complex128)
-    for j in range(g.n):
-        for k in range(j, g.n):
-            sym = -PI_SQ * np.conj(w[j]) * w[k]
-            e = np.fft.ifftn(sym * hat)
-            if j == k:
-                out[..., j, j] = e.real
-            else:
-                out[..., j, k] = e
-                out[..., k, j] = np.conj(e)
+    out = _hessian(g, _rfft(g, phi.values))
+    if g.n == 2:
+        out[..., 1, 0] = np.conj(out[..., 0, 1])
     return HermitianField(g, out)
 
 
 def flat_laplacian(f: ScalarField) -> ScalarField:
     """tr_I(d dbar f): one quarter of the Euclidean Laplacian."""
     g = f.geometry
-    hat = np.fft.fftn(f.values)
-    return ScalarField(g, np.fft.ifftn(g.laplace_symbol * hat).real)
+    return ScalarField(g, _irfft(g, g.laplace_symbol * _rfft(g, f.values)))
 
 
 def integrate(f: ScalarField) -> float:
@@ -316,11 +343,7 @@ def random_band_limited(seed: int, max_mode: int, geometry: TorusGeometry) -> Sc
         )
     rng = np.random.default_rng(seed)
     hat = np.fft.fftn(rng.standard_normal(geometry.shape))
-    keep = None
-    for m in geometry.mode_arrays:
-        k = np.abs(m) <= max_mode
-        keep = k if keep is None else (keep & k)
-    hat = np.where(keep, hat, 0.0)
+    hat = np.where(_band(geometry.mode_arrays, max_mode), hat, 0.0)
     hat[(0,) * geometry.axes] = 0.0
     vals = np.fft.ifftn(hat).real
     nrm = math.sqrt(float(np.mean(vals**2)))
@@ -333,10 +356,5 @@ def truncate_modes(f: ScalarField, cutoff: int | None = None) -> ScalarField:
     """Zero all modes with any |k_axis| above the cutoff (default N//3)."""
     g = f.geometry
     cut = g.dealias_cutoff if cutoff is None else int(cutoff)
-    keep = g.dealias_keep if cut == g.dealias_cutoff else None
-    if keep is None:
-        keep = np.ones((), dtype=bool)
-        for m in g.mode_arrays:
-            keep = keep & (np.abs(m) <= cut)
-    hat = np.fft.fftn(f.values)
-    return ScalarField(g, np.fft.ifftn(np.where(keep, hat, 0.0)).real)
+    keep = g.dealias_keep if cut == g.dealias_cutoff else _band(g.half_mode_arrays, cut)
+    return ScalarField(g, _irfft(g, keep * _rfft(g, f.values)))

@@ -27,6 +27,9 @@ from .fields import (
     HermitianField,
     ScalarField,
     TorusGeometry,
+    _hessian,
+    _irfft,
+    _rfft,
     complex_hessian,
     constant_field,
     flat_laplacian,
@@ -169,7 +172,7 @@ class TestForm:
             object.__setattr__(self, "beta", arr)
         # smoothness gate: the factor must live inside the dealiased band
         g = self.f.geometry
-        hat = np.fft.fftn(self.f.values)
+        hat = _rfft(g, self.f.values)
         outside = np.where(g.dealias_keep, 0.0, hat)
         total = float(np.abs(hat).max())
         if total > 0 and float(np.abs(outside).max()) > 1e-10 * total:
@@ -182,7 +185,8 @@ class TestForm:
 
 # ---------------------------------------------------------------------------
 # pointwise linear algebra: the n <= 2 closed forms, written only here.
-# Arguments are (..., n, n) coefficient stacks or single (n, n) matrices;
+# Arguments are (..., n, n) Hermitian coefficient stacks or single (n, n)
+# matrices, of which only the diagonal and the upper triangle are read;
 # results broadcast over the leading axes.
 
 
@@ -197,12 +201,12 @@ def _pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     quarter of the density of a /\\ b when a is an (n-1, n-1)-form."""
     if a.shape[-1] == 1:
         return b[..., 0, 0].real
+    a01, b01 = a[..., 0, 1], b[..., 0, 1]
     return (
-        a[..., 1, 1] * b[..., 0, 0]
-        + a[..., 0, 0] * b[..., 1, 1]
-        - a[..., 0, 1] * b[..., 1, 0]
-        - a[..., 1, 0] * b[..., 0, 1]
-    ).real
+        a[..., 1, 1].real * b[..., 0, 0].real
+        + a[..., 0, 0].real * b[..., 1, 1].real
+        - 2.0 * (a01.real * b01.real + a01.imag * b01.imag)
+    )
 
 
 def _eigenvalues(v: np.ndarray, ref: np.ndarray | None = None) -> tuple:
@@ -216,6 +220,23 @@ def _eigenvalues(v: np.ndarray, ref: np.ndarray | None = None) -> tuple:
         a, b = _det(ref), _pairing(ref, v)
     disc = np.sqrt(np.maximum(b * b - 4.0 * a * _det(v), 0.0))
     return (b - disc) / (2.0 * a), (b + disc) / (2.0 * a)
+
+
+def _log_det(eig: tuple) -> np.ndarray:
+    """log det from the eigenvalues as a sum of logs, which avoids cancellation."""
+    return sum(np.log(e) for e in eig)
+
+
+def _volume(v: np.ndarray) -> float:
+    """int omega^n = 2^n n! int det(g) dLeb."""
+    n = v.shape[-1]
+    return float((2.0**n) * math.factorial(n) * _det(v).mean())
+
+
+def _scalar_curvature(geometry: TorusGeometry, v: np.ndarray, log_det_hat: np.ndarray) -> np.ndarray:
+    """tr_g Ric with Ric = -d dbar log det g, from the coefficients and the
+    half spectrum of log det g."""
+    return -_pairing(v, _hessian(geometry, log_det_hat)) / _det(v)
 
 
 def _coefficients(metric) -> tuple:
@@ -275,7 +296,7 @@ def log_det_field(g: HermitianField, eps_pos: float = EPS_POS) -> ScalarField:
     eig = _eigenvalues(g.values)
     if eig[0].min() < eps_pos:
         raise PositivityError(f"metric eigenvalue below {eps_pos:g}")
-    return ScalarField(g.geometry, sum(np.log(e) for e in eig))
+    return ScalarField(g.geometry, _log_det(eig))
 
 
 def volume(metric) -> float:
@@ -283,8 +304,7 @@ def volume(metric) -> float:
     _, v = _coefficients(metric)
     if min_eigenvalue(metric) <= 0:
         raise PositivityError("volume of a non-positive metric")
-    n = v.shape[-1]
-    return float((2.0**n) * math.factorial(n) * _det(v).mean())
+    return _volume(v)
 
 
 def ricci(metric, eps_pos: float = EPS_POS) -> HermitianField:
@@ -302,9 +322,10 @@ def ricci(metric, eps_pos: float = EPS_POS) -> HermitianField:
 
 
 def scalar_curvature_of(g: HermitianField, eps_pos: float = EPS_POS) -> ScalarField:
-    """Scalar curvature from assembled coefficients (shared with the flow)."""
-    ric = -complex_hessian(log_det_field(g, eps_pos)).values
-    return ScalarField(g.geometry, _pairing(g.values, ric) / _det(g.values))
+    """Scalar curvature from assembled coefficients."""
+    geo = g.geometry
+    log_det_hat = _rfft(geo, log_det_field(g, eps_pos).values)
+    return ScalarField(geo, _scalar_curvature(geo, g.values, log_det_hat))
 
 
 def scalar_curvature(metric, eps_pos: float = EPS_POS) -> ScalarField:
@@ -394,13 +415,11 @@ def harmonic_projection(metric: KahlerMetric, tol: float = 1e-6):
     Hbar = (Hbar + Hbar.conj().T) / 2.0
     diff = Hbar - g.values  # target Hessian of u
     rho = np.einsum("...jj->...", diff).real
-    rho_hat = np.fft.fftn(rho)
     sym = geo.laplace_symbol.copy()
     sym[(0,) * geo.axes] = 1.0  # mean sector handled by the gauge shift
-    u_hat = rho_hat / sym
+    u_hat = _rfft(geo, rho) / sym
     u_hat[(0,) * geo.axes] = 0.0
-    u_vals = np.fft.ifftn(u_hat).real
-    u = ScalarField(geo, u_vals)
+    u = ScalarField(geo, _irfft(geo, u_hat))
     residual = float(np.abs(complex_hessian(u).values - diff).max())
     if residual > tol:
         raise ProjectionError(

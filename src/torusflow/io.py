@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .fields import ScalarField, TorusGeometry
-from .flow import FlowConfig, FlowState, FlowTrace, StepDiagnostics, _rhs
-from .geometry import FlatMetric, KahlerMetric, assemble
+from .flow import FlowConfig, FlowState, FlowTrace, StepDiagnostics, _rhs_field
+from .geometry import FlatMetric, KahlerMetric
 
 __all__ = [
     "FormatError",
@@ -273,13 +273,13 @@ def _state_from_file(d: Path, entry: dict, base: KahlerMetric,
     flow_phi = total.values - base.phi.values
     mean = float(flow_phi.mean())
     phi_osc = ScalarField(geo, flow_phi - mean)
-    g = assemble(KahlerMetric(base.H, base.phi + phi_osc))  # the state's metric()
+    metric = KahlerMetric(base.H, base.phi + phi_osc)  # the state's metric()
     return FlowState(
         base=base,
         t=float(entry["t"]),
         phi_osc=phi_osc,
         phi_mean=mean,
-        dot_phi=_rhs(g, alpha, config),
+        dot_phi=_rhs_field(metric, alpha, config),
         last_dt=float(entry["last_dt"]),
     )
 

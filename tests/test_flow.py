@@ -17,11 +17,16 @@ from torusflow import (
     KahlerMetric,
     ScalarField,
     TorusGeometry,
+    assemble,
     constant_field,
     dot_phi,
+    min_eigenvalue,
     run_flow,
+    scalar_curvature,
     step,
+    volume,
 )
+from torusflow import flow as flow_module
 
 HEAT_RATE = np.pi**2  # mode-(1,0) decay rate of the flat heat flow
 
@@ -206,10 +211,89 @@ def test_nonpositive_initial_fails(geo1):
 
 def test_near_wall_step_is_rejected_and_refined():
     """A barely positive metric forces dt halving rather than failure."""
-    geo = TorusGeometry(1, 32)
-    a = (1.0 - 1e-3) / np.pi**2  # min eig 1e-3
-    m = single_mode(geo, a)
-    trace = run_flow(m, FlowConfig(sigma=1.0, t_ramp=0.5, t_end=0.05, snapshot_times=(0.05,)))
-    assert min(d.min_eigenvalue for d in trace.diagnostics) > 0.0
-    # at least one accepted dt is below the unrefined target sigma*t_ramp
-    assert min(d.dt for d in trace.diagnostics[1:]) < 0.5
+    for geo in (TorusGeometry(1, 32), TorusGeometry(2, 8)):
+        a = (1.0 - 1e-3) / np.pi**2  # min eig 1e-3
+        m = single_mode(geo, a)
+        trace = run_flow(m, FlowConfig(sigma=1.0, t_ramp=0.5, t_end=0.05, snapshot_times=(0.05,)))
+        assert min(d.min_eigenvalue for d in trace.diagnostics) > 0.0
+        # at least one accepted dt is below the unrefined target sigma*t_ramp
+        assert min(d.dt for d in trace.diagnostics[1:]) < 0.5
+
+
+def test_nonfinite_candidate_is_retried_at_half_step(monkeypatch):
+    """A NaN in one candidate potential is a rejection, not a crash."""
+    geo = TorusGeometry(2, 8)
+    m = single_mode(geo, 0.03)
+    original = flow_module._Kernel.advance
+    dts = []
+
+    def advance(self, ev, dt):
+        out = original(self, ev, dt)
+        dts.append(dt)
+        if len(dts) == 3:
+            out = out.copy()
+            out.flat[1] = np.nan
+        return out
+
+    monkeypatch.setattr(flow_module._Kernel, "advance", advance)
+    cfg = FlowConfig(t_end=0.1, snapshot_times=(0.1,))
+    trace = run_flow(m, cfg)
+    assert dts[3] == dts[2] / 2.0
+    assert trace.diagnostics[3].dt == dts[3]
+    assert trace.final.t == pytest.approx(cfg.t_end, abs=1e-12)
+    assert len(dts) == len(trace.diagnostics)  # one retry on top of the accepted steps
+
+
+# ---------------------------------------------------------------------------
+# the spectral kernel against the public API, and its transform budget
+
+
+@pytest.fixture(scope="module")
+def bump_trace_two_dim():
+    geo = TorusGeometry(2, 16)
+    x1, y2 = geo.coordinate(0), geo.coordinate(3)
+    psi = 0.02 * np.cos(2 * np.pi * (x1 + y2)) + 0.01 * np.sin(2 * np.pi * x1)
+    m = KahlerMetric(np.array([[1.0, 0.2j], [-0.2j, 1.5]]), ScalarField(geo, psi))
+    return run_flow(m, FlowConfig(t_end=0.25, snapshot_times=(0.05, 0.25)))
+
+
+def test_step_diagnostics_match_the_public_api(bump_trace_two_dim):
+    trace = bump_trace_two_dim
+    assert trace.times == (0.05, 0.25)
+    for s in trace.snapshots:
+        (row,) = [d for d in trace.diagnostics if d.t == s.t]
+        metric = s.metric()
+        assert abs(row.min_scalar_curvature - scalar_curvature(metric).min()) <= 1e-12
+        rate = dot_phi(s, trace.alpha, dealias=True)
+        assert np.abs(rate.values - s.dot_phi.values).max() <= 1e-12
+        assert abs(row.min_dot_phi - rate.min()) <= 1e-12
+        assert abs(row.max_dot_phi - rate.max()) <= 1e-12
+        assert abs(row.min_eigenvalue - min_eigenvalue(assemble(metric))) <= 1e-8
+        assert row.volume == pytest.approx(volume(metric), rel=1e-12)
+
+
+# real transforms per accepted step, and those of the set-up: projection,
+# background Hessian and the evaluation and diagnostics at t = 0
+TRANSFORM_BUDGET = {1: (5, 13), 2: (11, 28)}
+
+
+@pytest.mark.parametrize("n, N", [(1, 32), (2, 8)])
+def test_transform_budget(monkeypatch, n, N):
+    m = single_mode(TorusGeometry(n, N), 0.03)
+    counts = dict.fromkeys(("rfftn", "irfftn", "fftn", "ifftn"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    advances = []
+    original = flow_module._Kernel.advance
+    monkeypatch.setattr(flow_module._Kernel, "advance",
+                        lambda self, ev, dt: advances.append(dt) or original(self, ev, dt))
+    trace = run_flow(m, FlowConfig(t_end=0.1, snapshot_times=(0.1,)))
+    steps = len(trace.diagnostics) - 1
+    assert steps > 10 and len(advances) == steps  # no rejection
+    assert counts["fftn"] == counts["ifftn"] == 0
+    per_step, setup = TRANSFORM_BUDGET[n]
+    assert counts["rfftn"] + counts["irfftn"] <= per_step * steps + setup
