@@ -4,13 +4,21 @@ Length convention ds^2 = 2 Re(g_{jk} dz^j dz-bar^k): a unit Hermitian
 coefficient on the unit torus gives Euclidean lengths scaled by sqrt(2).
 Graph distances over-approximate continuous ones; the dominant error is
 angular (stencil resolution, decreasing in the radius), not radial.
+
+A radius-r stencil joins each node to the nodes at its primitive offsets
+in [-r, r]^{2n}.  Two offsets reach the same neighbour modulo N only when
+2r >= N, so graphs require 2r < N and every edge is then distinct.  The
+edge topology depends only on (geometry, radius) and is built once; each
+metric snapshot fills in the weights.  A constant metric gives every node
+the same weights, so its graph is translation invariant and
+d(s, t) = d(0, t - s mod N): the flat battery runs one Dijkstra.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -31,6 +39,8 @@ __all__ = [
     "StencilConfig",
     "DistanceQuery",
     "primitive_offsets",
+    "MAX_GRAPH_EDGES",
+    "stencil_edges",
     "MetricGraph",
     "graph_distance",
     "flat_distance_exact",
@@ -61,26 +71,63 @@ class DistanceQuery:
                 raise ValueError("query endpoints must be grid index tuples")
 
 
+# Building and searching a graph peaks at about 30 bytes per edge
+# (weights and their temporaries, the shared topology, Dijkstra's
+# transposed copy), so this caps one graph near 0.5 GB.
+MAX_GRAPH_EDGES = 1 << 24
+
+
 def primitive_offsets(radius: int, dim: int) -> np.ndarray:
-    """All nonzero integer vectors in [-radius, radius]^dim with gcd 1."""
+    """All nonzero integer vectors in [-radius, radius]^dim with gcd 1,
+    in lexicographic order."""
     if radius < 1 or dim < 1:
         raise ValueError("radius and dimension must be positive")
-    span = range(-radius, radius + 1)
-    out = [
-        v
-        for v in itertools.product(span, repeat=dim)
-        if any(v) and math.gcd(*(abs(c) for c in v)) == 1
-    ]
-    return np.array(out, dtype=np.int64)
+    span = np.indices((2 * radius + 1,) * dim).reshape(dim, -1).T - radius
+    return span[np.gcd.reduce(np.abs(span), axis=1) == 1]
+
+
+def stencil_edges(geometry: TorusGeometry, radius: int) -> int:
+    """Edge count of a MetricGraph: nodes x canonical offsets.
+
+    Offsets in [-r, r] stay distinct modulo N only while 2r < N; a larger
+    radius would merge edges, so it raises ValueError.
+    """
+    if 2 * radius >= geometry.N:
+        raise ValueError(
+            f"stencil radius {radius} needs N > {2 * radius}: at N={geometry.N} "
+            "two offsets reach the same neighbour"
+        )
+    # offsets come in +-v pairs and the canonical half keeps one of each
+    return geometry.npoints * (len(primitive_offsets(radius, geometry.axes)) // 2)
+
+
+@lru_cache(maxsize=4)
+def _topology(geometry: TorusGeometry, radius: int) -> tuple:
+    """(offsets, neighbours, indptr) shared read-only by every graph on
+    this grid and stencil.  offsets are the canonical half (first nonzero
+    entry positive; dijkstra reads the matrix as undirected, so each edge
+    is stored once); neighbours[i, k] is node i + offsets[k] mod N, which
+    is CSR row i, and indptr gives every row len(offsets) entries."""
+    stencil_edges(geometry, radius)  # rejects 2r >= N
+    offs = primitive_offsets(radius, geometry.axes)
+    offs = offs[offs[np.arange(len(offs)), np.argmax(offs != 0, axis=1)] > 0]
+    base = np.arange(geometry.npoints, dtype=np.int32).reshape(geometry.shape)
+    nbr = np.empty((geometry.npoints, len(offs)), dtype=np.int32)
+    for k, v in enumerate(offs):
+        nbr[:, k] = np.roll(base, tuple(-int(c) for c in v), axis=geometry.grid_axes).ravel()
+    indptr = np.arange(0, nbr.size + 1, len(offs), dtype=np.int32)
+    for a in (offs, nbr, indptr):
+        a.setflags(write=False)
+    return offs, nbr, indptr
 
 
 class MetricGraph:
     """Shortest-path oracle over one metric snapshot.
 
-    The edge table (one weight array per canonical offset) is built once;
-    queries share it read-only.  Edge weight = segment length under the
-    midpoint value of the squared line element, approximated by the mean
-    of the endpoint quadratic forms, which keeps every weight positive.
+    The edge table (one weight per node and canonical offset) is built
+    once; queries share it read-only.  Edge weight = segment length under
+    the midpoint value of the squared line element, approximated by the
+    mean of the endpoint quadratic forms, which keeps every weight positive.
     """
 
     def __init__(self, metric, stencil: StencilConfig = StencilConfig(), geometry=None):
@@ -93,35 +140,13 @@ class MetricGraph:
             raise PositivityError("distance on a non-positive metric")
         self.geometry = geo
         self.stencil = stencil
-        dim = geo.axes
-        offs = primitive_offsets(stencil.radius, dim)
-        # canonical half: first nonzero entry positive; dijkstra reads the
-        # matrix as undirected so each edge is stored once
-        keep = []
-        for v in offs:
-            nz = v[np.nonzero(v)[0][0]]
-            if nz > 0:
-                keep.append(v)
-        self._offsets = np.array(keep, dtype=np.int64)
-        npts = geo.npoints
-        base = np.arange(npts, dtype=np.int32).reshape(geo.shape)
-        h = geo.spacing
-        axes = tuple(range(dim))
-        rows, cols, data = [], [], []
-        for v in self._offsets:
-            disp = v.astype(float) * h
+        offsets, nbr, indptr = _topology(geo, stencil.radius)
+        q = np.empty(nbr.shape)
+        for k, disp in enumerate(offsets * geo.spacing):
             w = disp[0::2] + 1j * disp[1::2]
-            q = 2.0 * np.einsum("...jk,j,k->...", vals, w, np.conj(w)).real
-            shift = tuple(-int(c) for c in v)
-            q_far = np.roll(q, shift=shift, axis=axes)
-            wts = np.sqrt(0.5 * (q + q_far))
-            rows.append(base.ravel())
-            cols.append(np.roll(base, shift=shift, axis=axes).ravel())
-            data.append(wts.ravel())
-        self._graph = csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(npts, npts),
-        )
+            q[:, k] = 2.0 * np.einsum("...jk,j,k->...", vals, w, np.conj(w)).real.ravel()
+        wts = np.sqrt(0.5 * (q + np.take_along_axis(q, nbr, axis=0)))
+        self._graph = csr_matrix((wts.ravel(), nbr.ravel(), indptr), shape=(geo.npoints,) * 2)
 
     def node(self, point) -> int:
         idx = tuple(int(c) % self.geometry.N for c in point)
@@ -162,13 +187,11 @@ def flat_distance_exact(H: FlatMetric, x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != (2 * n,) or y.shape != (2 * n,):
         raise ValueError(f"points must have {2 * n} real coordinates")
-    best = math.inf
-    for k in itertools.product((-1.0, 0.0, 1.0), repeat=2 * n):
-        d = y - x + np.array(k)
-        w = d[0::2] + 1j * d[1::2]
-        q = 2.0 * np.einsum("jk,j,k->", mat, w, np.conj(w)).real
-        best = min(best, math.sqrt(max(q, 0.0)))
-    return best
+    shifts = np.indices((3,) * (2 * n)).reshape(2 * n, -1).T - 1.0
+    d = y - x + shifts
+    w = d[:, 0::2] + 1j * d[:, 1::2]
+    q = 2.0 * np.einsum("jk,sj,sk->s", mat, w, np.conj(w)).real
+    return math.sqrt(max(float(q.min()), 0.0))
 
 
 def random_queries(geometry: TorusGeometry, count: int, seed: int) -> list:
@@ -193,14 +216,21 @@ def flat_accuracy_battery(
     """Graph-vs-closed-form accuracy on a constant metric.
 
     The graph value always over-approximates; the worst relative excess
-    over the battery is the stencil's effective angular error.
+    over the battery is the stencil's effective angular error.  Every
+    node of a constant metric's graph carries the same edge weights, so
+    d(s, t) = d(0, t - s mod N) and one Dijkstra from the origin answers
+    all the queries.
     """
     geo = flat.geometry if flat.geometry is not None else geometry
     if geo is None:
         raise ValueError("flat metric carries no grid; pass geometry explicitly")
     queries = random_queries(geo, count, seed)
     graph = MetricGraph(flat, stencil, geo)
-    approx = graph.distance_batch(queries)
+    origin = (0,) * geo.axes
+    approx = graph.distance_batch([
+        DistanceQuery(origin, tuple((t - s) % geo.N for s, t in zip(q.source, q.target)))
+        for q in queries
+    ])
     rows = []
     worst = 0.0
     for q, d in zip(queries, approx):

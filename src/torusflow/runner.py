@@ -39,10 +39,12 @@ from .geometry import KahlerMetric
 from .geometry import volume as volume_of
 from .harness import build_reports, default_test_forms, family_summary
 from .distances import (
+    MAX_GRAPH_EDGES,
     StencilConfig,
     check_distance_estimate,
     flat_accuracy_battery,
     random_queries,
+    stencil_edges,
 )
 from .scenarios import Scenario, ScenarioError, ScenarioSpec, make_sequence
 
@@ -302,6 +304,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     # distance battery runs in the uniform-equivalence regime unless forced
     if dist_enabled is None:
         dist_enabled = math.isinf(spec.trace_exponent)
+    if dist_enabled:
+        try:
+            edges = stencil_edges(geometry, radius)
+        except ValueError as exc:
+            raise ConfigError([f"distance.radius: {exc}"]) from exc
+        if edges > MAX_GRAPH_EDGES:
+            raise ConfigError([
+                f"distance.radius: radius {radius} at n={n}, N={N} gives {edges:,} graph edges, "
+                f"over the budget of {MAX_GRAPH_EDGES:,}"
+            ])
 
     qs = tuple(float(x) for x in q_list) if q_list else (float(geometry.n), 1.5 * geometry.n)
     normalized = {

@@ -5,12 +5,14 @@ axis-aligned separations length sqrt(2) * |dx|, so a half-period hop is
 sqrt(0.5) and the (1,1) half-diagonal is exactly 1.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
-from conftest import cos_field
+from conftest import cos_field, sin_field
 
 from torusflow import (
     DistanceQuery,
@@ -22,6 +24,7 @@ from torusflow import (
     ScenarioSpec,
     StencilConfig,
     TorusGeometry,
+    assemble,
     check_distance_estimate,
     flat_accuracy_battery,
     flat_distance_exact,
@@ -31,6 +34,8 @@ from torusflow import (
     random_queries,
     run_flow,
 )
+from torusflow import distances
+from torusflow.runner import config_from_dict, distance_fragment
 
 SQ2 = math.sqrt(2.0)
 
@@ -82,6 +87,27 @@ def test_flat_exact_scaling():
     a = flat_distance_exact(FlatMetric(np.eye(1)), (0.0, 0.0), (0.3, 0.1))
     b = flat_distance_exact(FlatMetric(4.0 * np.eye(1)), (0.0, 0.0), (0.3, 0.1))
     assert b == pytest.approx(2.0 * a, rel=1e-14)
+
+
+def _flat_exact_loop(mat, x, y):
+    """Reference: the closed form one lattice shift at a time."""
+    best = math.inf
+    for k in itertools.product((-1.0, 0.0, 1.0), repeat=len(x)):
+        d = y - x + np.array(k)
+        w = d[0::2] + 1j * d[1::2]
+        q = 2.0 * np.einsum("jk,j,k->", mat, w, np.conj(w)).real
+        best = min(best, math.sqrt(max(q, 0.0)))
+    return best
+
+
+@pytest.mark.parametrize("H", [np.array([[1.7]]), np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 1.5]])])
+def test_flat_exact_matches_shift_loop(H):
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        x, y = rng.random((2, 2 * H.shape[0]))
+        assert flat_distance_exact(FlatMetric(H), x, y) == pytest.approx(
+            _flat_exact_loop(H, x, y), rel=1e-14
+        )
 
 
 def test_flat_exact_rejects_bad_points():
@@ -163,6 +189,99 @@ def test_batch_matches_single(geo1):
     batch = graph.distance_batch(queries)
     for q, d in zip(queries, batch):
         assert d == pytest.approx(graph.distance(q.source, q.target), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "geo, H",
+    [
+        (TorusGeometry(1, 64), np.eye(1)),
+        (TorusGeometry(2, 8), np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 1.5]])),
+    ],
+)
+def test_one_source_battery_matches_all_sources(geo, H):
+    flat = FlatMetric(H, geometry=geo)
+    out = flat_accuracy_battery(flat, count=60, seed=2024)
+    direct = MetricGraph(flat).distance_batch([r["query"] for r in out["rows"]])
+    assert len({r["query"].source for r in out["rows"]}) > 50
+    np.testing.assert_allclose([r["graph"] for r in out["rows"]], direct, rtol=1e-12)
+
+
+def _coo_graph(metric, radius):
+    """Reference: one COO block per canonical offset, rolled index arrays."""
+    g = assemble(metric)
+    geo, vals = g.geometry, g.values
+    base = np.arange(geo.npoints).reshape(geo.shape)
+    rows, cols, data = [], [], []
+    for v in primitive_offsets(radius, geo.axes):
+        if v[np.nonzero(v)[0][0]] < 0:
+            continue
+        disp = v * geo.spacing
+        w = disp[0::2] + 1j * disp[1::2]
+        q = 2.0 * np.einsum("...jk,j,k->...", vals, w, np.conj(w)).real
+        shift = tuple(-int(c) for c in v)
+        rows.append(base.ravel())
+        cols.append(np.roll(base, shift, axis=geo.grid_axes).ravel())
+        data.append(np.sqrt(0.5 * (q + np.roll(q, shift, axis=geo.grid_axes))).ravel())
+    return csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(geo.npoints,) * 2,
+    )
+
+
+@pytest.mark.parametrize("radius", [1, 3])
+def test_cached_topology_matches_coo_build(geo1, radius):
+    metric = KahlerMetric(
+        np.eye(1), 0.04 * cos_field(geo1, 0) + 0.005 * sin_field(geo1, 1, mode=2)
+    )
+    graph = MetricGraph(metric, StencilConfig(radius))
+    assert graph._graph.nnz == distances.stencil_edges(geo1, radius)
+    assert (graph._graph != _coo_graph(metric, radius)).nnz == 0
+
+
+@pytest.mark.parametrize("N", [4, 6])
+def test_graph_rejects_radius_that_wraps(N):
+    # at N=6, (1, 3) and (1, -3) reach the same neighbour
+    with pytest.raises(ValueError, match="needs N > 6"):
+        MetricGraph(FlatMetric(np.eye(1), geometry=TorusGeometry(1, N)), StencilConfig(3))
+
+
+def test_graph_radius_below_half_grid_keeps_every_edge():
+    geo = TorusGeometry(1, 8)
+    graph = MetricGraph(FlatMetric(np.eye(1), geometry=geo), StencilConfig(3))
+    assert graph._graph.nnz == geo.npoints * 16 == distances.stencil_edges(geo, 3)
+    assert graph.distance((0, 0), (1, 1)) == pytest.approx(0.25, rel=1e-12)
+
+
+def test_stencil_edges_counts():
+    assert distances.stencil_edges(TorusGeometry(1, 64), 3) == 4096 * 16
+    assert distances.stencil_edges(TorusGeometry(2, 16), 3) == 16**4 * 1120
+    assert distances.stencil_edges(TorusGeometry(2, 16), 3) > distances.MAX_GRAPH_EDGES
+
+
+def test_dijkstra_source_budget(monkeypatch):
+    config = config_from_dict({
+        "geometry": {"n": 1, "N": 16},
+        "scenario": {"indices": [1], "p": "inf"},
+        "flow": {"t_end": 1.0, "snapshot_times": [0.25, 1.0]},
+        "distance": {"queries": 4, "flat_queries": 30, "times": [0.25, 1.0]},
+    })
+    trace = run_flow(
+        KahlerMetric(np.eye(1), 0.02 * cos_field(config.geometry, 0)), config.flow
+    )
+    calls = []
+    original = distances.dijkstra
+
+    def counted(graph, **kwargs):
+        calls.append(len(np.atleast_1d(kwargs["indices"])))
+        return original(graph, **kwargs)
+
+    monkeypatch.setattr(distances, "dijkstra", counted)
+    frag = distance_fragment(config, trace)
+    assert frag["flat_battery"]["count"] == 30
+    # one search per estimate graph (t = 0 and each time), then the battery
+    assert len(calls) == len(config.distance_times) + 2
+    assert calls[-1] == 1
+    assert sum(calls[:-1]) <= (len(config.distance_times) + 1) * config.distance_queries
 
 
 def test_graph_rejects_nonpositive(geo1):

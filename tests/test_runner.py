@@ -147,6 +147,22 @@ def test_distance_enabled_override():
     assert any(m.startswith("distance.enabled") for m in err.value.errors)
 
 
+@pytest.mark.parametrize("N, ok", [(4, False), (6, False), (8, True)])
+def test_distance_radius_must_fit_grid(N, ok):
+    d = {"geometry": {"n": 1, "N": N}, "scenario": {"indices": [1], "max_mode": 1, "p": "inf"},
+         "distance": {"radius": 3}}
+    if ok:
+        assert config_from_dict(d).distance_enabled is True
+    else:
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(d)
+        assert err.value.errors == [
+            f"distance.radius: stencil radius 3 needs N > 6: at N={N} two offsets reach the same neighbour"
+        ]
+        d["distance"]["enabled"] = False  # the rule binds only a stage that runs
+        assert config_from_dict(d).distance_enabled is False
+
+
 def test_background_parsing():
     d = base_dict()
     d["scenario"]["background"] = [[[2.0, 0.0]]]
@@ -603,6 +619,17 @@ def test_cli_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG_ERROR
     assert "config error: geometry.N" in err
+
+
+def test_cli_rejects_graph_over_edge_budget(tmp_path, capsys):
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"geometry": {"n": 2, "N": 16},
+                             "scenario": {"indices": [1], "max_mode": 2, "p": "inf"}}))
+    code = main(["run", "--config", str(p), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG_ERROR
+    assert "73,400,320 graph edges" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config(tmp_path, capsys):
