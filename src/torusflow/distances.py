@@ -29,8 +29,8 @@ from .geometry import (
     FlatMetric,
     PositivityError,
     _coefficients,
+    _min_eigenvalue,
     assemble,
-    min_eigenvalue,
     riemann_norm,
 )
 from .flow import FlowTrace
@@ -135,9 +135,9 @@ class MetricGraph:
         geo = geo or geometry
         if geo is None:
             raise ValueError("flat metric carries no grid; pass geometry explicitly")
-        vals = np.broadcast_to(vals, geo.shape + (geo.n, geo.n))
-        if min_eigenvalue(metric) <= 0:
+        if _min_eigenvalue(vals) <= 0:
             raise PositivityError("distance on a non-positive metric")
+        vals = np.broadcast_to(vals, geo.shape + (geo.n, geo.n))
         self.geometry = geo
         self.stencil = stencil
         offsets, nbr, indptr = _topology(geo, stencil.radius)

@@ -53,6 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# complex_hessian is not called here, but perfbench/test_perfbench.py
+# checks that its tracer also patches this module's binding of it
 from .fields import ScalarField, TorusGeometry, _hessian, _irfft, _rfft, _stack, complex_hessian
 from .geometry import (
     EPS_POS,
@@ -220,7 +222,7 @@ class _Kernel:
         self.geometry = geo = base.geometry
         self.H0 = base.H
         self.fixed = _stack(geo)  # diagonal and upper triangle of H0 + d dbar psi0
-        self.fixed += np.triu(complex_hessian(base.phi).values + self.H0)
+        self.fixed += np.triu(assemble(base).values)
         # tr_{H0}(d dbar): the pairing of H0 with the Hessian symbol over det H0
         sym = np.zeros(geo.dealias_keep.shape + (geo.n, geo.n), dtype=np.complex128)
         for j, k, re, im in geo.hessian_symbols:

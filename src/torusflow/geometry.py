@@ -252,12 +252,14 @@ def _coefficients(metric) -> tuple:
     raise TypeError(f"not a metric-like object: {type(metric).__name__}")
 
 
-def assemble(metric: KahlerMetric, check_positivity: bool = False) -> HermitianField:
-    """Coefficient field H + d dbar phi."""
-    hess = complex_hessian(metric.phi)
-    out = HermitianField(metric.geometry, hess.values + metric.H)
-    if check_positivity and min_eigenvalue(out) <= 0:
-        raise PositivityError("assembled metric is not positive")
+def assemble(metric: KahlerMetric) -> HermitianField:
+    """Coefficient field H + d dbar phi, the only place a potential-form
+    metric becomes coefficients.  Positivity is left to the operations
+    that need it."""
+    out = complex_hessian(metric.phi)
+    # H is a validated Hermitian matrix, so the sum stays a valid field
+    # and is not validated a second time; out owns its fresh array
+    out.values[...] += metric.H
     return out
 
 
@@ -272,8 +274,12 @@ def eigenvalue_range(metric) -> tuple:
     return float(eig[0].min()), float(eig[-1].max())
 
 
+def _min_eigenvalue(v: np.ndarray) -> float:
+    return float(_eigenvalues(v)[0].min())
+
+
 def min_eigenvalue(metric) -> float:
-    return eigenvalue_range(metric)[0]
+    return _min_eigenvalue(_coefficients(metric)[1])
 
 
 def inverse_field(g: HermitianField) -> np.ndarray:
@@ -302,7 +308,7 @@ def log_det_field(g: HermitianField, eps_pos: float = EPS_POS) -> ScalarField:
 def volume(metric) -> float:
     """int omega^n = 2^n n! int det(g) dLeb; requires positivity."""
     _, v = _coefficients(metric)
-    if min_eigenvalue(metric) <= 0:
+    if _min_eigenvalue(v) <= 0:
         raise PositivityError("volume of a non-positive metric")
     return _volume(v)
 
@@ -316,9 +322,7 @@ def ricci(metric, eps_pos: float = EPS_POS) -> HermitianField:
         zeros = np.zeros(metric.geometry.shape + (n, n), dtype=np.complex128)
         return HermitianField(metric.geometry, zeros)
     g = assemble(metric) if isinstance(metric, KahlerMetric) else metric
-    ld = log_det_field(g, eps_pos)
-    hess = complex_hessian(ld)
-    return HermitianField(g.geometry, -hess.values)
+    return complex_hessian(-log_det_field(g, eps_pos))
 
 
 def scalar_curvature_of(g: HermitianField, eps_pos: float = EPS_POS) -> ScalarField:
@@ -394,7 +398,7 @@ def trace_wrt(a, b) -> ScalarField:
         raise FieldError("at least one argument must carry a grid")
     if geo_a is not None and geo_b is not None and geo_a != geo_b:
         raise FieldError("arguments live on different grids")
-    if min_eigenvalue(a) <= 0:
+    if _min_eigenvalue(va) <= 0:
         raise PositivityError("trace base metric is not positive")
     val = _pairing(va, vb) / _det(va)
     return ScalarField(geo, np.broadcast_to(val, geo.shape).copy())

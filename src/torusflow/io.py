@@ -19,6 +19,7 @@ mineig, volume.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io as _io
 import json
 import os
@@ -49,7 +50,10 @@ MAGIC = b"TKRF1"
 KIND_SCALAR = 0
 KIND_METRIC = 1
 
+# one column per StepDiagnostics field, in field order
 DIAG_COLUMNS = ("t", "dt", "minR", "min_dotphi", "max_dotphi", "mineig", "volume")
+_DIAG_FIELDS = tuple(f.name for f in dataclasses.fields(StepDiagnostics))
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(FlowConfig))
 
 
 class FormatError(ValueError):
@@ -184,29 +188,14 @@ def _matrix_from_json(rows) -> np.ndarray:
 
 
 def _config_json(config: FlowConfig) -> dict:
-    return {
-        "scheme": config.scheme,
-        "sigma": config.sigma,
-        "t_end": config.t_end,
-        "snapshot_times": list(config.snapshot_times),
-        "eps_pos": config.eps_pos,
-        "dealias": config.dealias,
-        "max_rejects": config.max_rejects,
-        "t_ramp": config.t_ramp,
-    }
+    out = {name: getattr(config, name) for name in _CONFIG_FIELDS}
+    out["snapshot_times"] = list(config.snapshot_times)
+    return out
 
 
 def _config_from_json(d: dict) -> FlowConfig:
-    return FlowConfig(
-        scheme=d["scheme"],
-        sigma=d["sigma"],
-        t_end=d["t_end"],
-        snapshot_times=tuple(d["snapshot_times"]),
-        eps_pos=d["eps_pos"],
-        dealias=d["dealias"],
-        max_rejects=d["max_rejects"],
-        t_ramp=d["t_ramp"],
-    )
+    # FlowConfig turns the snapshot list back into a sorted tuple
+    return FlowConfig(**{name: d[name] for name in _CONFIG_FIELDS})
 
 
 def _snap_name(t: float) -> str:
@@ -232,18 +221,7 @@ def save_trace(trace: FlowTrace, directory) -> Path:
     write_csv_atomic(
         d / "diagnostics.csv",
         DIAG_COLUMNS,
-        [
-            (
-                repr(row.t),
-                repr(row.dt),
-                repr(row.min_scalar_curvature),
-                repr(row.min_dot_phi),
-                repr(row.max_dot_phi),
-                repr(row.min_eigenvalue),
-                repr(row.volume),
-            )
-            for row in trace.diagnostics
-        ],
+        [[repr(getattr(row, name)) for name in _DIAG_FIELDS] for row in trace.diagnostics],
     )
 
     meta = {
@@ -264,9 +242,15 @@ def save_trace(trace: FlowTrace, directory) -> Path:
     return d
 
 
-def _state_from_file(d: Path, entry: dict, base: KahlerMetric,
+def _entry(d: Path, record) -> tuple:
+    """(path, t, last_dt) of a snapshot record in meta.json."""
+    return d / record["file"], float(record["t"]), float(record["last_dt"])
+
+
+def _state_from_file(entry: tuple, base: KahlerMetric,
                      alpha: FlatMetric, config: FlowConfig) -> FlowState:
-    H, total = load_metric_snapshot(d / entry["file"])
+    path, t, last_dt = entry
+    H, total = load_metric_snapshot(path)
     geo = base.geometry
     if not np.allclose(H, base.H, rtol=0.0, atol=1e-12):
         raise FormatError("snapshot background differs from trace background")
@@ -276,61 +260,68 @@ def _state_from_file(d: Path, entry: dict, base: KahlerMetric,
     metric = KahlerMetric(base.H, base.phi + phi_osc)  # the state's metric()
     return FlowState(
         base=base,
-        t=float(entry["t"]),
+        t=t,
         phi_osc=phi_osc,
         phi_mean=mean,
         dot_phi=_rhs_field(metric, alpha, config),
-        last_dt=float(entry["last_dt"]),
+        last_dt=last_dt,
     )
+
+
+def _read_diagnostics(path: Path) -> tuple:
+    """StepDiagnostics rows of a diagnostics CSV; a trace has at least the
+    row of t = 0."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or tuple(rows[0]) != DIAG_COLUMNS:
+        raise FormatError(f"diagnostics columns {rows[0] if rows else []} != {list(DIAG_COLUMNS)}")
+    if len(rows) < 2:
+        raise FormatError("diagnostics file has no step rows")
+    out = []
+    for line, row in enumerate(rows[1:], 2):
+        try:
+            if len(row) != len(DIAG_COLUMNS):
+                raise ValueError(f"{len(row)} cells, expected {len(DIAG_COLUMNS)}")
+            out.append(StepDiagnostics(*map(float, row)))
+        except ValueError as exc:
+            raise FormatError(f"diagnostics line {line}: {exc}") from exc
+    return tuple(out)
 
 
 def load_trace(directory) -> FlowTrace:
+    """Read a trace written by save_trace.  Raises FormatError when
+    meta.json is not a torusflow-trace-1 record with every key and type
+    save_trace writes, or when the diagnostics file has no rows or a row
+    of the wrong length."""
     d = Path(directory)
-    meta = json.loads((d / "meta.json").read_text())
-    if meta.get("format") != "torusflow-trace-1":
-        raise FormatError(f"unrecognized trace format {meta.get('format')!r}")
-    config = _config_from_json(meta["config"])
-    H0 = _matrix_from_json(meta["H0"])
-    H_alpha = _matrix_from_json(meta["H_alpha"])
-    init_phi = load_field(d / meta["files"]["initial_potential"])
+    try:
+        meta = json.loads((d / "meta.json").read_text())
+        if meta.get("format") != "torusflow-trace-1":
+            raise FormatError(f"unrecognized trace format {meta.get('format')!r}")
+        config = _config_from_json(meta["config"])
+        H0 = _matrix_from_json(meta["H0"])
+        H_alpha = _matrix_from_json(meta["H_alpha"])
+        shape = (meta["geometry"]["n"], meta["geometry"]["N"])
+        files = {key: d / meta["files"][key]
+                 for key in ("initial_potential", "flat_potential", "diagnostics")}
+        entries = [_entry(d, record) for record in meta["snapshots"]]
+        final_entry = _entry(d, meta["final"])
+    except FormatError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"malformed meta.json: {type(exc).__name__}: {exc}") from exc
+    init_phi = load_field(files["initial_potential"])
     geo = init_phi.geometry
-    if (geo.n, geo.N) != (meta["geometry"]["n"], meta["geometry"]["N"]):
+    if (geo.n, geo.N) != shape:
         raise FormatError("geometry record disagrees with stored fields")
     base = KahlerMetric(H0, init_phi)
     alpha = FlatMetric(H_alpha, geometry=geo)
-    flat_potential = load_field(d / meta["files"]["flat_potential"])
-
-    snapshots = tuple(
-        _state_from_file(d, entry, base, alpha, config) for entry in meta["snapshots"]
-    )
-    final = _state_from_file(d, meta["final"], base, alpha, config)
-
-    diagnostics = []
-    with open(d / meta["files"]["diagnostics"], newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != DIAG_COLUMNS:
-            raise FormatError(f"diagnostics columns {header} != {list(DIAG_COLUMNS)}")
-        for row in reader:
-            vals = [float(x) for x in row]
-            diagnostics.append(
-                StepDiagnostics(
-                    t=vals[0],
-                    dt=vals[1],
-                    min_scalar_curvature=vals[2],
-                    min_dot_phi=vals[3],
-                    max_dot_phi=vals[4],
-                    min_eigenvalue=vals[5],
-                    volume=vals[6],
-                )
-            )
-
     return FlowTrace(
         initial=base,
         alpha=alpha,
-        flat_potential=flat_potential,
+        flat_potential=load_field(files["flat_potential"]),
         config=config,
-        snapshots=snapshots,
-        diagnostics=tuple(diagnostics),
-        final=final,
+        snapshots=tuple(_state_from_file(e, base, alpha, config) for e in entries),
+        diagnostics=_read_diagnostics(files["diagnostics"]),
+        final=_state_from_file(final_entry, base, alpha, config),
     )

@@ -115,10 +115,7 @@ def _hash_dict(d: dict) -> str:
 _TOP_KEYS = {"geometry", "scenario", "flow", "harness", "distance", "output", "seed"}
 _GEO_KEYS = {"n", "N"}
 _SCEN_KEYS = {"seed", "indices", "max_mode", "background", "lambda_gate", "p", "flat"}
-_FLOW_KEYS = {
-    "scheme", "sigma", "t_end", "snapshot_times", "eps_pos",
-    "dealias", "max_rejects", "t_ramp",
-}
+_FLOW_KEYS = set(tfio._CONFIG_FIELDS)
 _HARNESS_KEYS = {"test_forms", "form_seed", "q_list"}
 _DIST_KEYS = {"enabled", "radius", "queries", "flat_queries", "times", "seed"}
 

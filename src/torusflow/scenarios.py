@@ -125,11 +125,11 @@ class Scenario:
 
 def _floor_of(shape: ScalarField, H0: np.ndarray, amplitude: float):
     """(min scalar curvature, min eigenvalue) at one candidate amplitude."""
-    metric = KahlerMetric(H0, shape * amplitude)
-    lam = min_eigenvalue(assemble(metric))
+    coeffs = assemble(KahlerMetric(H0, shape * amplitude))
+    lam = min_eigenvalue(coeffs)
     if lam < EPS_POS:
         return None, lam
-    return scalar_curvature(metric).min(), lam
+    return scalar_curvature(coeffs).min(), lam
 
 
 def calibrate_amplitude(
@@ -203,13 +203,13 @@ def make_sequence(spec: ScenarioSpec) -> list:
         lam = min_eigenvalue(coeffs)
         if lam < EPS_POS:
             raise GateViolation(f"index {i}: calibrated metric lost positivity ({lam:.3e})")
-        curv = scalar_curvature(metric)
+        curv = scalar_curvature(coeffs)
         floor = curv.min()
         if not (target - 1e-12 <= floor <= target / 2.0 + 1e-12):
             raise BracketFailure(
                 f"index {i}: floor {floor:.6g} outside band [{target:g}, {target / 2:g}]"
             )
-        vol = volume(metric)
+        vol = volume(coeffs)
         if vol < 1.0 / spec.lambda_gate:
             raise GateViolation(
                 f"index {i}: volume {vol:.6g} below the non-collapsing gate "

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torusflow import TorusGeometry, ScalarField
+from torusflow import HermitianField, TorusGeometry, ScalarField
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +24,13 @@ def cos_field(geometry, axis: int, mode: int = 1, amplitude: float = 1.0) -> Sca
 def sin_field(geometry, axis: int, mode: int = 1, amplitude: float = 1.0) -> ScalarField:
     x = geometry.coordinate(axis)
     return ScalarField(geometry, amplitude * np.sin(2.0 * np.pi * mode * x))
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """A list that grows by one per HermitianField validation."""
+    calls = []
+    original = HermitianField.__post_init__
+    monkeypatch.setattr(HermitianField, "__post_init__",
+                        lambda self: calls.append(1) or original(self))
+    return calls

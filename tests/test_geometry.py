@@ -18,6 +18,7 @@ from torusflow import (
     FlatMetric,
     HermitianField,
     KahlerMetric,
+    MetricGraph,
     PositivityError,
     ScalarField,
     TestForm,
@@ -115,10 +116,52 @@ def test_min_eigenvalue_two_dim(geo2):
     assert hi == pytest.approx(1.0 + B, abs=1e-12)
 
 
-def test_assemble_positivity_gate(geo1):
-    # amplitude far past the positivity wall
+def trace_of_unit(m):
+    return trace_wrt(m, FlatMetric(np.eye(m.geometry.n)))
+
+
+# HermitianField validations per operation on a potential-form metric:
+# one assembly, plus the Ricci Hessian for ricci
+ASSEMBLY_BUDGET = {
+    "assemble": (assemble, 1),
+    "volume": (volume, 1),
+    "trace_wrt": (trace_of_unit, 1),
+    "MetricGraph": (MetricGraph, 1),
+    "ricci": (ricci, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_BUDGET))
+def test_assembly_budget(validations, geo1, name):
+    op, budget = ASSEMBLY_BUDGET[name]
+    op(bump_metric(geo1))
+    assert len(validations) == budget
+
+
+# operations that require positivity, on a metric past the wall:
+# min eigenvalue 1 - 0.2 pi^2 < 0
+POSITIVITY_GATES = {
+    "volume": volume,
+    "trace_wrt": trace_of_unit,
+    "MetricGraph": MetricGraph,
+    "scalar_curvature": scalar_curvature,
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSITIVITY_GATES))
+def test_operations_reject_nonpositive_metric(geo1, name):
     with pytest.raises(PositivityError):
-        assemble(bump_metric(geo1, a=0.2), check_positivity=True)
+        POSITIVITY_GATES[name](bump_metric(geo1, a=0.2))
+
+
+def test_assemble_two_dim_adds_the_background():
+    geo = TorusGeometry(2, 8)
+    x1, y2 = geo.coordinate(0), geo.coordinate(3)
+    H = np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 1.5]])
+    psi = ScalarField(geo, 0.01 * np.cos(2 * np.pi * (x1 + y2)) + 0.02 * np.sin(2 * np.pi * y2))
+    v = assemble(KahlerMetric(H, psi)).values
+    assert np.array_equal(v, complex_hessian(psi).values + H)
+    assert np.array_equal(v[..., 1, 0], np.conj(v[..., 0, 1]))
 
 
 # ---------------------------------------------------------------------------

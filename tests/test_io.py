@@ -184,3 +184,44 @@ def test_trace_rejects_wrong_format(tmp_path, small_trace):
     (d / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(FormatError):
         load_trace(d)
+
+
+def _edit_meta(edit):
+    def corrupt(d):
+        meta = json.loads((d / "meta.json").read_text())
+        edit(meta)
+        (d / "meta.json").write_text(json.dumps(meta))
+    return corrupt
+
+
+def _edit_diagnostics(edit):
+    def corrupt(d):
+        path = d / "diagnostics.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("".join(line + "\n" for line in edit(lines)))
+    return corrupt
+
+
+MALFORMED_TRACES = {
+    "meta_not_json": lambda d: (d / "meta.json").write_text("{"),
+    "meta_not_object": lambda d: (d / "meta.json").write_text("[]"),
+    "missing_final": _edit_meta(lambda m: m.pop("final")),
+    "missing_config_key": _edit_meta(lambda m: m["config"].pop("sigma")),
+    "missing_snapshot_time": _edit_meta(lambda m: m["snapshots"][0].pop("t")),
+    "snapshots_not_list": _edit_meta(lambda m: m.update(snapshots=5)),
+    "time_not_number": _edit_meta(lambda m: m["final"].update(t="late")),
+    "geometry_not_object": _edit_meta(lambda m: m.update(geometry=[1, 16])),
+    "short_row": _edit_diagnostics(lambda ls: ls[:1] + [",".join(ls[1].split(",")[:5])] + ls[2:]),
+    "long_row": _edit_diagnostics(lambda ls: ls[:1] + [ls[1] + ",1.0"] + ls[2:]),
+    "cell_not_number": _edit_diagnostics(lambda ls: ls[:1] + ["x" + ls[1]] + ls[2:]),
+    "header_only": _edit_diagnostics(lambda ls: ls[:1]),
+    "empty_diagnostics": _edit_diagnostics(lambda ls: []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TRACES))
+def test_trace_rejects_malformed_records(tmp_path, small_trace, name):
+    d = save_trace(small_trace, tmp_path / "trace")
+    MALFORMED_TRACES[name](d)
+    with pytest.raises(FormatError):
+        load_trace(d)

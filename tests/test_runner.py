@@ -534,6 +534,45 @@ def test_unloadable_trace_is_recomputed(tmp_path):
 # command line
 
 
+def _drop_final(trace_dir):
+    meta = json.loads((trace_dir / "meta.json").read_text())
+    del meta["final"]
+    (trace_dir / "meta.json").write_text(json.dumps(meta))
+
+
+def _cut_diagnostics_row(trace_dir):
+    path = trace_dir / "diagnostics.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = ",".join(lines[1].split(",")[:5])
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("corrupt", [_drop_final, _cut_diagnostics_row])
+def test_cli_malformed_trace_is_reported_then_recomputed(corrupt, tmp_path, capsys):
+    d = json.loads(json.dumps(FLAT_DICT))
+    d["scenario"]["indices"] = [1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    args = ["--config", str(cfg), "--out", str(out)]
+    assert main(["run", *args]) == EXIT_OK
+    trace_dir = out / "scenario_i001" / "trace"
+    corrupt(trace_dir)
+    corrupted = {p.name: p.read_bytes() for p in trace_dir.iterdir()}
+
+    assert main(["check", *args]) == EXIT_SCENARIO_ERROR
+    assert "trace reload failed" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["scenarios"][0]["status"] == "error"
+    assert manifest["any_errors"] and not manifest["all_checks_pass"]
+    assert {p.name: p.read_bytes() for p in trace_dir.iterdir()} == corrupted
+
+    assert main(["run", *args]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["scenarios"][0]["status"] == "ok"
+    assert main(["check", *args]) == EXIT_OK
+
+
 @pytest.fixture(scope="module")
 def flat_cfg_file(tmp_path_factory):
     p = tmp_path_factory.mktemp("cfg") / "flat.json"

@@ -22,6 +22,7 @@ from torusflow import (
     make_sequence,
     min_eigenvalue,
 )
+from torusflow import scenarios
 from torusflow.scenarios import GateViolation
 
 # roots of b^2 - (2 + pi^2/F) b + 1 = 0 at F=1/2 and F=1, divided by pi^2
@@ -135,6 +136,18 @@ def test_family_sup_exponent():
 
     g11 = assemble(sc.metric).values[..., 0, 0].real
     assert sc.trace_norm == pytest.approx(g11.max(), rel=1e-12)
+
+
+def test_make_sequence_assembly_budget(validations, monkeypatch):
+    """One assembly per calibration probe and one per index."""
+    probes = []
+    original = scenarios._floor_of
+    monkeypatch.setattr(scenarios, "_floor_of",
+                        lambda *args: probes.append(1) or original(*args))
+    spec = spec1(indices=(1, 4))
+    make_sequence(spec)
+    assert len(probes) >= 2 * len(spec.indices)
+    assert len(validations) == len(probes) + len(spec.indices)
 
 
 def test_trace_gate_violation():
