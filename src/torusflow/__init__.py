@@ -32,7 +32,6 @@ from .geometry import (
     assemble,
     eigenvalue_range,
     harmonic_projection,
-    linfty_vs_lp_laplacian,
     min_eigenvalue,
     pair_test_form,
     pairing_density,
@@ -79,7 +78,6 @@ from .distances import (
     check_distance_estimate,
     flat_accuracy_battery,
     flat_distance_exact,
-    graph_distance,
     primitive_offsets,
     random_queries,
 )
@@ -100,7 +98,7 @@ __all__ = [
     "lp_norm", "random_band_limited", "truncate_modes",
     "FlatMetric", "HermitianField", "KahlerMetric", "PositivityError",
     "ProjectionError", "TestForm", "assemble", "eigenvalue_range",
-    "harmonic_projection", "linfty_vs_lp_laplacian", "min_eigenvalue", "pair_test_form",
+    "harmonic_projection", "min_eigenvalue", "pair_test_form",
     "pairing_density", "ricci", "riemann_norm", "scalar_curvature",
     "trace_wrt", "volume", "volume_density",
     "FlowConfig", "FlowFailure", "FlowState", "FlowTrace",
@@ -111,7 +109,7 @@ __all__ = [
     "check_scalar_floor", "default_test_forms", "family_summary", "fit_rate",
     "DistanceQuery", "MetricGraph", "StencilConfig",
     "check_distance_estimate", "flat_accuracy_battery",
-    "flat_distance_exact", "graph_distance", "primitive_offsets", "random_queries",
+    "flat_distance_exact", "primitive_offsets", "random_queries",
     "load_field", "load_metric_snapshot", "load_trace",
     "save_field", "save_metric_snapshot", "save_trace",
     "ConfigError", "ExperimentConfig", "RunManifest",

@@ -30,6 +30,8 @@ from .geometry import (
     PositivityError,
     _coefficients,
     _min_eigenvalue,
+    _pack,
+    _quadratic_form,
     assemble,
     riemann_norm,
 )
@@ -42,7 +44,6 @@ __all__ = [
     "MAX_GRAPH_EDGES",
     "stencil_edges",
     "MetricGraph",
-    "graph_distance",
     "flat_distance_exact",
     "random_queries",
     "check_distance_estimate",
@@ -137,14 +138,12 @@ class MetricGraph:
             raise ValueError("flat metric carries no grid; pass geometry explicitly")
         if _min_eigenvalue(vals) <= 0:
             raise PositivityError("distance on a non-positive metric")
-        vals = np.broadcast_to(vals, geo.shape + (geo.n, geo.n))
         self.geometry = geo
         self.stencil = stencil
         offsets, nbr, indptr = _topology(geo, stencil.radius)
         q = np.empty(nbr.shape)
         for k, disp in enumerate(offsets * geo.spacing):
-            w = disp[0::2] + 1j * disp[1::2]
-            q[:, k] = 2.0 * np.einsum("...jk,j,k->...", vals, w, np.conj(w)).real.ravel()
+            q[:, k] = 2.0 * _quadratic_form(vals, disp[0::2] + 1j * disp[1::2]).reshape(-1)
         wts = np.sqrt(0.5 * (q + np.take_along_axis(q, nbr, axis=0)))
         self._graph = csr_matrix((wts.ravel(), nbr.ravel(), indptr), shape=(geo.npoints,) * 2)
 
@@ -171,10 +170,6 @@ class MetricGraph:
         )
 
 
-def graph_distance(metric, x, y, stencil: StencilConfig = StencilConfig(), geometry=None) -> float:
-    return MetricGraph(metric, stencil, geometry).distance(x, y)
-
-
 def flat_distance_exact(H: FlatMetric, x, y) -> float:
     """Flat-torus distance: min over lattice shifts in {-1,0,1}^{2n}.
 
@@ -189,8 +184,7 @@ def flat_distance_exact(H: FlatMetric, x, y) -> float:
         raise ValueError(f"points must have {2 * n} real coordinates")
     shifts = np.indices((3,) * (2 * n)).reshape(2 * n, -1).T - 1.0
     d = y - x + shifts
-    w = d[:, 0::2] + 1j * d[:, 1::2]
-    q = 2.0 * np.einsum("jk,sj,sk->s", mat, w, np.conj(w)).real
+    q = 2.0 * _quadratic_form(_pack(mat), (d[:, 0::2] + 1j * d[:, 1::2]).T)
     return math.sqrt(max(float(q.min()), 0.0))
 
 

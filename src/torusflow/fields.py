@@ -20,6 +20,14 @@ conjugate; on the mode k the multiplier of d_j d_kbar is
 imaginary parts are even in k, so each part maps a real field to a real
 field and one inverse real transform per part and entry j <= k gives
 the Hessian.
+
+Hermitian coefficient fields are stored packed: a real float64 array of
+shape (n^2, *grid), one contiguous grid array per slot.  The slots are
+the real parts of the diagonal and the real and imaginary parts of the
+upper triangle, row by row: (0,0) at n = 1, and (0,0), Re(0,1), Im(0,1),
+(1,1) at n = 2.  The lower triangle is the conjugate of the upper one,
+so every packed array is a Hermitian field.  This module writes the
+layout; the n <= 2 closed forms of geometry read it.
 """
 
 from __future__ import annotations
@@ -131,22 +139,23 @@ class TorusGeometry:
 
     @cached_property
     def hessian_symbols(self) -> tuple:
-        """(j, k, re, im) for j <= k: the half-spectrum parts of the
-        d_j d_kbar multiplier -pi^2 conj(w_j) w_k; im is None for j = k."""
+        """Half-spectrum multipliers of d_j d_kbar, one real array per
+        packed slot: the parts of -pi^2 conj(w_j) w_k for j <= k."""
         m = self.half_mode_arrays
         w = [m[2 * j] + 1j * m[2 * j + 1] for j in range(self.n)]
         out = []
         for j in range(self.n):
             for k in range(j, self.n):
                 sym = -PI_SQ * np.conj(w[j]) * w[k]
-                im = None if j == k else np.ascontiguousarray(sym.imag)
-                out.append((j, k, np.ascontiguousarray(sym.real), im))
+                out.append(np.ascontiguousarray(sym.real))
+                if j != k:
+                    out.append(np.ascontiguousarray(sym.imag))
         return tuple(out)
 
     @cached_property
     def laplace_symbol(self) -> np.ndarray:
         """Half-spectrum multiplier of tr_I(d dbar), i.e. -pi^2 |k|^2."""
-        return sum(re for j, k, re, _ in self.hessian_symbols if j == k)
+        return sum(self.hessian_symbols[j * (self.n + 1)] for j in range(self.n))
 
     @cached_property
     def dealias_keep(self) -> np.ndarray:
@@ -172,22 +181,12 @@ def _irfft(geometry: TorusGeometry, hat: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(hat, s=geometry.shape, axes=geometry.grid_axes)
 
 
-def _stack(geometry: TorusGeometry) -> np.ndarray:
-    """Zero grid + (n, n) complex stack, a view of entry-major storage so
-    that each entry is contiguous."""
-    n = geometry.n
-    return np.moveaxis(np.zeros((n, n) + geometry.shape, dtype=np.complex128), (0, 1), (-2, -1))
-
-
 def _hessian(geometry: TorusGeometry, hat: np.ndarray) -> np.ndarray:
-    """d_j d_kbar of the real field with half spectrum hat, as a _stack
-    holding the diagonal and upper triangle; the lower triangle is left
-    zero (Hermiticity implies it)."""
-    out = _stack(geometry)
-    for j, k, re, im in geometry.hessian_symbols:
-        out.real[..., j, k] = _irfft(geometry, re * hat)
-        if im is not None:
-            out.imag[..., j, k] = _irfft(geometry, im * hat)
+    """d_j d_kbar of the real field with half spectrum hat, packed: one
+    inverse real transform per slot."""
+    out = np.empty((len(geometry.hessian_symbols),) + geometry.shape)
+    for slot, sym in enumerate(geometry.hessian_symbols):
+        out[slot] = _irfft(geometry, sym * hat)
     return out
 
 
@@ -261,30 +260,24 @@ class ScalarField:
 
 @dataclass(frozen=True, eq=False)
 class HermitianField:
-    """Per-point n x n Hermitian matrix, stored as grid + (n, n) complex.
+    """Per-point n x n Hermitian matrix in the packed layout of the
+    module docstring: real float64 values of shape (n^2, *grid).
 
-    Hermiticity is validated on construction (tolerance 1e-12 relative to
-    the largest entry); the factory functions in this package build
-    exactly Hermitian arrays.
+    The layout holds only the upper triangle, so every array of the
+    right shape is Hermitian; construction checks shape and finiteness.
     """
 
     geometry: TorusGeometry
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.complex128)
-        want = self.geometry.shape + (self.geometry.n, self.geometry.n)
+        arr = np.asarray(self.values, dtype=np.float64)
+        want = (self.geometry.n**2,) + self.geometry.shape
         if arr.shape != want:
             raise FieldError(f"matrix field shape {arr.shape}, expected {want}")
         if not np.all(np.isfinite(arr)):
             raise FieldError("matrix field contains non-finite values")
-        scale = max(1.0, float(np.abs(arr).max()))
-        n = self.geometry.n  # the defect |a - a^H| over j <= k covers every entry
-        gap = max(float(np.abs(arr[..., j, k] - np.conj(arr[..., k, j])).max())
-                  for j in range(n) for k in range(j, n))
-        if gap > 1e-12 * scale:
-            raise FieldError(f"matrix field is not Hermitian (defect {gap:.3e})")
-        object.__setattr__(self, "values", np.ascontiguousarray(arr))
+        object.__setattr__(self, "values", arr)
 
 
 def constant_field(geometry: TorusGeometry, value: float) -> ScalarField:
@@ -292,12 +285,9 @@ def constant_field(geometry: TorusGeometry, value: float) -> ScalarField:
 
 
 def complex_hessian(phi: ScalarField) -> HermitianField:
-    """Matrix of d_j d_kbar phi; exactly Hermitian by construction."""
+    """Matrix of d_j d_kbar phi."""
     g = phi.geometry
-    out = _hessian(g, _rfft(g, phi.values))
-    if g.n == 2:
-        out[..., 1, 0] = np.conj(out[..., 0, 1])
-    return HermitianField(g, out)
+    return HermitianField(g, _hessian(g, _rfft(g, phi.values)))
 
 
 def flat_laplacian(f: ScalarField) -> ScalarField:

@@ -23,13 +23,12 @@ Two time steppers:
 
 Spectral state: the flow potential is carried from step to step as its
 real half spectrum (np.fft.rfftn), so the implicit solve and the explicit
-update never transform the potential or the rhs forward.  Only the
-diagonal and upper triangle of the coefficients are formed, which makes
-them Hermitian by construction, and the hot path builds no validated
-field objects.  One accepted step runs these real transforms:
+update never transform the potential or the rhs forward.  The
+coefficients use the packed layout of HermitianField (see the fields
+module), held as plain arrays on the hot path.  One accepted step runs
+these real transforms:
 
-  Hessian of phi from its spectrum    n^2 inverse: the diagonal, and the
-                                      real and imaginary parts above it
+  Hessian of phi from its spectrum    n^2 inverse, one per packed slot
   log det g                           1 forward; feeds the dealiased rhs,
                                       the implicit solve and the Ricci
                                       term of the curvature floor
@@ -55,7 +54,7 @@ import numpy as np
 
 # complex_hessian is not called here, but perfbench/test_perfbench.py
 # checks that its tracer also patches this module's binding of it
-from .fields import ScalarField, TorusGeometry, _hessian, _irfft, _rfft, _stack, complex_hessian
+from .fields import ScalarField, TorusGeometry, _hessian, _irfft, _rfft, complex_hessian
 from .geometry import (
     EPS_POS,
     FlatMetric,
@@ -63,6 +62,7 @@ from .geometry import (
     _det,
     _eigenvalues,
     _log_det,
+    _pack,
     _pairing,
     _scalar_curvature,
     _volume,
@@ -186,7 +186,7 @@ class _Evaluation:
 
     def __init__(self, phi_hat, coeffs, min_eig, log_det_hat, rhs_hat, rhs, stiffness):
         self.phi_hat = phi_hat          # half spectrum of the flow potential
-        self.coeffs = coeffs            # metric coefficients, diagonal and upper triangle
+        self.coeffs = coeffs            # packed metric coefficients
         self.min_eig = min_eig          # absolute eigenvalue floor
         self.log_det_hat = log_det_hat  # half spectrum of log det g
         self.rhs_hat = rhs_hat          # half spectrum of d phi/dt
@@ -199,7 +199,7 @@ def _rhs(geo: TorusGeometry, log_det_hat: np.ndarray, alpha: FlatMetric,
     """Half spectrum of d phi/dt = log det g - log det H_alpha,
     2/3-truncated when config.dealias."""
     out = log_det_hat * geo.dealias_keep if config.dealias else log_det_hat.copy()
-    out[(0,) * geo.axes] -= geo.npoints * math.log(_det(alpha.H))
+    out[(0,) * geo.axes] -= geo.npoints * math.log(_det(_pack(alpha.H)))
     return out
 
 
@@ -220,14 +220,10 @@ class _Kernel:
         self.config = config
         self.alpha = alpha
         self.geometry = geo = base.geometry
-        self.H0 = base.H
-        self.fixed = _stack(geo)  # diagonal and upper triangle of H0 + d dbar psi0
-        self.fixed += np.triu(assemble(base).values)
+        self.H0 = _pack(base.H)
+        self.fixed = assemble(base).values  # H0 + d dbar psi0
         # tr_{H0}(d dbar): the pairing of H0 with the Hessian symbol over det H0
-        sym = np.zeros(geo.dealias_keep.shape + (geo.n, geo.n), dtype=np.complex128)
-        for j, k, re, im in geo.hessian_symbols:
-            sym[..., j, k] = re if im is None else re + 1j * im
-        self.stab_symbol = _pairing(self.H0, sym) / _det(self.H0)
+        self.stab_symbol = _pairing(self.H0, geo.hessian_symbols) / _det(self.H0)
 
     def evaluate(self, phi_hat: np.ndarray) -> _Evaluation | None:
         """None rejects the candidate: non-finite, or its eigenvalue floor

@@ -32,9 +32,7 @@ from .fields import (
     _rfft,
     complex_hessian,
     constant_field,
-    flat_laplacian,
     integrate,
-    lp_norm,
 )
 
 EPS_POS = 1e-8
@@ -62,7 +60,6 @@ __all__ = [
     "pair_test_form",
     "pairing_density",
     "volume_density",
-    "linfty_vs_lp_laplacian",
 ]
 
 
@@ -185,41 +182,66 @@ class TestForm:
 
 # ---------------------------------------------------------------------------
 # pointwise linear algebra: the n <= 2 closed forms, written only here.
-# Arguments are (..., n, n) Hermitian coefficient stacks or single (n, n)
-# matrices, of which only the diagonal and the upper triangle are read;
-# results broadcast over the leading axes.
+# Arguments are packed coefficients (the layout of the fields module
+# docstring): arrays of shape (n^2, *grid), or (n^2,) for one constant
+# matrix, which broadcasts against grids; slots are read as v[0] = (0,0),
+# v[1] + i v[2] = (0,1) and v[3] = (1,1).
+
+
+def _pack(m) -> np.ndarray:
+    """Packed slots of (..., n, n) Hermitian matrices, slot axis first."""
+    m = np.asarray(m, dtype=np.complex128)
+    if m.shape[-1] == 1:
+        return np.stack([m[..., 0, 0].real])
+    return np.stack([m[..., 0, 0].real, m[..., 0, 1].real, m[..., 0, 1].imag, m[..., 1, 1].real])
+
+
+def _matrices(v: np.ndarray) -> np.ndarray:
+    """The (..., n, n) complex matrices of packed slots, slot axis last."""
+    n = 1 if len(v) == 1 else 2
+    out = np.zeros(np.shape(v)[1:] + (n, n), dtype=np.complex128)
+    out.real[..., 0, 0] = v[0]
+    if n == 2:
+        out.real[..., 1, 1] = v[3]
+        out.real[..., 0, 1] = out.real[..., 1, 0] = v[1]
+        out.imag[..., 0, 1] = v[2]
+        out.imag[..., 1, 0] = -v[2]
+    return out
 
 
 def _det(v: np.ndarray) -> np.ndarray:
-    if v.shape[-1] == 1:
-        return v[..., 0, 0].real
-    return v[..., 0, 0].real * v[..., 1, 1].real - np.abs(v[..., 0, 1]) ** 2
+    if len(v) == 1:
+        return v[0]
+    return v[0] * v[3] - (v[1] * v[1] + v[2] * v[2])
 
 
 def _pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """tr(adj(a) b), which is det(a) tr_a b; for n = 2 it is also a
     quarter of the density of a /\\ b when a is an (n-1, n-1)-form."""
-    if a.shape[-1] == 1:
-        return b[..., 0, 0].real
-    a01, b01 = a[..., 0, 1], b[..., 0, 1]
-    return (
-        a[..., 1, 1].real * b[..., 0, 0].real
-        + a[..., 0, 0].real * b[..., 1, 1].real
-        - 2.0 * (a01.real * b01.real + a01.imag * b01.imag)
-    )
+    if len(a) == 1:
+        return b[0]
+    return a[3] * b[0] + a[0] * b[3] - 2.0 * (a[1] * b[1] + a[2] * b[2])
 
 
 def _eigenvalues(v: np.ndarray, ref: np.ndarray | None = None) -> tuple:
     """Ascending roots of det(v - lam ref) = 0; ref defaults to the identity."""
-    if v.shape[-1] == 1:
-        d = v[..., 0, 0].real
-        return (d,) if ref is None else (d / ref[..., 0, 0].real,)
+    if len(v) == 1:
+        return (v[0],) if ref is None else (v[0] / ref[0],)
     if ref is None:
-        a, b = 1.0, v[..., 0, 0].real + v[..., 1, 1].real
+        a, b = 1.0, v[0] + v[3]
     else:
         a, b = _det(ref), _pairing(ref, v)
     disc = np.sqrt(np.maximum(b * b - 4.0 * a * _det(v), 0.0))
     return (b - disc) / (2.0 * a), (b + disc) / (2.0 * a)
+
+
+def _quadratic_form(v: np.ndarray, w) -> np.ndarray:
+    """sum_jk v_{j kbar} w^j conj(w^k) for a complex n-vector w (w[j] may
+    itself be an array of components, which broadcasts)."""
+    if len(v) == 1:
+        return v[0] * abs(w[0]) ** 2
+    c = w[0] * np.conj(w[1])
+    return v[0] * abs(w[0]) ** 2 + v[3] * abs(w[1]) ** 2 + 2.0 * (v[1] * c.real - v[2] * c.imag)
 
 
 def _log_det(eig: tuple) -> np.ndarray:
@@ -229,7 +251,7 @@ def _log_det(eig: tuple) -> np.ndarray:
 
 def _volume(v: np.ndarray) -> float:
     """int omega^n = 2^n n! int det(g) dLeb."""
-    n = v.shape[-1]
+    n = 1 if len(v) == 1 else 2
     return float((2.0**n) * math.factorial(n) * _det(v).mean())
 
 
@@ -240,15 +262,16 @@ def _scalar_curvature(geometry: TorusGeometry, v: np.ndarray, log_det_hat: np.nd
 
 
 def _coefficients(metric) -> tuple:
-    """Resolve metric-like input to (geometry or None, coefficient array);
-    a FlatMetric gives its (n, n) matrix, which broadcasts against grids."""
+    """Resolve metric-like input to (geometry or None, packed coefficients);
+    a FlatMetric gives the (n^2,) slots of its matrix, which broadcast
+    against grids."""
     if isinstance(metric, HermitianField):
         return metric.geometry, metric.values
     if isinstance(metric, KahlerMetric):
         g = assemble(metric)
         return g.geometry, g.values
     if isinstance(metric, FlatMetric):
-        return metric.geometry, metric.H
+        return metric.geometry, _pack(metric.H)
     raise TypeError(f"not a metric-like object: {type(metric).__name__}")
 
 
@@ -257,9 +280,10 @@ def assemble(metric: KahlerMetric) -> HermitianField:
     metric becomes coefficients.  Positivity is left to the operations
     that need it."""
     out = complex_hessian(metric.phi)
-    # H is a validated Hermitian matrix, so the sum stays a valid field
-    # and is not validated a second time; out owns its fresh array
-    out.values[...] += metric.H
+    # a packed sum stays a valid field, so it is not validated a second
+    # time; out owns its fresh array
+    for slot, h in zip(out.values, _pack(metric.H)):
+        slot += h
     return out
 
 
@@ -283,18 +307,12 @@ def min_eigenvalue(metric) -> float:
 
 
 def inverse_field(g: HermitianField) -> np.ndarray:
+    """Packed coefficients of g^{-1}."""
     v = g.values
     det = _det(v)
-    if g.geometry.n == 1:
-        out = np.zeros_like(v)
-        out[..., 0, 0] = 1.0 / det
-        return out
-    out = np.empty_like(v)
-    out[..., 0, 0] = v[..., 1, 1] / det
-    out[..., 1, 1] = v[..., 0, 0] / det
-    out[..., 0, 1] = -v[..., 0, 1] / det
-    out[..., 1, 0] = -v[..., 1, 0] / det
-    return out
+    if len(v) == 1:
+        return np.stack([1.0 / det])
+    return np.stack([v[3] / det, -v[1] / det, -v[2] / det, v[0] / det])
 
 
 def log_det_field(g: HermitianField, eps_pos: float = EPS_POS) -> ScalarField:
@@ -318,8 +336,7 @@ def ricci(metric, eps_pos: float = EPS_POS) -> HermitianField:
     if isinstance(metric, FlatMetric):
         if metric.geometry is None:
             raise FieldError("constant-coefficient input carries no grid; attach one")
-        n = metric.n
-        zeros = np.zeros(metric.geometry.shape + (n, n), dtype=np.complex128)
+        zeros = np.zeros((metric.n**2,) + metric.geometry.shape)
         return HermitianField(metric.geometry, zeros)
     g = assemble(metric) if isinstance(metric, KahlerMetric) else metric
     return complex_hessian(-log_det_field(g, eps_pos))
@@ -378,7 +395,7 @@ def riemann_norm(metric: KahlerMetric, eps_pos: float = EPS_POS) -> ScalarField:
                     d4[..., j, k, l, m] = val
                     if l != j:
                         d4[..., l, k, j, m] = val
-    ginv = inverse_field(g)
+    ginv = _matrices(inverse_field(g))
     # g^{p qbar} X_p conj(Y_q) pairs through Ginv[q, p]
     rm = -d4 + np.einsum("...qp,...jlq,...kmp->...jklm", ginv, d3, np.conj(d3))
     t = np.einsum("...pj,...jklm->...pklm", ginv, rm)
@@ -414,31 +431,29 @@ def harmonic_projection(metric: KahlerMetric, tol: float = 1e-6):
     """
     geo = metric.geometry
     g = assemble(metric)
-    axes = tuple(range(geo.axes))
-    Hbar = g.values.mean(axis=axes)
-    Hbar = (Hbar + Hbar.conj().T) / 2.0
+    Hbar = g.values.mean(axis=tuple(range(1, 1 + geo.axes)), keepdims=True)
     diff = Hbar - g.values  # target Hessian of u
-    rho = np.einsum("...jj->...", diff).real
+    rho = _pairing(_pack(np.eye(geo.n)), diff)  # tr(adj(I) diff), the trace
     sym = geo.laplace_symbol.copy()
     sym[(0,) * geo.axes] = 1.0  # mean sector handled by the gauge shift
     u_hat = _rfft(geo, rho) / sym
     u_hat[(0,) * geo.axes] = 0.0
     u = ScalarField(geo, _irfft(geo, u_hat))
-    residual = float(np.abs(complex_hessian(u).values - diff).max())
+    residual = float(np.abs(_matrices(complex_hessian(u).values - diff)).max())
     if residual > tol:
         raise ProjectionError(
             f"Hessian identity residual {residual:.3e} exceeds {tol:g}: "
             "the input is not of potential form over a constant background"
         )
     u = u - u.max()
-    return FlatMetric(Hbar, geometry=geo), u
+    return FlatMetric(_matrices(Hbar.reshape(-1)), geometry=geo), u
 
 
 def _wedge_density(coeffs: np.ndarray, beta, n: int) -> np.ndarray:
     """Density of eta /\\ omega against dLeb for constant-coefficient eta."""
     if n == 1:
         return 2.0 * float(beta) * _det(coeffs)
-    return 4.0 * _pairing(beta, coeffs)
+    return 4.0 * _pairing(_pack(beta), coeffs)
 
 
 def pair_test_form(metric, form: TestForm) -> float:
@@ -469,19 +484,7 @@ def volume_density(metric, reference: FlatMetric) -> ScalarField:
     geo, v = _coefficients(metric)
     if geo is None:
         raise FieldError("volume_density needs a grid-carrying metric")
-    ref_det = float(_det(reference.H))
+    ref_det = float(_det(_pack(reference.H)))
     if ref_det <= 0:
         raise PositivityError("reference metric is not positive")
     return ScalarField(geo, _det(v) / ref_det)
-
-
-def linfty_vs_lp_laplacian(u: ScalarField, p: float) -> float:
-    """||u - max u||_inf / ||tr_I d dbar u||_{L^p}; needs p > n."""
-    geo = u.geometry
-    if p <= geo.n:
-        raise ValueError(f"exponent must exceed the complex dimension {geo.n}, got {p}")
-    spread = u.max() - u.min()
-    if spread == 0.0:
-        raise ValueError("constant potential: the ratio is undefined")
-    lap = flat_laplacian(u)
-    return spread / lp_norm(lap, p)

@@ -40,6 +40,7 @@ from torusflow import (
     volume,
     volume_density,
 )
+from torusflow.geometry import _matrices
 
 GEO64 = TorusGeometry(1, 64)
 FAMILY_SEED = 90
@@ -130,7 +131,7 @@ def test_criterion_1_spectral_calculus():
             base = 0.7 * np.cos(TWO_PI * theta) - 0.4 * np.sin(TWO_PI * theta)
             phi = ScalarField(geo, base)
             w = [k[2 * j] + 1j * k[2 * j + 1] for j in range(geo.n)]
-            hess = complex_hessian(phi).values
+            hess = _matrices(complex_hessian(phi).values)
             for j, l in product(range(geo.n), repeat=2):
                 expected = -PI_SQ * np.conj(w[j]) * w[l] * base
                 scale = float(np.abs(expected).max())

@@ -28,13 +28,13 @@ from torusflow import (
     check_distance_estimate,
     flat_accuracy_battery,
     flat_distance_exact,
-    graph_distance,
     make_sequence,
     primitive_offsets,
     random_queries,
     run_flow,
 )
 from torusflow import distances
+from torusflow.geometry import _quadratic_form
 from torusflow.runner import config_from_dict, distance_fragment
 
 SQ2 = math.sqrt(2.0)
@@ -153,8 +153,8 @@ def test_flat_battery_within_two_percent(geo1):
 def test_graph_distance_scaling(geo1):
     m1 = KahlerMetric(np.eye(1), 0.04 * cos_field(geo1, 0))
     m4 = KahlerMetric(4.0 * np.eye(1), 4.0 * (0.04 * cos_field(geo1, 0)))
-    d1 = graph_distance(m1, (3, 7), (40, 21))
-    d4 = graph_distance(m4, (3, 7), (40, 21))
+    d1 = MetricGraph(m1).distance((3, 7), (40, 21))
+    d4 = MetricGraph(m4).distance((3, 7), (40, 21))
     assert d4 == pytest.approx(2.0 * d1, rel=1e-12)
 
 
@@ -174,9 +174,8 @@ def test_radius_refines_distances():
     flat = FlatMetric(np.eye(1), geometry=geo)
     # slope-3 direction is outside the r=1 stencil but inside r=3
     target = (4, 12)
-    d1 = graph_distance(flat, (0, 0), target, StencilConfig(radius=1))
-    d2 = graph_distance(flat, (0, 0), target, StencilConfig(radius=2))
-    d3 = graph_distance(flat, (0, 0), target, StencilConfig(radius=3))
+    d1, d2, d3 = (MetricGraph(flat, StencilConfig(radius=r)).distance((0, 0), target)
+                  for r in (1, 2, 3))
     assert d1 >= d2 >= d3
     assert d1 > d3 + 1e-9
     exact = flat_distance_exact(FlatMetric(np.eye(1)), (0, 0), (4 / 32, 12 / 32))
@@ -207,7 +206,8 @@ def test_one_source_battery_matches_all_sources(geo, H):
 
 
 def _coo_graph(metric, radius):
-    """Reference: one COO block per canonical offset, rolled index arrays."""
+    """Reference: one COO block per canonical offset, rolled index arrays;
+    the line element is the closed form pinned in test_geometry."""
     g = assemble(metric)
     geo, vals = g.geometry, g.values
     base = np.arange(geo.npoints).reshape(geo.shape)
@@ -216,8 +216,7 @@ def _coo_graph(metric, radius):
         if v[np.nonzero(v)[0][0]] < 0:
             continue
         disp = v * geo.spacing
-        w = disp[0::2] + 1j * disp[1::2]
-        q = 2.0 * np.einsum("...jk,j,k->...", vals, w, np.conj(w)).real
+        q = 2.0 * _quadratic_form(vals, disp[0::2] + 1j * disp[1::2])
         shift = tuple(-int(c) for c in v)
         rows.append(base.ravel())
         cols.append(np.roll(base, shift, axis=geo.grid_axes).ravel())

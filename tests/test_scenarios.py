@@ -134,7 +134,7 @@ def test_family_sup_exponent():
     sc = fam[0]
     from torusflow import assemble
 
-    g11 = assemble(sc.metric).values[..., 0, 0].real
+    g11 = assemble(sc.metric).values[0]
     assert sc.trace_norm == pytest.approx(g11.max(), rel=1e-12)
 
 
