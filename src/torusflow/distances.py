@@ -254,20 +254,22 @@ def check_distance_estimate(
     """
     geo = trace.initial.geometry
     queries = list(queries)
-    g0_graph = MetricGraph(assemble(trace.initial), stencil)
-    d0 = g0_graph.distance_batch(queries)
+    d0 = MetricGraph(trace.initial, stencil).distance_batch(queries)
 
+    # one assembly per snapshot feeds both |Rm| and, at the distance times, its graph
+    wanted = [trace.snapshot_at(t) for t in times]
     L = 0.0
+    d_at = {}
     for s in trace.snapshots:
-        L = max(L, s.t * float(riemann_norm(s.metric()).values.max()))
+        g = assemble(s.metric())
+        L = max(L, s.t * float(riemann_norm(g).values.max()))
+        if any(s is w for w in wanted):
+            d_at[id(s)] = MetricGraph(g, stencil).distance_batch(queries)
 
     rows = []
     ratios = []
-    for t in times:
-        snap = trace.snapshot_at(t)
-        gt_graph = MetricGraph(assemble(snap.metric()), stencil)
-        dt = gt_graph.distance_batch(queries)
-        for qid, (q, a, b) in enumerate(zip(queries, d0, dt)):
+    for t, snap in zip(times, wanted):
+        for qid, (q, a, b) in enumerate(zip(queries, d0, d_at[id(snap)])):
             gap = float(a - b)
             scale = math.sqrt(max(L * t, 0.0))
             rows.append({"query": qid, "t": t, "d0": float(a), "dt": float(b), "gap": gap})

@@ -14,8 +14,10 @@ Derivatives are Fourier multipliers, exact to rounding for fields whose
 modes stay inside the resolved band, and the rectangle rule (the plain
 mean of grid values) integrates products of band-limited fields exactly.
 
-Wirtinger derivatives use d/dz^j = (d/dx^j - i d/dy^j)/2 and its
-conjugate; on the mode k the multiplier of d_j d_kbar is
+d/dx^a has the multiplier 2 pi i k_a, odd in k: one inverse real
+transform per axis gives the real gradient, from whose x^j and y^j
+parts d/dz^j = (d/dx^j - i d/dy^j)/2 is formed.  The multiplier of
+d_j d_kbar is
 -pi^2 * conj(w_j) * w_k with w_j = k_{x^j} + i k_{y^j}.  Its real and
 imaginary parts are even in k, so each part maps a real field to a real
 field and one inverse real transform per part and entry j <= k gives
@@ -121,12 +123,6 @@ class TorusGeometry:
             out.append(base.reshape(shp))
         return tuple(out)
 
-    @cached_property
-    def wirtinger_modes(self) -> tuple:
-        """w_j = k_{x^j} + i k_{y^j} per complex axis, broadcastable."""
-        m = self.mode_arrays
-        return tuple(m[2 * j] + 1j * m[2 * j + 1] for j in range(self.n))
-
     @property
     def grid_axes(self) -> tuple:
         return tuple(range(self.axes))
@@ -187,6 +183,15 @@ def _hessian(geometry: TorusGeometry, hat: np.ndarray) -> np.ndarray:
     out = np.empty((len(geometry.hessian_symbols),) + geometry.shape)
     for slot, sym in enumerate(geometry.hessian_symbols):
         out[slot] = _irfft(geometry, sym * hat)
+    return out
+
+
+def _gradient(geometry: TorusGeometry, hat: np.ndarray) -> np.ndarray:
+    """d/dx^a of the real field with half spectrum hat, one array per real
+    axis: one inverse real transform per axis."""
+    out = np.empty((geometry.axes,) + geometry.shape)
+    for a, k in enumerate(geometry.half_mode_arrays):
+        out[a] = _irfft(geometry, (TWO_PI * 1j) * k * hat)
     return out
 
 
@@ -263,14 +268,16 @@ class HermitianField:
     """Per-point n x n Hermitian matrix in the packed layout of the
     module docstring: real float64 values of shape (n^2, *grid).
 
-    The layout holds only the upper triangle, so every array of the
-    right shape is Hermitian; construction checks shape and finiteness.
+    The layout holds only the upper triangle, so every real array of the
+    right shape is Hermitian; construction checks reality, shape and finiteness.
     """
 
     geometry: TorusGeometry
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.values):
+            raise FieldError("matrix field values must be the real packed slots, got complex")
         arr = np.asarray(self.values, dtype=np.float64)
         want = (self.geometry.n**2,) + self.geometry.shape
         if arr.shape != want:

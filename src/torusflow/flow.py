@@ -52,9 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import HermitianField, ScalarField, TorusGeometry, _hessian, _irfft, _rfft
 # complex_hessian is not called here, but perfbench/test_perfbench.py
 # checks that its tracer also patches this module's binding of it
-from .fields import ScalarField, TorusGeometry, _hessian, _irfft, _rfft, complex_hessian
+from .fields import complex_hessian
 from .geometry import (
     EPS_POS,
     FlatMetric,
@@ -128,14 +129,14 @@ class FlowState:
 
     phi_osc is the mean-zero part and phi_mean the tracked additive
     constant: the metric ignores the mean but the potential bounds and
-    pairing gaps do not, so it is carried explicitly.
+    pairing gaps do not, so it is carried explicitly.  The rate
+    d phi/dt is not stored; dot_phi derives it from metric().
     """
 
     base: KahlerMetric
     t: float
     phi_osc: ScalarField
     phi_mean: float
-    dot_phi: ScalarField
     last_dt: float
 
     @property
@@ -173,9 +174,14 @@ class FlowTrace:
 
     def snapshot_at(self, t: float) -> FlowState:
         for s in self.snapshots:
-            if abs(s.t - t) <= 1e-9 * max(1.0, t):
+            if _same_time(s.t, t):
                 return s
         raise KeyError(f"no snapshot at t={t}; stored times {self.times}")
+
+
+def _same_time(stored: float, t: float) -> bool:
+    """Whether a stored snapshot time answers a request for time t."""
+    return abs(stored - t) <= 1e-9 * max(1.0, t)
 
 
 class _Evaluation:
@@ -203,9 +209,8 @@ def _rhs(geo: TorusGeometry, log_det_hat: np.ndarray, alpha: FlatMetric,
     return out
 
 
-def _rhs_field(metric: KahlerMetric, alpha: FlatMetric, config: FlowConfig) -> ScalarField:
-    """_rhs on the grid for a potential-form metric."""
-    g = assemble(metric)
+def _rhs_field(g: HermitianField, alpha: FlatMetric, config: FlowConfig) -> ScalarField:
+    """_rhs on the grid for an assembled metric."""
     geo = g.geometry
     log_det_hat = _rfft(geo, log_det_field(g, config.eps_pos).values)
     return ScalarField(geo, _irfft(geo, _rhs(geo, log_det_hat, alpha, config)))
@@ -215,13 +220,14 @@ class _Kernel:
     """Per-flow constants and the spectral step (transform budget in the
     module docstring)."""
 
-    def __init__(self, base: KahlerMetric, config: FlowConfig, alpha: FlatMetric):
+    def __init__(self, base: KahlerMetric, config: FlowConfig):
         self.base = base
         self.config = config
-        self.alpha = alpha
         self.geometry = geo = base.geometry
+        g0 = assemble(base)  # H0 + d dbar psi0, the one assembly of the flow
+        self.alpha, self.flat_potential = harmonic_projection(g0)
         self.H0 = _pack(base.H)
-        self.fixed = assemble(base).values  # H0 + d dbar psi0
+        self.fixed = g0.values
         # tr_{H0}(d dbar): the pairing of H0 with the Hessian symbol over det H0
         self.stab_symbol = _pairing(self.H0, geo.hessian_symbols) / _det(self.H0)
 
@@ -281,7 +287,6 @@ class _Kernel:
             t=t,
             phi_osc=ScalarField(geo, phi_full - mean),
             phi_mean=mean,
-            dot_phi=ScalarField(geo, ev.rhs),
             last_dt=dt,
         )
 
@@ -295,13 +300,12 @@ def dot_phi(state: FlowState, alpha: FlatMetric | None = None, dealias: bool = F
     """
     if alpha is None:
         alpha, _ = harmonic_projection(state.base)
-    return _rhs_field(state.metric(), alpha, FlowConfig(dealias=dealias))
+    return _rhs_field(assemble(state.metric()), alpha, FlowConfig(dealias=dealias))
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
     """One accepted adaptive step from state."""
-    alpha, _ = harmonic_projection(state.base)
-    kernel = _Kernel(state.base, config, alpha)
+    kernel = _Kernel(state.base, config)
     ev = kernel.evaluate(_rfft(state.base.geometry, state.phi.values))
     if ev is None:
         raise FlowFailure("current state is not positive", state)
@@ -335,15 +339,14 @@ def _step(kernel: _Kernel, state: FlowState, ev: _Evaluation, boundaries: tuple)
 
 def run_flow(metric0: KahlerMetric, config: FlowConfig) -> FlowTrace:
     """Integrate from metric0 to t_end, collecting snapshots and diagnostics."""
-    alpha, u = harmonic_projection(metric0)
-    kernel = _Kernel(metric0, config, alpha)
+    kernel = _Kernel(metric0, config)
     geo = metric0.geometry
     ev = kernel.evaluate(np.zeros(geo.dealias_keep.shape, dtype=np.complex128))
     if ev is None:
         zero = ScalarField(geo, np.zeros(geo.shape))
         raise FlowFailure(
             "initial metric is not positive",
-            FlowState(metric0, 0.0, zero, 0.0, zero, 0.0),
+            FlowState(metric0, 0.0, zero, 0.0, 0.0),
         )
     state = kernel.state(0.0, 0.0, ev)
     diagnostics = [kernel.diagnostics(0.0, 0.0, ev)]
@@ -360,8 +363,8 @@ def run_flow(metric0: KahlerMetric, config: FlowConfig) -> FlowTrace:
                 break
     return FlowTrace(
         initial=metric0,
-        alpha=alpha,
-        flat_potential=u,
+        alpha=kernel.alpha,
+        flat_potential=kernel.flat_potential,
         config=config,
         snapshots=tuple(snapshots),
         diagnostics=tuple(diagnostics),

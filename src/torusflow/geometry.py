@@ -27,6 +27,7 @@ from .fields import (
     HermitianField,
     ScalarField,
     TorusGeometry,
+    _gradient,
     _hessian,
     _irfft,
     _rfft,
@@ -358,43 +359,31 @@ def scalar_curvature(metric, eps_pos: float = EPS_POS) -> ScalarField:
     return scalar_curvature_of(g, eps_pos)
 
 
-def riemann_norm(metric: KahlerMetric, eps_pos: float = EPS_POS) -> ScalarField:
-    """Pointwise norm |Rm| of the curvature tensor of g = H + d dbar phi.
+def riemann_norm(metric, eps_pos: float = EPS_POS) -> ScalarField:
+    """Pointwise norm |Rm| of the curvature tensor of g = H + d dbar phi,
+    given as its assembled field or as a KahlerMetric.
 
     R_{j kbar l mbar} = -d_j d_kbar g_{l mbar}
                         + g^{p qbar} (d_j g_{l qbar}) (d_kbar g_{p mbar}),
     fully contracted with the inverse metric.  Scales like 1/lambda when
-    the metric is scaled by lambda.
+    the metric is scaled by lambda.  The derivatives of g come from the
+    half spectra of its packed slots.
     """
-    if not isinstance(metric, KahlerMetric):
-        raise TypeError("riemann_norm needs a potential-form metric")
-    geo = metric.geometry
-    n = geo.n
-    g = assemble(metric)
+    g = assemble(metric) if isinstance(metric, KahlerMetric) else metric
+    if not isinstance(g, HermitianField):
+        raise TypeError("riemann_norm needs a potential-form metric or its assembled field")
+    geo = g.geometry
     if min_eigenvalue(g) < eps_pos:
         raise PositivityError(f"metric eigenvalue below {eps_pos:g}")
-    hat = np.fft.fftn(metric.phi.values)
-    w = geo.wirtinger_modes
-    # d_a has multiplier i*pi*conj(w_a); d_abar has i*pi*w_a
-    d3 = np.zeros(geo.shape + (n, n, n), dtype=np.complex128)  # d_j d_l d_mbar phi
-    for j in range(n):
-        for l in range(j, n):
-            for m in range(n):
-                sym = (1j * math.pi) ** 3 * np.conj(w[j] * w[l]) * w[m]
-                val = np.fft.ifftn(sym * hat)
-                d3[..., j, l, m] = val
-                if l != j:
-                    d3[..., l, j, m] = val
-    d4 = np.zeros(geo.shape + (n, n, n, n), dtype=np.complex128)  # d_j d_kbar d_l d_mbar phi
-    for j in range(n):
-        for l in range(j, n):
-            for k in range(n):
-                for m in range(n):
-                    sym = (math.pi**4) * np.conj(w[j] * w[l]) * w[k] * w[m]
-                    val = np.fft.ifftn(sym * hat)
-                    d4[..., j, k, l, m] = val
-                    if l != j:
-                        d4[..., l, k, j, m] = val
+    # the derivatives of slot s times basis[s], the matrix of that slot alone,
+    # summed over s: d3 = d_j g_{l mbar} on axes (..., j, l, m) and
+    # d4 = d_j d_kbar g_{l mbar} on axes (..., j, k, l, m)
+    basis = _matrices(np.eye(geo.n**2))
+    hats = [_rfft(geo, slot) for slot in g.values]
+    grad = np.stack([_gradient(geo, hat) for hat in hats])
+    d_z = np.moveaxis(grad[:, 0::2] - 1j * grad[:, 1::2], 1, -1) / 2.0
+    d3 = np.tensordot(d_z, basis, axes=(0, 0))
+    d4 = np.tensordot(np.stack([_matrices(_hessian(geo, hat)) for hat in hats]), basis, axes=(0, 0))
     ginv = _matrices(inverse_field(g))
     # g^{p qbar} X_p conj(Y_q) pairs through Ginv[q, p]
     rm = -d4 + np.einsum("...qp,...jlq,...kmp->...jklm", ginv, d3, np.conj(d3))
@@ -421,18 +410,18 @@ def trace_wrt(a, b) -> ScalarField:
     return ScalarField(geo, np.broadcast_to(val, geo.shape).copy())
 
 
-def harmonic_projection(metric: KahlerMetric, tol: float = 1e-6):
-    """Split g into its grid-average matrix plus a potential Hessian.
+def harmonic_projection(metric, tol: float = 1e-6):
+    """Split g (a KahlerMetric or its assembled field) into its
+    grid-average matrix plus a potential Hessian.
 
     Returns (flat, u) with  flat.H = <g>  and  d dbar u = flat.H - g,
     u gauged so that max u = 0.  The potential is recovered through a
     Poisson solve on the trace and then verified against the full
     Hessian identity; a residual above tol is an error.
     """
-    geo = metric.geometry
-    g = assemble(metric)
-    Hbar = g.values.mean(axis=tuple(range(1, 1 + geo.axes)), keepdims=True)
-    diff = Hbar - g.values  # target Hessian of u
+    geo, v = _coefficients(metric)
+    Hbar = v.mean(axis=tuple(range(1, 1 + geo.axes)), keepdims=True)
+    diff = Hbar - v  # target Hessian of u
     rho = _pairing(_pack(np.eye(geo.n)), diff)  # tr(adj(I) diff), the trace
     sym = geo.laplace_symbol.copy()
     sym[(0,) * geo.axes] = 1.0  # mean sector handled by the gauge shift

@@ -41,7 +41,7 @@ from .geometry import (
     volume,
     volume_density,
 )
-from .flow import FlowTrace
+from .flow import FlowTrace, _rhs_field
 
 __all__ = [
     "CheckResult",
@@ -201,7 +201,7 @@ def _measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
         sup_abs_phi = max(sup_abs_phi, float(np.abs(s.phi.values).max()))
         g_t = assemble(s.metric())
         tr_field = trace_wrt(alpha, g_t)
-        weight = s.t ** (n - 1) * np.exp(-s.dot_phi.values)
+        weight = s.t ** (n - 1) * np.exp(-_rhs_field(g_t, alpha, trace.config).values)
         trace_bound = max(trace_bound, float((weight * tr_field.values).max()))
         lo, hi = eigenvalue_range(g_t)
         del g_t  # before the next assembly: two live n = 2 fields set the peak memory

@@ -13,7 +13,8 @@ A flow trace persists as a directory: meta.json (geometry, config,
 matrices, snapshot table), one metric snapshot per stored time, the
 flat-representative potential, the initial potential, and a per-step
 diagnostics CSV with columns t, dt, minR, min_dotphi, max_dotphi,
-mineig, volume.
+mineig, volume.  Loading recomputes nothing: a reader derives a state's
+dot phi from its assembled metric.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import ScalarField, TorusGeometry
-from .flow import FlowConfig, FlowState, FlowTrace, StepDiagnostics, _rhs_field
+from .flow import FlowConfig, FlowState, FlowTrace, StepDiagnostics
 from .geometry import FlatMetric, KahlerMetric
 
 __all__ = [
@@ -247,8 +248,7 @@ def _entry(d: Path, record) -> tuple:
     return d / record["file"], float(record["t"]), float(record["last_dt"])
 
 
-def _state_from_file(entry: tuple, base: KahlerMetric,
-                     alpha: FlatMetric, config: FlowConfig) -> FlowState:
+def _state_from_file(entry: tuple, base: KahlerMetric) -> FlowState:
     path, t, last_dt = entry
     H, total = load_metric_snapshot(path)
     geo = base.geometry
@@ -256,14 +256,11 @@ def _state_from_file(entry: tuple, base: KahlerMetric,
         raise FormatError("snapshot background differs from trace background")
     flow_phi = total.values - base.phi.values
     mean = float(flow_phi.mean())
-    phi_osc = ScalarField(geo, flow_phi - mean)
-    metric = KahlerMetric(base.H, base.phi + phi_osc)  # the state's metric()
     return FlowState(
         base=base,
         t=t,
-        phi_osc=phi_osc,
+        phi_osc=ScalarField(geo, flow_phi - mean),
         phi_mean=mean,
-        dot_phi=_rhs_field(metric, alpha, config),
         last_dt=last_dt,
     )
 
@@ -315,13 +312,12 @@ def load_trace(directory) -> FlowTrace:
     if (geo.n, geo.N) != shape:
         raise FormatError("geometry record disagrees with stored fields")
     base = KahlerMetric(H0, init_phi)
-    alpha = FlatMetric(H_alpha, geometry=geo)
     return FlowTrace(
         initial=base,
-        alpha=alpha,
+        alpha=FlatMetric(H_alpha, geometry=geo),
         flat_potential=load_field(files["flat_potential"]),
         config=config,
-        snapshots=tuple(_state_from_file(e, base, alpha, config) for e in entries),
+        snapshots=tuple(_state_from_file(e, base) for e in entries),
         diagnostics=_read_diagnostics(files["diagnostics"]),
-        final=_state_from_file(final_entry, base, alpha, config),
+        final=_state_from_file(final_entry, base),
     )

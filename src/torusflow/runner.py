@@ -33,9 +33,9 @@ import numpy as np
 
 from . import __version__
 from . import io as tfio
-from .fields import TorusGeometry, constant_field
-from .flow import FlowConfig, FlowTrace, run_flow
-from .geometry import KahlerMetric
+from .fields import FieldError, TorusGeometry, constant_field
+from .flow import FlowConfig, FlowTrace, _same_time, run_flow
+from .geometry import KahlerMetric, PositivityError
 from .geometry import volume as volume_of
 from .harness import build_reports, default_test_forms, family_summary
 from .distances import (
@@ -302,6 +302,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if dist_enabled is None:
         dist_enabled = math.isinf(spec.trace_exponent)
     if dist_enabled:
+        missing = [float(t) for t in d_times if not any(_same_time(s, t) for s in flow.snapshot_times)]
+        if missing:
+            raise ConfigError([f"distance.times: {missing} are not flow snapshot times "
+                               f"{list(flow.snapshot_times)}; distances are read off stored snapshots"])
         try:
             edges = stencil_edges(geometry, radius)
         except ValueError as exc:
@@ -520,23 +524,14 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     timings: dict = {}
     t_start = time.perf_counter()
 
+    scenario_rows = []
     try:
         t0 = time.perf_counter()
         scenarios = _scenarios(config.scenario, config.flat_mode)
         timings["scenario_generation"] = time.perf_counter() - t0
     except ScenarioError as exc:
-        manifest = RunManifest(
-            config_hash=config.config_hash,
-            version=__version__,
-            scenarios=[{"status": "error", "error": f"scenario generation failed: {exc}"}],
-            family={},
-            all_checks_pass=False,
-            any_errors=True,
-            outputs=[],
-            timings={"total": time.perf_counter() - t_start},
-        )
-        tfio.write_json_atomic(out / "manifest.json", manifest.as_dict())
-        return manifest
+        scenarios = []
+        scenario_rows.append({"status": "error", "error": f"scenario generation failed: {exc}"})
 
     # flows, resumable and optionally parallel; a persisted trace that
     # fails to load is recomputed, or reported when only resuming
@@ -568,7 +563,6 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
                 statuses[sc.index] = _flow_one(w)
     timings["flows"] = time.perf_counter() - t0
 
-    scenario_rows = []
     ok_scenarios = []
     for sc in scenarios:
         sdir = scenario_dir(out, sc.index)
@@ -600,25 +594,33 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     all_pass = True
     outputs: list = []
     if ok_scenarios:
-        t0 = time.perf_counter()
-        forms = default_test_forms(
-            config.geometry, count=config.form_count,
-            max_mode=config.scenario.max_mode, seed=config.form_seed,
-        )
-        results, fam, ms = build_reports(
-            ok_scenarios, [traces[sc.index] for sc in ok_scenarios],
-            forms=forms, q_list=list(config.q_list),
-        )
-        summary = family_summary(ms, fam)
-        timings["harness"] = time.perf_counter() - t0
-
-        distance_frags = {}
-        if config.distance_enabled:
+        try:
             t0 = time.perf_counter()
-            for sc in ok_scenarios:
-                distance_frags[sc.index] = distance_fragment(config, traces[sc.index])
-            timings["distance"] = time.perf_counter() - t0
+            forms = default_test_forms(
+                config.geometry, count=config.form_count,
+                max_mode=config.scenario.max_mode, seed=config.form_seed,
+            )
+            results, fam, ms = build_reports(
+                ok_scenarios, [traces[sc.index] for sc in ok_scenarios],
+                forms=forms, q_list=list(config.q_list),
+            )
+            summary = family_summary(ms, fam)
+            timings["harness"] = time.perf_counter() - t0
 
+            distance_frags = {}
+            if config.distance_enabled:
+                t0 = time.perf_counter()
+                for sc in ok_scenarios:
+                    distance_frags[sc.index] = distance_fragment(config, traces[sc.index])
+                timings["distance"] = time.perf_counter() - t0
+        except (PositivityError, FieldError) as exc:
+            # a trace that loads but holds no valid metric: nothing is measured
+            for row in scenario_rows:
+                if row["status"] == "ok":
+                    row["status"] = "error"
+                    row["error"] = f"measurement failed: {type(exc).__name__}: {exc}"
+            ok_scenarios = []
+    if ok_scenarios:
         outputs.extend(
             emit_outputs(out, config, results, fam, summary, ms, distance_frags)
         )

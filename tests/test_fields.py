@@ -138,7 +138,8 @@ def test_hessian_packed_slots_match_complex_transforms(geo2):
     M = complex_hessian(f).values
     assert M.dtype == np.float64 and M.shape == (4,) + geo2.shape
     hat = np.fft.fftn(f.values)
-    w = geo2.wirtinger_modes
+    m = geo2.mode_arrays
+    w = [m[2 * j] + 1j * m[2 * j + 1] for j in range(2)]
     entry = {(j, k): np.fft.ifftn(-PI_SQ * np.conj(w[j]) * w[k] * hat)
              for j in range(2) for k in range(2)}
     for slot, want in enumerate((entry[0, 0].real, entry[0, 1].real,

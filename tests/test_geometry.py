@@ -5,6 +5,7 @@ with b = 0.05 pi^2; the finite-difference oracles in fd_oracles confirm the
 same quantities through an unrelated discretization on a finer grid.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from fd_oracles import riemann_norm_1d, scalar_curvature_1d
 from torusflow import (
     FieldError,
     FlatMetric,
+    FlowConfig,
     HermitianField,
     KahlerMetric,
     MetricGraph,
@@ -34,13 +36,17 @@ from torusflow import (
     pair_test_form,
     pairing_density,
     random_band_limited,
+    random_queries,
     ricci,
     riemann_norm,
+    run_flow,
     scalar_curvature,
     trace_wrt,
     volume,
     volume_density,
 )
+from torusflow.distances import check_distance_estimate
+from torusflow.io import load_trace, save_trace
 from torusflow.geometry import (
     _eigenvalues,
     _matrices,
@@ -135,21 +141,47 @@ def trace_of_unit(m):
     return trace_wrt(m, FlatMetric(np.eye(m.geometry.n)))
 
 
-# HermitianField validations per operation on a potential-form metric:
-# one assembly, plus the Ricci Hessian for ricci
+SHORT_FLOW = FlowConfig(t_end=0.1, snapshot_times=(0.05, 0.1))
+
+
+def short_flow(metric):
+    return run_flow(metric, SHORT_FLOW)
+
+
+def distance_estimate(trace):
+    queries = random_queries(trace.initial.geometry, 3, seed=0)
+    return check_distance_estimate(trace, queries, times=SHORT_FLOW.snapshot_times)
+
+
+# HermitianField validations per operation on a potential-form metric,
+# counted after the optional input step (third entry) has run: one
+# assembly, plus the Ricci Hessian for ricci; none on an assembled field
+# or for loading a trace; a flow assembles its initial metric once and
+# checks the projection residual once; the distance estimate assembles
+# the initial metric and each snapshot once
 ASSEMBLY_BUDGET = {
     "assemble": (assemble, 1),
     "volume": (volume, 1),
     "trace_wrt": (trace_of_unit, 1),
     "MetricGraph": (MetricGraph, 1),
     "ricci": (ricci, 2),
+    "riemann_norm": (riemann_norm, 1),
+    "riemann_norm_of_field": (riemann_norm, 0, lambda m, _dir: assemble(m)),
+    "run_flow": (short_flow, 2),
+    "load_trace": (load_trace, 0, lambda m, d: save_trace(short_flow(m), d)),
+    "check_distance_estimate": (distance_estimate, 1 + len(SHORT_FLOW.snapshot_times),
+                                lambda m, _dir: short_flow(m)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ASSEMBLY_BUDGET))
-def test_assembly_budget(validations, geo1, name):
-    op, budget = ASSEMBLY_BUDGET[name]
-    op(bump_metric(geo1))
+def test_assembly_budget(validations, geo1, tmp_path, name):
+    op, budget, *prepare = ASSEMBLY_BUDGET[name]
+    arg = bump_metric(geo1)
+    if prepare:
+        arg = prepare[0](arg, tmp_path / "trace")
+        validations.clear()
+    op(arg)
     assert len(validations) == budget
 
 
@@ -203,6 +235,11 @@ def test_packed_field_rejects_other_shapes_and_nonfinite(geo1):
     bad[0, 3, 5] = np.nan
     with pytest.raises(FieldError):
         HermitianField(geo1, bad)
+
+
+def test_packed_field_rejects_complex_values(geo1):
+    with pytest.raises(FieldError, match="complex"):
+        HermitianField(geo1, np.ones((1,) + geo1.shape, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +318,69 @@ def test_riemann_norm_of_a_product_metric(geo2):
     want = np.sqrt(rm_f[:, :, None, None] ** 2 + rm_h[None, None] ** 2)
     assert rm_f.max() > 0.1 and rm_h.max() > 0.1
     np.testing.assert_allclose(rm, want, rtol=1e-10)
+
+
+def riemann_norm_reference(metric):
+    """|Rm| through complex transforms of phi: d_a has the multiplier
+    i pi conj(w_a) and d_abar has i pi w_a, with w_a = k_{x^a} + i k_{y^a};
+    the third and fourth derivatives of phi fill their symmetric slots."""
+    geo = metric.geometry
+    n = geo.n
+    g = assemble(metric)
+    hat = np.fft.fftn(metric.phi.values)
+    modes = geo.mode_arrays
+    w = [modes[2 * j] + 1j * modes[2 * j + 1] for j in range(n)]
+    d3 = np.zeros(geo.shape + (n, n, n), dtype=np.complex128)  # d_j d_l d_mbar phi
+    for j in range(n):
+        for l in range(j, n):
+            for m in range(n):
+                sym = (1j * math.pi) ** 3 * np.conj(w[j] * w[l]) * w[m]
+                d3[..., j, l, m] = d3[..., l, j, m] = np.fft.ifftn(sym * hat)
+    d4 = np.zeros(geo.shape + (n,) * 4, dtype=np.complex128)  # d_j d_kbar d_l d_mbar phi
+    for j in range(n):
+        for l in range(j, n):
+            for k in range(n):
+                for m in range(n):
+                    sym = math.pi**4 * np.conj(w[j] * w[l]) * w[k] * w[m]
+                    d4[..., j, k, l, m] = d4[..., l, k, j, m] = np.fft.ifftn(sym * hat)
+    ginv = _matrices(inverse_field(g))
+    rm = -d4 + np.einsum("...qp,...jlq,...kmp->...jklm", ginv, d3, np.conj(d3))
+    t = np.einsum("...pj,...kq,...rl,...ms,...jklm->...pqrs", ginv, ginv, ginv, ginv, rm,
+                  optimize=True)
+    sq = np.einsum("...pqrs,...pqrs->...", t, np.conj(rm)).real
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def mixed_two_dim_metric(geo):
+    x1, y1, x2, y2 = geo.coordinates()
+    psi = (0.01 * np.cos(2 * np.pi * (x1 + y2)) + 0.008 * np.sin(2 * np.pi * (y1 - 2 * x2))
+           + 0.006 * np.cos(2 * np.pi * (x1 + x2 + y1)))
+    return KahlerMetric(np.array([[1.2, 0.3 - 0.2j], [0.3 + 0.2j, 0.9]]), ScalarField(geo, psi))
+
+
+def test_riemann_norm_matches_complex_transform_reference(geo2):
+    m = mixed_two_dim_metric(geo2)
+    got = riemann_norm(m).values
+    want = riemann_norm_reference(m)
+    assert want.max() > 0.1
+    assert np.abs(got - want).max() <= 1e-10 * want.max()
+
+
+def test_riemann_norm_reads_the_assembled_field(geo1, geo2):
+    for m in (bump_metric(geo1), mixed_two_dim_metric(geo2)):
+        assert np.array_equal(riemann_norm(assemble(m)).values, riemann_norm(m).values)
+    with pytest.raises(TypeError):
+        riemann_norm(FlatMetric(np.eye(1), geometry=geo1))
+    with pytest.raises(PositivityError):
+        riemann_norm(assemble(bump_metric(geo1, a=0.2)))
+
+
+def test_riemann_norm_is_the_scalar_curvature_in_one_dimension(geo1):
+    """At n = 1, |Rm| = (g^{1 1bar})^2 |R_{1 1bar 1 1bar}| = |R|."""
+    m = KahlerMetric(1.3 * np.eye(1), 5e-4 * random_band_limited(5, 3, geo1))
+    rm = riemann_norm(m).values
+    r = np.abs(scalar_curvature(m).values)
+    assert np.abs(rm - r).max() <= 1e-10 * r.max()
 
 
 def test_flat_curvature_is_zero(geo1):

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from torusflow.cli import (
@@ -13,7 +14,8 @@ from torusflow.cli import (
     EXIT_SCENARIO_ERROR,
     main,
 )
-from torusflow import ProjectionError, runner
+from torusflow import ProjectionError, ScalarField, runner
+from torusflow.io import load_metric_snapshot, save_metric_snapshot
 from torusflow.runner import (
     ConfigError,
     config_from_dict,
@@ -161,6 +163,19 @@ def test_distance_radius_must_fit_grid(N, ok):
         ]
         d["distance"]["enabled"] = False  # the rule binds only a stage that runs
         assert config_from_dict(d).distance_enabled is False
+
+
+def test_distance_times_must_be_snapshot_times():
+    d = {"geometry": {"n": 1, "N": 16}, "scenario": {"indices": [1], "max_mode": 1, "p": "inf"},
+         "flow": {"snapshot_times": [0.05, 0.25]}, "distance": {"times": [0.05, 0.1, 0.25 + 1e-12]}}
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    assert err.value.errors == [
+        "distance.times: [0.1] are not flow snapshot times [0.05, 0.25]; "
+        "distances are read off stored snapshots"
+    ]
+    d["distance"]["enabled"] = False  # the rule binds only a stage that runs
+    assert config_from_dict(d).distance_enabled is False
 
 
 def test_background_parsing():
@@ -530,6 +545,32 @@ def test_unloadable_trace_is_recomputed(tmp_path):
     assert len(final.read_bytes()) > 100
 
 
+def test_cli_check_reports_a_nonpositive_snapshot(tmp_path, capsys):
+    """A well-formed trace whose stored potential is no metric: check ends
+    in error rows and a manifest, and leaves the trace as it found it."""
+    d = json.loads(json.dumps(FLAT_DICT))
+    d["scenario"]["indices"] = [1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    args = ["--config", str(cfg), "--out", str(out)]
+    assert main(["run", *args]) == EXIT_OK
+    trace_dir = out / "scenario_i001" / "trace"
+    snap = trace_dir / "snapshot_t0.050000.tkrf"
+    H, phi = load_metric_snapshot(snap)
+    x = phi.geometry.coordinate(0)
+    save_metric_snapshot(H, ScalarField(phi.geometry, 0.2 * np.cos(2 * np.pi * x)), snap)
+    stored = {p.name: p.read_bytes() for p in trace_dir.iterdir()}
+    (out / "manifest.json").unlink()
+
+    assert main(["check", *args]) == EXIT_SCENARIO_ERROR
+    assert "eigenvalue below" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [row["status"] for row in manifest["scenarios"]] == ["error"]
+    assert manifest["any_errors"] and not manifest["all_checks_pass"]
+    assert {p.name: p.read_bytes() for p in trace_dir.iterdir()} == stored
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -668,6 +709,18 @@ def test_cli_rejects_graph_over_edge_budget(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG_ERROR
     assert "73,400,320 graph edges" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_distance_time_without_snapshot(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"geometry": {"n": 1, "N": 16},
+                             "scenario": {"indices": [1], "max_mode": 1, "p": "inf"},
+                             "flow": {"snapshot_times": [0.05, 0.25]},
+                             "distance": {"times": [0.1]}}))
+    code = main(["run", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG_ERROR
+    assert "distance.times: [0.1] are not flow snapshot times" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
