@@ -6,6 +6,8 @@ Scenario i carries random band-limited initial data scaled so its scalar
 curvature floor sits in [-1/i, -1/(2i)]. Flowing every member and fitting
 one constant per estimate across the whole family reproduces the expected
 decay rates: curvature-scale quantities shrink like 1/sqrt(i) or faster.
+Each trace is measured as soon as it is computed and then released, as
+the batch runner does.
 """
 
 import math
@@ -19,6 +21,8 @@ from torusflow import (
     family_summary,
     fit_rate,
     make_sequence,
+    measure,
+    pairing_density,
     run_flow,
 )
 
@@ -30,16 +34,21 @@ print(f"{'i':>4} {'amplitude':>12} {'curv floor':>12} {'trace norm':>11}")
 for sc in scenarios:
     print(f"{sc.index:4d} {sc.amplitude:12.6f} {sc.curvature_floor:12.6f} {sc.trace_norm:11.4f}")
 
-traces = [run_flow(sc.metric, FlowConfig()) for sc in scenarios]
 forms = default_test_forms(geo)
-results, fam, ms = build_reports(scenarios, traces, forms=forms, q_list=[1.0, 1.5])
+densities = [pairing_density(form) for _, form in forms]
+ms = [
+    measure(run_flow(sc.metric, FlowConfig()), sc.index, sc.amplitude, forms, densities,
+            [1.0, 1.5])
+    for sc in scenarios
+]
+reports, fam = build_reports(ms)
 
 print("\nfamily-fitted constants:")
 for name, value in fam.items():
     print(f"  {name:24s} {value:.6f}")
 
 print("\nper-scenario check verdicts (i=1):")
-for name, chk in sorted(results[0].report.checks.items()):
+for name, chk in sorted(reports[0].checks.items()):
     print(f"  {name:22s} slack {chk.slack:+.3e}  pass={chk.passed}")
 
 # decay rates across the family; the model heuristics predict -1/2

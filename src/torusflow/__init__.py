@@ -64,12 +64,12 @@ from .scenarios import (
 from .harness import (
     CheckResult,
     EstimateReport,
-    ScenarioResult,
     build_reports,
     check_scalar_floor,
     default_test_forms,
     family_summary,
     fit_rate,
+    measure,
 )
 from .distances import (
     DistanceQuery,
@@ -105,8 +105,8 @@ __all__ = [
     "StepDiagnostics", "dot_phi", "run_flow", "step",
     "BracketFailure", "Scenario", "ScenarioError", "ScenarioSpec",
     "ZeroShape", "calibrate_amplitude", "make_sequence",
-    "CheckResult", "EstimateReport", "ScenarioResult", "build_reports",
-    "check_scalar_floor", "default_test_forms", "family_summary", "fit_rate",
+    "CheckResult", "EstimateReport", "build_reports", "check_scalar_floor",
+    "default_test_forms", "family_summary", "fit_rate", "measure",
     "DistanceQuery", "MetricGraph", "StencilConfig",
     "check_distance_estimate", "flat_accuracy_battery",
     "flat_distance_exact", "primitive_offsets", "random_queries",

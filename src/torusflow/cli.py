@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tfio
-from .flow import FlowFailure
 from .geometry import ProjectionError, harmonic_projection, ricci, volume
 from .runner import (
     ConfigError,
+    check_distance_times,
     distance_fragment,
     distance_passed,
     ensure_trace,
@@ -91,10 +91,9 @@ def _cmd_flow(args) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
-    try:
-        trace = ensure_trace(config, out, scenario)
-    except FlowFailure as exc:
-        print(f"flow failed: {exc}", file=sys.stderr)
+    trace, why = ensure_trace(config, out, scenario)
+    if trace is None:
+        print(why, file=sys.stderr)
         return EXIT_SCENARIO_ERROR
     last = trace.diagnostics[-1]
     print(f"flow complete: i={scenario.index}, t={last.t:.6g}, steps={len(trace.diagnostics) - 1}")
@@ -133,15 +132,16 @@ def _cmd_project(args) -> int:
 
 def _cmd_distance(args) -> int:
     config = parse_config(args.config, args.seed)
+    check_distance_times(config.flow.snapshot_times, config.distance_times)
     out = _resolve_out(args, config)
     try:
         scenario = first_scenario(config)
-        trace = ensure_trace(config, out, scenario)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
-    except FlowFailure as exc:
-        print(f"flow failed: {exc}", file=sys.stderr)
+    trace, why = ensure_trace(config, out, scenario)
+    if trace is None:
+        print(why, file=sys.stderr)
         return EXIT_SCENARIO_ERROR
     frag = distance_fragment(config, trace)
     battery = frag["flat_battery"]

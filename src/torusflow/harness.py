@@ -2,12 +2,12 @@
 
 Every check produces a named entry with the measured constant(s), a
 signed slack, a tolerance, and a pass flag; pass means slack >= -tol.
-Per-scenario raw measurements are taken first, family-level constants
-are fitted over the index sweep (as the smallest constant making each
-bound hold family-wide), and the per-scenario entries then record the
-slack against the fitted constant.  The interesting content is in the
-decay-rate fits: measured quantities regressed against the index i on
-log-log axes.
+Per-scenario raw measurements are taken first, one trace at a time
+(`measure`); family-level constants are then fitted over the index sweep
+(as the smallest constant making each bound hold family-wide), and the
+per-scenario entries record the slack against the fitted constant.  The
+interesting content is in the decay-rate fits: measured quantities
+regressed against the index i on log-log axes.
 
 Check names, fixed for the JSON report schema:
 
@@ -36,7 +36,6 @@ from .geometry import (
     assemble,
     eigenvalue_range,
     pair_test_form,
-    pairing_density,
     trace_wrt,
     volume,
     volume_density,
@@ -46,11 +45,11 @@ from .flow import FlowTrace, _rhs_field
 __all__ = [
     "CheckResult",
     "EstimateReport",
-    "ScenarioResult",
     "RateFit",
     "default_test_forms",
     "check_scalar_floor",
     "fit_rate",
+    "measure",
     "build_reports",
     "family_summary",
 ]
@@ -101,14 +100,6 @@ class EstimateReport:
             "checks": {k: v.as_dict() for k, v in sorted(self.checks.items())},
             "pass": self.all_passed,
         }
-
-
-@dataclass
-class ScenarioResult:
-    index: int
-    amplitude: float
-    report: EstimateReport
-    trace: FlowTrace
 
 
 @dataclass(frozen=True)
@@ -177,10 +168,14 @@ class ScenarioMeasurement:
     l1_budget: float
     lq_norms: dict
     v_minus_one_l1: float
+    scalar_floor: CheckResult
+    min_scalar_vs_t: list  # (t, min_x R) per diagnostics row, sorted by t
 
 
-def _measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
-             q_list) -> ScenarioMeasurement:
+def measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
+            q_list) -> ScenarioMeasurement:
+    """Everything the reports read off one scenario's trace, which it does
+    not keep.  densities: `pairing_density` of each (label, form) in forms."""
     geo = trace.initial.geometry
     n = geo.n
     alpha = trace.alpha
@@ -258,6 +253,8 @@ def _measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
         l1_budget=l1_budget,
         lq_norms=lq,
         v_minus_one_l1=v_minus_one_l1,
+        scalar_floor=check_scalar_floor(trace, index),
+        min_scalar_vs_t=sorted((d.t, d.min_scalar_curvature) for d in trace.diagnostics),
     )
 
 
@@ -363,28 +360,17 @@ def _volume_density_result(m: ScenarioMeasurement) -> CheckResult:
     return _result("volume_density", constants, slack, 0.0)
 
 
-def build_reports(scenarios, traces, forms=None, q_list=None):
+def build_reports(ms):
     """Per-scenario reports with family-fitted constants.
 
-    scenarios: list of Scenario (from make_sequence); traces: matching
-    FlowTrace list.  Returns (list of ScenarioResult, family constants).
+    ms: the ScenarioMeasurement of every scenario in the family, from
+    `measure`.  Returns (list of EstimateReport in the order of ms,
+    family constants).
     """
-    if len(scenarios) != len(traces):
-        raise ValueError("scenario and trace lists differ in length")
-    geo = scenarios[0].metric.geometry
-    if forms is None:
-        forms = default_test_forms(geo)
-    if q_list is None:
-        q_list = [float(geo.n), 1.5 * geo.n]
-    densities = [pairing_density(form) for _, form in forms]
-    ms = [
-        _measure(tr, sc.index, sc.amplitude, forms, densities, q_list)
-        for sc, tr in zip(scenarios, traces)
-    ]
     fam = _fit_family(ms)
-    results = []
-    for sc, tr, m in zip(scenarios, traces, ms):
-        rep = EstimateReport(index=sc.index, amplitude=sc.amplitude)
+    reports = []
+    for m in ms:
+        rep = EstimateReport(index=m.index, amplitude=m.amplitude)
         floor_fit = fam["flat_floor_constant"]
         rep.add(
             _result(
@@ -404,11 +390,11 @@ def build_reports(scenarios, traces, forms=None, q_list=None):
         )
         for res in _flow_bound_results(m, fam).values():
             rep.add(res)
-        rep.add(check_scalar_floor(tr, sc.index))
+        rep.add(m.scalar_floor)
         rep.add(_weak_convergence_result(m, fam["pairing_constant"]))
         rep.add(_volume_density_result(m))
-        results.append(ScenarioResult(sc.index, sc.amplitude, rep, tr))
-    return results, fam, ms
+        reports.append(rep)
+    return reports, fam
 
 
 DEGENERATE = 1e-12  # below this a measured family is flat, not decaying

@@ -17,6 +17,11 @@ A run directory looks like
 Re-running with the same config resumes from persisted traces (matching
 trace_key) and regenerates everything downstream, byte-identically apart
 from manifest timings.
+
+Scenarios are measured one at a time: each trace is loaded, measured,
+given its distance fragment and released before the next is loaded.  A
+scenario whose flow fails, or whose trace cannot be loaded or measured,
+is that scenario's error row; the family is fitted over the others.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import hashlib
 import json
 import math
 import time
+from itertools import repeat
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -35,9 +41,9 @@ from . import __version__
 from . import io as tfio
 from .fields import FieldError, TorusGeometry, constant_field
 from .flow import FlowConfig, FlowTrace, _same_time, run_flow
-from .geometry import KahlerMetric, PositivityError
+from .geometry import KahlerMetric, PositivityError, pairing_density
 from .geometry import volume as volume_of
-from .harness import build_reports, default_test_forms, family_summary
+from .harness import build_reports, default_test_forms, family_summary, measure
 from .distances import (
     MAX_GRAPH_EDGES,
     StencilConfig,
@@ -54,6 +60,7 @@ __all__ = [
     "RunManifest",
     "parse_config",
     "config_from_dict",
+    "check_distance_times",
     "first_scenario",
     "scenario_dir",
     "ensure_trace",
@@ -302,10 +309,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if dist_enabled is None:
         dist_enabled = math.isinf(spec.trace_exponent)
     if dist_enabled:
-        missing = [float(t) for t in d_times if not any(_same_time(s, t) for s in flow.snapshot_times)]
-        if missing:
-            raise ConfigError([f"distance.times: {missing} are not flow snapshot times "
-                               f"{list(flow.snapshot_times)}; distances are read off stored snapshots"])
+        check_distance_times(flow.snapshot_times, d_times)
         try:
             edges = stencil_edges(geometry, radius)
         except ValueError as exc:
@@ -358,6 +362,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         seed=seed,
         normalized=normalized,
     )
+
+
+def check_distance_times(snapshot_times, times) -> None:
+    """ConfigError unless every distance time is a flow snapshot time:
+    distances are read off stored snapshots."""
+    missing = [float(t) for t in times if not any(_same_time(s, t) for s in snapshot_times)]
+    if missing:
+        raise ConfigError([f"distance.times: {missing} are not flow snapshot times "
+                           f"{list(snapshot_times)}; distances are read off stored snapshots"])
 
 
 def parse_config(path, seed: int | None = None) -> ExperimentConfig:
@@ -432,21 +445,24 @@ def first_scenario(config: ExperimentConfig) -> Scenario:
     return _scenarios(spec, config.flat_mode)[0]
 
 
-def _flow_and_save(metric, flow_config, sdir: Path, trace_key: str) -> FlowTrace:
-    trace = run_flow(metric, flow_config)
-    tfio.save_trace(trace, sdir / "trace")
-    (sdir / "trace_key.txt").write_text(trace_key + "\n")
-    return trace
-
-
-def _flow_one(args):
+def _flow_one(config: ExperimentConfig, scenario: Scenario, out: Path) -> tuple:
     """Worker: run one flow and persist it; returns a status tuple."""
-    metric, flow_config, sdir, trace_key = args
+    sdir = scenario_dir(out, scenario.index)
     try:
-        _flow_and_save(metric, flow_config, sdir, trace_key)
+        tfio.save_trace(run_flow(scenario.metric, config.flow), sdir / "trace")
+        (sdir / "trace_key.txt").write_text(config.trace_key + "\n")
         return ("ok", None)
     except Exception as exc:  # any failure becomes this scenario's error row
         return ("error", f"flow failed: {type(exc).__name__}: {exc}")
+
+
+def _has_persisted_trace(sdir: Path, trace_key: str) -> bool:
+    key_file = sdir / "trace_key.txt"
+    return (
+        key_file.exists()
+        and (sdir / "trace" / "meta.json").exists()
+        and key_file.read_text().strip() == trace_key
+    )
 
 
 def _load_trace(sdir: Path) -> tuple:
@@ -457,27 +473,27 @@ def _load_trace(sdir: Path) -> tuple:
         return None, f"trace reload failed: {exc}"
 
 
-def _persisted_trace(sdir: Path, trace_key: str) -> tuple:
-    """(trace, None) for a loadable trace persisted under trace_key, else (None, reason)."""
-    key_file = sdir / "trace_key.txt"
-    if not (
-        key_file.exists()
-        and (sdir / "trace" / "meta.json").exists()
-        and key_file.read_text().strip() == trace_key
-    ):
-        return None, "no persisted trace for this config; run the full pipeline first"
-    return _load_trace(sdir)
-
-
-def ensure_trace(config: ExperimentConfig, out, scenario: Scenario) -> FlowTrace:
-    """The scenario's persisted trace when it matches the config and loads;
-    otherwise a fresh flow, persisted in its place."""
+def _scenario_trace(config: ExperimentConfig, out: Path, scenario: Scenario,
+                    resume_only: bool) -> tuple:
+    """(trace, None) for the trace persisted under the config's trace key, or
+    (None, reason); unless resume_only, a missing or unloadable trace is
+    first flowed again."""
     sdir = scenario_dir(out, scenario.index)
-    trace, _ = _persisted_trace(sdir, config.trace_key)
-    if trace is None:
-        sdir.mkdir(parents=True, exist_ok=True)
-        trace = _flow_and_save(scenario.metric, config.flow, sdir, config.trace_key)
-    return trace
+    if _has_persisted_trace(sdir, config.trace_key):
+        trace, why = _load_trace(sdir)
+        if trace is not None or resume_only:
+            return trace, why
+    elif resume_only:
+        return None, "no persisted trace for this config; run the full pipeline first"
+    status, why = _flow_one(config, scenario, out)
+    return _load_trace(sdir) if status == "ok" else (None, why)
+
+
+def ensure_trace(config: ExperimentConfig, out, scenario: Scenario) -> tuple:
+    """(trace, None) for the scenario's persisted trace when it matches the
+    config and loads, else for a fresh flow persisted in its place;
+    (None, reason) when that flow fails."""
+    return _scenario_trace(config, out, scenario, resume_only=False)
 
 
 def distance_fragment(config: ExperimentConfig, trace: FlowTrace) -> dict:
@@ -516,6 +532,28 @@ def write_distance_csv(sdir: Path, frag: dict) -> Path:
     return path
 
 
+def _measure_scenario(config: ExperimentConfig, out: Path, scenario: Scenario, forms,
+                      densities, resume_only: bool, timings: dict) -> tuple:
+    """(measurement, distance fragment or None, None), or (None, None, reason).
+    The trace lives only in this call, so the caller holds one at a time."""
+    trace, why = _scenario_trace(config, out, scenario, resume_only)
+    if trace is None:
+        return None, None, why
+    try:
+        t0 = time.perf_counter()
+        m = measure(trace, scenario.index, scenario.amplitude, forms, densities,
+                    list(config.q_list))
+        t1 = time.perf_counter()
+        timings["harness"] += t1 - t0
+        frag = None
+        if config.distance_enabled:
+            frag = distance_fragment(config, trace)
+            timings["distance"] += time.perf_counter() - t1
+    except (PositivityError, FieldError) as exc:  # a trace that holds no valid metric
+        return None, None, f"measurement failed: {type(exc).__name__}: {exc}"
+    return m, frag, None
+
+
 def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
                    resume_only: bool = False) -> RunManifest:
     """Full pipeline; with resume_only no flow is computed, only reloaded."""
@@ -533,48 +571,46 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         scenarios = []
         scenario_rows.append({"status": "error", "error": f"scenario generation failed: {exc}"})
 
-    # flows, resumable and optionally parallel; a persisted trace that
-    # fails to load is recomputed, or reported when only resuming
-    traces = {}
-    statuses = {}
-    pending = []
-    for sc in scenarios:
-        sdir = scenario_dir(out, sc.index)
-        sdir.mkdir(parents=True, exist_ok=True)
-        trace, why = _persisted_trace(sdir, config.trace_key)
-        if trace is not None:
-            traces[sc.index] = trace
-        elif resume_only:
-            statuses[sc.index] = ("error", why)
-        else:
-            pending.append(sc)
+    # flows for scenarios with no persisted trace, optionally parallel; the
+    # pool forks all its workers at once, so it gets no more than there are flows
+    pending = [] if resume_only else [
+        sc for sc in scenarios
+        if not _has_persisted_trace(scenario_dir(out, sc.index), config.trace_key)
+    ]
     t0 = time.perf_counter()
-    if pending:
-        work = [
-            (sc.metric, config.flow, scenario_dir(out, sc.index), config.trace_key)
-            for sc in pending
-        ]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for sc, res in zip(pending, pool.map(_flow_one, work)):
-                    statuses[sc.index] = res
-        else:
-            for sc, w in zip(pending, work):
-                statuses[sc.index] = _flow_one(w)
+    workers = min(jobs, len(pending))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            flowed = list(pool.map(_flow_one, repeat(config), pending, repeat(out)))
+    else:
+        flowed = [_flow_one(config, sc, out) for sc in pending]
+    statuses = {sc.index: res for sc, res in zip(pending, flowed)}
     timings["flows"] = time.perf_counter() - t0
 
-    ok_scenarios = []
+    t0 = time.perf_counter()
+    forms = default_test_forms(
+        config.geometry, count=config.form_count,
+        max_mode=config.scenario.max_mode, seed=config.form_seed,
+    )
+    densities = [pairing_density(form) for _, form in forms]
+    timings["harness"] = time.perf_counter() - t0
+    if config.distance_enabled:
+        timings["distance"] = 0.0
+
+    ms = []
+    distance_frags = {}
     for sc in scenarios:
         sdir = scenario_dir(out, sc.index)
         status, err = statuses.get(sc.index, ("ok", None))
-        if status == "ok" and sc.index not in traces:
-            trace, err = _load_trace(sdir)
-            if trace is None:
+        if status == "ok":
+            m, frag, err = _measure_scenario(config, out, sc, forms, densities,
+                                             resume_only, timings)
+            if m is None:
                 status = "error"
             else:
-                traces[sc.index] = trace
-        if status == "ok":
-            ok_scenarios.append(sc)
+                ms.append(m)
+                if frag is not None:
+                    distance_frags[sc.index] = frag
         scenario_rows.append(
             {
                 "index": sc.index,
@@ -593,39 +629,16 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     family: dict = {}
     all_pass = True
     outputs: list = []
-    if ok_scenarios:
-        try:
-            t0 = time.perf_counter()
-            forms = default_test_forms(
-                config.geometry, count=config.form_count,
-                max_mode=config.scenario.max_mode, seed=config.form_seed,
-            )
-            results, fam, ms = build_reports(
-                ok_scenarios, [traces[sc.index] for sc in ok_scenarios],
-                forms=forms, q_list=list(config.q_list),
-            )
-            summary = family_summary(ms, fam)
-            timings["harness"] = time.perf_counter() - t0
-
-            distance_frags = {}
-            if config.distance_enabled:
-                t0 = time.perf_counter()
-                for sc in ok_scenarios:
-                    distance_frags[sc.index] = distance_fragment(config, traces[sc.index])
-                timings["distance"] = time.perf_counter() - t0
-        except (PositivityError, FieldError) as exc:
-            # a trace that loads but holds no valid metric: nothing is measured
-            for row in scenario_rows:
-                if row["status"] == "ok":
-                    row["status"] = "error"
-                    row["error"] = f"measurement failed: {type(exc).__name__}: {exc}"
-            ok_scenarios = []
-    if ok_scenarios:
+    if ms:
+        t0 = time.perf_counter()
+        reports, fam = build_reports(ms)
+        summary = family_summary(ms, fam)
+        timings["harness"] += time.perf_counter() - t0
         outputs.extend(
-            emit_outputs(out, config, results, fam, summary, ms, distance_frags)
+            emit_outputs(out, config, reports, fam, summary, ms, distance_frags)
         )
-        for r in results:
-            if not r.report.all_passed:
+        for rep in reports:
+            if not rep.all_passed:
                 all_pass = False
         for section in summary.get("rates", {}).values():
             if section.get("applicable", True) and not section.get("pass", True):
@@ -673,14 +686,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def emit_outputs(out: Path, config: ExperimentConfig, results, fam, summary, ms,
+def emit_outputs(out: Path, config: ExperimentConfig, reports, fam, summary, ms,
                  distance_frags) -> list:
     written = []
-    by_index = {m.index: m for m in ms}
 
-    for r in results:
+    for r in reports:
         sdir = scenario_dir(out, r.index)
-        report = r.report.as_dict()
+        report = r.as_dict()
         if r.index in distance_frags:
             frag = dict(distance_frags[r.index])
             frag.pop("flat_rows", None)
@@ -690,7 +702,7 @@ def emit_outputs(out: Path, config: ExperimentConfig, results, fam, summary, ms,
 
         rows = [
             (name, _fmt(chk.slack), _fmt(chk.tolerance), str(chk.passed).lower())
-            for name, chk in sorted(r.report.checks.items())
+            for name, chk in sorted(r.checks.items())
         ]
         if r.index in distance_frags:
             for drow in distance_frags[r.index]["rows"]:
@@ -729,13 +741,9 @@ def emit_outputs(out: Path, config: ExperimentConfig, results, fam, summary, ms,
         row.extend(_fmt(r[3]) for r in m.forms)
         row.append(_fmt(m.v_minus_one_l1))
         row.extend(_fmt(m.lq_norms[q]) for q in sorted(m.lq_norms))
-        if distance_frags:
-            frag = distance_frags.get(m.index)
-            row.extend(
-                [_fmt(frag["min_slack"]), _fmt(frag["max_flat_relative_gap"])]
-                if frag
-                else ["", ""]
-            )
+        if distance_frags:  # every measured scenario has its fragment
+            frag = distance_frags[m.index]
+            row.extend([_fmt(frag["min_slack"]), _fmt(frag["max_flat_relative_gap"])])
         fam_rows.append(row)
     tfio.write_csv_atomic(out / "family.csv", header, fam_rows)
     written.append(out / "family.csv")
@@ -745,10 +753,10 @@ def emit_outputs(out: Path, config: ExperimentConfig, results, fam, summary, ms,
 
     plots = out / "plots"
     plots.mkdir(exist_ok=True)
-    for r in results:
-        rows = sorted((d.t, d.min_scalar_curvature) for d in r.trace.diagnostics)
-        path = plots / f"min_scalar_vs_t_i{r.index:03d}.csv"
-        tfio.write_csv_atomic(path, ("t", "min_scalar_curvature"), [(_fmt(a), _fmt(b)) for a, b in rows])
+    for m in ms:
+        path = plots / f"min_scalar_vs_t_i{m.index:03d}.csv"
+        tfio.write_csv_atomic(path, ("t", "min_scalar_curvature"),
+                              [(_fmt(a), _fmt(b)) for a, b in m.min_scalar_vs_t])
         written.append(path)
     series = [
         ("inf_dot_phi_vs_i.csv", ("i", "inf_dot_phi"), [(m.index, m.inf_dot_phi) for m in ms]),

@@ -33,6 +33,8 @@ from torusflow import (
     flat_laplacian,
     harmonic_projection,
     make_sequence,
+    measure,
+    pairing_density,
     random_queries,
     ricci,
     run_flow,
@@ -81,9 +83,12 @@ def family64():
         traces[sc.index] = run_flow(sc.metric, FlowConfig())
         flow_seconds[sc.index] = time.perf_counter() - t0
     forms = default_test_forms(GEO64)
-    results, fam, ms = build_reports(
-        scenarios, [traces[sc.index] for sc in scenarios], forms=forms, q_list=[1.0, 1.5]
-    )
+    densities = [pairing_density(form) for _, form in forms]
+    ms = [
+        measure(traces[sc.index], sc.index, sc.amplitude, forms, densities, [1.0, 1.5])
+        for sc in scenarios
+    ]
+    results, fam = build_reports(ms)
     return {
         "scenarios": {sc.index: sc for sc in scenarios},
         "traces": traces,

@@ -18,6 +18,8 @@ from torusflow import (
     family_summary,
     fit_rate,
     make_sequence,
+    measure,
+    pairing_density,
     run_flow,
 )
 
@@ -88,6 +90,18 @@ def test_default_forms_two_dim(geo2):
 # full harness over a calibrated family
 
 
+def measure_family(scenarios, traces):
+    """`measure` on each scenario with the default forms and q list."""
+    geo = scenarios[0].metric.geometry
+    forms = default_test_forms(geo)
+    densities = [pairing_density(form) for _, form in forms]
+    q_list = [float(geo.n), 1.5 * geo.n]
+    return [
+        measure(tr, sc.index, sc.amplitude, forms, densities, q_list)
+        for sc, tr in zip(scenarios, traces)
+    ]
+
+
 @pytest.fixture(scope="module")
 def reported_family():
     geo = TorusGeometry(1, 32)
@@ -95,30 +109,31 @@ def reported_family():
     scenarios = make_sequence(spec)
     cfg = FlowConfig(t_end=1.0)
     traces = [run_flow(sc.metric, cfg) for sc in scenarios]
-    results, fam, ms = build_reports(scenarios, traces)
-    return scenarios, traces, results, fam, ms
+    ms = measure_family(scenarios, traces)
+    reports, fam = build_reports(ms)
+    return scenarios, traces, reports, fam, ms
 
 
 def test_reports_have_every_check(reported_family):
-    _, _, results, _, _ = reported_family
-    for res in results:
-        assert set(res.report.checks) == CHECK_NAMES
+    _, _, reports, _, _ = reported_family
+    for rep in reports:
+        assert set(rep.checks) == CHECK_NAMES
 
 
 def test_reports_all_pass(reported_family):
-    _, _, results, _, _ = reported_family
-    for res in results:
-        for name, check in res.report.checks.items():
-            assert check.passed, f"i={res.index} {name}: slack={check.slack}"
+    _, _, reports, _, _ = reported_family
+    for rep in reports:
+        for name, check in rep.checks.items():
+            assert check.passed, f"i={rep.index} {name}: slack={check.slack}"
             assert check.slack >= -check.tolerance
 
 
 def test_fitted_constants_cover_family(reported_family):
     """Family constants are the smallest ones, so some slack is ~0."""
-    _, _, results, fam, _ = reported_family
+    _, _, reports, fam, _ = reported_family
     for key in ("potential_bound", "rate_lower_constant", "trace_bound_constant"):
         assert fam[key] >= 0.0
-    tightest = min(r.report.checks["rate_lower"].slack for r in results)
+    tightest = min(rep.checks["rate_lower"].slack for rep in reports)
     assert abs(tightest) < 1e-9
 
 
@@ -143,16 +158,18 @@ def test_l1_monotone_section(reported_family):
 
 
 def test_scalar_floor_single_check(reported_family):
-    scenarios, traces, _, _, _ = reported_family
-    for sc, tr in zip(scenarios, traces):
+    scenarios, traces, reports, _, ms = reported_family
+    for sc, tr, rep, m in zip(scenarios, traces, reports, ms):
         res = check_scalar_floor(tr, sc.index)
         assert res.name == "scalar_floor"
         assert res.passed
+        assert m.scalar_floor == res == rep.checks["scalar_floor"]
+        assert m.min_scalar_vs_t == sorted((d.t, d.min_scalar_curvature) for d in tr.diagnostics)
 
 
 def test_check_result_serialization(reported_family):
-    _, _, results, _, _ = reported_family
-    d = results[0].report.as_dict()
+    _, _, reports, _, _ = reported_family
+    d = reports[0].as_dict()
     assert d["index"] == 1
     for name, entry in d["checks"].items():
         assert name in CHECK_NAMES
@@ -186,17 +203,11 @@ def test_flat_family_all_pass_no_rates():
     scenarios = flat_scenarios(geo, (1, 4, 16))
     cfg = FlowConfig(t_end=0.25, snapshot_times=(0.05, 0.25))
     traces = [run_flow(sc.metric, cfg) for sc in scenarios]
-    results, fam, ms = build_reports(scenarios, traces)
-    for res in results:
-        assert res.report.all_passed
+    ms = measure_family(scenarios, traces)
+    reports, fam = build_reports(ms)
+    for rep in reports:
+        assert rep.all_passed
     summary = family_summary(ms, fam)
     assert not summary["rates"]["inf_dot_phi"]["applicable"]
     assert not summary["rates"]["volume_log_floor"]["applicable"]
     assert not summary["monotonic"]["v_minus_one_l1"]["applicable"]
-
-
-def test_build_reports_length_mismatch():
-    geo = TorusGeometry(1, 16)
-    scenarios = flat_scenarios(geo, (1, 4))
-    with pytest.raises(ValueError):
-        build_reports(scenarios, [])

@@ -1,7 +1,9 @@
 """Experiment runner: config strictness, pipeline artifacts, resume, CLI."""
 
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from torusflow.cli import (
     main,
 )
 from torusflow import ProjectionError, ScalarField, runner
+from torusflow import io as tfio
 from torusflow.io import load_metric_snapshot, save_metric_snapshot
 from torusflow.runner import (
     ConfigError,
@@ -545,6 +548,72 @@ def test_unloadable_trace_is_recomputed(tmp_path):
     assert len(final.read_bytes()) > 100
 
 
+def test_flow_pool_has_no_more_workers_than_flows(tmp_path, monkeypatch):
+    """The pool forks all its workers at once: --jobs 64 with two pending
+    flows gets two workers, and one pending flow runs in this process."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+    cfg = config_from_dict(json.loads(json.dumps(FLAT_DICT)))
+    assert exit_code_of(run_experiment(cfg, tmp_path, jobs=64)) == EXIT_OK
+    assert pools == [2]
+    (tmp_path / "scenario_i004" / "trace_key.txt").unlink()
+    assert exit_code_of(run_experiment(cfg, tmp_path, jobs=64)) == EXIT_OK
+    assert pools == [2]
+    assert (tmp_path / "scenario_i004" / "trace_key.txt").exists()
+
+
+N2_FLAT_DICT = {
+    "geometry": {"n": 2, "N": 8},
+    "scenario": {"indices": [1, 4, 16], "max_mode": 2, "flat": True},
+    "flow": {"t_end": 0.25, "snapshot_times": [0.05, 0.25]},
+    "harness": {"test_forms": 2},
+}
+
+
+def test_one_loaded_trace_at_a_time(tmp_path, monkeypatch):
+    """run and check release each trace before loading the next."""
+    load = tfio.load_trace
+    loaded = []
+
+    def tracked_load(directory):
+        gc.collect()
+        live = sum(ref() is not None for ref in loaded)
+        assert live == 0, f"{live} earlier traces alive at load {len(loaded) + 1}"
+        trace = load(directory)
+        loaded.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(runner.tfio, "load_trace", tracked_load)
+    cfg = config_from_dict(json.loads(json.dumps(N2_FLAT_DICT)))
+    for resume_only in (False, True):
+        loaded.clear()
+        manifest = run_experiment(cfg, tmp_path, resume_only=resume_only)
+        assert exit_code_of(manifest) == EXIT_OK
+        assert len(loaded) == 3
+
+
+def _write_nonpositive_snapshot(trace_dir):
+    """Rewrite the t = 0.05 snapshot with a potential that is no metric."""
+    snap = trace_dir / "snapshot_t0.050000.tkrf"
+    H, phi = load_metric_snapshot(snap)
+    x = phi.geometry.coordinate(0)
+    save_metric_snapshot(H, ScalarField(phi.geometry, 0.2 * np.cos(2 * np.pi * x)), snap)
+
+
 def test_cli_check_reports_a_nonpositive_snapshot(tmp_path, capsys):
     """A well-formed trace whose stored potential is no metric: check ends
     in error rows and a manifest, and leaves the trace as it found it."""
@@ -556,10 +625,7 @@ def test_cli_check_reports_a_nonpositive_snapshot(tmp_path, capsys):
     args = ["--config", str(cfg), "--out", str(out)]
     assert main(["run", *args]) == EXIT_OK
     trace_dir = out / "scenario_i001" / "trace"
-    snap = trace_dir / "snapshot_t0.050000.tkrf"
-    H, phi = load_metric_snapshot(snap)
-    x = phi.geometry.coordinate(0)
-    save_metric_snapshot(H, ScalarField(phi.geometry, 0.2 * np.cos(2 * np.pi * x)), snap)
+    _write_nonpositive_snapshot(trace_dir)
     stored = {p.name: p.read_bytes() for p in trace_dir.iterdir()}
     (out / "manifest.json").unlink()
 
@@ -568,6 +634,33 @@ def test_cli_check_reports_a_nonpositive_snapshot(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert [row["status"] for row in manifest["scenarios"]] == ["error"]
     assert manifest["any_errors"] and not manifest["all_checks_pass"]
+    assert {p.name: p.read_bytes() for p in trace_dir.iterdir()} == stored
+
+
+def test_cli_check_names_the_scenario_it_cannot_measure(tmp_path, capsys):
+    """One unmeasurable trace is that scenario's error row; the other
+    scenario is still measured and reported."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FLAT_DICT))
+    out = tmp_path / "out"
+    args = ["--config", str(cfg), "--out", str(out)]
+    assert main(["run", *args]) == EXIT_OK
+    trace_dir = out / "scenario_i001" / "trace"
+    _write_nonpositive_snapshot(trace_dir)
+    stored = {p.name: p.read_bytes() for p in trace_dir.iterdir()}
+    for path in [out / "manifest.json", *out.glob("scenario_i*/report.json")]:
+        path.unlink()
+
+    assert main(["check", *args]) == EXIT_SCENARIO_ERROR
+    printed = capsys.readouterr().out
+    assert "scenario i=1: error (measurement failed: PositivityError" in printed
+    assert "scenario i=4: checked" in printed
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [(row["index"], row["status"]) for row in manifest["scenarios"]] == [
+        (1, "error"), (4, "ok")]
+    assert manifest["scenarios"][1]["error"] is None
+    assert (out / "scenario_i004" / "report.json").exists()
+    assert not (out / "scenario_i001" / "report.json").exists()
     assert {p.name: p.read_bytes() for p in trace_dir.iterdir()} == stored
 
 
@@ -674,6 +767,16 @@ def test_cli_flow_reuses_trace(calib_cfg_file, calib_run, capsys):
     assert meta.stat().st_mtime_ns == before
 
 
+def test_cli_flow_reports_a_failed_flow(flat_cfg_file, tmp_path, monkeypatch, capsys):
+    def broken(metric, config):
+        raise ProjectionError("injected")
+
+    monkeypatch.setattr(runner, "run_flow", broken)
+    code = main(["flow", "--config", str(flat_cfg_file), "--out", str(tmp_path)])
+    assert code == EXIT_SCENARIO_ERROR
+    assert "flow failed: ProjectionError: injected" in capsys.readouterr().err
+
+
 def test_cli_project(calib_cfg_file, tmp_path, capsys):
     code = main(["project", "--config", str(calib_cfg_file), "--out", str(tmp_path)])
     outtext = capsys.readouterr().out
@@ -719,6 +822,20 @@ def test_cli_rejects_distance_time_without_snapshot(tmp_path, capsys):
                              "flow": {"snapshot_times": [0.05, 0.25]},
                              "distance": {"times": [0.1]}}))
     code = main(["run", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG_ERROR
+    assert "distance.times: [0.1] are not flow snapshot times" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_distance_rejects_time_without_snapshot(tmp_path, capsys):
+    """The distance command reads its times off snapshots even when the
+    config leaves the run's distance stage off."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"geometry": {"n": 1, "N": 16},
+                             "scenario": {"indices": [1], "max_mode": 1},
+                             "flow": {"snapshot_times": [0.05, 0.25]},
+                             "distance": {"times": [0.1]}}))
+    code = main(["distance", "--config", str(p), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG_ERROR
     assert "distance.times: [0.1] are not flow snapshot times" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
