@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tfio
-from .geometry import ProjectionError, harmonic_projection, ricci, volume
+from .fields import FieldError
+from .geometry import PositivityError, ProjectionError, harmonic_projection, ricci, volume
 from .runner import (
     ConfigError,
     check_distance_times,
@@ -143,7 +144,11 @@ def _cmd_distance(args) -> int:
     if trace is None:
         print(why, file=sys.stderr)
         return EXIT_SCENARIO_ERROR
-    frag = distance_fragment(config, trace)
+    try:
+        frag = distance_fragment(config, trace)
+    except (PositivityError, FieldError) as exc:  # a trace that holds no valid metric
+        print(f"measurement failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO_ERROR
     battery = frag["flat_battery"]
     table = write_distance_csv(scenario_dir(out, scenario.index), frag)
     print(f"distance battery on scenario i={scenario.index}:")

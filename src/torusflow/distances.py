@@ -9,9 +9,20 @@ A radius-r stencil joins each node to the nodes at its primitive offsets
 in [-r, r]^{2n}.  Two offsets reach the same neighbour modulo N only when
 2r >= N, so graphs require 2r < N and every edge is then distinct.  The
 edge topology depends only on (geometry, radius) and is built once; each
-metric snapshot fills in the weights.  A constant metric gives every node
-the same weights, so its graph is translation invariant and
-d(s, t) = d(0, t - s mod N): the flat battery runs one Dijkstra.
+metric snapshot fills in the weights.  Every edge is stored in both
+directions, so searches run directed and scipy builds no transposed copy.
+A constant metric gives every node the same weights, so its graph is
+translation invariant and d(s, t) = d(0, t - s mod N): the flat battery
+runs one Dijkstra.
+
+Every edge weight obeys w_g <= sqrt(lambda_max(g)) w_I, where w_I is the
+identity metric's weight on the same edge, so the bound carries over to
+paths and to graph distances: d_g(s, t) <= sqrt(lambda_max) d_I(t - s).
+d_I is one cached search from the origin of the identity metric's graph,
+and each query source gets one search stopped just above that bound for
+its farthest target.  Distances within the limit are the same fixed point
+min_u fl(d(u) + w(u, v)) as an unbounded search's, so the limit changes
+no value.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from .geometry import (
     FlatMetric,
     PositivityError,
     _coefficients,
-    _min_eigenvalue,
+    _eigenvalues,
     _pack,
     _quadratic_form,
     assemble,
@@ -72,9 +83,12 @@ class DistanceQuery:
                 raise ValueError("query endpoints must be grid index tuples")
 
 
-# Building and searching a graph peaks at about 30 bytes per edge
-# (weights and their temporaries, the shared topology, Dijkstra's
-# transposed copy), so this caps one graph near 0.5 GB.
+# Building and searching one graph on cold caches peaks under this many
+# bytes per canonical (one-way) edge: weights (16) and neighbour indices
+# (8) in both directions, plus per-offset temporaries.  tracemalloc reads
+# 26.5 at n=2, N=16, r=1 and 27.6 at n=1, N=64, r=3; scipy's per-node
+# search heap is outside it.  The edge budget caps one graph near 0.47 GB.
+_PEAK_BYTES_PER_EDGE = 28
 MAX_GRAPH_EDGES = 1 << 24
 
 
@@ -105,27 +119,53 @@ def stencil_edges(geometry: TorusGeometry, radius: int) -> int:
 @lru_cache(maxsize=4)
 def _topology(geometry: TorusGeometry, radius: int) -> tuple:
     """(offsets, neighbours, indptr) shared read-only by every graph on
-    this grid and stencil.  offsets are the canonical half (first nonzero
-    entry positive; dijkstra reads the matrix as undirected, so each edge
-    is stored once); neighbours[i, k] is node i + offsets[k] mod N, which
-    is CSR row i, and indptr gives every row len(offsets) entries."""
+    this grid and stencil.  offsets are the K canonical offsets (first
+    nonzero entry positive); CSR row i holds every edge at node i in both
+    directions: neighbours[i, k] is node i + offsets[k] mod N and
+    neighbours[i, K + k] is node i - offsets[k] mod N, and indptr gives
+    every row 2K entries.  About 8 bytes per canonical edge."""
     stencil_edges(geometry, radius)  # rejects 2r >= N
     offs = primitive_offsets(radius, geometry.axes)
     offs = offs[offs[np.arange(len(offs)), np.argmax(offs != 0, axis=1)] > 0]
     base = np.arange(geometry.npoints, dtype=np.int32).reshape(geometry.shape)
-    nbr = np.empty((geometry.npoints, len(offs)), dtype=np.int32)
-    for k, v in enumerate(offs):
+    nbr = np.empty((geometry.npoints, 2 * len(offs)), dtype=np.int32)
+    for k, v in enumerate(np.concatenate([offs, -offs])):
         nbr[:, k] = np.roll(base, tuple(-int(c) for c in v), axis=geometry.grid_axes).ravel()
-    indptr = np.arange(0, nbr.size + 1, len(offs), dtype=np.int32)
+    indptr = np.arange(0, nbr.size + 1, nbr.shape[1], dtype=np.int32)
     for a in (offs, nbr, indptr):
         a.setflags(write=False)
     return offs, nbr, indptr
 
 
+def _edge_graph(geometry: TorusGeometry, vals: np.ndarray, radius: int) -> csr_matrix:
+    """Both-way CSR of the edge weights of packed coefficients vals: the
+    segment length under the mean of the endpoint quadratic forms."""
+    offsets, nbr, indptr = _topology(geometry, radius)
+    K = len(offsets)
+    wts = np.empty(nbr.shape)
+    for k, v in enumerate(offsets):
+        disp = v * geometry.spacing
+        q = np.broadcast_to(2.0 * _quadratic_form(vals, disp[0::2] + 1j * disp[1::2]), geometry.shape)
+        w = np.sqrt(0.5 * (q + np.roll(q, tuple(-int(c) for c in v), axis=geometry.grid_axes)))
+        wts[:, k] = w.ravel()
+        # the edge from i - v to i, stored again in row i
+        wts[:, K + k] = np.roll(w, v, axis=geometry.grid_axes).ravel()
+    return csr_matrix((wts.ravel(), nbr.ravel(), indptr), shape=(geometry.npoints,) * 2)
+
+
+@lru_cache(maxsize=4)
+def _identity_distances(geometry: TorusGeometry, radius: int) -> np.ndarray:
+    """d_I(0, v) per flat node index v: graph distances from the origin
+    under the identity metric, which bound every metric's searches."""
+    d = dijkstra(_edge_graph(geometry, _pack(np.eye(geometry.n)), radius), directed=True, indices=0)
+    d.setflags(write=False)
+    return d
+
+
 class MetricGraph:
     """Shortest-path oracle over one metric snapshot.
 
-    The edge table (one weight per node and canonical offset) is built
+    The edge table (one weight per node and edge direction) is built
     once; queries share it read-only.  Edge weight = segment length under
     the midpoint value of the squared line element, approximated by the
     mean of the endpoint quadratic forms, which keeps every weight positive.
@@ -136,38 +176,66 @@ class MetricGraph:
         geo = geo or geometry
         if geo is None:
             raise ValueError("flat metric carries no grid; pass geometry explicitly")
-        if _min_eigenvalue(vals) <= 0:
+        eig = _eigenvalues(vals)
+        if float(eig[0].min()) <= 0:
             raise PositivityError("distance on a non-positive metric")
         self.geometry = geo
         self.stencil = stencil
-        offsets, nbr, indptr = _topology(geo, stencil.radius)
-        q = np.empty(nbr.shape)
-        for k, disp in enumerate(offsets * geo.spacing):
-            q[:, k] = 2.0 * _quadratic_form(vals, disp[0::2] + 1j * disp[1::2]).reshape(-1)
-        wts = np.sqrt(0.5 * (q + np.take_along_axis(q, nbr, axis=0)))
-        self._graph = csr_matrix((wts.ravel(), nbr.ravel(), indptr), shape=(geo.npoints,) * 2)
+        # search limit per unit of d_I: sqrt(lambda_max) plus rounding headroom.
+        # d_I is fetched before this graph's weights exist, so the first graph
+        # on a grid never holds two weight tables at once.
+        self._limit_per_unit = math.sqrt(float(eig[-1].max())) * (1.0 + 1e-9)
+        self._identity = _identity_distances(geo, stencil.radius)
+        self._graph = _edge_graph(geo, vals, stencil.radius)
+
+    def _points(self, points) -> np.ndarray:
+        """(m, 2n) grid index array of m points, wrapped into [0, N)."""
+        pts = np.asarray(points, dtype=np.int64).reshape(len(points), -1)
+        if pts.shape[1] != self.geometry.axes:
+            raise ValueError(f"point has {pts.shape[1]} coordinates, grid has {self.geometry.axes}")
+        return pts % self.geometry.N
+
+    def _nodes(self, pts: np.ndarray) -> np.ndarray:
+        return np.ravel_multi_index(pts.T, self.geometry.shape)
 
     def node(self, point) -> int:
-        idx = tuple(int(c) % self.geometry.N for c in point)
-        if len(idx) != self.geometry.axes:
-            raise ValueError(f"point has {len(idx)} coordinates, grid has {self.geometry.axes}")
-        return int(np.ravel_multi_index(idx, self.geometry.shape))
+        return int(self._nodes(self._points([point]))[0])
 
     def distances_from(self, source) -> np.ndarray:
-        d = dijkstra(self._graph, directed=False, indices=self.node(source))
+        d = dijkstra(self._graph, directed=True, indices=self.node(source))
         return d.reshape(self.geometry.shape)
 
     def distance(self, source, target) -> float:
-        full = self.distances_from(source)
-        return float(full[tuple(int(c) % self.geometry.N for c in target)])
+        return float(self.distances_from(source).ravel()[self.node(target)])
 
     def distance_batch(self, queries) -> np.ndarray:
-        sources = sorted({self.node(q.source) for q in queries})
-        table = dijkstra(self._graph, directed=False, indices=sources)
-        row_of = {s: k for k, s in enumerate(sources)}
-        return np.array(
-            [table[row_of[self.node(q.source)], self.node(q.target)] for q in queries]
-        )
+        """d(source, target) per query: one search per distinct source,
+        stopped at sqrt(lambda_max) d_I of its farthest target (plus
+        rounding headroom).  A target beyond the limit would read inf, so
+        it raises instead."""
+        src = self._points([q.source for q in queries])
+        dst = self._points([q.target for q in queries])
+        sources, targets = self._nodes(src), self._nodes(dst)
+        limits = self._limit_per_unit * self._identity[self._nodes((dst - src) % self.geometry.N)]
+        out = np.empty(len(queries))
+        for s in np.unique(sources):
+            mine = sources == s
+            d = dijkstra(self._graph, directed=True, indices=int(s), limit=limits[mine].max())
+            out[mine] = d[targets[mine]]
+        if not np.isfinite(out).all():
+            raise RuntimeError("a bounded search stopped short of its target: "
+                               "the a-priori distance bound does not hold")
+        return out
+
+
+def _flat_distances(mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Flat-torus distances between the rows of x and y, (m, 2n) each:
+    min over lattice shifts in {-1,0,1}^{2n}."""
+    n = mat.shape[0]
+    shifts = np.indices((3,) * (2 * n)).reshape(2 * n, -1).T - 1.0
+    d = (y - x)[:, None, :] + shifts
+    q = 2.0 * _quadratic_form(_pack(mat), np.moveaxis(d[..., 0::2] + 1j * d[..., 1::2], -1, 0))
+    return np.sqrt(np.maximum(q.min(axis=-1), 0.0))
 
 
 def flat_distance_exact(H: FlatMetric, x, y) -> float:
@@ -182,14 +250,20 @@ def flat_distance_exact(H: FlatMetric, x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != (2 * n,) or y.shape != (2 * n,):
         raise ValueError(f"points must have {2 * n} real coordinates")
-    shifts = np.indices((3,) * (2 * n)).reshape(2 * n, -1).T - 1.0
-    d = y - x + shifts
-    q = 2.0 * _quadratic_form(_pack(mat), (d[:, 0::2] + 1j * d[:, 1::2]).T)
-    return math.sqrt(max(float(q.min()), 0.0))
+    return float(_flat_distances(mat, x[None], y[None])[0])
 
 
-def random_queries(geometry: TorusGeometry, count: int, seed: int) -> list:
-    """Distinct-endpoint query pairs, uniform over grid points."""
+def _flat_query_distances(flat: FlatMetric, geometry: TorusGeometry, queries) -> np.ndarray:
+    """flat_distance_exact of every query, its grid points divided by N."""
+    x = np.array([q.source for q in queries], dtype=float) / geometry.N
+    y = np.array([q.target for q in queries], dtype=float) / geometry.N
+    return _flat_distances(flat.H, x, y)
+
+
+@lru_cache(maxsize=8)
+def random_queries(geometry: TorusGeometry, count: int, seed: int) -> tuple:
+    """Distinct-endpoint query pairs, uniform over grid points.  The pairs
+    depend only on the arguments, so a run draws each set once."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
@@ -197,7 +271,7 @@ def random_queries(geometry: TorusGeometry, count: int, seed: int) -> list:
         if np.array_equal(pts[0], pts[1]):
             continue
         out.append(DistanceQuery(tuple(int(c) for c in pts[0]), tuple(int(c) for c in pts[1])))
-    return out
+    return tuple(out)
 
 
 def flat_accuracy_battery(
@@ -225,18 +299,13 @@ def flat_accuracy_battery(
         DistanceQuery(origin, tuple((t - s) % geo.N for s, t in zip(q.source, q.target)))
         for q in queries
     ])
-    rows = []
-    worst = 0.0
-    for q, d in zip(queries, approx):
-        exact = flat_distance_exact(
-            flat,
-            np.array(q.source, dtype=float) / geo.N,
-            np.array(q.target, dtype=float) / geo.N,
-        )
-        rel = (float(d) - exact) / exact
-        worst = max(worst, abs(rel))
-        rows.append({"query": q, "graph": float(d), "exact": exact, "rel_error": rel})
-    return {"max_rel_error": worst, "rows": rows, "count": count}
+    exact = _flat_query_distances(flat, geo, queries)
+    rel = (approx - exact) / exact
+    rows = [
+        {"query": q, "graph": float(d), "exact": float(e), "rel_error": float(r)}
+        for q, d, e, r in zip(queries, approx, exact, rel)
+    ]
+    return {"max_rel_error": float(np.abs(rel).max(initial=0.0)), "rows": rows, "count": count}
 
 
 def check_distance_estimate(
@@ -269,9 +338,9 @@ def check_distance_estimate(
     rows = []
     ratios = []
     for t, snap in zip(times, wanted):
-        for qid, (q, a, b) in enumerate(zip(queries, d0, d_at[id(snap)])):
+        scale = math.sqrt(max(L * t, 0.0))
+        for qid, (a, b) in enumerate(zip(d0, d_at[id(snap)])):
             gap = float(a - b)
-            scale = math.sqrt(max(L * t, 0.0))
             rows.append({"query": qid, "t": t, "d0": float(a), "dt": float(b), "gap": gap})
             if scale > 0 and gap > 0:
                 ratios.append(gap / scale)
@@ -279,15 +348,12 @@ def check_distance_estimate(
     for r in rows:
         r["slack"] = fitted_c * math.sqrt(max(L * r["t"], 0.0)) - r["gap"]
 
-    flat_rel = 0.0
-    flat_rows = []
-    for qid, q in enumerate(queries):
-        xs = np.array(q.source, dtype=float) / geo.N
-        ys = np.array(q.target, dtype=float) / geo.N
-        d_flat = flat_distance_exact(trace.alpha, xs, ys)
-        rel = abs(float(d0[qid]) - d_flat) / d_flat
-        flat_rel = max(flat_rel, rel)
-        flat_rows.append({"query": qid, "d0": float(d0[qid]), "d_flat": d_flat, "rel_gap": rel})
+    d_flat = _flat_query_distances(trace.alpha, geo, queries)
+    flat_gap = np.abs(d0 - d_flat) / d_flat
+    flat_rows = [
+        {"query": qid, "d0": float(a), "d_flat": float(b), "rel_gap": float(r)}
+        for qid, (a, b, r) in enumerate(zip(d0, d_flat, flat_gap))
+    ]
 
     min_slack = min((r["slack"] for r in rows), default=0.0)
     return {
@@ -296,6 +362,6 @@ def check_distance_estimate(
         "rows": rows,
         "min_slack": min_slack,
         "flat_rows": flat_rows,
-        "max_flat_relative_gap": flat_rel,
+        "max_flat_relative_gap": float(flat_gap.max(initial=0.0)),
         "pass": bool(min_slack >= -1e-9),
     }

@@ -21,7 +21,9 @@ from manifest timings.
 Scenarios are measured one at a time: each trace is loaded, measured,
 given its distance fragment and released before the next is loaded.  A
 scenario whose flow fails, or whose trace cannot be loaded or measured,
-is that scenario's error row; the family is fitted over the others.
+is that scenario's error row; the family is fitted over the others.  An
+error row keeps no report.json, checks.csv or distance.csv from an
+earlier run.
 """
 
 from __future__ import annotations
@@ -611,6 +613,8 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
                 ms.append(m)
                 if frag is not None:
                     distance_frags[sc.index] = frag
+        if status != "ok":
+            _remove_reports(sdir)
         scenario_rows.append(
             {
                 "index": sc.index,
@@ -684,6 +688,13 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return repr(x)
     return str(x)
+
+
+def _remove_reports(sdir: Path) -> None:
+    """Drop an error row's reports from an earlier run, so that none reads
+    as this run's verdict; its trace and trace key stay as they are."""
+    for name in ("report.json", "checks.csv", "distance.csv"):
+        (sdir / name).unlink(missing_ok=True)
 
 
 def emit_outputs(out: Path, config: ExperimentConfig, reports, fam, summary, ms,

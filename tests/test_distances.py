@@ -5,12 +5,15 @@ axis-aligned separations length sqrt(2) * |dx|, so a half-period hop is
 sqrt(0.5) and the (1,1) half-diagonal is exactly 1.
 """
 
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from conftest import cos_field, sin_field
 
@@ -28,16 +31,19 @@ from torusflow import (
     check_distance_estimate,
     flat_accuracy_battery,
     flat_distance_exact,
+    eigenvalue_range,
     make_sequence,
     primitive_offsets,
     random_queries,
     run_flow,
 )
 from torusflow import distances
+from torusflow.fields import ScalarField
 from torusflow.geometry import _quadratic_form
 from torusflow.runner import config_from_dict, distance_fragment
 
 SQ2 = math.sqrt(2.0)
+_H2 = np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 1.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +211,22 @@ def test_one_source_battery_matches_all_sources(geo, H):
     np.testing.assert_allclose([r["graph"] for r in out["rows"]], direct, rtol=1e-12)
 
 
+@pytest.mark.parametrize("geo, H", [(TorusGeometry(1, 64), np.array([[1.3]])), (TorusGeometry(2, 8), _H2)])
+def test_battery_exact_values_match_single_pairs(geo, H):
+    """The battery evaluates the closed form for all its queries at once;
+    each value is the single-pair value, bit for bit."""
+    flat = FlatMetric(H, geometry=geo)
+    for r in flat_accuracy_battery(flat, count=40, seed=5)["rows"]:
+        q = r["query"]
+        assert r["exact"] == flat_distance_exact(
+            flat, np.array(q.source, dtype=float) / geo.N, np.array(q.target, dtype=float) / geo.N
+        )
+
+
 def _coo_graph(metric, radius):
-    """Reference: one COO block per canonical offset, rolled index arrays;
-    the line element is the closed form pinned in test_geometry."""
+    """Reference: one COO block per canonical offset, rolled index arrays,
+    each edge stored once; the line element is the closed form pinned in
+    test_geometry."""
     g = assemble(metric)
     geo, vals = g.geometry, g.values
     base = np.arange(geo.npoints).reshape(geo.shape)
@@ -233,8 +252,89 @@ def test_cached_topology_matches_coo_build(geo1, radius):
         np.eye(1), 0.04 * cos_field(geo1, 0) + 0.005 * sin_field(geo1, 1, mode=2)
     )
     graph = MetricGraph(metric, StencilConfig(radius))
-    assert graph._graph.nnz == distances.stencil_edges(geo1, radius)
-    assert (graph._graph != _coo_graph(metric, radius)).nnz == 0
+    one_way = _coo_graph(metric, radius)
+    assert one_way.nnz == distances.stencil_edges(geo1, radius)
+    # every edge stored in both directions, with the same weight
+    assert graph._graph.nnz == 2 * one_way.nnz
+    assert (graph._graph != one_way + one_way.T).nnz == 0
+
+
+def _reference_batch(metric, radius, queries):
+    """Reference: an unbounded undirected search over the one-way graph,
+    one search for all sources."""
+    geo = metric.geometry
+
+    def node(p):
+        return np.ravel_multi_index(tuple(c % geo.N for c in p), geo.shape)
+
+    sources = sorted({node(q.source) for q in queries})
+    table = dijkstra(_coo_graph(metric, radius), directed=False, indices=sources)
+    row = {s: k for k, s in enumerate(sources)}
+    return np.array([table[row[node(q.source)], node(q.target)] for q in queries])
+
+
+def _potential(geo, *terms):
+    """Sum of amplitude * cos(2 pi k . x) for (amplitude, k) terms."""
+    x = [geo.coordinate(a) for a in range(geo.axes)]
+    return ScalarField(geo, sum((a * np.cos(2 * np.pi * sum(c * xi for c, xi in zip(k, x)))
+                                 for a, k in terms), np.zeros(geo.shape)))
+
+
+BOUNDED_CASES = {
+    "n1-identity": (TorusGeometry(1, 32), 3, np.eye(1), ()),
+    # the limit is exactly sqrt(lambda) d_I here, so it needs its rounding headroom
+    "n1-scaled-identity": (TorusGeometry(1, 32), 3, 1.7 * np.eye(1), ()),
+    "n1-near-flat": (TorusGeometry(1, 32), 3, np.eye(1), ((1e-4, (1, 0)), (5e-5, (1, 2)))),
+    "n1-spread": (TorusGeometry(1, 32), 3, 1.5 * np.eye(1), ((0.08, (1, 0)), (0.003, (0, 2)))),
+    "n2-scaled-identity": (TorusGeometry(2, 8), 2, 2.3 * np.eye(2), ()),
+    "n2-near-flat": (TorusGeometry(2, 8), 2, _H2, ((1e-4, (1, 0, 1, 0)),)),
+    "n2-spread": (TorusGeometry(2, 8), 2, _H2, ((0.05, (1, 0, 0, 0)), (0.01, (0, 1, 1, 0)))),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDED_CASES))
+def test_bounded_search_equals_unbounded_reference(case):
+    geo, radius, H, terms = BOUNDED_CASES[case]
+    metric = KahlerMetric(H, _potential(geo, *terms))
+    lo, hi = eigenvalue_range(metric)
+    assert lo > 0
+    if case.endswith("spread"):
+        assert hi >= 2.0 * lo
+    half = geo.N // 2
+    far = [DistanceQuery(s, tuple(c + half for c in s)) for s in [(0,) * geo.axes, (3,) * geo.axes]]
+    queries = list(random_queries(geo, 12, seed=8)) + far + [
+        # one source, several targets: one search serves them all
+        DistanceQuery((1,) * geo.axes, t) for t in [(2,) * geo.axes, (half + 1,) * geo.axes]
+    ]
+    got = MetricGraph(metric, StencilConfig(radius)).distance_batch(queries)
+    assert np.array_equal(got, _reference_batch(metric, radius, queries))
+
+
+def test_bound_too_small_raises(monkeypatch, geo1):
+    original = distances._identity_distances
+    monkeypatch.setattr(distances, "_identity_distances", lambda geo, r: 0.5 * original(geo, r))
+    graph = MetricGraph(KahlerMetric(np.eye(1), 0.04 * cos_field(geo1, 0)))
+    with pytest.raises(RuntimeError, match="a-priori distance bound"):
+        graph.distance_batch(random_queries(geo1, 5, seed=3))
+
+
+@pytest.mark.parametrize("n, N, radius", [(2, 16, 1), (1, 64, 3)])
+def test_graph_peak_bytes_per_edge(n, N, radius):
+    """One graph build and one batch on cold caches stay under the bytes
+    per canonical edge that MAX_GRAPH_EDGES is sized by."""
+    geo = TorusGeometry(n, N)
+    g = assemble(KahlerMetric(np.eye(n), 0.01 * cos_field(geo, 0)))
+    queries = random_queries(geo, 10, seed=90)
+    distances._topology.cache_clear()
+    distances._identity_distances.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        MetricGraph(g, StencilConfig(radius)).distance_batch(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / distances.stencil_edges(geo, radius) < distances._PEAK_BYTES_PER_EDGE
 
 
 @pytest.mark.parametrize("N", [4, 6])
@@ -247,7 +347,7 @@ def test_graph_rejects_radius_that_wraps(N):
 def test_graph_radius_below_half_grid_keeps_every_edge():
     geo = TorusGeometry(1, 8)
     graph = MetricGraph(FlatMetric(np.eye(1), geometry=geo), StencilConfig(3))
-    assert graph._graph.nnz == geo.npoints * 16 == distances.stencil_edges(geo, 3)
+    assert graph._graph.nnz == 2 * geo.npoints * 16 == 2 * distances.stencil_edges(geo, 3)
     assert graph.distance((0, 0), (1, 1)) == pytest.approx(0.25, rel=1e-12)
 
 
@@ -267,20 +367,24 @@ def test_dijkstra_source_budget(monkeypatch):
     trace = run_flow(
         KahlerMetric(np.eye(1), 0.02 * cos_field(config.geometry, 0)), config.flow
     )
+    distances._identity_distances.cache_clear()
     calls = []
     original = distances.dijkstra
 
     def counted(graph, **kwargs):
-        calls.append(len(np.atleast_1d(kwargs["indices"])))
+        calls.append((np.size(kwargs["indices"]), "limit" in kwargs))
         return original(graph, **kwargs)
 
     monkeypatch.setattr(distances, "dijkstra", counted)
     frag = distance_fragment(config, trace)
     assert frag["flat_battery"]["count"] == 30
-    # one search per estimate graph (t = 0 and each time), then the battery
-    assert len(calls) == len(config.distance_times) + 2
-    assert calls[-1] == 1
-    assert sum(calls[:-1]) <= (len(config.distance_times) + 1) * config.distance_queries
+    queries = random_queries(config.geometry, config.distance_queries, config.distance_seed)
+    sources = len({q.source for q in queries})
+    graphs = len(config.distance_times) + 1  # t = 0 and each time
+    # the identity metric's search for the grid, then one bounded search per
+    # estimate graph and distinct source, then the battery's one
+    assert calls == [(1, False)] + [(1, True)] * (graphs * sources + 1)
+    assert graphs * sources <= graphs * config.distance_queries
 
 
 def test_graph_rejects_nonpositive(geo1):

@@ -637,19 +637,28 @@ def test_cli_check_reports_a_nonpositive_snapshot(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in trace_dir.iterdir()} == stored
 
 
+FLAT_DISTANCE_DICT = {
+    **FLAT_DICT,
+    "distance": {"enabled": True, "queries": 3, "flat_queries": 10, "times": [0.05, 0.25]},
+}
+REPORTS = ("report.json", "checks.csv", "distance.csv")
+
+
 def test_cli_check_names_the_scenario_it_cannot_measure(tmp_path, capsys):
     """One unmeasurable trace is that scenario's error row; the other
-    scenario is still measured and reported."""
+    scenario is still measured and reported.  The error row keeps its
+    trace and trace key but none of the reports of the earlier run."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(FLAT_DICT))
+    cfg.write_text(json.dumps(FLAT_DISTANCE_DICT))
     out = tmp_path / "out"
     args = ["--config", str(cfg), "--out", str(out)]
     assert main(["run", *args]) == EXIT_OK
-    trace_dir = out / "scenario_i001" / "trace"
-    _write_nonpositive_snapshot(trace_dir)
-    stored = {p.name: p.read_bytes() for p in trace_dir.iterdir()}
-    for path in [out / "manifest.json", *out.glob("scenario_i*/report.json")]:
-        path.unlink()
+    sdir = out / "scenario_i001"
+    assert all((sdir / name).exists() for name in REPORTS)
+    _write_nonpositive_snapshot(sdir / "trace")
+    kept = [sdir / "trace_key.txt", *(sdir / "trace").iterdir()]
+    stored = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in kept}
+    (out / "manifest.json").unlink()
 
     assert main(["check", *args]) == EXIT_SCENARIO_ERROR
     printed = capsys.readouterr().out
@@ -659,9 +668,30 @@ def test_cli_check_names_the_scenario_it_cannot_measure(tmp_path, capsys):
     assert [(row["index"], row["status"]) for row in manifest["scenarios"]] == [
         (1, "error"), (4, "ok")]
     assert manifest["scenarios"][1]["error"] is None
-    assert (out / "scenario_i004" / "report.json").exists()
-    assert not (out / "scenario_i001" / "report.json").exists()
-    assert {p.name: p.read_bytes() for p in trace_dir.iterdir()} == stored
+    assert all((out / "scenario_i004" / name).exists() for name in REPORTS)
+    assert not any((sdir / name).exists() for name in REPORTS)
+    assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in kept} == stored
+
+
+def test_cli_distance_reports_a_nonpositive_snapshot(tmp_path, capsys):
+    """torusflow distance on a trace whose snapshot is no metric: a message
+    and exit code 2, not a traceback, and the trace is left as it was."""
+    d = json.loads(json.dumps(FLAT_DISTANCE_DICT))
+    d["scenario"]["indices"] = [1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    args = ["--config", str(cfg), "--out", str(out)]
+    assert main(["run", *args]) == EXIT_OK
+    sdir = out / "scenario_i001"
+    (sdir / "distance.csv").unlink()
+    _write_nonpositive_snapshot(sdir / "trace")
+    stored = {p.name: p.read_bytes() for p in (sdir / "trace").iterdir()}
+
+    assert main(["distance", *args]) == EXIT_SCENARIO_ERROR
+    assert "measurement failed: PositivityError" in capsys.readouterr().err
+    assert not (sdir / "distance.csv").exists()
+    assert {p.name: p.read_bytes() for p in (sdir / "trace").iterdir()} == stored
 
 
 # ---------------------------------------------------------------------------
