@@ -47,6 +47,7 @@ from .geometry import (
     riemann_norm,
 )
 from .flow import FlowTrace
+from .harness import FIT_TOL
 
 __all__ = [
     "StencilConfig",
@@ -363,5 +364,5 @@ def check_distance_estimate(
         "min_slack": min_slack,
         "flat_rows": flat_rows,
         "max_flat_relative_gap": float(flat_gap.max(initial=0.0)),
-        "pass": bool(min_slack >= -1e-9),
+        "pass": bool(min_slack >= -FIT_TOL),
     }

@@ -272,57 +272,64 @@ def check_scalar_floor(trace: FlowTrace, index: int) -> CheckResult:
 # family-level assembly
 
 
+@dataclass(frozen=True)
+class FittedBound:
+    """A family-fitted bound sign * value <= C (or C / sqrt(i) if it decays).
+
+    C is the family maximum of max(0, sign * value), times sqrt(i) for a
+    decaying bound; each scenario's slack is its bound minus sign * value.
+    """
+
+    check: str
+    key: str  # family-constant key
+    attr: str  # ScenarioMeasurement attribute
+    sign: float
+    decays: bool
+    value_label: str
+    constant_label: str
+
+
+FITTED_BOUNDS = (
+    FittedBound("flat_representative", "flat_floor_constant", "volume_log_floor", -1.0, True,
+                "volume_log_floor", "floor_constant"),
+    FittedBound("potential_bound", "potential_bound", "sup_abs_phi", 1.0, False,
+                "sup_abs_phi", "bound"),
+    FittedBound("rate_lower", "rate_lower_constant", "inf_dot_phi", -1.0, True,
+                "inf_dot_phi", "constant"),
+    FittedBound("rate_upper", "rate_upper_constant", "dot_phi_upper", 1.0, False,
+                "sup_t_excess", "constant"),
+    FittedBound("trace_bound", "trace_bound_constant", "trace_bound", 1.0, False,
+                "sup_weighted_trace", "constant"),
+    FittedBound("uniform_equivalence", "equivalence_constant", "equivalence", 1.0, False,
+                "sup_t_log_ratio", "constant"),
+)
+
+
+def _scale(b: FittedBound, m: ScenarioMeasurement) -> float:
+    return math.sqrt(m.index) if b.decays else 1.0
+
+
 def _fit_family(ms) -> dict:
-    sqrt_i = lambda m: math.sqrt(m.index)  # noqa: E731
-    return {
-        "flat_floor_constant": max(max(0.0, -m.volume_log_floor) * sqrt_i(m) for m in ms),
-        "potential_bound": max(m.sup_abs_phi for m in ms),
-        "rate_lower_constant": max(max(0.0, -m.inf_dot_phi) * sqrt_i(m) for m in ms),
-        "rate_upper_constant": max(max(0.0, m.dot_phi_upper) for m in ms),
-        "trace_bound_constant": max(m.trace_bound for m in ms),
-        "equivalence_constant": max(m.equivalence for m in ms),
-        "pairing_constant": max(
-            (abs(r[3]) * sqrt_i(m) for m in ms for r in m.forms if r[0] != "const"),
-            default=0.0,
-        ),
+    fam = {
+        b.key: max(max(0.0, b.sign * getattr(m, b.attr)) * _scale(b, m) for m in ms)
+        for b in FITTED_BOUNDS
     }
+    fam["pairing_constant"] = max(
+        (abs(r[3]) * math.sqrt(m.index) for m in ms for r in m.forms if r[0] != "const"),
+        default=0.0,
+    )
+    return fam
 
 
-def _flow_bound_results(m: ScenarioMeasurement, fam: dict) -> dict:
-    out = {}
-    out["potential_bound"] = _result(
-        "potential_bound",
-        {"sup_abs_phi": m.sup_abs_phi, "bound": fam["potential_bound"]},
-        fam["potential_bound"] - m.sup_abs_phi,
-        FIT_TOL,
-    )
-    lower = fam["rate_lower_constant"]
-    out["rate_lower"] = _result(
-        "rate_lower",
-        {"inf_dot_phi": m.inf_dot_phi, "constant": lower},
-        m.inf_dot_phi + lower / math.sqrt(m.index),
-        FIT_TOL,
-    )
-    upper = fam["rate_upper_constant"]
-    out["rate_upper"] = _result(
-        "rate_upper",
-        {"sup_t_excess": m.dot_phi_upper, "constant": upper},
-        upper - m.dot_phi_upper,
-        FIT_TOL,
-    )
-    out["trace_bound"] = _result(
-        "trace_bound",
-        {"sup_weighted_trace": m.trace_bound, "constant": fam["trace_bound_constant"]},
-        fam["trace_bound_constant"] - m.trace_bound,
-        FIT_TOL,
-    )
-    out["uniform_equivalence"] = _result(
-        "uniform_equivalence",
-        {"sup_t_log_ratio": m.equivalence, "constant": fam["equivalence_constant"]},
-        fam["equivalence_constant"] - m.equivalence,
-        FIT_TOL,
-    )
-    return out
+def _fitted_results(m: ScenarioMeasurement, fam: dict):
+    for b in FITTED_BOUNDS:
+        value, constant = getattr(m, b.attr), fam[b.key]
+        yield _result(
+            b.check,
+            {b.value_label: value, b.constant_label: constant},
+            constant / _scale(b, m) - b.sign * value,
+            FIT_TOL,
+        )
 
 
 def _weak_convergence_result(m: ScenarioMeasurement, pairing_constant: float) -> CheckResult:
@@ -371,25 +378,15 @@ def build_reports(ms):
     reports = []
     for m in ms:
         rep = EstimateReport(index=m.index, amplitude=m.amplitude)
-        floor_fit = fam["flat_floor_constant"]
-        rep.add(
-            _result(
-                "flat_representative",
-                {
-                    "sup_u": m.sup_u,
-                    "trace_flat_vs_unit": m.trace_flat_vs_unit,
-                    "trace_unit_vs_flat": m.trace_unit_vs_flat,
-                    "volume_log_floor": m.volume_log_floor,
-                    "floor_constant": floor_fit,
-                    "volume_input": m.volume_initial,
-                    "volume_flat": m.volume_flat,
-                },
-                m.volume_log_floor + floor_fit / math.sqrt(m.index),
-                FIT_TOL,
-            )
-        )
-        for res in _flow_bound_results(m, fam).values():
+        for res in _fitted_results(m, fam):
             rep.add(res)
+        rep.checks["flat_representative"].constants.update(
+            sup_u=m.sup_u,
+            trace_flat_vs_unit=m.trace_flat_vs_unit,
+            trace_unit_vs_flat=m.trace_unit_vs_flat,
+            volume_input=m.volume_initial,
+            volume_flat=m.volume_flat,
+        )
         rep.add(m.scalar_floor)
         rep.add(_weak_convergence_result(m, fam["pairing_constant"]))
         rep.add(_volume_density_result(m))
@@ -398,10 +395,11 @@ def build_reports(ms):
 
 
 DEGENERATE = 1e-12  # below this a measured family is flat, not decaying
+RATE_TOL_PRIMARY = -0.35  # slope a decaying fitted bound's value must reach
+RATE_TOL_PAIRING = -0.4  # slope a random form's pairing gap must reach
 
 
-def family_summary(ms, fam, rate_tol_primary: float = -0.35,
-                   rate_tol_pairing: float = -0.4) -> dict:
+def family_summary(ms, fam) -> dict:
     """Rate fits and monotonicity over the index sweep.
 
     Sections carry an `applicable` flag: a flat family has nothing to
@@ -410,20 +408,20 @@ def family_summary(ms, fam, rate_tol_primary: float = -0.35,
     """
     idx = [m.index for m in ms]
     out = {"constants": dict(fam), "rates": {}, "monotonic": {}, "flags": {}}
+    decaying = [b for b in FITTED_BOUNDS if b.decays]
     if len(ms) >= 3:
-        for key, values in (
-            ("inf_dot_phi", [-m.inf_dot_phi for m in ms]),
-            ("volume_log_floor", [-m.volume_log_floor for m in ms]),
-        ):
+        # values of the C / sqrt(i) bounds
+        for b in decaying:
+            values = [b.sign * getattr(m, b.attr) for m in ms]
             if min(values) <= DEGENERATE:
-                out["rates"][key] = {"applicable": False, "reason": "values at rounding level"}
+                out["rates"][b.attr] = {"applicable": False, "reason": "values at rounding level"}
                 continue
             f = fit_rate(idx, values)
-            out["rates"][key] = {
+            out["rates"][b.attr] = {
                 "applicable": True,
                 "slope": f.slope,
-                "threshold": rate_tol_primary,
-                "pass": f.slope <= rate_tol_primary,
+                "threshold": RATE_TOL_PRIMARY,
+                "pass": f.slope <= RATE_TOL_PRIMARY,
             }
         # decay of pairing gaps, random (oscillatory) forms only: constant
         # test factors pair to exactly zero and carry no rate
@@ -437,8 +435,8 @@ def family_summary(ms, fam, rate_tol_primary: float = -0.35,
                 per_form[lab] = {"slope": None, "pass": False, "reason": "gap at rounding level"}
                 continue
             f = fit_rate(idx, vals)
-            good = f.slope <= rate_tol_pairing
-            per_form[lab] = {"slope": f.slope, "threshold": rate_tol_pairing, "pass": good}
+            good = f.slope <= RATE_TOL_PAIRING
+            per_form[lab] = {"slope": f.slope, "threshold": RATE_TOL_PAIRING, "pass": good}
             fitted += 1
             passing += int(good)
         need = max(len(labels) - 1, 0)
@@ -450,14 +448,12 @@ def family_summary(ms, fam, rate_tol_primary: float = -0.35,
             "pass": passing >= need,
         }
         # uniformity flags: fitted per-index constants should not grow with i
-        for key, series in {
-            "flat_floor_constant": [-m.volume_log_floor * math.sqrt(m.index) for m in ms],
-            "rate_lower_constant": [-m.inf_dot_phi * math.sqrt(m.index) for m in ms],
-        }.items():
+        for b in decaying:
+            series = [b.sign * getattr(m, b.attr) * _scale(b, m) for m in ms]
             if min(series) <= DEGENERATE:
                 continue
             f = fit_rate(idx, series)
-            out["flags"][key + "_growth"] = {"slope": f.slope, "grows": f.slope > 0.1}
+            out["flags"][b.key + "_growth"] = {"slope": f.slope, "grows": f.slope > 0.1}
     l1 = [m.v_minus_one_l1 for m in ms]
     drops = [l1[k] - l1[k + 1] for k in range(len(l1) - 1)]
     out["monotonic"]["v_minus_one_l1"] = {

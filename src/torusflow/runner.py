@@ -34,7 +34,7 @@ import math
 import time
 from itertools import repeat
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ from .fields import FieldError, TorusGeometry, constant_field
 from .flow import FlowConfig, FlowTrace, _same_time, run_flow
 from .geometry import KahlerMetric, PositivityError, pairing_density
 from .geometry import volume as volume_of
-from .harness import build_reports, default_test_forms, family_summary, measure
+from .harness import FIT_TOL, _result, build_reports, default_test_forms, family_summary, measure
 from .distances import (
     MAX_GRAPH_EDGES,
     StencilConfig,
@@ -410,16 +410,7 @@ class RunManifest:
     timings: dict
 
     def as_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "scenarios": self.scenarios,
-            "family": self.family,
-            "all_checks_pass": self.all_checks_pass,
-            "any_errors": self.any_errors,
-            "outputs": self.outputs,
-            "timings": self.timings,
-        }
+        return asdict(self)
 
 
 def scenario_dir(out: Path, index: int) -> Path:
@@ -631,15 +622,16 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         )
 
     family: dict = {}
-    all_pass = True
     outputs: list = []
+    any_errors = any(row["status"] != "ok" for row in scenario_rows)
+    all_pass = bool(ms) and not any_errors  # an error row is a scenario not checked
     if ms:
         t0 = time.perf_counter()
         reports, fam = build_reports(ms)
         summary = family_summary(ms, fam)
         timings["harness"] += time.perf_counter() - t0
         outputs.extend(
-            emit_outputs(out, config, reports, fam, summary, ms, distance_frags)
+            emit_outputs(out, config, reports, summary, ms, distance_frags)
         )
         for rep in reports:
             if not rep.all_passed:
@@ -653,10 +645,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         if not all(distance_passed(frag) for frag in distance_frags.values()):
             all_pass = False
         family = {"constants": fam, "summary": summary}
-    else:
-        all_pass = False
 
-    any_errors = any(row["status"] != "ok" for row in scenario_rows)
     timings["total"] = time.perf_counter() - t_start
     manifest = RunManifest(
         config_hash=config.config_hash,
@@ -697,7 +686,7 @@ def _remove_reports(sdir: Path) -> None:
         (sdir / name).unlink(missing_ok=True)
 
 
-def emit_outputs(out: Path, config: ExperimentConfig, reports, fam, summary, ms,
+def emit_outputs(out: Path, config: ExperimentConfig, reports, summary, ms,
                  distance_frags) -> list:
     written = []
 
@@ -711,20 +700,16 @@ def emit_outputs(out: Path, config: ExperimentConfig, reports, fam, summary, ms,
         tfio.write_json_atomic(sdir / "report.json", report)
         written.append(sdir / "report.json")
 
-        rows = [
-            (name, _fmt(chk.slack), _fmt(chk.tolerance), str(chk.passed).lower())
-            for name, chk in sorted(r.checks.items())
-        ]
+        checks = [chk for _, chk in sorted(r.checks.items())]
         if r.index in distance_frags:
-            for drow in distance_frags[r.index]["rows"]:
-                rows.append(
-                    (
-                        f"distance[q{drow['query']},t={drow['t']:g}]",
-                        _fmt(drow["slack"]),
-                        "0.0",
-                        str(drow["slack"] >= -1e-9).lower(),
-                    )
-                )
+            checks.extend(
+                _result(f"distance[q{drow['query']},t={drow['t']:g}]", {}, drow["slack"], FIT_TOL)
+                for drow in distance_frags[r.index]["rows"]
+            )
+        rows = [
+            (chk.name, _fmt(chk.slack), _fmt(chk.tolerance), str(chk.passed).lower())
+            for chk in checks
+        ]
         tfio.write_csv_atomic(sdir / "checks.csv", ("check", "slack", "tolerance", "pass"), rows)
         written.append(sdir / "checks.csv")
 
@@ -759,7 +744,7 @@ def emit_outputs(out: Path, config: ExperimentConfig, reports, fam, summary, ms,
     tfio.write_csv_atomic(out / "family.csv", header, fam_rows)
     written.append(out / "family.csv")
 
-    tfio.write_json_atomic(out / "family_summary.json", {"constants": fam, **summary})
+    tfio.write_json_atomic(out / "family_summary.json", summary)
     written.append(out / "family_summary.json")
 
     plots = out / "plots"

@@ -124,12 +124,13 @@ class Scenario:
 
 
 def _floor_of(shape: ScalarField, H0: np.ndarray, amplitude: float):
-    """(min scalar curvature, min eigenvalue) at one candidate amplitude."""
+    """(coefficients, scalar curvature, min eigenvalue) at one candidate
+    amplitude; the curvature is None where positivity fails."""
     coeffs = assemble(KahlerMetric(H0, shape * amplitude))
     lam = min_eigenvalue(coeffs)
     if lam < EPS_POS:
-        return None, lam
-    return scalar_curvature(coeffs).min(), lam
+        return coeffs, None, lam
+    return coeffs, scalar_curvature(coeffs), lam
 
 
 def calibrate_amplitude(
@@ -137,12 +138,13 @@ def calibrate_amplitude(
     H0: np.ndarray,
     floor_target: float,
     max_evals: int = MAX_EVALS,
-) -> float:
+) -> tuple:
     """Amplitude a with min R(H0 + a d dbar shape) in [floor_target, floor_target/2].
 
-    floor_target must be negative.  Raises ZeroShape for constant shapes
-    and BracketFailure when positivity breaks before the floor is
-    reached or the evaluation budget runs out.
+    Returns (a, coefficients, scalar curvature) of the probe that landed
+    in the band.  floor_target must be negative.  Raises ZeroShape for
+    constant shapes and BracketFailure when positivity breaks before the
+    floor is reached or the evaluation budget runs out.
     """
     if floor_target >= 0:
         raise ValueError(f"floor target must be negative, got {floor_target}")
@@ -161,29 +163,31 @@ def calibrate_amplitude(
             )
         return _floor_of(shape, H0, a)
 
-    lo, lo_val = 0.0, 0.0  # flat limit: min R -> 0 from above the band
+    lo = 0.0  # flat limit: min R -> 0 from above the band
     hi = START_AMPLITUDE
     while True:
-        val, lam = probe(hi)
-        if val is None:
+        coeffs, curv, lam = probe(hi)
+        if curv is None:
             raise BracketFailure(
                 f"positivity failed (min eigenvalue {lam:.3e}) at amplitude {hi:g} "
                 "before the curvature floor was reached; shape too rough"
             )
+        val = curv.min()
         if band_lo <= val <= band_hi:
-            return hi
+            return hi, coeffs, curv
         if val < band_lo:
             break  # crossed below the band: bisect [lo, hi]
-        lo, lo_val = hi, val
+        lo = hi
         hi *= 2.0
     while True:
         mid = 0.5 * (lo + hi)
-        val, lam = probe(mid)
-        if val is None:
+        coeffs, curv, lam = probe(mid)
+        if curv is None:
             hi = mid  # positivity margin shrinks with amplitude
             continue
+        val = curv.min()
         if band_lo <= val <= band_hi:
-            return mid
+            return mid, coeffs, curv
         if val > band_hi:
             lo = mid
         else:
@@ -196,19 +200,7 @@ def make_sequence(spec: ScenarioSpec) -> list:
     H0 = spec.background
     out = []
     for i in spec.indices:
-        target = -1.0 / i
-        a = calibrate_amplitude(shape, H0, target)
-        metric = KahlerMetric(H0, shape * a)
-        coeffs = assemble(metric)
-        lam = min_eigenvalue(coeffs)
-        if lam < EPS_POS:
-            raise GateViolation(f"index {i}: calibrated metric lost positivity ({lam:.3e})")
-        curv = scalar_curvature(coeffs)
-        floor = curv.min()
-        if not (target - 1e-12 <= floor <= target / 2.0 + 1e-12):
-            raise BracketFailure(
-                f"index {i}: floor {floor:.6g} outside band [{target:g}, {target / 2:g}]"
-            )
+        a, coeffs, curv = calibrate_amplitude(shape, H0, -1.0 / i)
         vol = volume(coeffs)
         if vol < 1.0 / spec.lambda_gate:
             raise GateViolation(
@@ -226,8 +218,8 @@ def make_sequence(spec: ScenarioSpec) -> list:
             Scenario(
                 index=i,
                 amplitude=a,
-                metric=metric,
-                curvature_floor=floor,
+                metric=KahlerMetric(H0, shape * a),
+                curvature_floor=curv.min(),
                 volume=vol,
                 trace_norm=tr_norm,
                 positive_part_budget=budget,

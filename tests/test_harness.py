@@ -22,6 +22,7 @@ from torusflow import (
     pairing_density,
     run_flow,
 )
+from torusflow.harness import FIT_TOL, FITTED_BOUNDS
 
 CHECK_NAMES = {
     "flat_representative",
@@ -128,13 +129,36 @@ def test_reports_all_pass(reported_family):
             assert check.slack >= -check.tolerance
 
 
+# each fitted check's bound, written out apart from the harness table:
+# value(m) <= C / sqrt(i) when it decays, value(m) <= C otherwise
+FITTED_VALUES = {
+    "flat_representative": (lambda m: -m.volume_log_floor, True),
+    "potential_bound": (lambda m: m.sup_abs_phi, False),
+    "rate_lower": (lambda m: -m.inf_dot_phi, True),
+    "rate_upper": (lambda m: m.dot_phi_upper, False),
+    "trace_bound": (lambda m: m.trace_bound, False),
+    "uniform_equivalence": (lambda m: m.equivalence, False),
+}
+
+
 def test_fitted_constants_cover_family(reported_family):
-    """Family constants are the smallest ones, so some slack is ~0."""
-    _, _, reports, fam, _ = reported_family
-    for key in ("potential_bound", "rate_lower_constant", "trace_bound_constant"):
-        assert fam[key] >= 0.0
-    tightest = min(rep.checks["rate_lower"].slack for rep in reports)
-    assert abs(tightest) < 1e-9
+    """Each family constant is the family maximum of its scaled value, so
+    every slack is >= 0 and the scenario that sets the constant is tight."""
+    _, _, reports, fam, ms = reported_family
+    assert {b.check for b in FITTED_BOUNDS} == set(FITTED_VALUES)
+    for b in FITTED_BOUNDS:
+        value, decays = FITTED_VALUES[b.check]
+        scale = [math.sqrt(m.index) if decays else 1.0 for m in ms]
+        constant = max(max(0.0, value(m)) * s for m, s in zip(ms, scale))
+        assert fam[b.key] == pytest.approx(constant, rel=1e-12, abs=0.0), b.check
+        slacks = []
+        for rep, m, s in zip(reports, ms, scale):
+            check = rep.checks[b.check]
+            assert check.constants[b.constant_label] == fam[b.key]
+            assert check.slack == pytest.approx(constant / s - value(m), rel=1e-12, abs=1e-15)
+            slacks.append(check.slack)
+        assert min(slacks) >= -FIT_TOL, b.check
+        assert abs(min(slacks)) <= FIT_TOL, b.check
 
 
 def test_rate_sections(reported_family):

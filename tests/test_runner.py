@@ -490,7 +490,7 @@ def test_checks_csv_includes_distance_rows(calib_run):
     drows = [r for r in rows[1:] if r[0].startswith("distance[")]
     assert len(drows) == 6
     assert any(r[0] == "distance[q0,t=0.25]" for r in drows)
-    assert all(r[2] == "0.0" and r[3] == "true" for r in drows)
+    assert all(r[2] == "1e-09" and r[3] == "true" for r in drows)
 
 
 def test_family_table_distance_columns(calib_run):
@@ -664,7 +664,9 @@ def test_cli_check_names_the_scenario_it_cannot_measure(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "scenario i=1: error (measurement failed: PositivityError" in printed
     assert "scenario i=4: checked" in printed
+    assert "checks: FAIL" in printed  # the verdict counts the scenario it could not check
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["all_checks_pass"] is False
     assert [(row["index"], row["status"]) for row in manifest["scenarios"]] == [
         (1, "error"), (4, "ok")]
     assert manifest["scenarios"][1]["error"] is None

@@ -14,13 +14,16 @@ from conftest import cos_field
 
 from torusflow import (
     BracketFailure,
+    KahlerMetric,
     ScenarioError,
     ScenarioSpec,
     TorusGeometry,
     ZeroShape,
+    assemble,
     calibrate_amplitude,
     make_sequence,
     min_eigenvalue,
+    scalar_curvature,
 )
 from torusflow import scenarios
 from torusflow.scenarios import GateViolation
@@ -69,12 +72,18 @@ def test_spec_defaults():
 
 
 def test_calibrated_amplitude_in_closed_form_bracket(geo1):
-    a = calibrate_amplitude(cos_field(geo1, 0), np.eye(1), -1.0)
+    shape = cos_field(geo1, 0)
+    a, coeffs, curv = calibrate_amplitude(shape, np.eye(1), -1.0)
     assert A_FLOOR_HALF <= a <= A_FLOOR_ONE
     # and the resulting floor really is in the band
     b = a * np.pi**2
     floor = -np.pi**2 * b / (1.0 - b) ** 2
     assert -1.0 <= floor <= -0.5
+    # the returned coefficients and curvature are those of the metric at a
+    g = assemble(KahlerMetric(np.eye(1), shape * a))
+    assert np.array_equal(coeffs.values, g.values)
+    assert np.array_equal(curv.values, scalar_curvature(g).values)
+    assert -1.0 <= curv.min() <= -0.5
 
 
 def test_calibrate_rejects_nonnegative_target(geo1):
@@ -139,7 +148,7 @@ def test_family_sup_exponent():
 
 
 def test_make_sequence_assembly_budget(validations, monkeypatch):
-    """One assembly per calibration probe and one per index."""
+    """One assembly per calibration probe: each index reuses its last probe."""
     probes = []
     original = scenarios._floor_of
     monkeypatch.setattr(scenarios, "_floor_of",
@@ -147,7 +156,7 @@ def test_make_sequence_assembly_budget(validations, monkeypatch):
     spec = spec1(indices=(1, 4))
     make_sequence(spec)
     assert len(probes) >= 2 * len(spec.indices)
-    assert len(validations) == len(probes) + len(spec.indices)
+    assert len(validations) == len(probes)
 
 
 def test_trace_gate_violation():
