@@ -133,7 +133,7 @@ def _cmd_project(args) -> int:
 
 def _cmd_distance(args) -> int:
     config = parse_config(args.config, args.seed)
-    check_distance_times(config.flow.snapshot_times, config.distance_times)
+    check_distance_times(config.flow.snapshot_times, config.distance.times)
     out = _resolve_out(args, config)
     try:
         scenario = first_scenario(config)

@@ -51,6 +51,7 @@ from .harness import FIT_TOL
 
 __all__ = [
     "StencilConfig",
+    "DistanceConfig",
     "DistanceQuery",
     "primitive_offsets",
     "MAX_GRAPH_EDGES",
@@ -71,6 +72,24 @@ class StencilConfig:
     def __post_init__(self):
         if not isinstance(self.radius, int) or self.radius < 1:
             raise ValueError(f"stencil radius must be a positive integer, got {self.radius!r}")
+
+
+@dataclass(frozen=True)
+class DistanceConfig:
+    """The distance battery: graph queries on the flow trace at the given
+    snapshot times, and the flat battery on its attractor.  enabled None
+    leaves the choice to the experiment (see runner.config_from_dict)."""
+
+    enabled: bool | None = None
+    radius: int = StencilConfig.radius
+    queries: int = 10
+    flat_queries: int = 100
+    times: tuple = (0.05, 0.25, 1.0)
+    seed: int = 2024
+
+    @property
+    def stencil(self) -> StencilConfig:
+        return StencilConfig(self.radius)
 
 
 @dataclass(frozen=True)
@@ -278,8 +297,8 @@ def random_queries(geometry: TorusGeometry, count: int, seed: int) -> tuple:
 def flat_accuracy_battery(
     flat: FlatMetric,
     geometry: TorusGeometry | None = None,
-    count: int = 100,
-    seed: int = 2024,
+    count: int = DistanceConfig.flat_queries,
+    seed: int = DistanceConfig.seed,
     stencil: StencilConfig = StencilConfig(),
 ) -> dict:
     """Graph-vs-closed-form accuracy on a constant metric.
@@ -312,7 +331,7 @@ def flat_accuracy_battery(
 def check_distance_estimate(
     trace: FlowTrace,
     queries,
-    times=(0.05, 0.25, 1.0),
+    times=DistanceConfig.times,
     stencil: StencilConfig = StencilConfig(),
 ) -> dict:
     """Shrinking-distance bound d_0(x,y) <= d_t(x,y) + C sqrt(L t).

@@ -41,8 +41,10 @@ from .geometry import (
     volume_density,
 )
 from .flow import FlowTrace, _rhs_field
+from .scenarios import ScenarioSpec
 
 __all__ = [
+    "HarnessConfig",
     "CheckResult",
     "EstimateReport",
     "RateFit",
@@ -57,6 +59,17 @@ __all__ = [
 IDENTITY_TOL = 1e-8
 RELATIVE_PAD = 1e-6
 FIT_TOL = 1e-9  # fitted constants make their own bounds tight
+
+
+@dataclass(frozen=True)
+class HarnessConfig:
+    """Test forms for the pairing checks and the L^q exponents of the
+    density; an empty q_list leaves them to the experiment, which uses
+    (n, 1.5 n)."""
+
+    test_forms: int = 5
+    form_seed: int = 101
+    q_list: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -123,7 +136,8 @@ def fit_rate(indices, values) -> RateFit:
     return RateFit(float(slope), float(intercept), resid)
 
 
-def default_test_forms(geometry, count: int = 5, max_mode: int = 3, seed: int = 101):
+def default_test_forms(geometry, count: int = HarnessConfig.test_forms,
+                       max_mode: int = ScenarioSpec.max_mode, seed: int = HarnessConfig.form_seed):
     """Constant form plus `count` band-limited factors (unit matrix part)."""
     beta = 1.0 if geometry.n == 1 else np.eye(2, dtype=np.complex128)
     forms = [("const", TestForm(constant_field(geometry, 1.0), beta))]

@@ -24,6 +24,12 @@ scenario whose flow fails, or whose trace cannot be loaded or measured,
 is that scenario's error row; the family is fitted over the others.  An
 error row keeps no report.json, checks.csv or distance.csv from an
 earlier run.
+
+Config defaults live in the records the sections build (FlowConfig,
+ScenarioSpec, HarnessConfig, DistanceConfig; ExperimentConfig for the
+top-level keys and scenario.flat): a key the config omits takes its
+record's default.  config_from_dict resolves the three that depend on
+other sections: the scenario seed, q_list and distance.enabled.
 """
 
 from __future__ import annotations
@@ -37,18 +43,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import io as tfio
 from .fields import FieldError, TorusGeometry, constant_field
 from .flow import FlowConfig, FlowTrace, _same_time, run_flow
 from .geometry import KahlerMetric, PositivityError, pairing_density
 from .geometry import volume as volume_of
-from .harness import FIT_TOL, _result, build_reports, default_test_forms, family_summary, measure
+from .harness import (FIT_TOL, HarnessConfig, _result, build_reports, default_test_forms,
+                      family_summary, measure)
 from .distances import (
     MAX_GRAPH_EDGES,
-    StencilConfig,
+    DistanceConfig,
     check_distance_estimate,
     flat_accuracy_battery,
     random_queries,
@@ -85,22 +90,38 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config: the record each section builds, plus the top-level
+    output and seed and the scenario section's flat switch."""
+
     geometry: TorusGeometry
     scenario: ScenarioSpec
     flow: FlowConfig
-    flat_mode: bool
-    form_count: int
-    form_seed: int
-    q_list: tuple
-    distance_enabled: bool
-    stencil: StencilConfig
-    distance_queries: int
-    distance_flat_queries: int
-    distance_times: tuple
-    distance_seed: int
-    output: str | None
-    seed: int
-    normalized: dict  # canonical parsed form, used for hashing
+    harness: HarnessConfig
+    distance: DistanceConfig
+    output: str | None = None
+    flat: bool = False
+    seed: int = 7
+
+    @property
+    def normalized(self) -> dict:
+        """Canonical JSON form of the parsed config, used for hashing."""
+        spec = self.scenario
+        return {
+            "geometry": {"n": self.geometry.n, "N": self.geometry.N},
+            "scenario": {
+                "seed": spec.seed,
+                "indices": list(spec.indices),
+                "max_mode": spec.max_mode,
+                "background": tfio._matrix_json(spec.background),
+                "lambda_gate": spec.lambda_gate,
+                "p": "inf" if spec.p is not None and math.isinf(spec.p) else spec.p,
+                "flat": self.flat,
+            },
+            "flow": tfio._config_json(self.flow),
+            "harness": asdict(self.harness),
+            "distance": asdict(self.distance),
+            "seed": self.seed,
+        }
 
     @property
     def config_hash(self) -> str:
@@ -108,8 +129,8 @@ class ExperimentConfig:
 
     @property
     def trace_key(self) -> str:
-        keys = ("geometry", "scenario", "flow", "seed")
-        return _hash_dict({k: self.normalized[k] for k in keys if k in self.normalized})
+        normalized = self.normalized
+        return _hash_dict({k: normalized[k] for k in ("geometry", "scenario", "flow", "seed")})
 
 
 def _hash_dict(d: dict) -> str:
@@ -119,251 +140,193 @@ def _hash_dict(d: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config parsing (strict: unknown keys are errors)
-
-_TOP_KEYS = {"geometry", "scenario", "flow", "harness", "distance", "output", "seed"}
-_GEO_KEYS = {"n", "N"}
-_SCEN_KEYS = {"seed", "indices", "max_mode", "background", "lambda_gate", "p", "flat"}
-_FLOW_KEYS = set(tfio._CONFIG_FIELDS)
-_HARNESS_KEYS = {"test_forms", "form_seed", "q_list"}
-_DIST_KEYS = {"enabled", "radius", "queries", "flat_queries", "times", "seed"}
+# config parsing: one table per section, each row (key, check, "must be ..."
+# text, coercion or None); unknown keys are errors
 
 
-def _reject_unknown(section: str, given: dict, allowed: set, errors: list) -> None:
-    for key in sorted(set(given) - allowed):
-        errors.append(f"{section}.{key}: unknown key (allowed: {', '.join(sorted(allowed))})")
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _parse_p(raw, errors: list):
+def _is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_positive_int(v) -> bool:
+    return _is_int(v) and v > 0
+
+
+def _is_positive(v) -> bool:
+    return _is_num(v) and v > 0
+
+
+def _is_list(v, check) -> bool:
+    return isinstance(v, list) and all(check(x) for x in v)
+
+
+def _floats(v) -> tuple:
+    return tuple(float(x) for x in v)
+
+
+def _parse_p(raw):
     if raw is None:
         return None
-    if isinstance(raw, str):
-        if raw.lower().lstrip("+") in ("inf", "infinity"):
-            return math.inf
-        errors.append(f"scenario.p: expected a number or 'inf', got {raw!r}")
-        return None
-    if isinstance(raw, (int, float)):
+    if _is_num(raw):
         return float(raw)
-    errors.append(f"scenario.p: expected a number or 'inf', got {type(raw).__name__}")
-    return None
+    if isinstance(raw, str) and raw.lower().lstrip("+") in ("inf", "infinity"):
+        return math.inf
+    shown = repr(raw) if isinstance(raw, str) else type(raw).__name__
+    raise ValueError(f"expected a number or 'inf', got {shown}")
+
+
+def _parse_background(raw):
+    if raw is None:
+        return None
+    try:
+        return tfio._matrix_from_json(raw)
+    except (TypeError, ValueError):
+        raise ValueError("must be nested [re, im] pairs") from None
+
+
+_TOP = (
+    # the sections, each read with its own table below
+    ("geometry", None, None, None),
+    ("scenario", None, None, None),
+    ("flow", None, None, None),
+    ("harness", None, None, None),
+    ("distance", None, None, None),
+    ("seed", _is_int, "must be an integer", None),
+    ("output", lambda v: v is None or isinstance(v, str), "must be a path string", None),
+)
+_GEOMETRY = (
+    ("n", lambda v: _is_int(v) and v in (1, 2), "must be 1 or 2", None),
+    ("N", lambda v: _is_int(v) and v >= 4 and v % 2 == 0, "must be an even integer >= 4", None),
+)
+_SCENARIO = (
+    ("indices",
+     lambda v: _is_list(v, _is_positive_int) and len(v) > 0 and all(a < b for a, b in zip(v, v[1:])),
+     "must be a strictly increasing list of positive integers", tuple),
+    ("max_mode", _is_positive_int, "must be a positive integer", None),
+    ("background", None, None, _parse_background),
+    ("lambda_gate", _is_positive, "must be positive", float),
+    ("p", None, None, _parse_p),
+    ("flat", lambda v: isinstance(v, bool), "must be true or false", None),
+    ("seed", _is_int, "must be an integer", None),
+)
+_FLOW = (  # types only: FlowConfig checks the values
+    ("scheme", None, None, None),
+    ("sigma", _is_num, "must be a number", None),
+    ("t_end", _is_num, "must be a number", None),
+    ("snapshot_times", lambda v: _is_list(v, _is_num), "must be a list of numbers", _floats),
+    ("eps_pos", _is_num, "must be a number", None),
+    ("dealias", lambda v: isinstance(v, bool), "must be true or false", None),
+    ("max_rejects", _is_int, "must be an integer", None),
+    ("t_ramp", _is_num, "must be a number", None),
+)
+_HARNESS = (
+    ("test_forms", lambda v: _is_int(v) and v >= 0, "must be a non-negative integer", None),
+    ("form_seed", _is_int, "must be an integer", None),
+    ("q_list", lambda v: v is None or _is_list(v, _is_positive),
+     "must be a list of positive numbers", lambda v: _floats(v or ())),
+)
+_DISTANCE = (
+    ("enabled", lambda v: v is None or isinstance(v, bool), "must be true, false or omitted", None),
+    ("radius", _is_positive_int, "must be a positive integer", None),
+    ("queries", _is_positive_int, "must be a positive integer", None),
+    ("flat_queries", _is_positive_int, "must be a positive integer", None),
+    ("times", lambda v: _is_list(v, _is_positive), "must be a list of positive numbers", _floats),
+    ("seed", _is_int, "must be an integer", None),
+)
+
+
+def _read(section: str, given, rows, errors: list) -> dict:
+    """The keys given in one section ("" for the top level), each checked
+    and coerced by its row; unknown keys and failed rows go to errors and
+    leave their key out.  A check of None leaves the value to the
+    coercion, which raises ValueError with the message, or to the record."""
+    if not isinstance(given, dict):
+        errors.append(f"{section}: must be an object")
+        return {}
+    prefix = f"{section}." if section else ""
+    allowed = sorted(row[0] for row in rows)
+    for key in sorted(set(given) - set(allowed)):
+        errors.append(f"{prefix or 'top level.'}{key}: unknown key (allowed: {', '.join(allowed)})")
+    values = {}
+    for key, check, must, coerce in rows:
+        if key not in given:
+            continue
+        value = given[key]
+        if check is not None and not check(value):
+            errors.append(f"{prefix}{key}: {must}, got {value!r}")
+            continue
+        try:
+            values[key] = value if coerce is None else coerce(value)
+        except ValueError as exc:
+            errors.append(f"{prefix}{key}: {exc}")
+    return values
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top level: expected a JSON object"])
     errors: list = []
-    _reject_unknown("top level", raw, _TOP_KEYS, errors)
-
-    geo_raw = raw.get("geometry")
-    if not isinstance(geo_raw, dict):
-        errors.append("geometry: required object with keys n, N")
-        raise ConfigError(errors)
-    _reject_unknown("geometry", geo_raw, _GEO_KEYS, errors)
-    n = geo_raw.get("n")
-    N = geo_raw.get("N")
-    if n not in (1, 2):
-        errors.append(f"geometry.n: must be 1 or 2, got {n!r}")
-    if not isinstance(N, int) or N < 4 or N % 2 != 0:
-        errors.append(f"geometry.N: must be an even integer >= 4, got {N!r}")
+    top = _read("", raw, _TOP, errors)
+    if not isinstance(top.get("geometry"), dict):
+        raise ConfigError(errors + ["geometry: required object with keys n, N"])
+    if not isinstance(top.get("scenario"), dict):
+        raise ConfigError(errors + ["scenario: required object (needs at least indices)"])
+    # a required key that is absent reads as null, so that its row reports it
+    geo = _read("geometry", {"n": None, "N": None, **top["geometry"]}, _GEOMETRY, errors)
+    scen = _read("scenario", {"indices": None, **top["scenario"]}, _SCENARIO, errors)
+    flow = _read("flow", top.get("flow", {}), _FLOW, errors)
+    harness = _read("harness", top.get("harness", {}), _HARNESS, errors)
+    distance = _read("distance", top.get("distance", {}), _DISTANCE, errors)
     if errors:
         raise ConfigError(errors)
-    geometry = TorusGeometry(n=n, N=N)
 
-    scen_raw = raw.get("scenario")
-    if not isinstance(scen_raw, dict):
-        errors.append("scenario: required object (needs at least indices)")
-        raise ConfigError(errors)
-    _reject_unknown("scenario", scen_raw, _SCEN_KEYS, errors)
-    seed = raw.get("seed", 7)
-    if not isinstance(seed, int):
-        errors.append(f"seed: must be an integer, got {seed!r}")
-        seed = 7
-    indices = scen_raw.get("indices")
-    if (
-        not isinstance(indices, list)
-        or not indices
-        or not all(isinstance(i, int) and i > 0 for i in indices)
-        or any(b <= a for a, b in zip(indices, indices[1:]))
-    ):
-        errors.append(
-            f"scenario.indices: must be a strictly increasing list of positive integers, got {indices!r}"
-        )
-    max_mode = scen_raw.get("max_mode", 3)
-    if not isinstance(max_mode, int) or max_mode < 1:
-        errors.append(f"scenario.max_mode: must be a positive integer, got {max_mode!r}")
-    elif 3 * max_mode > N:
+    # rules across keys, on values that passed their rows
+    geometry = TorusGeometry(**geo)
+    n, N = geometry.n, geometry.N
+    max_mode = scen.get("max_mode", ScenarioSpec.max_mode)
+    if 3 * max_mode > N:
         errors.append(
             f"scenario.max_mode: {max_mode} leaves no dealiasing headroom at N={N}; "
             f"products of modes up to {max_mode} alias unless 3*max_mode <= N (2/3 rule)"
         )
-    background = scen_raw.get("background")
-    H0 = None
-    if background is not None:
-        try:
-            H0 = np.array(
-                [[complex(re, im) for re, im in row] for row in background]
-            )
-            if H0.shape != (geometry.n, geometry.n):
-                errors.append(
-                    f"scenario.background: must be {geometry.n}x{geometry.n} [re, im] pairs"
-                )
-        except (TypeError, ValueError):
-            errors.append("scenario.background: must be nested [re, im] pairs")
-            H0 = None
-    lambda_gate = scen_raw.get("lambda_gate", 10.0)
-    if not isinstance(lambda_gate, (int, float)) or lambda_gate <= 0:
-        errors.append(f"scenario.lambda_gate: must be positive, got {lambda_gate!r}")
-    p = _parse_p(scen_raw.get("p"), errors)
-    flat_mode = scen_raw.get("flat", False)
-    if not isinstance(flat_mode, bool):
-        errors.append(f"scenario.flat: must be true or false, got {flat_mode!r}")
-        flat_mode = False
-    scen_seed = scen_raw.get("seed", seed)
-    if not isinstance(scen_seed, int):
-        errors.append(f"scenario.seed: must be an integer, got {scen_seed!r}")
-
-    flow_raw = raw.get("flow", {})
-    if not isinstance(flow_raw, dict):
-        errors.append("flow: must be an object")
-        flow_raw = {}
-    _reject_unknown("flow", flow_raw, _FLOW_KEYS, errors)
-    flow_kwargs = {}
-    for key in _FLOW_KEYS & set(flow_raw):
-        flow_kwargs[key] = flow_raw[key]
-    if "snapshot_times" in flow_kwargs:
-        st = flow_kwargs["snapshot_times"]
-        if not isinstance(st, list) or not all(isinstance(x, (int, float)) for x in st):
-            errors.append(f"flow.snapshot_times: must be a list of numbers, got {st!r}")
-            del flow_kwargs["snapshot_times"]
-        else:
-            flow_kwargs["snapshot_times"] = tuple(float(x) for x in st)
-
-    harness_raw = raw.get("harness", {})
-    if not isinstance(harness_raw, dict):
-        errors.append("harness: must be an object")
-        harness_raw = {}
-    _reject_unknown("harness", harness_raw, _HARNESS_KEYS, errors)
-    form_count = harness_raw.get("test_forms", 5)
-    if not isinstance(form_count, int) or form_count < 0:
-        errors.append(f"harness.test_forms: must be a non-negative integer, got {form_count!r}")
-    form_seed = harness_raw.get("form_seed", 101)
-    if not isinstance(form_seed, int):
-        errors.append(f"harness.form_seed: must be an integer, got {form_seed!r}")
-    q_list = harness_raw.get("q_list")
-    if q_list is not None and (
-        not isinstance(q_list, list) or not all(isinstance(x, (int, float)) and x > 0 for x in q_list)
-    ):
-        errors.append(f"harness.q_list: must be a list of positive numbers, got {q_list!r}")
-        q_list = None
-
-    dist_raw = raw.get("distance", {})
-    if not isinstance(dist_raw, dict):
-        errors.append("distance: must be an object")
-        dist_raw = {}
-    _reject_unknown("distance", dist_raw, _DIST_KEYS, errors)
-    dist_enabled = dist_raw.get("enabled")
-    if dist_enabled is not None and not isinstance(dist_enabled, bool):
-        errors.append(f"distance.enabled: must be true, false or omitted, got {dist_enabled!r}")
-        dist_enabled = None
-    radius = dist_raw.get("radius", 3)
-    if not isinstance(radius, int) or radius < 1:
-        errors.append(f"distance.radius: must be a positive integer, got {radius!r}")
-        radius = 3
-    d_queries = dist_raw.get("queries", 10)
-    d_flat_queries = dist_raw.get("flat_queries", 100)
-    for label, value in (("queries", d_queries), ("flat_queries", d_flat_queries)):
-        if not isinstance(value, int) or value < 1:
-            errors.append(f"distance.{label}: must be a positive integer, got {value!r}")
-    d_times = dist_raw.get("times", [0.05, 0.25, 1.0])
-    if not isinstance(d_times, list) or not all(isinstance(x, (int, float)) and x > 0 for x in d_times):
-        errors.append(f"distance.times: must be a list of positive numbers, got {d_times!r}")
-        d_times = [0.05, 0.25, 1.0]
-    d_seed = dist_raw.get("seed", 2024)
-    if not isinstance(d_seed, int):
-        errors.append(f"distance.seed: must be an integer, got {d_seed!r}")
-        d_seed = 2024
-
-    output = raw.get("output")
-    if output is not None and not isinstance(output, str):
-        errors.append(f"output: must be a path string, got {output!r}")
-        output = None
-
+    if scen.get("background") is not None and scen["background"].shape != (n, n):
+        errors.append(f"scenario.background: must be {n}x{n} [re, im] pairs")
     if errors:
         raise ConfigError(errors)
-
     try:
-        flow = FlowConfig(**flow_kwargs)
+        flow = FlowConfig(**flow)
     except ValueError as exc:
         raise ConfigError([f"flow: {exc}"]) from exc
+    seed = top.get("seed", ExperimentConfig.seed)
+    flat = scen.pop("flat", ExperimentConfig.flat)
+    scen.setdefault("seed", seed)
     try:
-        spec = ScenarioSpec(
-            geometry=geometry,
-            seed=scen_seed,
-            indices=tuple(indices),
-            max_mode=max_mode,
-            background=H0,
-            lambda_gate=float(lambda_gate),
-            p=p,
-        )
+        spec = ScenarioSpec(geometry=geometry, **scen)
     except ScenarioError as exc:
         raise ConfigError([f"scenario: {exc}"]) from exc
-    # distance battery runs in the uniform-equivalence regime unless forced
-    if dist_enabled is None:
-        dist_enabled = math.isinf(spec.trace_exponent)
-    if dist_enabled:
-        check_distance_times(flow.snapshot_times, d_times)
+    harness = HarnessConfig(**harness)
+    if not harness.q_list:
+        harness = replace(harness, q_list=(float(n), 1.5 * n))
+    distance = DistanceConfig(**distance)
+    if distance.enabled is None:  # on in the uniform-equivalence regime unless forced
+        distance = replace(distance, enabled=math.isinf(spec.trace_exponent))
+    if distance.enabled:
+        check_distance_times(flow.snapshot_times, distance.times)
         try:
-            edges = stencil_edges(geometry, radius)
+            edges = stencil_edges(geometry, distance.radius)
         except ValueError as exc:
             raise ConfigError([f"distance.radius: {exc}"]) from exc
         if edges > MAX_GRAPH_EDGES:
             raise ConfigError([
-                f"distance.radius: radius {radius} at n={n}, N={N} gives {edges:,} graph edges, "
-                f"over the budget of {MAX_GRAPH_EDGES:,}"
+                f"distance.radius: radius {distance.radius} at n={n}, N={N} gives {edges:,} "
+                f"graph edges, over the budget of {MAX_GRAPH_EDGES:,}"
             ])
-
-    qs = tuple(float(x) for x in q_list) if q_list else (float(geometry.n), 1.5 * geometry.n)
-    normalized = {
-        "geometry": {"n": geometry.n, "N": geometry.N},
-        "scenario": {
-            "seed": scen_seed,
-            "indices": list(spec.indices),
-            "max_mode": max_mode,
-            "background": [[[float(z.real), float(z.imag)] for z in row] for row in spec.background],
-            "lambda_gate": float(lambda_gate),
-            "p": ("inf" if p is not None and math.isinf(p) else p),
-            "flat": flat_mode,
-        },
-        "flow": tfio._config_json(flow),
-        "harness": {"test_forms": form_count, "form_seed": form_seed, "q_list": list(qs)},
-        "distance": {
-            "enabled": dist_enabled,
-            "radius": radius,
-            "queries": d_queries,
-            "flat_queries": d_flat_queries,
-            "times": [float(t) for t in d_times],
-            "seed": d_seed,
-        },
-        "seed": seed,
-    }
-    return ExperimentConfig(
-        geometry=geometry,
-        scenario=spec,
-        flow=flow,
-        flat_mode=flat_mode,
-        form_count=form_count,
-        form_seed=form_seed,
-        q_list=qs,
-        distance_enabled=dist_enabled,
-        stencil=StencilConfig(radius=radius),
-        distance_queries=d_queries,
-        distance_flat_queries=d_flat_queries,
-        distance_times=tuple(float(t) for t in d_times),
-        distance_seed=d_seed,
-        output=output,
-        seed=seed,
-        normalized=normalized,
-    )
+    return ExperimentConfig(geometry=geometry, scenario=spec, flow=flow, harness=harness,
+                            distance=distance, output=top.get("output"), flat=flat, seed=seed)
 
 
 def check_distance_times(snapshot_times, times) -> None:
@@ -435,7 +398,7 @@ def _scenarios(spec: ScenarioSpec, flat: bool) -> list:
 def first_scenario(config: ExperimentConfig) -> Scenario:
     """The smallest-index scenario, built as run_experiment builds it."""
     spec = replace(config.scenario, indices=config.scenario.indices[:1])
-    return _scenarios(spec, config.flat_mode)[0]
+    return _scenarios(spec, config.flat)[0]
 
 
 def _flow_one(config: ExperimentConfig, scenario: Scenario, out: Path) -> tuple:
@@ -491,16 +454,16 @@ def ensure_trace(config: ExperimentConfig, out, scenario: Scenario) -> tuple:
 
 def distance_fragment(config: ExperimentConfig, trace: FlowTrace) -> dict:
     """Distance estimate on one trace, plus the flat battery's summary."""
-    queries = random_queries(config.geometry, config.distance_queries, config.distance_seed)
+    queries = random_queries(config.geometry, config.distance.queries, config.distance.seed)
     frag = check_distance_estimate(
-        trace, queries, times=config.distance_times, stencil=config.stencil,
+        trace, queries, times=config.distance.times, stencil=config.distance.stencil,
     )
     battery = flat_accuracy_battery(
         trace.alpha,
         config.geometry,
-        count=config.distance_flat_queries,
-        seed=config.distance_seed + 1,
-        stencil=config.stencil,
+        count=config.distance.flat_queries,
+        seed=config.distance.seed + 1,
+        stencil=config.distance.stencil,
     )
     frag["flat_battery"] = {k: v for k, v in battery.items() if k != "rows"}
     return frag
@@ -535,11 +498,11 @@ def _measure_scenario(config: ExperimentConfig, out: Path, scenario: Scenario, f
     try:
         t0 = time.perf_counter()
         m = measure(trace, scenario.index, scenario.amplitude, forms, densities,
-                    list(config.q_list))
+                    list(config.harness.q_list))
         t1 = time.perf_counter()
         timings["harness"] += t1 - t0
         frag = None
-        if config.distance_enabled:
+        if config.distance.enabled:
             frag = distance_fragment(config, trace)
             timings["distance"] += time.perf_counter() - t1
     except (PositivityError, FieldError) as exc:  # a trace that holds no valid metric
@@ -558,7 +521,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     scenario_rows = []
     try:
         t0 = time.perf_counter()
-        scenarios = _scenarios(config.scenario, config.flat_mode)
+        scenarios = _scenarios(config.scenario, config.flat)
         timings["scenario_generation"] = time.perf_counter() - t0
     except ScenarioError as exc:
         scenarios = []
@@ -582,12 +545,12 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
 
     t0 = time.perf_counter()
     forms = default_test_forms(
-        config.geometry, count=config.form_count,
-        max_mode=config.scenario.max_mode, seed=config.form_seed,
+        config.geometry, count=config.harness.test_forms,
+        max_mode=config.scenario.max_mode, seed=config.harness.form_seed,
     )
     densities = [pairing_density(form) for _, form in forms]
     timings["harness"] = time.perf_counter() - t0
-    if config.distance_enabled:
+    if config.distance.enabled:
         timings["distance"] = 0.0
 
     ms = []

@@ -61,3 +61,4 @@ def test_bench_record_writes_env_commit_and_both_metric_kinds(tmp_path, monkeypa
         "flow-n2-N16": {"run_s": {"value": 3.1, "unit": "s"}},
     }
     assert result["per_layer"] == {"dist-n1-N64/distances.graphs": {"value": 81, "unit": "count"}}
+    assert result["host_scale"] == {"dist-n1-N64": 0.97}

@@ -378,13 +378,13 @@ def test_dijkstra_source_budget(monkeypatch):
     monkeypatch.setattr(distances, "dijkstra", counted)
     frag = distance_fragment(config, trace)
     assert frag["flat_battery"]["count"] == 30
-    queries = random_queries(config.geometry, config.distance_queries, config.distance_seed)
+    queries = random_queries(config.geometry, config.distance.queries, config.distance.seed)
     sources = len({q.source for q in queries})
-    graphs = len(config.distance_times) + 1  # t = 0 and each time
+    graphs = len(config.distance.times) + 1  # t = 0 and each time
     # the identity metric's search for the grid, then one bounded search per
     # estimate graph and distinct source, then the battery's one
     assert calls == [(1, False)] + [(1, True)] * (graphs * sources + 1)
-    assert graphs * sources <= graphs * config.distance_queries
+    assert graphs * sources <= graphs * config.distance.queries
 
 
 def test_graph_rejects_nonpositive(geo1):

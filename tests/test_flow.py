@@ -118,10 +118,12 @@ def test_linear_regime_decay(geo1):
     assert ratio == pytest.approx(np.exp(-HEAT_RATE * 0.1), rel=1e-3)
 
 
-def test_explicit_scheme_decay():
+@pytest.mark.parametrize("dealias", [True, False])
+def test_explicit_scheme_decay(dealias):
     geo = TorusGeometry(1, 32)
     m = single_mode(geo, 1e-4)
-    cfg = FlowConfig(scheme="explicit", sigma=0.2, t_end=0.05, snapshot_times=(0.05,))
+    cfg = FlowConfig(scheme="explicit", sigma=0.2, t_end=0.05, snapshot_times=(0.05,),
+                     dealias=dealias)
     trace = run_flow(m, cfg)
     c0 = np.fft.fftn(m.phi.values)[1, 0]
     ratio = (mode_coefficient(m, trace.snapshot_at(0.05)) / c0).real

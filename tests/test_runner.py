@@ -16,7 +16,8 @@ from torusflow.cli import (
     EXIT_SCENARIO_ERROR,
     main,
 )
-from torusflow import ProjectionError, ScalarField, runner
+from torusflow import FlowConfig, ProjectionError, ScalarField, runner
+from torusflow.distances import DistanceConfig
 from torusflow import io as tfio
 from torusflow.io import load_metric_snapshot, save_metric_snapshot
 from torusflow.runner import (
@@ -45,15 +46,15 @@ def test_minimal_defaults():
     assert cfg.scenario.max_mode == 3
     assert cfg.scenario.seed == 7
     assert cfg.seed == 7
-    assert cfg.flat_mode is False
-    assert cfg.form_count == 5 and cfg.form_seed == 101
-    assert cfg.q_list == (1.0, 1.5)
+    assert cfg.flat is False
+    assert cfg.harness.test_forms == 5 and cfg.harness.form_seed == 101
+    assert cfg.harness.q_list == (1.0, 1.5)
     # default trace exponent is finite (2n), so the distance battery stays off
-    assert cfg.distance_enabled is False
-    assert cfg.stencil.radius == 3
-    assert cfg.distance_queries == 10 and cfg.distance_flat_queries == 100
-    assert cfg.distance_times == (0.05, 0.25, 1.0)
-    assert cfg.distance_seed == 2024
+    assert cfg.distance.enabled is False
+    assert cfg.distance.stencil.radius == 3
+    assert cfg.distance.queries == 10 and cfg.distance.flat_queries == 100
+    assert cfg.distance.times == (0.05, 0.25, 1.0)
+    assert cfg.distance.seed == 2024
     assert cfg.output is None
     assert cfg.flow.sigma == 0.2 and cfg.flow.t_end == 1.0
 
@@ -79,7 +80,7 @@ def test_unknown_section_keys_all_reported():
     assert any(m.startswith("distance.stencil: unknown key") for m in msgs)
 
 
-@pytest.mark.parametrize("bad_N", [63, 2, 0, "64", None, 16.0])
+@pytest.mark.parametrize("bad_N", [63, 2, 0, "64", None, 16.0, True])
 def test_grid_size_validation(bad_N):
     with pytest.raises(ConfigError) as err:
         config_from_dict({"geometry": {"n": 1, "N": bad_N}, "scenario": {"indices": [1]}})
@@ -107,7 +108,7 @@ def test_max_mode_dealiasing_headroom():
     assert "3*max_mode <= N" in msg and "2/3 rule" in msg
 
 
-@pytest.mark.parametrize("bad", [[], [0], [4, 4], [4, 2], [1, "2"], "1,2", None])
+@pytest.mark.parametrize("bad", [[], [0], [4, 4], [4, 2], [1, "2"], "1,2", None, [True]])
 def test_indices_validation(bad):
     d = base_dict()
     d["scenario"]["indices"] = bad
@@ -124,15 +125,15 @@ def test_trace_exponent_parsing():
     d["scenario"]["p"] = "inf"
     cfg = config_from_dict(d)
     assert math.isinf(cfg.scenario.trace_exponent)
-    assert cfg.distance_enabled is True
+    assert cfg.distance.enabled is True
 
     d["scenario"]["p"] = 4
     cfg = config_from_dict(d)
     assert cfg.scenario.trace_exponent == 4.0
-    assert cfg.distance_enabled is False
+    assert cfg.distance.enabled is False
 
 
-@pytest.mark.parametrize("bad,shown", [("four", "'four'"), ([2], "list")])
+@pytest.mark.parametrize("bad,shown", [("four", "'four'"), ([2], "list"), (True, "bool")])
 def test_trace_exponent_rejections(bad, shown):
     d = base_dict()
     d["scenario"]["p"] = bad
@@ -145,7 +146,7 @@ def test_distance_enabled_override():
     d = base_dict()
     d["scenario"]["p"] = "inf"
     d["distance"] = {"enabled": False}
-    assert config_from_dict(d).distance_enabled is False
+    assert config_from_dict(d).distance.enabled is False
     d["distance"] = {"enabled": 1}
     with pytest.raises(ConfigError) as err:
         config_from_dict(d)
@@ -157,7 +158,7 @@ def test_distance_radius_must_fit_grid(N, ok):
     d = {"geometry": {"n": 1, "N": N}, "scenario": {"indices": [1], "max_mode": 1, "p": "inf"},
          "distance": {"radius": 3}}
     if ok:
-        assert config_from_dict(d).distance_enabled is True
+        assert config_from_dict(d).distance.enabled is True
     else:
         with pytest.raises(ConfigError) as err:
             config_from_dict(d)
@@ -165,7 +166,7 @@ def test_distance_radius_must_fit_grid(N, ok):
             f"distance.radius: stencil radius 3 needs N > 6: at N={N} two offsets reach the same neighbour"
         ]
         d["distance"]["enabled"] = False  # the rule binds only a stage that runs
-        assert config_from_dict(d).distance_enabled is False
+        assert config_from_dict(d).distance.enabled is False
 
 
 def test_distance_times_must_be_snapshot_times():
@@ -178,7 +179,7 @@ def test_distance_times_must_be_snapshot_times():
         "distances are read off stored snapshots"
     ]
     d["distance"]["enabled"] = False  # the rule binds only a stage that runs
-    assert config_from_dict(d).distance_enabled is False
+    assert config_from_dict(d).distance.enabled is False
 
 
 def test_background_parsing():
@@ -227,6 +228,46 @@ def test_flow_values_validated():
     assert err.value.errors[0].startswith("flow: ")
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("flow", "sigma", "0.2"),
+    ("flow", "max_rejects", "a"),
+    ("flow", "t_ramp", None),
+    ("geometry", "n", True),
+    # a bool is not a number
+    ("flow", "dealias", "no"),
+    ("distance", "radius", True),
+    ("harness", "test_forms", True),
+    ("scenario", "lambda_gate", True),
+])
+def test_wrong_typed_values_are_config_errors(tmp_path, capsys, section, key, value):
+    d = base_dict()
+    d.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(json.loads(json.dumps(d)))
+    assert any(m.startswith(f"{section}.{key}: ") for m in err.value.errors)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(d))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    assert f"config error: {section}.{key}: " in capsys.readouterr().err
+
+
+def test_readme_config_block_lists_every_key():
+    """The README's config block parses, names every key of the schema,
+    and shows the flow and distance defaults."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = text[text.index("## Command line"):]
+    text = text[text.index("```json") + len("```json"):]
+    raw = json.loads(text[:text.index("```")])
+    cfg = config_from_dict(json.loads(json.dumps(raw)))
+    assert set(raw) == {row[0] for row in runner._TOP}
+    tables = {"geometry": runner._GEOMETRY, "scenario": runner._SCENARIO, "flow": runner._FLOW,
+              "harness": runner._HARNESS, "distance": runner._DISTANCE}
+    for section, rows in tables.items():
+        assert set(raw[section]) == {row[0] for row in rows}, section
+    assert cfg.flow == FlowConfig()
+    assert cfg.distance == DistanceConfig(enabled=True)
+
+
 def test_snapshot_times_coercion():
     d = base_dict(flow={"t_end": 0.5, "snapshot_times": [0.1, 0.25]})
     cfg = config_from_dict(d)
@@ -240,7 +281,7 @@ def test_snapshot_times_coercion():
 
 def test_q_list_custom_and_invalid():
     d = base_dict(harness={"q_list": [2, 3]})
-    assert config_from_dict(d).q_list == (2.0, 3.0)
+    assert config_from_dict(d).harness.q_list == (2.0, 3.0)
     d = base_dict(harness={"q_list": [0]})
     with pytest.raises(ConfigError) as err:
         config_from_dict(d)
@@ -279,6 +320,9 @@ def test_hash_semantics():
 
     d = config_from_dict(base_dict(seed=8))
     assert d.trace_key != a.trace_key
+
+    e = config_from_dict(base_dict(flow={"dealias": False}))
+    assert e.trace_key != a.trace_key
 
 
 def test_parse_config_file(tmp_path):

@@ -11,8 +11,11 @@ workloads, about three minutes on a 2-core host) and keeps:
 - git: the commit perfbench saw, and whether ./src differs from it
   (a file recorded before its change is committed names the parent);
 - result: the error counts, the scaled end-to-end medians of every
-  workload (from its report block) and every per-layer metric (from the
-  result line).
+  workload (from its report block), each workload's host_scale (the
+  host-probe factor its raw end-to-end times were multiplied by) and
+  every per-layer metric (from the result line).  Per-layer seconds
+  stay raw; multiplied by their workload's host_scale they are scaled as
+  the medians are, so two files compare code rather than host speed.
 
 Every speed claim quotes its before/after numbers from these files.
 """
@@ -31,6 +34,7 @@ COMMAND = ["python3", "perfbench/run.py", "--seed", "90", "--trace", "1"]
 
 _WORKLOAD = re.compile(r"^== (\S+) \(")
 _METRIC = re.compile(r"^  (\S+) (\S+) (\S+) \(")
+_SCALE = re.compile(r"^  host probe .*; times are scaled by .* = (\S+)$")
 
 
 def parse(stdout: str, end_to_end_names) -> dict:
@@ -40,12 +44,18 @@ def parse(stdout: str, end_to_end_names) -> dict:
     env = next(json.loads(line[len("env "):]) for line in lines if line.startswith("env "))
     result = json.loads(lines[-1])
     e2e: dict = {}
+    scale: dict = {}
     workload = None
     for line in lines:
         if m := _WORKLOAD.match(line):
-            workload = e2e.setdefault(m.group(1), {})
-        elif workload is not None and (m := _METRIC.match(line)) and m.group(1) in end_to_end_names:
-            workload[m.group(1)] = {"value": float(m.group(2)), "unit": m.group(3)}
+            workload = m.group(1)
+            e2e.setdefault(workload, {})
+        elif workload is None:
+            continue
+        elif m := _SCALE.match(line):
+            scale[workload] = float(m.group(1))
+        elif (m := _METRIC.match(line)) and m.group(1) in end_to_end_names:
+            e2e[workload][m.group(1)] = {"value": float(m.group(2)), "unit": m.group(3)}
     return {
         "env": env,
         "result": {
@@ -53,6 +63,7 @@ def parse(stdout: str, end_to_end_names) -> dict:
             "attempted": result["attempted"],
             "failed": result["failed"],
             "end_to_end": e2e,
+            "host_scale": scale,
             "per_layer": result["metrics"],
         },
     }
