@@ -8,11 +8,20 @@ that order.
 Transforms follow numpy's FFT conventions: the forward transform is an
 unnormalized DFT and the inverse carries the 1/N^{2n} factor, with modes
 laid out as np.fft.fftfreq.  Real fields are transformed to their half
-spectrum (np.fft.rfftn over every grid axis, so the last axis keeps the
+spectrum (rfftn over every grid axis, so the last axis keeps the
 modes 0..N/2, the Nyquist bin carrying the fftfreq value -N/2).
 Derivatives are Fourier multipliers, exact to rounding for fields whose
 modes stay inside the resolved band, and the rectangle rule (the plain
 mean of grid values) integrates products of band-limited fields exactly.
+
+The grid's rank chooses the module that runs a real transform.  2-D
+grids (n = 1) use numpy.fft.  4-D grids (n = 2) use scipy.fft, which keeps
+numpy's conventions and runs a 16^4 transform about a fifth faster on one
+worker; it is imported at the first 4-D transform.  On 2-D grids the gain
+is about 10 us per transform, while importing scipy.fft also loads
+scipy.special, which costs about 4-5 MB and 0.1 s of set-up.  The shape
+draws of random_band_limited stay on numpy's complex fftn/ifftn at every
+rank.  Only this module runs transforms.
 
 d/dx^a has the multiplier 2 pi i k_a, odd in k: one inverse real
 transform per axis gives the real gradient, from whose x^j and y^j
@@ -129,7 +138,7 @@ class TorusGeometry:
 
     @cached_property
     def half_mode_arrays(self) -> tuple:
-        """mode_arrays restricted to the half spectrum of np.fft.rfftn."""
+        """mode_arrays restricted to the half spectrum of rfftn."""
         half = self.N // 2 + 1
         return tuple(m[..., :half] for m in self.mode_arrays)
 
@@ -167,14 +176,23 @@ def _band(modes: tuple, cut: int) -> np.ndarray:
     return keep
 
 
+def _fft_module(geometry: TorusGeometry):
+    """numpy.fft on 2-D grids, scipy.fft on 4-D ones (module docstring)."""
+    if geometry.n == 1:
+        return np.fft
+    import scipy.fft
+
+    return scipy.fft
+
+
 def _rfft(geometry: TorusGeometry, values: np.ndarray) -> np.ndarray:
     """Half spectrum of real grid values."""
-    return np.fft.rfftn(values, axes=geometry.grid_axes)
+    return _fft_module(geometry).rfftn(values, axes=geometry.grid_axes)
 
 
 def _irfft(geometry: TorusGeometry, hat: np.ndarray) -> np.ndarray:
     """Real grid values of a half spectrum."""
-    return np.fft.irfftn(hat, s=geometry.shape, axes=geometry.grid_axes)
+    return _fft_module(geometry).irfftn(hat, s=geometry.shape, axes=geometry.grid_axes)
 
 
 def _hessian(geometry: TorusGeometry, hat: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ Two time steppers:
                   the elapsed-time scale sigma * max(t, t_ramp).
 
 Spectral state: the flow potential is carried from step to step as its
-real half spectrum (np.fft.rfftn), so the implicit solve and the explicit
+real half spectrum (rfftn), so the implicit solve and the explicit
 update never transform the potential or the rhs forward.  The
 coefficients use the packed layout of HermitianField (see the fields
 module), held as plain arrays on the hot path.  One accepted step runs
@@ -33,9 +33,13 @@ these real transforms:
                                       the implicit solve and the Ricci
                                       term of the curvature floor
   Ricci term -d dbar log det g        as many as the Hessian of phi
-  rhs and phi on the grid             1 inverse each
+  rhs on the grid                     1 inverse
 
-which is 5 at n = 1 and 11 at n = 2, with no complex transform.
+which is 4 at n = 1 and 10 at n = 2, with no complex transform; fields
+runs them on numpy.fft at n = 1 and on scipy.fft at n = 2.  The stepper
+carries (t, dt, evaluation), and phi goes back to the grid (1 inverse
+more) only for a FlowState that is kept: a snapshot, the final state,
+or the last state of a FlowFailure.
 
 Any candidate with non-finite values or an eigenvalue floor below
 eps_pos (or NaN) is rejected and retried at dt/2; too many consecutive
@@ -117,6 +121,8 @@ class FlowConfig:
             if not (0.0 < s <= self.t_end + 1e-12):
                 raise ValueError(f"snapshot time {s} outside (0, t_end={self.t_end}]")
         object.__setattr__(self, "snapshot_times", snaps)
+        if not (0 < self.eps_pos < math.inf):
+            raise ValueError(f"eps_pos must be positive and finite, got {self.eps_pos}")
         if self.max_rejects < 1:
             raise ValueError("max_rejects must be at least 1")
         if self.t_ramp <= 0:
@@ -309,32 +315,31 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     ev = kernel.evaluate(_rfft(state.base.geometry, state.phi.values))
     if ev is None:
         raise FlowFailure("current state is not positive", state)
-    new_state, _ = _step(kernel, state, ev, ())
-    return new_state
+    return kernel.state(*_step(kernel, state.t, state.last_dt, ev, ()))
 
 
-def _step(kernel: _Kernel, state: FlowState, ev: _Evaluation, boundaries: tuple):
-    """One accepted step from state and its evaluation; returns
-    (new_state, new_evaluation)."""
+def _step(kernel: _Kernel, t: float, last_dt: float, ev: _Evaluation, boundaries: tuple):
+    """One accepted step from time t, whose state took last_dt and has the
+    evaluation ev; returns (new_t, dt, new_evaluation)."""
     config = kernel.config
-    dt = kernel.target_dt(state.t, ev)
-    remaining = [b for b in (*boundaries, config.t_end) if b > state.t + 1e-14]
+    dt = kernel.target_dt(t, ev)
+    remaining = [b for b in (*boundaries, config.t_end) if b > t + 1e-14]
     if remaining:
-        dt = min(dt, min(remaining) - state.t)
+        dt = min(dt, min(remaining) - t)
     rejects = 0
     while True:
         ev_new = kernel.evaluate(kernel.advance(ev, dt))
         if ev_new is not None:
-            return kernel.state(state.t + dt, dt, ev_new), ev_new
+            return t + dt, dt, ev_new
         rejects += 1
         if rejects > config.max_rejects:
             raise FlowFailure(
-                f"step at t={state.t:.6g} rejected {rejects} times (dt={dt:.3e})",
-                state,
+                f"step at t={t:.6g} rejected {rejects} times (dt={dt:.3e})",
+                kernel.state(t, last_dt, ev),
             )
         dt /= 2.0
         if dt < 1e-15:
-            raise FlowFailure(f"time step underflow at t={state.t:.6g}", state)
+            raise FlowFailure(f"time step underflow at t={t:.6g}", kernel.state(t, last_dt, ev))
 
 
 def run_flow(metric0: KahlerMetric, config: FlowConfig) -> FlowTrace:
@@ -348,19 +353,21 @@ def run_flow(metric0: KahlerMetric, config: FlowConfig) -> FlowTrace:
             "initial metric is not positive",
             FlowState(metric0, 0.0, zero, 0.0, 0.0),
         )
-    state = kernel.state(0.0, 0.0, ev)
-    diagnostics = [kernel.diagnostics(0.0, 0.0, ev)]
+    t, dt = 0.0, 0.0
+    diagnostics = [kernel.diagnostics(t, dt, ev)]
     snapshots = []
     boundaries = config.snapshot_times
     snap_iter = set(boundaries)
-    while state.t < config.t_end - 1e-12:
-        state, ev = _step(kernel, state, ev, boundaries)
-        diagnostics.append(kernel.diagnostics(state.t, state.last_dt, ev))
+    while t < config.t_end - 1e-12:
+        t, dt, ev = _step(kernel, t, dt, ev, boundaries)
+        diagnostics.append(kernel.diagnostics(t, dt, ev))
         for s in sorted(snap_iter):
-            if abs(state.t - s) <= 1e-12 * max(1.0, s):
-                snapshots.append(state)
+            if abs(t - s) <= 1e-12 * max(1.0, s):
+                snapshots.append(kernel.state(t, dt, ev))
                 snap_iter.discard(s)
                 break
+    # the last step usually lands on the last snapshot, which is then the final state
+    final = snapshots[-1] if snapshots and snapshots[-1].t == t else kernel.state(t, dt, ev)
     return FlowTrace(
         initial=metric0,
         alpha=kernel.alpha,
@@ -368,5 +375,5 @@ def run_flow(metric0: KahlerMetric, config: FlowConfig) -> FlowTrace:
         config=config,
         snapshots=tuple(snapshots),
         diagnostics=tuple(diagnostics),
-        final=state,
+        final=final,
     )

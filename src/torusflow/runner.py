@@ -330,8 +330,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def check_distance_times(snapshot_times, times) -> None:
-    """ConfigError unless every distance time is a flow snapshot time:
-    distances are read off stored snapshots."""
+    """ConfigError unless the distance times are one or more flow snapshot
+    times: distances are read off stored snapshots."""
+    if not times:
+        raise ConfigError(["distance.times: must name at least one snapshot time "
+                           "while distances are on"])
     missing = [float(t) for t in times if not any(_same_time(s, t) for s in snapshot_times)]
     if missing:
         raise ConfigError([f"distance.times: {missing} are not flow snapshot times "

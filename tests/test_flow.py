@@ -5,6 +5,11 @@ potential, the equation reduces to the heat equation for the flat
 Laplacian, so the mode-(1,0) coefficient must decay like e^{-pi^2 t}.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,6 +33,7 @@ from torusflow import (
 )
 from torusflow import flow as flow_module
 
+ROOT = Path(__file__).resolve().parent.parent
 HEAT_RATE = np.pi**2  # mode-(1,0) decay rate of the flat heat flow
 
 
@@ -56,6 +62,10 @@ def mode_coefficient(metric, state):
         {"snapshot_times": (0.5, 1.5), "t_end": 1.0},
         {"max_rejects": 0},
         {"t_ramp": 0.0},
+        {"eps_pos": 0.0},
+        {"eps_pos": -1.0},
+        {"eps_pos": float("nan")},
+        {"eps_pos": float("inf")},
     ],
 )
 def test_config_rejects(kwargs):
@@ -274,20 +284,29 @@ def test_step_diagnostics_match_the_public_api(bump_trace_two_dim):
 
 
 # real transforms per accepted step, and those of the set-up: projection,
-# background Hessian and the evaluation and diagnostics at t = 0
-TRANSFORM_BUDGET = {1: (5, 13), 2: (11, 28)}
+# background Hessian, the evaluation and diagnostics at t = 0, and phi on
+# the grid for the snapshot at t_end, which is also the final state
+TRANSFORM_BUDGET = {1: (4, 13), 2: (10, 28)}
+# the module that runs the real transforms of each rank's grids
+TRANSFORM_MODULE = {1: "numpy.fft", 2: "scipy.fft"}
 
 
 @pytest.mark.parametrize("n, N", [(1, 32), (2, 8)])
 def test_transform_budget(monkeypatch, n, N):
-    m = single_mode(TorusGeometry(n, N), 0.03)
-    counts = dict.fromkeys(("rfftn", "irfftn", "fftn", "ifftn"), 0)
-    for name in counts:
-        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
+    import scipy.fft
 
-        monkeypatch.setattr(np.fft, name, counted)
+    m = single_mode(TorusGeometry(n, N), 0.03)
+    counts = {}
+    for module in (np.fft, scipy.fft):
+        for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+            key = (module.__name__, name)
+            counts[key] = 0
+
+            def counted(*args, _key=key, _fn=getattr(module, name), **kwargs):
+                counts[_key] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
     advances = []
     original = flow_module._Kernel.advance
     monkeypatch.setattr(flow_module._Kernel, "advance",
@@ -295,6 +314,27 @@ def test_transform_budget(monkeypatch, n, N):
     trace = run_flow(m, FlowConfig(t_end=0.1, snapshot_times=(0.1,)))
     steps = len(trace.diagnostics) - 1
     assert steps > 10 and len(advances) == steps  # no rejection
-    assert counts["fftn"] == counts["ifftn"] == 0
+    used = {key: c for key, c in counts.items() if c}
+    assert set(used) <= {(TRANSFORM_MODULE[n], "rfftn"), (TRANSFORM_MODULE[n], "irfftn")}
     per_step, setup = TRANSFORM_BUDGET[n]
-    assert counts["rfftn"] + counts["irfftn"] <= per_step * steps + setup
+    assert per_step * steps <= sum(used.values()) <= per_step * steps + setup
+
+
+def test_transform_module_is_chosen_by_grid_rank():
+    """An n = 1 flow leaves scipy.fft unimported, since importing it also
+    loads scipy.special; an n = 2 flow imports it."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from torusflow import FlowConfig, KahlerMetric, ScalarField, TorusGeometry, run_flow\n"
+        "for n in (1, 2):\n"
+        "    geo = TorusGeometry(n, 8)\n"
+        "    psi = ScalarField(geo, 0.02 * np.cos(2 * np.pi * geo.coordinate(0)))\n"
+        "    run_flow(KahlerMetric(np.eye(n), psi), FlowConfig(t_end=0.01, snapshot_times=(0.01,)))\n"
+        "    print(n, 'scipy.fft' in sys.modules)\n"
+    )
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "False", "2", "True"]

@@ -221,11 +221,16 @@ def test_error_accumulation():
     assert any(m.startswith("harness.test_forms") for m in msgs)
 
 
-def test_flow_values_validated():
-    d = base_dict(flow={"sigma": 1.5})
-    with pytest.raises(ConfigError) as err:
-        config_from_dict(d)
-    assert err.value.errors[0].startswith("flow: ")
+def test_flow_values_validated(tmp_path, capsys):
+    for key, value in [("sigma", 1.5), ("eps_pos", -1.0), ("eps_pos", 0.0)]:
+        d = base_dict(flow={key: value})
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(d)
+        assert err.value.errors[0].startswith(f"flow: {key} must ")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(d))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        assert f"config error: flow: {key} must " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -892,15 +897,20 @@ def test_cli_rejects_graph_over_edge_budget(tmp_path, capsys):
 
 
 def test_cli_rejects_distance_time_without_snapshot(tmp_path, capsys):
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"geometry": {"n": 1, "N": 16},
-                             "scenario": {"indices": [1], "max_mode": 1, "p": "inf"},
-                             "flow": {"snapshot_times": [0.05, 0.25]},
-                             "distance": {"times": [0.1]}}))
-    code = main(["run", "--config", str(p), "--out", str(tmp_path / "out")])
-    assert code == EXIT_CONFIG_ERROR
-    assert "distance.times: [0.1] are not flow snapshot times" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for times, message in [
+        ([0.1], "distance.times: [0.1] are not flow snapshot times"),
+        # no time would leave a distance check that cannot fail
+        ([], "distance.times: must name at least one snapshot time"),
+    ]:
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"geometry": {"n": 1, "N": 16},
+                                 "scenario": {"indices": [1], "max_mode": 1, "p": "inf"},
+                                 "flow": {"snapshot_times": [0.05, 0.25]},
+                                 "distance": {"times": times}}))
+        code = main(["run", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_distance_rejects_time_without_snapshot(tmp_path, capsys):
