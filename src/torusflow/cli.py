@@ -16,13 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tfio
+from .distances import battery_config_errors, distance_fragment, distance_passed
 from .fields import FieldError
 from .geometry import PositivityError, ProjectionError, harmonic_projection, ricci, volume
 from .runner import (
     ConfigError,
-    check_distance_times,
-    distance_fragment,
-    distance_passed,
     ensure_trace,
     exit_code_of,
     first_scenario,
@@ -133,7 +131,8 @@ def _cmd_project(args) -> int:
 
 def _cmd_distance(args) -> int:
     config = parse_config(args.config, args.seed)
-    check_distance_times(config.flow.snapshot_times, config.distance.times)
+    if errors := battery_config_errors(config):  # whether or not `run` measures distances
+        raise ConfigError(errors)
     out = _resolve_out(args, config)
     try:
         scenario = first_scenario(config)

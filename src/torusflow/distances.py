@@ -23,6 +23,12 @@ and each query source gets one search stopped just above that bound for
 its farthest target.  Distances within the limit are the same fixed point
 min_u fl(d(u) + w(u, v)) as an unbounded search's, so the limit changes
 no value.
+
+A run's battery (`distance_fragment`) is the estimate on a flow trace
+plus the flat battery on its attractor.  It needs one or more distance
+times, each a snapshot time, 2r < N and at most MAX_GRAPH_EDGES edges
+(`battery_config_errors`).  It passes when the fitted estimate holds
+within FIT_TOL and the flat battery's error is at most FLAT_TOL.
 """
 
 from __future__ import annotations
@@ -46,8 +52,8 @@ from .geometry import (
     assemble,
     riemann_norm,
 )
-from .flow import FlowTrace
-from .harness import FIT_TOL
+from .flow import FlowTrace, _same_time
+from .harness import FIT_TOL, _result
 
 __all__ = [
     "StencilConfig",
@@ -60,6 +66,11 @@ __all__ = [
     "flat_distance_exact",
     "random_queries",
     "check_distance_estimate",
+    "FLAT_TOL",
+    "battery_config_errors",
+    "distance_fragment",
+    "distance_checks",
+    "distance_passed",
 ]
 
 
@@ -221,12 +232,8 @@ class MetricGraph:
     def node(self, point) -> int:
         return int(self._nodes(self._points([point]))[0])
 
-    def distances_from(self, source) -> np.ndarray:
-        d = dijkstra(self._graph, directed=True, indices=self.node(source))
-        return d.reshape(self.geometry.shape)
-
     def distance(self, source, target) -> float:
-        return float(self.distances_from(source).ravel()[self.node(target)])
+        return float(self.distance_batch([DistanceQuery(tuple(source), tuple(target))])[0])
 
     def distance_batch(self, queries) -> np.ndarray:
         """d(source, target) per query: one search per distinct source,
@@ -385,3 +392,55 @@ def check_distance_estimate(
         "max_flat_relative_gap": float(flat_gap.max(initial=0.0)),
         "pass": bool(min_slack >= -FIT_TOL),
     }
+
+
+# ---------------------------------------------------------------------------
+# the battery a run measures: preconditions, fragment, verdict
+
+FLAT_TOL = 0.02  # largest relative error the flat battery may show
+
+
+def battery_config_errors(config) -> list:
+    """Config-error messages for the battery of an experiment config
+    (its geometry, flow snapshot times and distance section); empty when
+    it may run.  Distances are read off stored snapshots, and a graph
+    must keep every edge distinct and fit the edge budget."""
+    geo, dist, snaps = config.geometry, config.distance, config.flow.snapshot_times
+    errors = [] if dist.times else [
+        "distance.times: must name at least one snapshot time while distances are on"]
+    if missing := [float(t) for t in dist.times if not any(_same_time(s, t) for s in snaps)]:
+        errors.append(f"distance.times: {missing} are not flow snapshot times {list(snaps)}; "
+                      "distances are read off stored snapshots")
+    try:
+        edges = stencil_edges(geo, dist.radius)
+    except ValueError as exc:
+        return errors + [f"distance.radius: {exc}"]
+    if edges > MAX_GRAPH_EDGES:
+        errors.append(f"distance.radius: radius {dist.radius} at n={geo.n}, N={geo.N} gives "
+                      f"{edges:,} graph edges, over the budget of {MAX_GRAPH_EDGES:,}")
+    return errors
+
+
+def distance_fragment(config, trace: FlowTrace) -> dict:
+    """Distance estimate on one trace of an experiment config, plus the
+    flat battery's summary."""
+    dist = config.distance
+    queries = random_queries(config.geometry, dist.queries, dist.seed)
+    frag = check_distance_estimate(trace, queries, times=dist.times, stencil=dist.stencil)
+    battery = flat_accuracy_battery(
+        trace.alpha, config.geometry, count=dist.flat_queries, seed=dist.seed + 1,
+        stencil=dist.stencil,
+    )
+    frag["flat_battery"] = {k: v for k, v in battery.items() if k != "rows"}
+    return frag
+
+
+def distance_checks(frag: dict) -> list:
+    """One check per (query, time) row of a fragment: slack against the
+    fitted bound."""
+    return [_result(f"distance[q{r['query']},t={r['t']:g}]", {}, r["slack"], FIT_TOL)
+            for r in frag["rows"]]
+
+
+def distance_passed(frag: dict) -> bool:
+    return frag["pass"] and frag["flat_battery"]["max_rel_error"] <= FLAT_TOL

@@ -54,6 +54,7 @@ __all__ = [
     "measure",
     "build_reports",
     "family_summary",
+    "family_passed",
 ]
 
 IDENTITY_TOL = 1e-8
@@ -476,3 +477,11 @@ def family_summary(ms, fam) -> dict:
         "strictly_decreasing": bool(all(d > 0 for d in drops)) if drops else True,
     }
     return out
+
+
+def family_passed(summary: dict) -> bool:
+    """The family verdict of a family_summary: every applicable rate fit
+    passes, and v_minus_one_l1, where applicable, strictly decreases."""
+    mono = summary["monotonic"]["v_minus_one_l1"]
+    return (all(sec["pass"] for sec in summary["rates"].values() if sec["applicable"])
+            and (mono["strictly_decreasing"] or not mono["applicable"]))

@@ -25,6 +25,11 @@ is that scenario's error row; the family is fitted over the others.  An
 error row keeps no report.json, checks.csv or distance.csv from an
 earlier run.
 
+The runner makes no measurement decision: `harness` decides the checks
+and the family verdict (`family_passed`), and `distances` decides when
+its battery may run and whether it passed.  The runner reads their
+verdicts into the manifest.
+
 Config defaults live in the records the sections build (FlowConfig,
 ScenarioSpec, HarnessConfig, DistanceConfig; ExperimentConfig for the
 top-level keys and scenario.flat): a key the config omits takes its
@@ -40,25 +45,20 @@ import math
 import time
 from itertools import repeat
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
 from . import io as tfio
 from .fields import FieldError, TorusGeometry, constant_field
-from .flow import FlowConfig, FlowTrace, _same_time, run_flow
+from .flow import FlowConfig, run_flow
 from .geometry import KahlerMetric, PositivityError, pairing_density
 from .geometry import volume as volume_of
-from .harness import (FIT_TOL, HarnessConfig, _result, build_reports, default_test_forms,
+from .harness import (HarnessConfig, build_reports, default_test_forms, family_passed,
                       family_summary, measure)
-from .distances import (
-    MAX_GRAPH_EDGES,
-    DistanceConfig,
-    check_distance_estimate,
-    flat_accuracy_battery,
-    random_queries,
-    stencil_edges,
-)
+from .distances import (DistanceConfig, battery_config_errors, distance_checks,
+                        distance_fragment, distance_passed)
 from .scenarios import Scenario, ScenarioError, ScenarioSpec, make_sequence
 
 __all__ = [
@@ -67,12 +67,9 @@ __all__ = [
     "RunManifest",
     "parse_config",
     "config_from_dict",
-    "check_distance_times",
     "first_scenario",
     "scenario_dir",
     "ensure_trace",
-    "distance_fragment",
-    "distance_passed",
     "write_distance_csv",
     "run_experiment",
     "emit_outputs",
@@ -314,31 +311,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     distance = DistanceConfig(**distance)
     if distance.enabled is None:  # on in the uniform-equivalence regime unless forced
         distance = replace(distance, enabled=math.isinf(spec.trace_exponent))
-    if distance.enabled:
-        check_distance_times(flow.snapshot_times, distance.times)
-        try:
-            edges = stencil_edges(geometry, distance.radius)
-        except ValueError as exc:
-            raise ConfigError([f"distance.radius: {exc}"]) from exc
-        if edges > MAX_GRAPH_EDGES:
-            raise ConfigError([
-                f"distance.radius: radius {distance.radius} at n={n}, N={N} gives {edges:,} "
-                f"graph edges, over the budget of {MAX_GRAPH_EDGES:,}"
-            ])
-    return ExperimentConfig(geometry=geometry, scenario=spec, flow=flow, harness=harness,
-                            distance=distance, output=top.get("output"), flat=flat, seed=seed)
-
-
-def check_distance_times(snapshot_times, times) -> None:
-    """ConfigError unless the distance times are one or more flow snapshot
-    times: distances are read off stored snapshots."""
-    if not times:
-        raise ConfigError(["distance.times: must name at least one snapshot time "
-                           "while distances are on"])
-    missing = [float(t) for t in times if not any(_same_time(s, t) for s in snapshot_times)]
-    if missing:
-        raise ConfigError([f"distance.times: {missing} are not flow snapshot times "
-                           f"{list(snapshot_times)}; distances are read off stored snapshots"])
+    config = ExperimentConfig(geometry=geometry, scenario=spec, flow=flow, harness=harness,
+                              distance=distance, output=top.get("output"), flat=flat, seed=seed)
+    if distance.enabled and (errors := battery_config_errors(config)):
+        raise ConfigError(errors)
+    return config
 
 
 def parse_config(path, seed: int | None = None) -> ExperimentConfig:
@@ -424,56 +401,34 @@ def _has_persisted_trace(sdir: Path, trace_key: str) -> bool:
     )
 
 
-def _load_trace(sdir: Path) -> tuple:
-    """(trace, None), or (None, reason) when the persisted trace does not load."""
-    try:
-        return tfio.load_trace(sdir / "trace"), None
-    except (OSError, tfio.FormatError, ValueError) as exc:
-        return None, f"trace reload failed: {exc}"
-
-
-def _scenario_trace(config: ExperimentConfig, out: Path, scenario: Scenario,
-                    resume_only: bool) -> tuple:
-    """(trace, None) for the trace persisted under the config's trace key, or
-    (None, reason); unless resume_only, a missing or unloadable trace is
-    first flowed again."""
+def ensure_trace(config: ExperimentConfig, out, scenario: Scenario,
+                 resume_only: bool = False) -> tuple:
+    """(trace, None) for the trace persisted under the config's trace key,
+    or (None, reason).  Unless resume_only, a missing or unloadable trace
+    is first flowed again and persisted in its place."""
     sdir = scenario_dir(out, scenario.index)
+    why = "no persisted trace for this config; run the full pipeline first"
     if _has_persisted_trace(sdir, config.trace_key):
-        trace, why = _load_trace(sdir)
-        if trace is not None or resume_only:
-            return trace, why
-    elif resume_only:
-        return None, "no persisted trace for this config; run the full pipeline first"
+        try:
+            return tfio.load_trace(sdir / "trace"), None
+        except (OSError, tfio.FormatError, ValueError) as exc:
+            why = f"trace reload failed: {exc}"
+    if resume_only:
+        return None, why
     status, why = _flow_one(config, scenario, out)
-    return _load_trace(sdir) if status == "ok" else (None, why)
+    if status != "ok":
+        return None, why
+    return ensure_trace(config, out, scenario, resume_only=True)
 
 
-def ensure_trace(config: ExperimentConfig, out, scenario: Scenario) -> tuple:
-    """(trace, None) for the scenario's persisted trace when it matches the
-    config and loads, else for a fresh flow persisted in its place;
-    (None, reason) when that flow fails."""
-    return _scenario_trace(config, out, scenario, resume_only=False)
-
-
-def distance_fragment(config: ExperimentConfig, trace: FlowTrace) -> dict:
-    """Distance estimate on one trace, plus the flat battery's summary."""
-    queries = random_queries(config.geometry, config.distance.queries, config.distance.seed)
-    frag = check_distance_estimate(
-        trace, queries, times=config.distance.times, stencil=config.distance.stencil,
-    )
-    battery = flat_accuracy_battery(
-        trace.alpha,
-        config.geometry,
-        count=config.distance.flat_queries,
-        seed=config.distance.seed + 1,
-        stencil=config.distance.stencil,
-    )
-    frag["flat_battery"] = {k: v for k, v in battery.items() if k != "rows"}
-    return frag
-
-
-def distance_passed(frag: dict) -> bool:
-    return frag["pass"] and frag["flat_battery"]["max_rel_error"] <= 0.02
+@contextmanager
+def _timed(timings: dict, stage: str):
+    """Adds the block's wall time to timings[stage]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - t0
 
 
 def write_distance_csv(sdir: Path, frag: dict) -> Path:
@@ -495,19 +450,17 @@ def _measure_scenario(config: ExperimentConfig, out: Path, scenario: Scenario, f
                       densities, resume_only: bool, timings: dict) -> tuple:
     """(measurement, distance fragment or None, None), or (None, None, reason).
     The trace lives only in this call, so the caller holds one at a time."""
-    trace, why = _scenario_trace(config, out, scenario, resume_only)
+    trace, why = ensure_trace(config, out, scenario, resume_only)
     if trace is None:
         return None, None, why
     try:
-        t0 = time.perf_counter()
-        m = measure(trace, scenario.index, scenario.amplitude, forms, densities,
-                    list(config.harness.q_list))
-        t1 = time.perf_counter()
-        timings["harness"] += t1 - t0
+        with _timed(timings, "harness"):
+            m = measure(trace, scenario.index, scenario.amplitude, forms, densities,
+                        list(config.harness.q_list))
         frag = None
         if config.distance.enabled:
-            frag = distance_fragment(config, trace)
-            timings["distance"] += time.perf_counter() - t1
+            with _timed(timings, "distance"):
+                frag = distance_fragment(config, trace)
     except (PositivityError, FieldError) as exc:  # a trace that holds no valid metric
         return None, None, f"measurement failed: {type(exc).__name__}: {exc}"
     return m, frag, None
@@ -523,9 +476,8 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
 
     scenario_rows = []
     try:
-        t0 = time.perf_counter()
-        scenarios = _scenarios(config.scenario, config.flat)
-        timings["scenario_generation"] = time.perf_counter() - t0
+        with _timed(timings, "scenario_generation"):
+            scenarios = _scenarios(config.scenario, config.flat)
     except ScenarioError as exc:
         scenarios = []
         scenario_rows.append({"status": "error", "error": f"scenario generation failed: {exc}"})
@@ -536,25 +488,21 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         sc for sc in scenarios
         if not _has_persisted_trace(scenario_dir(out, sc.index), config.trace_key)
     ]
-    t0 = time.perf_counter()
     workers = min(jobs, len(pending))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flowed = list(pool.map(_flow_one, repeat(config), pending, repeat(out)))
-    else:
-        flowed = [_flow_one(config, sc, out) for sc in pending]
+    with _timed(timings, "flows"):
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                flowed = list(pool.map(_flow_one, repeat(config), pending, repeat(out)))
+        else:
+            flowed = [_flow_one(config, sc, out) for sc in pending]
     statuses = {sc.index: res for sc, res in zip(pending, flowed)}
-    timings["flows"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    forms = default_test_forms(
-        config.geometry, count=config.harness.test_forms,
-        max_mode=config.scenario.max_mode, seed=config.harness.form_seed,
-    )
-    densities = [pairing_density(form) for _, form in forms]
-    timings["harness"] = time.perf_counter() - t0
-    if config.distance.enabled:
-        timings["distance"] = 0.0
+    with _timed(timings, "harness"):
+        forms = default_test_forms(
+            config.geometry, count=config.harness.test_forms,
+            max_mode=config.scenario.max_mode, seed=config.harness.form_seed,
+        )
+        densities = [pairing_density(form) for _, form in forms]
 
     ms = []
     distance_frags = {}
@@ -592,25 +540,12 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     any_errors = any(row["status"] != "ok" for row in scenario_rows)
     all_pass = bool(ms) and not any_errors  # an error row is a scenario not checked
     if ms:
-        t0 = time.perf_counter()
-        reports, fam = build_reports(ms)
-        summary = family_summary(ms, fam)
-        timings["harness"] += time.perf_counter() - t0
-        outputs.extend(
-            emit_outputs(out, config, reports, summary, ms, distance_frags)
-        )
-        for rep in reports:
-            if not rep.all_passed:
-                all_pass = False
-        for section in summary.get("rates", {}).values():
-            if section.get("applicable", True) and not section.get("pass", True):
-                all_pass = False
-        mono = summary.get("monotonic", {}).get("v_minus_one_l1", {})
-        if mono.get("applicable", True) and not mono.get("strictly_decreasing", True):
-            all_pass = False
-        if not all(distance_passed(frag) for frag in distance_frags.values()):
-            all_pass = False
-        family = {"constants": fam, "summary": summary}
+        with _timed(timings, "harness"):
+            reports, fam = build_reports(ms)
+            family = family_summary(ms, fam)
+        outputs.extend(emit_outputs(out, reports, family, ms, distance_frags))
+        all_pass = (all_pass and all(rep.all_passed for rep in reports) and family_passed(family)
+                    and all(distance_passed(frag) for frag in distance_frags.values()))
 
     timings["total"] = time.perf_counter() - t_start
     manifest = RunManifest(
@@ -652,35 +587,25 @@ def _remove_reports(sdir: Path) -> None:
         (sdir / name).unlink(missing_ok=True)
 
 
-def emit_outputs(out: Path, config: ExperimentConfig, reports, summary, ms,
-                 distance_frags) -> list:
+def emit_outputs(out: Path, reports, summary, ms, distance_frags) -> list:
     written = []
 
     for r in reports:
         sdir = scenario_dir(out, r.index)
         report = r.as_dict()
-        if r.index in distance_frags:
-            frag = dict(distance_frags[r.index])
-            frag.pop("flat_rows", None)
-            report["distance"] = frag
-        tfio.write_json_atomic(sdir / "report.json", report)
-        written.append(sdir / "report.json")
-
         checks = [chk for _, chk in sorted(r.checks.items())]
-        if r.index in distance_frags:
-            checks.extend(
-                _result(f"distance[q{drow['query']},t={drow['t']:g}]", {}, drow["slack"], FIT_TOL)
-                for drow in distance_frags[r.index]["rows"]
-            )
+        frag = distance_frags.get(r.index)
+        if frag is not None:
+            report["distance"] = {k: v for k, v in frag.items() if k != "flat_rows"}
+            checks.extend(distance_checks(frag))
+            written.append(write_distance_csv(sdir, frag))
+        tfio.write_json_atomic(sdir / "report.json", report)
         rows = [
             (chk.name, _fmt(chk.slack), _fmt(chk.tolerance), str(chk.passed).lower())
             for chk in checks
         ]
         tfio.write_csv_atomic(sdir / "checks.csv", ("check", "slack", "tolerance", "pass"), rows)
-        written.append(sdir / "checks.csv")
-
-        if r.index in distance_frags:
-            written.append(write_distance_csv(sdir, distance_frags[r.index]))
+        written.extend([sdir / "report.json", sdir / "checks.csv"])
 
     # family table: one row per index
     form_labels = [row[0] for row in ms[0].forms]

@@ -42,6 +42,7 @@ from torusflow import (
     volume,
     volume_density,
 )
+from torusflow.distances import FLAT_TOL
 from torusflow.geometry import _matrices
 
 GEO64 = TorusGeometry(1, 64)
@@ -324,8 +325,8 @@ def test_criterion_9_distance_suite(family64):
     battery = flat_accuracy_battery(
         FlatMetric(np.eye(1)), GEO64, count=100, seed=2024, stencil=stencil
     )
-    if battery["max_rel_error"] > 0.02:
-        failures.append(f"flat battery max rel error {battery['max_rel_error']:.4f} > 2%")
+    if battery["max_rel_error"] > FLAT_TOL:
+        failures.append(f"flat battery max rel error {battery['max_rel_error']:.4f} > {FLAT_TOL:.0%}")
 
     queries = random_queries(GEO64, 10, 2024)
     frag = check_distance_estimate(

@@ -40,7 +40,8 @@ from torusflow import (
 from torusflow import distances
 from torusflow.fields import ScalarField
 from torusflow.geometry import _quadratic_form
-from torusflow.runner import config_from_dict, distance_fragment
+from torusflow.distances import distance_fragment
+from torusflow.runner import config_from_dict
 
 SQ2 = math.sqrt(2.0)
 _H2 = np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 1.5]])
@@ -152,7 +153,7 @@ def test_graph_overapproximates_flat(geo1):
 def test_flat_battery_within_two_percent(geo1):
     out = flat_accuracy_battery(FlatMetric(np.eye(1), geometry=geo1), count=100, seed=2024)
     assert out["count"] == 100
-    assert out["max_rel_error"] <= 0.02
+    assert out["max_rel_error"] <= distances.FLAT_TOL
     assert all(r["rel_error"] >= -1e-12 for r in out["rows"])
 
 

@@ -16,8 +16,8 @@ from torusflow.cli import (
     EXIT_SCENARIO_ERROR,
     main,
 )
-from torusflow import FlowConfig, ProjectionError, ScalarField, runner
-from torusflow.distances import DistanceConfig
+from torusflow import FlowConfig, ProjectionError, ScalarField, cli, distances, harness, runner
+from torusflow.distances import FLAT_TOL, DistanceConfig
 from torusflow import io as tfio
 from torusflow.io import load_metric_snapshot, save_metric_snapshot
 from torusflow.runner import (
@@ -527,7 +527,7 @@ def test_distance_artifacts(calib_run):
     report = json.loads((out / "scenario_i001" / "report.json").read_text())
     assert report["distance"]["pass"] is True
     assert "flat_rows" not in report["distance"]
-    assert report["distance"]["flat_battery"]["max_rel_error"] <= 0.02
+    assert report["distance"]["flat_battery"]["max_rel_error"] <= FLAT_TOL
 
 
 def test_checks_csv_includes_distance_rows(calib_run):
@@ -540,6 +540,44 @@ def test_checks_csv_includes_distance_rows(calib_run):
     assert len(drows) == 6
     assert any(r[0] == "distance[q0,t=0.25]" for r in drows)
     assert all(r[2] == "1e-09" and r[3] == "true" for r in drows)
+
+
+def _v_minus_one_l1_not_decreasing(monkeypatch):
+    summarize = runner.family_summary
+
+    def summary(ms, fam):
+        out = summarize(ms, fam)
+        out["monotonic"]["v_minus_one_l1"]["strictly_decreasing"] = False
+        return out
+
+    monkeypatch.setattr(runner, "family_summary", summary)
+
+
+VERDICT_SOURCES = {
+    "none": None,
+    "rate_fit": lambda mp: mp.setattr(harness, "RATE_TOL_PRIMARY", -10),
+    "v_minus_one_l1": _v_minus_one_l1_not_decreasing,
+    "identity_residual": lambda mp: mp.setattr(harness, "IDENTITY_TOL", -1),
+    "distance_estimate": lambda mp: mp.setattr(distances, "FIT_TOL", -1),
+    "flat_battery": lambda mp: mp.setattr(distances, "FLAT_TOL", 0),
+}
+
+
+@pytest.mark.parametrize("source", list(VERDICT_SOURCES))
+def test_every_verdict_source_can_fail_the_run(calib_run, tmp_path, monkeypatch, source):
+    """Each verdict the run reads, made to fail on its own, fails the run;
+    the checks reread the calibrated run's traces, so no flow runs."""
+    import shutil
+
+    cfg, out, _ = calib_run
+    shutil.copytree(out, tmp_path / "run")
+    fail = VERDICT_SOURCES[source]
+    if fail is not None:
+        fail(monkeypatch)
+    manifest = run_experiment(cfg, tmp_path / "run", resume_only=True)
+    assert manifest.any_errors is False
+    assert manifest.all_checks_pass is (fail is None)
+    assert exit_code_of(manifest) == (EXIT_OK if fail is None else EXIT_CHECK_FAIL)
 
 
 def test_family_table_distance_columns(calib_run):
@@ -913,18 +951,32 @@ def test_cli_rejects_distance_time_without_snapshot(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
-def test_cli_distance_rejects_time_without_snapshot(tmp_path, capsys):
-    """The distance command reads its times off snapshots even when the
-    config leaves the run's distance stage off."""
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"geometry": {"n": 1, "N": 16},
-                             "scenario": {"indices": [1], "max_mode": 1},
-                             "flow": {"snapshot_times": [0.05, 0.25]},
-                             "distance": {"times": [0.1]}}))
-    code = main(["distance", "--config", str(p), "--out", str(tmp_path / "out")])
-    assert code == EXIT_CONFIG_ERROR
-    assert "distance.times: [0.1] are not flow snapshot times" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+def test_cli_distance_rejects_time_without_snapshot(tmp_path, capsys, monkeypatch):
+    """The distance command applies every battery rule before any scenario
+    or flow, even when the config leaves the run's distance stage off."""
+
+    def no_scenario(config):
+        raise AssertionError("a scenario was built for a battery that cannot run")
+
+    monkeypatch.setattr(cli, "first_scenario", no_scenario)
+    for config, message in [
+        ({"geometry": {"n": 1, "N": 16}, "scenario": {"indices": [1], "max_mode": 1},
+          "flow": {"snapshot_times": [0.05, 0.25]}, "distance": {"times": [0.1]}},
+         "distance.times: [0.1] are not flow snapshot times"),
+        ({"geometry": {"n": 1, "N": 8}, "scenario": {"indices": [1], "max_mode": 1},
+          "distance": {"radius": 4}},
+         "distance.radius: stencil radius 4 needs N > 8"),
+        # the perfbench n2-N16 config: radius 3 would need a graph of about 2 GB
+        ({"geometry": {"n": 2, "N": 16}, "scenario": {"indices": [1, 4, 16], "max_mode": 2,
+                                                      "seed": 90}},
+         "distance.radius: radius 3 at n=2, N=16 gives 73,400,320 graph edges"),
+    ]:
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config))
+        code = main(["distance", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config(tmp_path, capsys):
