@@ -18,7 +18,6 @@ from torusflow import (
     FlowConfig,
     MetricGraph,
     ScenarioSpec,
-    StencilConfig,
     TorusGeometry,
     check_distance_estimate,
     flat_accuracy_battery,
@@ -29,23 +28,22 @@ from torusflow import (
 )
 
 geo = TorusGeometry(n=1, N=64)
-stencil = StencilConfig(radius=3)
 
 # unit background: one axis step of 1/N costs sqrt(2)/N
-flat = FlatMetric(np.eye(1))
+flat = FlatMetric(np.eye(1), geometry=geo)
 d = flat_distance_exact(flat, np.array([0.0, 0.0]), np.array([0.5, 0.0]))
 print(f"half-torus hop: d = {d:.6f} (sqrt(2)/2 = {math.sqrt(2) / 2:.6f})")
 
-graph = MetricGraph(flat, stencil, geo)
+graph = MetricGraph(flat, radius=3)
 print(f"graph value along a stencil direction: {graph.distance((0, 0), (32, 0)):.6f} (exact)")
 
-battery = flat_accuracy_battery(flat, geo, count=100, seed=2024, stencil=stencil)
+battery = flat_accuracy_battery(flat, count=100, seed=2024, radius=3)
 print(f"100-query flat battery, radius 3: max rel error {battery['max_rel_error']:.4%}")
 
 # radius buys angular resolution: off-stencil directions improve with r
 exact = flat_distance_exact(flat, np.array([0.0, 0.0]), np.array([16 / 64, 3 / 64]))
 for r in (1, 2, 3):
-    g = MetricGraph(flat, StencilConfig(radius=r), geo)
+    g = MetricGraph(flat, radius=r)
     approx = g.distance((0, 0), (16, 3))
     print(f"  radius {r}: over-approximation {(approx - exact) / exact:.4%}")
 
@@ -53,9 +51,9 @@ for r in (1, 2, 3):
 spec = ScenarioSpec(geometry=geo, seed=90, indices=(4,), p=math.inf)
 sc = make_sequence(spec)[0]
 trace = run_flow(sc.metric, FlowConfig())
-frag = check_distance_estimate(
-    trace, random_queries(geo, 10, 2024), times=(0.05, 0.25, 1.0), stencil=stencil
-)
+# a query set is a (sources, targets) pair of (10, 2) grid index arrays
+sources, targets = random_queries(geo, 10, 2024)
+frag = check_distance_estimate(trace, (sources, targets), times=(0.05, 0.25, 1.0), radius=3)
 print(f"\ncalibrated i=4 scenario: L = {frag['L']:.4f}, fitted C = {frag['fitted_C']:.4f}")
 print(f"  min slack over 10 pairs x 3 times: {frag['min_slack']:+.3e} -> pass={frag['pass']}")
 print(f"  initial-vs-flat relative gap: {frag['max_flat_relative_gap']:.4%}")

@@ -72,9 +72,7 @@ from .harness import (
     measure,
 )
 from .distances import (
-    DistanceQuery,
     MetricGraph,
-    StencilConfig,
     check_distance_estimate,
     flat_accuracy_battery,
     flat_distance_exact,
@@ -107,8 +105,7 @@ __all__ = [
     "ZeroShape", "calibrate_amplitude", "make_sequence",
     "CheckResult", "EstimateReport", "build_reports", "check_scalar_floor",
     "default_test_forms", "family_summary", "fit_rate", "measure",
-    "DistanceQuery", "MetricGraph", "StencilConfig",
-    "check_distance_estimate", "flat_accuracy_battery",
+    "MetricGraph", "check_distance_estimate", "flat_accuracy_battery",
     "flat_distance_exact", "primitive_offsets", "random_queries",
     "load_field", "load_metric_snapshot", "load_trace",
     "save_field", "save_metric_snapshot", "save_trace",

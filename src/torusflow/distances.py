@@ -24,6 +24,10 @@ its farthest target.  Distances within the limit are the same fixed point
 min_u fl(d(u) + w(u, v)) as an unbounded search's, so the limit changes
 no value.
 
+A query set is a pair (sources, targets) of (m, 2n) integer grid index
+arrays, row k one query; `random_queries` draws one.  Every graph path
+takes its stencil as the radius r, a positive integer.
+
 A run's battery (`distance_fragment`) is the estimate on a flow trace
 plus the flat battery on its attractor.  It needs one or more distance
 times, each a snapshot time, 2r < N and at most MAX_GRAPH_EDGES edges
@@ -56,9 +60,7 @@ from .flow import FlowTrace, _same_time
 from .harness import FIT_TOL, _result
 
 __all__ = [
-    "StencilConfig",
     "DistanceConfig",
-    "DistanceQuery",
     "primitive_offsets",
     "MAX_GRAPH_EDGES",
     "stencil_edges",
@@ -75,43 +77,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class StencilConfig:
-    """Neighbor offsets: integer vectors in [-r, r]^{2n} with coprime entries."""
-
-    radius: int = 3
-
-    def __post_init__(self):
-        if not isinstance(self.radius, int) or self.radius < 1:
-            raise ValueError(f"stencil radius must be a positive integer, got {self.radius!r}")
-
-
-@dataclass(frozen=True)
 class DistanceConfig:
     """The distance battery: graph queries on the flow trace at the given
     snapshot times, and the flat battery on its attractor.  enabled None
     leaves the choice to the experiment (see runner.config_from_dict)."""
 
     enabled: bool | None = None
-    radius: int = StencilConfig.radius
+    radius: int = 3
     queries: int = 10
     flat_queries: int = 100
     times: tuple = (0.05, 0.25, 1.0)
     seed: int = 2024
-
-    @property
-    def stencil(self) -> StencilConfig:
-        return StencilConfig(self.radius)
-
-
-@dataclass(frozen=True)
-class DistanceQuery:
-    source: tuple
-    target: tuple
-
-    def __post_init__(self):
-        for p in (self.source, self.target):
-            if not all(isinstance(c, (int, np.integer)) for c in p):
-                raise ValueError("query endpoints must be grid index tuples")
 
 
 # Building and searching one graph on cold caches peaks under this many
@@ -135,9 +111,12 @@ def primitive_offsets(radius: int, dim: int) -> np.ndarray:
 def stencil_edges(geometry: TorusGeometry, radius: int) -> int:
     """Edge count of a MetricGraph: nodes x canonical offsets.
 
-    Offsets in [-r, r] stay distinct modulo N only while 2r < N; a larger
-    radius would merge edges, so it raises ValueError.
+    The radius must be a positive integer, and offsets in [-r, r] stay
+    distinct modulo N only while 2r < N; a larger radius would merge
+    edges.  Either violation raises ValueError.
     """
+    if not isinstance(radius, int) or radius < 1:
+        raise ValueError(f"stencil radius must be a positive integer, got {radius!r}")
     if 2 * radius >= geometry.N:
         raise ValueError(
             f"stencil radius {radius} needs N > {2 * radius}: at N={geometry.N} "
@@ -155,7 +134,7 @@ def _topology(geometry: TorusGeometry, radius: int) -> tuple:
     directions: neighbours[i, k] is node i + offsets[k] mod N and
     neighbours[i, K + k] is node i - offsets[k] mod N, and indptr gives
     every row 2K entries.  About 8 bytes per canonical edge."""
-    stencil_edges(geometry, radius)  # rejects 2r >= N
+    stencil_edges(geometry, radius)  # rejects a bad radius and 2r >= N
     offs = primitive_offsets(radius, geometry.axes)
     offs = offs[offs[np.arange(len(offs)), np.argmax(offs != 0, axis=1)] > 0]
     base = np.arange(geometry.npoints, dtype=np.int32).reshape(geometry.shape)
@@ -202,53 +181,50 @@ class MetricGraph:
     mean of the endpoint quadratic forms, which keeps every weight positive.
     """
 
-    def __init__(self, metric, stencil: StencilConfig = StencilConfig(), geometry=None):
+    def __init__(self, metric, radius: int = DistanceConfig.radius):
         geo, vals = _coefficients(metric)
-        geo = geo or geometry
         if geo is None:
-            raise ValueError("flat metric carries no grid; pass geometry explicitly")
+            raise ValueError("flat metric carries no grid; give it one: FlatMetric(H, geometry=...)")
         eig = _eigenvalues(vals)
         if float(eig[0].min()) <= 0:
             raise PositivityError("distance on a non-positive metric")
         self.geometry = geo
-        self.stencil = stencil
         # search limit per unit of d_I: sqrt(lambda_max) plus rounding headroom.
         # d_I is fetched before this graph's weights exist, so the first graph
         # on a grid never holds two weight tables at once.
         self._limit_per_unit = math.sqrt(float(eig[-1].max())) * (1.0 + 1e-9)
-        self._identity = _identity_distances(geo, stencil.radius)
-        self._graph = _edge_graph(geo, vals, stencil.radius)
+        self._identity = _identity_distances(geo, radius)
+        self._graph = _edge_graph(geo, vals, radius)
 
     def _points(self, points) -> np.ndarray:
-        """(m, 2n) grid index array of m points, wrapped into [0, N)."""
-        pts = np.asarray(points, dtype=np.int64).reshape(len(points), -1)
-        if pts.shape[1] != self.geometry.axes:
-            raise ValueError(f"point has {pts.shape[1]} coordinates, grid has {self.geometry.axes}")
-        return pts % self.geometry.N
+        """An (m, 2n) integer grid index array, wrapped into [0, N)."""
+        pts = np.asarray(points)
+        if pts.dtype.kind not in "iu" or pts.ndim != 2 or pts.shape[1] != self.geometry.axes:
+            raise ValueError(f"points must be an (m, {self.geometry.axes}) integer index array, "
+                             f"got {pts.dtype} of shape {pts.shape}")
+        return pts.astype(np.int64) % self.geometry.N  # unsigned differences would wrap
 
     def _nodes(self, pts: np.ndarray) -> np.ndarray:
         return np.ravel_multi_index(pts.T, self.geometry.shape)
 
-    def node(self, point) -> int:
-        return int(self._nodes(self._points([point]))[0])
-
     def distance(self, source, target) -> float:
-        return float(self.distance_batch([DistanceQuery(tuple(source), tuple(target))])[0])
+        return float(self.distance_batch([source], [target])[0])
 
-    def distance_batch(self, queries) -> np.ndarray:
-        """d(source, target) per query: one search per distinct source,
-        stopped at sqrt(lambda_max) d_I of its farthest target (plus
-        rounding headroom).  A target beyond the limit would read inf, so
-        it raises instead."""
-        src = self._points([q.source for q in queries])
-        dst = self._points([q.target for q in queries])
-        sources, targets = self._nodes(src), self._nodes(dst)
+    def distance_batch(self, sources, targets) -> np.ndarray:
+        """d(sources[k], targets[k]) per row k: one search per distinct
+        source, stopped at sqrt(lambda_max) d_I of its farthest target
+        (plus rounding headroom).  A target beyond the limit would read
+        inf, so it raises instead."""
+        src, dst = self._points(sources), self._points(targets)
+        if len(src) != len(dst):
+            raise ValueError(f"{len(src)} sources but {len(dst)} targets")
+        starts, ends = self._nodes(src), self._nodes(dst)
         limits = self._limit_per_unit * self._identity[self._nodes((dst - src) % self.geometry.N)]
-        out = np.empty(len(queries))
-        for s in np.unique(sources):
-            mine = sources == s
+        out = np.empty(len(src))
+        for s in np.unique(starts):
+            mine = starts == s
             d = dijkstra(self._graph, directed=True, indices=int(s), limit=limits[mine].max())
-            out[mine] = d[targets[mine]]
+            out[mine] = d[ends[mine]]
         if not np.isfinite(out).all():
             raise RuntimeError("a bounded search stopped short of its target: "
                                "the a-priori distance bound does not hold")
@@ -280,68 +256,48 @@ def flat_distance_exact(H: FlatMetric, x, y) -> float:
     return float(_flat_distances(mat, x[None], y[None])[0])
 
 
-def _flat_query_distances(flat: FlatMetric, geometry: TorusGeometry, queries) -> np.ndarray:
-    """flat_distance_exact of every query, its grid points divided by N."""
-    x = np.array([q.source for q in queries], dtype=float) / geometry.N
-    y = np.array([q.target for q in queries], dtype=float) / geometry.N
-    return _flat_distances(flat.H, x, y)
-
-
 @lru_cache(maxsize=8)
 def random_queries(geometry: TorusGeometry, count: int, seed: int) -> tuple:
-    """Distinct-endpoint query pairs, uniform over grid points.  The pairs
-    depend only on the arguments, so a run draws each set once."""
+    """(sources, targets): read-only (count, 2n) index arrays of distinct
+    endpoints, uniform over grid points.  They depend only on the
+    arguments, so a run draws each set once."""
     rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
+    pairs = []
+    while len(pairs) < count:
         pts = rng.integers(0, geometry.N, size=(2, geometry.axes))
-        if np.array_equal(pts[0], pts[1]):
-            continue
-        out.append(DistanceQuery(tuple(int(c) for c in pts[0]), tuple(int(c) for c in pts[1])))
-    return tuple(out)
+        if not np.array_equal(pts[0], pts[1]):
+            pairs.append(pts)
+    pts = np.array(pairs, dtype=np.int64).reshape(count, 2, geometry.axes)
+    pts.setflags(write=False)
+    return pts[:, 0], pts[:, 1]
 
 
-def flat_accuracy_battery(
-    flat: FlatMetric,
-    geometry: TorusGeometry | None = None,
-    count: int = DistanceConfig.flat_queries,
-    seed: int = DistanceConfig.seed,
-    stencil: StencilConfig = StencilConfig(),
-) -> dict:
-    """Graph-vs-closed-form accuracy on a constant metric.
+def flat_accuracy_battery(flat: FlatMetric, count: int = DistanceConfig.flat_queries,
+                          seed: int = DistanceConfig.seed,
+                          radius: int = DistanceConfig.radius) -> dict:
+    """Graph-vs-closed-form accuracy on a constant metric with a grid.
 
     The graph value always over-approximates; the worst relative excess
     over the battery is the stencil's effective angular error.  Every
     node of a constant metric's graph carries the same edge weights, so
     d(s, t) = d(0, t - s mod N) and one Dijkstra from the origin answers
-    all the queries.
+    all the queries.  Returns max_rel_error, count, and the per-query
+    graph and exact distances.
     """
-    geo = flat.geometry if flat.geometry is not None else geometry
-    if geo is None:
-        raise ValueError("flat metric carries no grid; pass geometry explicitly")
-    queries = random_queries(geo, count, seed)
-    graph = MetricGraph(flat, stencil, geo)
-    origin = (0,) * geo.axes
-    approx = graph.distance_batch([
-        DistanceQuery(origin, tuple((t - s) % geo.N for s, t in zip(q.source, q.target)))
-        for q in queries
-    ])
-    exact = _flat_query_distances(flat, geo, queries)
+    graph = MetricGraph(flat, radius)  # a grid-less metric raises ValueError
+    geo = graph.geometry
+    sources, targets = random_queries(geo, count, seed)
+    approx = graph.distance_batch(np.zeros_like(sources), (targets - sources) % geo.N)
+    exact = _flat_distances(flat.H, sources / geo.N, targets / geo.N)
     rel = (approx - exact) / exact
-    rows = [
-        {"query": q, "graph": float(d), "exact": float(e), "rel_error": float(r)}
-        for q, d, e, r in zip(queries, approx, exact, rel)
-    ]
-    return {"max_rel_error": float(np.abs(rel).max(initial=0.0)), "rows": rows, "count": count}
+    return {"max_rel_error": float(np.abs(rel).max(initial=0.0)), "count": count,
+            "graph": approx, "exact": exact}
 
 
-def check_distance_estimate(
-    trace: FlowTrace,
-    queries,
-    times=DistanceConfig.times,
-    stencil: StencilConfig = StencilConfig(),
-) -> dict:
-    """Shrinking-distance bound d_0(x,y) <= d_t(x,y) + C sqrt(L t).
+def check_distance_estimate(trace: FlowTrace, queries: tuple, times=DistanceConfig.times,
+                            radius: int = DistanceConfig.radius) -> dict:
+    """Shrinking-distance bound d_0(x,y) <= d_t(x,y) + C sqrt(L t) on a
+    query set (sources, targets).
 
     L is measured as sup_t t * max |Rm(g(t))| over the snapshots, C is
     fitted as the smallest constant covering every (query, t) pair, and
@@ -349,8 +305,8 @@ def check_distance_estimate(
     attractor's closed form.
     """
     geo = trace.initial.geometry
-    queries = list(queries)
-    d0 = MetricGraph(trace.initial, stencil).distance_batch(queries)
+    sources, targets = queries
+    d0 = MetricGraph(trace.initial, radius).distance_batch(sources, targets)
 
     # one assembly per snapshot feeds both |Rm| and, at the distance times, its graph
     wanted = [trace.snapshot_at(t) for t in times]
@@ -360,10 +316,9 @@ def check_distance_estimate(
         g = assemble(s.metric())
         L = max(L, s.t * float(riemann_norm(g).values.max()))
         if any(s is w for w in wanted):
-            d_at[id(s)] = MetricGraph(g, stencil).distance_batch(queries)
+            d_at[id(s)] = MetricGraph(g, radius).distance_batch(sources, targets)
 
-    rows = []
-    ratios = []
+    rows, ratios = [], []
     for t, snap in zip(times, wanted):
         scale = math.sqrt(max(L * t, 0.0))
         for qid, (a, b) in enumerate(zip(d0, d_at[id(snap)])):
@@ -375,7 +330,7 @@ def check_distance_estimate(
     for r in rows:
         r["slack"] = fitted_c * math.sqrt(max(L * r["t"], 0.0)) - r["gap"]
 
-    d_flat = _flat_query_distances(trace.alpha, geo, queries)
+    d_flat = _flat_distances(trace.alpha.H, sources / geo.N, targets / geo.N)
     flat_gap = np.abs(d0 - d_flat) / d_flat
     flat_rows = [
         {"query": qid, "d0": float(a), "d_flat": float(b), "rel_gap": float(r)}
@@ -426,12 +381,10 @@ def distance_fragment(config, trace: FlowTrace) -> dict:
     flat battery's summary."""
     dist = config.distance
     queries = random_queries(config.geometry, dist.queries, dist.seed)
-    frag = check_distance_estimate(trace, queries, times=dist.times, stencil=dist.stencil)
-    battery = flat_accuracy_battery(
-        trace.alpha, config.geometry, count=dist.flat_queries, seed=dist.seed + 1,
-        stencil=dist.stencil,
-    )
-    frag["flat_battery"] = {k: v for k, v in battery.items() if k != "rows"}
+    frag = check_distance_estimate(trace, queries, times=dist.times, radius=dist.radius)
+    battery = flat_accuracy_battery(trace.alpha, count=dist.flat_queries, seed=dist.seed + 1,
+                                    radius=dist.radius)
+    frag["flat_battery"] = {k: battery[k] for k in ("max_rel_error", "count")}
     return frag
 
 

@@ -151,47 +151,30 @@ def calibrate_amplitude(
     if float(np.ptp(shape.values)) == 0.0:
         raise ZeroShape("shape potential is constant")
     band_lo, band_hi = floor_target, floor_target / 2.0
-    evals = 0
-
-    def probe(a: float):
-        nonlocal evals
-        evals += 1
-        if evals > max_evals:
-            raise BracketFailure(
-                f"exceeded {max_evals} curvature evaluations before landing in "
-                f"[{band_lo:g}, {band_hi:g}]"
-            )
-        return _floor_of(shape, H0, a)
-
-    lo = 0.0  # flat limit: min R -> 0 from above the band
-    hi = START_AMPLITUDE
-    while True:
-        coeffs, curv, lam = probe(hi)
+    # lo stays above the band (the flat limit, min R -> 0, to start) and hi
+    # below it or past positivity; amplitudes double until hi is found,
+    # then bisect
+    lo, hi, a = 0.0, math.inf, START_AMPLITUDE
+    for _ in range(max_evals):
+        coeffs, curv, lam = _floor_of(shape, H0, a)
         if curv is None:
-            raise BracketFailure(
-                f"positivity failed (min eigenvalue {lam:.3e}) at amplitude {hi:g} "
-                "before the curvature floor was reached; shape too rough"
-            )
-        val = curv.min()
-        if band_lo <= val <= band_hi:
-            return hi, coeffs, curv
-        if val < band_lo:
-            break  # crossed below the band: bisect [lo, hi]
-        lo = hi
-        hi *= 2.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        coeffs, curv, lam = probe(mid)
-        if curv is None:
-            hi = mid  # positivity margin shrinks with amplitude
-            continue
-        val = curv.min()
-        if band_lo <= val <= band_hi:
-            return mid, coeffs, curv
-        if val > band_hi:
-            lo = mid
+            if math.isinf(hi):
+                raise BracketFailure(
+                    f"positivity failed (min eigenvalue {lam:.3e}) at amplitude {a:g} "
+                    "before the curvature floor was reached; shape too rough"
+                )
+            hi = a  # positivity margin shrinks with amplitude
+        elif band_lo <= (val := curv.min()) <= band_hi:
+            return a, coeffs, curv
+        elif val > band_hi:
+            lo = a
         else:
-            hi = mid
+            hi = a
+        a = 2.0 * a if math.isinf(hi) else 0.5 * (lo + hi)
+    raise BracketFailure(
+        f"exceeded {max_evals} curvature evaluations before landing in "
+        f"[{band_lo:g}, {band_hi:g}]"
+    )
 
 
 def make_sequence(spec: ScenarioSpec) -> list:

@@ -21,7 +21,6 @@ from torusflow import (
     KahlerMetric,
     ScalarField,
     ScenarioSpec,
-    StencilConfig,
     TorusGeometry,
     build_reports,
     check_distance_estimate,
@@ -320,17 +319,17 @@ def test_criterion_8_volume_density(family64):
 
 def test_criterion_9_distance_suite(family64):
     failures = []
-    stencil = StencilConfig(radius=3)
+    radius = 3
 
     battery = flat_accuracy_battery(
-        FlatMetric(np.eye(1)), GEO64, count=100, seed=2024, stencil=stencil
+        FlatMetric(np.eye(1), geometry=GEO64), count=100, seed=2024, radius=radius
     )
     if battery["max_rel_error"] > FLAT_TOL:
         failures.append(f"flat battery max rel error {battery['max_rel_error']:.4f} > {FLAT_TOL:.0%}")
 
     queries = random_queries(GEO64, 10, 2024)
     frag = check_distance_estimate(
-        family64["traces"][4], queries, times=(0.05, 0.25, 1.0), stencil=stencil
+        family64["traces"][4], queries, times=(0.05, 0.25, 1.0), radius=radius
     )
     if not frag["pass"]:
         failures.append(f"i=4 estimate: min slack {frag['min_slack']:.3g} < 0 with C={frag['fitted_C']:.3g}")
@@ -340,7 +339,7 @@ def test_criterion_9_distance_suite(family64):
         failures.append(f"i=4 estimate: expected 30 rows, got {len(frag['rows'])}")
 
     frag64 = check_distance_estimate(
-        family64["traces"][64], queries, times=(0.05, 0.25, 1.0), stencil=stencil
+        family64["traces"][64], queries, times=(0.05, 0.25, 1.0), radius=radius
     )
     gap = frag64["max_flat_relative_gap"]
     if gap > 0.03:

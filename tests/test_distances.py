@@ -18,14 +18,12 @@ from scipy.sparse.csgraph import dijkstra
 from conftest import cos_field, sin_field
 
 from torusflow import (
-    DistanceQuery,
     FlatMetric,
     FlowConfig,
     KahlerMetric,
     MetricGraph,
     PositivityError,
     ScenarioSpec,
-    StencilConfig,
     TorusGeometry,
     assemble,
     check_distance_estimate,
@@ -65,16 +63,29 @@ def test_primitive_offsets_are_coprime():
     assert len({tuple(v) for v in offs}) == len(offs)
 
 
-def test_stencil_validation():
-    with pytest.raises(ValueError):
-        StencilConfig(radius=0)
-    with pytest.raises(ValueError):
-        StencilConfig(radius=2.5)
+def test_stencil_validation(geo1):
+    flat = FlatMetric(np.eye(1), geometry=geo1)
+    for radius in (0, 2.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            distances.stencil_edges(geo1, radius)
+        with pytest.raises(ValueError, match="positive integer"):
+            MetricGraph(flat, radius)
+    # a graph needs a grid, and a FlatMetric is the one way to give it one
+    gridless = FlatMetric(np.eye(1))
+    with pytest.raises(ValueError, match="no grid"):
+        MetricGraph(gridless)
+    with pytest.raises(ValueError, match="no grid"):
+        flat_accuracy_battery(gridless, count=5)
 
 
-def test_query_validation():
-    with pytest.raises(ValueError):
-        DistanceQuery((0.5, 0.0), (1, 1))
+def test_query_validation(geo1):
+    graph = MetricGraph(FlatMetric(np.eye(1), geometry=geo1))
+    # a float point, then points with three and with one coordinate
+    for source, target in [((0.5, 0.0), (1, 1)), ((0, 0, 0), (1, 1)), ((0, 0), (1,))]:
+        with pytest.raises(ValueError):
+            graph.distance(source, target)
+    with pytest.raises(ValueError, match="2 sources but 3 targets"):
+        graph.distance_batch(np.zeros((2, 2), dtype=int), np.ones((3, 2), dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +149,25 @@ def test_graph_exact_along_stencil_directions(geo1):
 def test_graph_wraps_indices(geo1):
     g = MetricGraph(FlatMetric(np.eye(1), geometry=geo1))
     assert g.distance((0, 0), (-32, 64)) == pytest.approx(SQ2 * 0.5, rel=1e-12)
+    # unsigned indices: 1 - 5 must wrap modulo N = 12, not modulo 256
+    g12 = MetricGraph(FlatMetric(np.eye(1), geometry=TorusGeometry(1, 12)))
+    s, t = np.array([[5, 0]]), np.array([[1, 0]])
+    assert g12.distance_batch(s.astype(np.uint8), t.astype(np.uint8)) == g12.distance_batch(s, t)
 
 
 def test_graph_overapproximates_flat(geo1):
     g = MetricGraph(FlatMetric(np.eye(1), geometry=geo1))
     flat = FlatMetric(np.eye(1))
-    for q in random_queries(geo1, 25, seed=11):
-        exact = flat_distance_exact(
-            flat, np.array(q.source) / geo1.N, np.array(q.target) / geo1.N
-        )
-        assert g.distance(q.source, q.target) >= exact - 1e-12
+    for s, t in zip(*random_queries(geo1, 25, seed=11)):
+        exact = flat_distance_exact(flat, s / geo1.N, t / geo1.N)
+        assert g.distance(s, t) >= exact - 1e-12
 
 
 def test_flat_battery_within_two_percent(geo1):
     out = flat_accuracy_battery(FlatMetric(np.eye(1), geometry=geo1), count=100, seed=2024)
     assert out["count"] == 100
     assert out["max_rel_error"] <= distances.FLAT_TOL
-    assert all(r["rel_error"] >= -1e-12 for r in out["rows"])
+    assert ((out["graph"] - out["exact"]) / out["exact"] >= -1e-12).all()
 
 
 def test_graph_distance_scaling(geo1):
@@ -181,7 +194,7 @@ def test_radius_refines_distances():
     flat = FlatMetric(np.eye(1), geometry=geo)
     # slope-3 direction is outside the r=1 stencil but inside r=3
     target = (4, 12)
-    d1, d2, d3 = (MetricGraph(flat, StencilConfig(radius=r)).distance((0, 0), target)
+    d1, d2, d3 = (MetricGraph(flat, r).distance((0, 0), target)
                   for r in (1, 2, 3))
     assert d1 >= d2 >= d3
     assert d1 > d3 + 1e-9
@@ -191,10 +204,10 @@ def test_radius_refines_distances():
 
 def test_batch_matches_single(geo1):
     graph = MetricGraph(FlatMetric(np.eye(1), geometry=geo1))
-    queries = random_queries(geo1, 10, seed=3)
-    batch = graph.distance_batch(queries)
-    for q, d in zip(queries, batch):
-        assert d == pytest.approx(graph.distance(q.source, q.target), rel=1e-14)
+    sources, targets = random_queries(geo1, 10, seed=3)
+    batch = graph.distance_batch(sources, targets)
+    for s, t, d in zip(sources, targets, batch):
+        assert d == pytest.approx(graph.distance(s, t), rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -207,9 +220,10 @@ def test_batch_matches_single(geo1):
 def test_one_source_battery_matches_all_sources(geo, H):
     flat = FlatMetric(H, geometry=geo)
     out = flat_accuracy_battery(flat, count=60, seed=2024)
-    direct = MetricGraph(flat).distance_batch([r["query"] for r in out["rows"]])
-    assert len({r["query"].source for r in out["rows"]}) > 50
-    np.testing.assert_allclose([r["graph"] for r in out["rows"]], direct, rtol=1e-12)
+    sources, targets = random_queries(geo, 60, 2024)
+    direct = MetricGraph(flat).distance_batch(sources, targets)
+    assert len(np.unique(sources, axis=0)) > 50
+    np.testing.assert_allclose(out["graph"], direct, rtol=1e-12)
 
 
 @pytest.mark.parametrize("geo, H", [(TorusGeometry(1, 64), np.array([[1.3]])), (TorusGeometry(2, 8), _H2)])
@@ -217,11 +231,9 @@ def test_battery_exact_values_match_single_pairs(geo, H):
     """The battery evaluates the closed form for all its queries at once;
     each value is the single-pair value, bit for bit."""
     flat = FlatMetric(H, geometry=geo)
-    for r in flat_accuracy_battery(flat, count=40, seed=5)["rows"]:
-        q = r["query"]
-        assert r["exact"] == flat_distance_exact(
-            flat, np.array(q.source, dtype=float) / geo.N, np.array(q.target, dtype=float) / geo.N
-        )
+    exact = flat_accuracy_battery(flat, count=40, seed=5)["exact"]
+    for s, t, e in zip(*random_queries(geo, 40, 5), exact):
+        assert e == flat_distance_exact(flat, s / geo.N, t / geo.N)
 
 
 def _coo_graph(metric, radius):
@@ -252,7 +264,7 @@ def test_cached_topology_matches_coo_build(geo1, radius):
     metric = KahlerMetric(
         np.eye(1), 0.04 * cos_field(geo1, 0) + 0.005 * sin_field(geo1, 1, mode=2)
     )
-    graph = MetricGraph(metric, StencilConfig(radius))
+    graph = MetricGraph(metric, radius)
     one_way = _coo_graph(metric, radius)
     assert one_way.nnz == distances.stencil_edges(geo1, radius)
     # every edge stored in both directions, with the same weight
@@ -260,18 +272,18 @@ def test_cached_topology_matches_coo_build(geo1, radius):
     assert (graph._graph != one_way + one_way.T).nnz == 0
 
 
-def _reference_batch(metric, radius, queries):
+def _reference_batch(metric, radius, sources, targets):
     """Reference: an unbounded undirected search over the one-way graph,
     one search for all sources."""
     geo = metric.geometry
 
     def node(p):
-        return np.ravel_multi_index(tuple(c % geo.N for c in p), geo.shape)
+        return np.ravel_multi_index(tuple(int(c) % geo.N for c in p), geo.shape)
 
-    sources = sorted({node(q.source) for q in queries})
-    table = dijkstra(_coo_graph(metric, radius), directed=False, indices=sources)
-    row = {s: k for k, s in enumerate(sources)}
-    return np.array([table[row[node(q.source)], node(q.target)] for q in queries])
+    starts = sorted({node(s) for s in sources})
+    table = dijkstra(_coo_graph(metric, radius), directed=False, indices=starts)
+    row = {s: k for k, s in enumerate(starts)}
+    return np.array([table[row[node(s)], node(t)] for s, t in zip(sources, targets)])
 
 
 def _potential(geo, *terms):
@@ -302,13 +314,14 @@ def test_bounded_search_equals_unbounded_reference(case):
     if case.endswith("spread"):
         assert hi >= 2.0 * lo
     half = geo.N // 2
-    far = [DistanceQuery(s, tuple(c + half for c in s)) for s in [(0,) * geo.axes, (3,) * geo.axes]]
-    queries = list(random_queries(geo, 12, seed=8)) + far + [
-        # one source, several targets: one search serves them all
-        DistanceQuery((1,) * geo.axes, t) for t in [(2,) * geo.axes, (half + 1,) * geo.axes]
-    ]
-    got = MetricGraph(metric, StencilConfig(radius)).distance_batch(queries)
-    assert np.array_equal(got, _reference_batch(metric, radius, queries))
+    one = np.ones(geo.axes, dtype=np.int64)
+    sources, targets = random_queries(geo, 12, seed=8)
+    # two half-period hops, then one source with several targets: one
+    # search serves them all
+    sources = np.concatenate([sources, [0 * one, 3 * one, one, one]])
+    targets = np.concatenate([targets, [half * one, (3 + half) * one, 2 * one, (half + 1) * one]])
+    got = MetricGraph(metric, radius).distance_batch(sources, targets)
+    assert np.array_equal(got, _reference_batch(metric, radius, sources, targets))
 
 
 def test_bound_too_small_raises(monkeypatch, geo1):
@@ -316,7 +329,7 @@ def test_bound_too_small_raises(monkeypatch, geo1):
     monkeypatch.setattr(distances, "_identity_distances", lambda geo, r: 0.5 * original(geo, r))
     graph = MetricGraph(KahlerMetric(np.eye(1), 0.04 * cos_field(geo1, 0)))
     with pytest.raises(RuntimeError, match="a-priori distance bound"):
-        graph.distance_batch(random_queries(geo1, 5, seed=3))
+        graph.distance_batch(*random_queries(geo1, 5, seed=3))
 
 
 @pytest.mark.parametrize("n, N, radius", [(2, 16, 1), (1, 64, 3)])
@@ -331,7 +344,7 @@ def test_graph_peak_bytes_per_edge(n, N, radius):
     gc.collect()
     tracemalloc.start()
     try:
-        MetricGraph(g, StencilConfig(radius)).distance_batch(queries)
+        MetricGraph(g, radius).distance_batch(*queries)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -342,12 +355,12 @@ def test_graph_peak_bytes_per_edge(n, N, radius):
 def test_graph_rejects_radius_that_wraps(N):
     # at N=6, (1, 3) and (1, -3) reach the same neighbour
     with pytest.raises(ValueError, match="needs N > 6"):
-        MetricGraph(FlatMetric(np.eye(1), geometry=TorusGeometry(1, N)), StencilConfig(3))
+        MetricGraph(FlatMetric(np.eye(1), geometry=TorusGeometry(1, N)), 3)
 
 
 def test_graph_radius_below_half_grid_keeps_every_edge():
     geo = TorusGeometry(1, 8)
-    graph = MetricGraph(FlatMetric(np.eye(1), geometry=geo), StencilConfig(3))
+    graph = MetricGraph(FlatMetric(np.eye(1), geometry=geo), 3)
     assert graph._graph.nnz == 2 * geo.npoints * 16 == 2 * distances.stencil_edges(geo, 3)
     assert graph.distance((0, 0), (1, 1)) == pytest.approx(0.25, rel=1e-12)
 
@@ -380,7 +393,7 @@ def test_dijkstra_source_budget(monkeypatch):
     frag = distance_fragment(config, trace)
     assert frag["flat_battery"]["count"] == 30
     queries = random_queries(config.geometry, config.distance.queries, config.distance.seed)
-    sources = len({q.source for q in queries})
+    sources = len(np.unique(queries[0], axis=0))
     graphs = len(config.distance.times) + 1  # t = 0 and each time
     # the identity metric's search for the grid, then one bounded search per
     # estimate graph and distinct source, then the battery's one
@@ -396,8 +409,10 @@ def test_graph_rejects_nonpositive(geo1):
 def test_random_queries_deterministic(geo1):
     a = random_queries(geo1, 20, seed=5)
     b = random_queries(geo1, 20, seed=5)
-    assert a == b
-    assert all(q.source != q.target for q in a)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert a[0].shape == a[1].shape == (20, 2)
+    assert not a[0].flags.writeable and not a[1].flags.writeable
+    assert (a[0] != a[1]).any(axis=1).all()
 
 
 # ---------------------------------------------------------------------------

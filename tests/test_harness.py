@@ -1,5 +1,6 @@
 """Estimate harness: rate fits, fitted constants, check plumbing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from torusflow import (
     pairing_density,
     run_flow,
 )
+from torusflow import harness
 from torusflow.harness import FIT_TOL, FITTED_BOUNDS
 
 CHECK_NAMES = {
@@ -171,6 +173,22 @@ def test_rate_sections(reported_family):
     pg = summary["rates"]["pairing_gaps"]
     assert pg["applicable"]
     assert pg["passing"] >= pg["required"], pg["per_form"]
+
+
+@pytest.mark.parametrize("forms, required", [(1, 1), (2, 1), (3, 2)])
+def test_pairing_gap_fit_can_fail(reported_family, monkeypatch, forms, required):
+    """With every form missing the rate, the section fails: one form must
+    reach it itself, and of two or more all but one must."""
+    _, _, _, fam, ms = reported_family
+    labels = [r[0] for r in ms[0].forms if r[0].startswith("rand")][:forms]
+    assert len(labels) == forms
+    kept = [dataclasses.replace(m, forms=[r for r in m.forms if r[0] in labels]) for m in ms]
+    monkeypatch.setattr(harness, "RATE_TOL_PAIRING", -10.0)
+    summary = family_summary(kept, fam)
+    pg = summary["rates"]["pairing_gaps"]
+    assert pg["applicable"] and pg["passing"] == 0
+    assert pg["required"] == required
+    assert not pg["pass"] and not harness.family_passed(summary)
 
 
 def test_l1_monotone_section(reported_family):

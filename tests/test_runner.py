@@ -51,7 +51,7 @@ def test_minimal_defaults():
     assert cfg.harness.q_list == (1.0, 1.5)
     # default trace exponent is finite (2n), so the distance battery stays off
     assert cfg.distance.enabled is False
-    assert cfg.distance.stencil.radius == 3
+    assert cfg.distance.radius == 3
     assert cfg.distance.queries == 10 and cfg.distance.flat_queries == 100
     assert cfg.distance.times == (0.05, 0.25, 1.0)
     assert cfg.distance.seed == 2024
