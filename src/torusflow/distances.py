@@ -241,19 +241,20 @@ def _flat_distances(mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray
     return np.sqrt(np.maximum(q.min(axis=-1), 0.0))
 
 
-def flat_distance_exact(H: FlatMetric, x, y) -> float:
+def flat_distance_exact(flat: FlatMetric, x, y) -> float:
     """Flat-torus distance: min over lattice shifts in {-1,0,1}^{2n}.
 
     x, y are real coordinate vectors in the unit cell (grid indices / N
     work after dividing by N).
     """
-    mat = H.H if isinstance(H, FlatMetric) else np.asarray(H, dtype=np.complex128)
-    n = mat.shape[0]
+    if not isinstance(flat, FlatMetric):
+        raise TypeError(f"expected a FlatMetric, got {type(flat).__name__}")
+    n = flat.n
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (2 * n,) or y.shape != (2 * n,):
         raise ValueError(f"points must have {2 * n} real coordinates")
-    return float(_flat_distances(mat, x[None], y[None])[0])
+    return float(_flat_distances(flat.H, x[None], y[None])[0])
 
 
 @lru_cache(maxsize=8)

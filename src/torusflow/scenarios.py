@@ -8,7 +8,12 @@ against i.
 
 Calibration brackets geometrically from a = 1e-4 (the flat limit a -> 0
 always sits above the band) and then bisects into the band; the whole
-search is capped at 60 curvature evaluations.
+search is capped at 60 steps.  Every index starts from the same
+amplitude and doubles or halves it, so the indices of one family visit
+many of the same amplitudes: make_sequence shares one table of readings
+(min R, min eigenvalue) by amplitude across them, and a table hit skips
+the probe but still counts as a step, so each index takes the same path
+and lands on the same amplitude as a calibration of its own.
 """
 
 from __future__ import annotations
@@ -138,6 +143,7 @@ def calibrate_amplitude(
     H0: np.ndarray,
     floor_target: float,
     max_evals: int = MAX_EVALS,
+    table: dict | None = None,
 ) -> tuple:
     """Amplitude a with min R(H0 + a d dbar shape) in [floor_target, floor_target/2].
 
@@ -145,6 +151,13 @@ def calibrate_amplitude(
     in the band.  floor_target must be negative.  Raises ZeroShape for
     constant shapes and BracketFailure when positivity breaks before the
     floor is reached or the evaluation budget runs out.
+
+    table maps an amplitude to its reading (min R, or None where
+    positivity failed; min eigenvalue) for this shape and background.
+    Readings found there are not probed again, and new ones are added,
+    so calls that share it share their probes.  A table hit still takes
+    one of the max_evals steps; a hit in the band is probed once more
+    for the coefficients and curvature it returns.
     """
     if floor_target >= 0:
         raise ValueError(f"floor target must be negative, got {floor_target}")
@@ -154,17 +167,23 @@ def calibrate_amplitude(
     # lo stays above the band (the flat limit, min R -> 0, to start) and hi
     # below it or past positivity; amplitudes double until hi is found,
     # then bisect
+    table = {} if table is None else table
     lo, hi, a = 0.0, math.inf, START_AMPLITUDE
     for _ in range(max_evals):
-        coeffs, curv, lam = _floor_of(shape, H0, a)
-        if curv is None:
+        probe = None  # holds no field of an earlier step while the next one is probed
+        if a not in table:
+            probe = _floor_of(shape, H0, a)
+            table[a] = (None if probe[1] is None else probe[1].min(), probe[2])
+        val, lam = table[a]
+        if val is None:
             if math.isinf(hi):
                 raise BracketFailure(
                     f"positivity failed (min eigenvalue {lam:.3e}) at amplitude {a:g} "
                     "before the curvature floor was reached; shape too rough"
                 )
             hi = a  # positivity margin shrinks with amplitude
-        elif band_lo <= (val := curv.min()) <= band_hi:
+        elif band_lo <= val <= band_hi:
+            coeffs, curv, _ = probe or _floor_of(shape, H0, a)
             return a, coeffs, curv
         elif val > band_hi:
             lo = a
@@ -181,9 +200,10 @@ def make_sequence(spec: ScenarioSpec) -> list:
     """Calibrate every index of the family; deterministic in the seed."""
     shape = random_band_limited(spec.seed, spec.max_mode, spec.geometry)
     H0 = spec.background
+    table: dict = {}  # one family, one shape: the indices share their probes
     out = []
     for i in spec.indices:
-        a, coeffs, curv = calibrate_amplitude(shape, H0, -1.0 / i)
+        a, coeffs, curv = calibrate_amplitude(shape, H0, -1.0 / i, table=table)
         vol = volume(coeffs)
         if vol < 1.0 / spec.lambda_gate:
             raise GateViolation(

@@ -133,6 +133,12 @@ def test_flat_exact_rejects_bad_points():
         flat_distance_exact(FlatMetric(np.eye(1)), (0.0,), (0.5, 0.0))
 
 
+@pytest.mark.parametrize("metric", [np.eye(1), [[1.0]], 1.0])
+def test_flat_exact_takes_only_a_flat_metric(metric):
+    with pytest.raises(TypeError, match=f"got {type(metric).__name__}"):
+        flat_distance_exact(metric, (0.0, 0.0), (0.5, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # graph distances
 

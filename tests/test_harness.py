@@ -12,16 +12,20 @@ from torusflow import (
     Scenario,
     ScenarioSpec,
     TorusGeometry,
+    assemble,
     build_reports,
     check_scalar_floor,
     constant_field,
     default_test_forms,
     family_summary,
     fit_rate,
+    load_trace,
     make_sequence,
     measure,
+    pair_test_form,
     pairing_density,
     run_flow,
+    save_trace,
 )
 from torusflow import harness
 from torusflow.harness import FIT_TOL, FITTED_BOUNDS
@@ -207,6 +211,49 @@ def test_scalar_floor_single_check(reported_family):
         assert res.passed
         assert m.scalar_floor == res == rep.checks["scalar_floor"]
         assert m.min_scalar_vs_t == sorted((d.t, d.min_scalar_curvature) for d in tr.diagnostics)
+
+
+def _measure_assemblies(trace, sc, monkeypatch):
+    """`measure` of one trace, and the number of assemblies it ran."""
+    calls = []
+    monkeypatch.setattr(harness, "assemble", lambda m: calls.append(1) or assemble(m))
+    (m,) = measure_family([sc], [trace])
+    return m, len(calls)
+
+
+def _assert_final_pairings(m, trace):
+    """The pairings at the final state are those of its own assembly."""
+    g1 = assemble(trace.final.metric())
+    for (label, form), row in zip(default_test_forms(trace.initial.geometry), m.forms):
+        assert row[0] == label
+        assert row[2] == pair_test_form(g1, form)
+
+
+def test_measure_reuses_last_snapshot_assembly(reported_family, monkeypatch, tmp_path):
+    """With the default snapshot times the last snapshot is the final
+    state, in process and after a save and load, and `measure` assembles
+    it once: t = 0, then each snapshot."""
+    scenarios, traces, _, _, ms = reported_family
+    sc, tr = scenarios[0], traces[0]
+    assert tr.final is tr.snapshots[-1]
+    loaded = load_trace(save_trace(tr, tmp_path / "trace"))
+    assert loaded.final is not loaded.snapshots[-1]
+    for trace in (tr, loaded):
+        m, count = _measure_assemblies(trace, sc, monkeypatch)
+        assert count == 1 + len(trace.snapshots) == 7
+        _assert_final_pairings(m, trace)
+    assert m == ms[0]
+
+
+def test_measure_assembles_off_grid_final_state(monkeypatch):
+    """A final time that is not a snapshot time is assembled on its own."""
+    geo = TorusGeometry(1, 16)
+    (sc,) = make_sequence(ScenarioSpec(geometry=geo, seed=90, indices=(4,)))
+    tr = run_flow(sc.metric, FlowConfig(t_end=0.3, snapshot_times=(0.05, 0.25)))
+    assert tr.final.t == pytest.approx(0.3) and tr.snapshots[-1].t == 0.25
+    m, count = _measure_assemblies(tr, sc, monkeypatch)
+    assert count == 1 + len(tr.snapshots) + 1 == 4
+    _assert_final_pairings(m, tr)
 
 
 def test_check_result_serialization(reported_family):

@@ -23,6 +23,7 @@ from torusflow import (
     calibrate_amplitude,
     make_sequence,
     min_eigenvalue,
+    random_band_limited,
     scalar_curvature,
 )
 from torusflow import scenarios
@@ -148,15 +149,94 @@ def test_family_sup_exponent():
 
 
 def test_make_sequence_assembly_budget(validations, monkeypatch):
-    """One assembly per calibration probe: each index reuses its last probe."""
+    """One assembly per distinct calibration amplitude: the indices share
+    their probes, and each index reuses its landing probe."""
     probes = []
     original = scenarios._floor_of
     monkeypatch.setattr(scenarios, "_floor_of",
-                        lambda *args: probes.append(1) or original(*args))
+                        lambda *args: probes.append(args[2].hex()) or original(*args))
     spec = spec1(indices=(1, 4))
+    shape = random_band_limited(spec.seed, spec.max_mode, spec.geometry)
+    for i in spec.indices:
+        calibrate_amplitude(shape, spec.background, -1.0 / i)
+    visited = set(probes)
+    probes.clear()
+    validations.clear()
     make_sequence(spec)
-    assert len(probes) >= 2 * len(spec.indices)
+    assert len(probes) == len(set(probes))
+    assert set(probes) == visited
     assert len(validations) == len(probes)
+
+
+SHARED_TABLE_FAMILIES = {
+    "n1-N64": lambda seed: ScenarioSpec(
+        geometry=TorusGeometry(1, 64), seed=seed, indices=(1, 4, 16, 64), p=math.inf
+    ),
+    "n2-N16": lambda seed: ScenarioSpec(
+        geometry=TorusGeometry(2, 16), seed=seed, indices=(1, 4, 16), max_mode=2
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [90, 91])
+@pytest.mark.parametrize("family_name", sorted(SHARED_TABLE_FAMILIES))
+def test_shared_table_matches_independent_calibrations(family_name, seed, monkeypatch):
+    """A family that shares one probe table equals, bit for bit, the
+    family calibrated index by index with no table."""
+    spec = SHARED_TABLE_FAMILIES[family_name](seed)
+    shared = make_sequence(spec)
+    original = scenarios.calibrate_amplitude
+    monkeypatch.setattr(scenarios, "calibrate_amplitude",
+                        lambda shape, H0, target, table=None: original(shape, H0, target))
+    alone = make_sequence(spec)
+    assert len(shared) == len(alone) == len(spec.indices)
+    for a, b in zip(shared, alone):
+        assert a.index == b.index
+        assert a.amplitude.hex() == b.amplitude.hex()
+        assert a.curvature_floor == b.curvature_floor
+        assert a.volume == b.volume
+        assert a.trace_norm == b.trace_norm
+        assert a.positive_part_budget == b.positive_part_budget
+        assert np.array_equal(a.metric.phi.values, b.metric.phi.values)
+
+
+def _bracket_failure(*args, **kwargs) -> str:
+    with pytest.raises(BracketFailure) as info:
+        calibrate_amplitude(*args, **kwargs)
+    return str(info.value)
+
+
+def test_table_hits_count_against_the_budget(geo1):
+    """A table filled by an earlier index changes no failure: hits take
+    steps of max_evals as probes do, and a shape too rough for the target
+    fails where it fails alone."""
+    shape = cos_field(geo1, 0)
+    table = {}
+    calibrate_amplitude(shape, np.eye(1), -1.0, table=table)
+    assert {scenarios.START_AMPLITUDE, 2 * scenarios.START_AMPLITUDE} <= set(table)
+    for target, budget, reason in [(-1.0 / 16, 2, "exceeded 2 curvature evaluations"),
+                                   (-1e4, scenarios.MAX_EVALS, "positivity failed")]:
+        alone = _bracket_failure(shape, np.eye(1), target, max_evals=budget)
+        assert reason in alone
+        assert alone == _bracket_failure(shape, np.eye(1), target, max_evals=budget, table=table)
+
+
+def test_table_hit_in_band_is_probed_again(geo1, monkeypatch):
+    """A landing amplitude read from the table is probed once more, and
+    what it returns is the probe of that amplitude."""
+    shape = cos_field(geo1, 0)
+    table = {}
+    a, _, _ = calibrate_amplitude(shape, np.eye(1), -1.0, table=table)
+    entries = len(table)
+    probes = []
+    original = scenarios._floor_of
+    monkeypatch.setattr(scenarios, "_floor_of",
+                        lambda *args: probes.append(args[2]) or original(*args))
+    b, coeffs, curv = calibrate_amplitude(shape, np.eye(1), -1.0, table=table)
+    assert b == a and probes == [a] and len(table) == entries
+    g = assemble(KahlerMetric(np.eye(1), shape * a))
+    assert np.array_equal(coeffs.values, g.values)
+    assert np.array_equal(curv.values, scalar_curvature(g).values)
 
 
 def test_trace_gate_violation():
