@@ -66,17 +66,41 @@ def _resolve_out(args, config) -> Path:
     return Path(out)
 
 
-def _cmd_run(args) -> int:
+class _Failed(Exception):
+    """Ends a command with EXIT_SCENARIO_ERROR; the message goes to stderr."""
+
+
+def _first_scenario(config):
+    try:
+        return first_scenario(config)
+    except ScenarioError as exc:
+        raise _Failed(f"scenario error: {exc}") from exc
+
+
+def _first_trace(config, out: Path) -> tuple:
+    """(scenario, trace) of the first scenario, flowed first if no trace is stored."""
+    scenario = _first_scenario(config)
+    trace, why = ensure_trace(config, out, scenario)
+    if trace is None:
+        raise _Failed(why)
+    return scenario, trace
+
+
+def _row_text(row: dict, resume_only: bool) -> str:
+    if row["status"] != "ok":
+        return f"{row['status']} ({row['error']})" if resume_only else f"ERROR {row['error']}"
+    if resume_only:
+        return "checked"
+    return f"ok (amplitude {row['amplitude']:.6g}, floor {row['curvature_floor']:.6g})"
+
+
+def _cmd_run(args, resume_only: bool = False) -> int:
+    """`run`, or with resume_only `check`: the pipeline on persisted traces only."""
     config = parse_config(args.config, args.seed)
     out = _resolve_out(args, config)
-    manifest = run_experiment(config, out, jobs=max(1, args.jobs))
+    manifest = run_experiment(config, out, jobs=max(1, args.jobs), resume_only=resume_only)
     for row in manifest.scenarios:
-        idx = row.get("index", "?")
-        if row["status"] == "ok":
-            print(f"scenario i={idx}: ok (amplitude {row['amplitude']:.6g}, "
-                  f"floor {row['curvature_floor']:.6g})")
-        else:
-            print(f"scenario i={idx}: ERROR {row['error']}")
+        print(f"scenario i={row.get('index', '?')}: {_row_text(row, resume_only)}")
     verdict = "PASS" if manifest.all_checks_pass else "FAIL"
     print(f"checks: {verdict}; manifest: {out / 'manifest.json'}")
     return exit_code_of(manifest)
@@ -85,15 +109,7 @@ def _cmd_run(args) -> int:
 def _cmd_flow(args) -> int:
     config = parse_config(args.config, args.seed)
     out = _resolve_out(args, config)
-    try:
-        scenario = first_scenario(config)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO_ERROR
-    trace, why = ensure_trace(config, out, scenario)
-    if trace is None:
-        print(why, file=sys.stderr)
-        return EXIT_SCENARIO_ERROR
+    scenario, trace = _first_trace(config, out)
     last = trace.diagnostics[-1]
     print(f"flow complete: i={scenario.index}, t={last.t:.6g}, steps={len(trace.diagnostics) - 1}")
     print(f"  final min scalar curvature {last.min_scalar_curvature:.6g}, "
@@ -104,16 +120,11 @@ def _cmd_flow(args) -> int:
 
 def _cmd_project(args) -> int:
     config = parse_config(args.config, args.seed)
-    try:
-        scenario = first_scenario(config)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO_ERROR
+    scenario = _first_scenario(config)
     try:
         flat, u = harmonic_projection(scenario.metric)
     except ProjectionError as exc:
-        print(f"projection failed: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO_ERROR
+        raise _Failed(f"projection failed: {exc}") from exc
     sup_u = float(np.abs(u.values).max())
     ric = float(np.abs(ricci(flat).values).max())
     print(f"flat representative of scenario i={scenario.index}:")
@@ -134,20 +145,11 @@ def _cmd_distance(args) -> int:
     if errors := battery_config_errors(config):  # whether or not `run` measures distances
         raise ConfigError(errors)
     out = _resolve_out(args, config)
-    try:
-        scenario = first_scenario(config)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO_ERROR
-    trace, why = ensure_trace(config, out, scenario)
-    if trace is None:
-        print(why, file=sys.stderr)
-        return EXIT_SCENARIO_ERROR
+    scenario, trace = _first_trace(config, out)
     try:
         frag = distance_fragment(config, trace)
     except (PositivityError, FieldError) as exc:  # a trace that holds no valid metric
-        print(f"measurement failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO_ERROR
+        raise _Failed(f"measurement failed: {type(exc).__name__}: {exc}") from exc
     battery = frag["flat_battery"]
     table = write_distance_csv(scenario_dir(out, scenario.index), frag)
     print(f"distance battery on scenario i={scenario.index}:")
@@ -159,25 +161,12 @@ def _cmd_distance(args) -> int:
     return EXIT_OK if distance_passed(frag) else EXIT_CHECK_FAIL
 
 
-def _cmd_check(args) -> int:
-    config = parse_config(args.config, args.seed)
-    out = _resolve_out(args, config)
-    manifest = run_experiment(config, out, jobs=max(1, args.jobs), resume_only=True)
-    for row in manifest.scenarios:
-        idx = row.get("index", "?")
-        state = row["status"] if row["status"] != "ok" else "checked"
-        print(f"scenario i={idx}: {state}" + (f" ({row['error']})" if row["error"] else ""))
-    verdict = "PASS" if manifest.all_checks_pass else "FAIL"
-    print(f"checks: {verdict}; manifest: {out / 'manifest.json'}")
-    return exit_code_of(manifest)
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "flow": _cmd_flow,
     "project": _cmd_project,
     "distance": _cmd_distance,
-    "check": _cmd_check,
+    "check": lambda args: _cmd_run(args, resume_only=True),
 }
 
 
@@ -190,6 +179,9 @@ def main(argv=None) -> int:
         for msg in exc.errors:
             print(f"config error: {msg}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except _Failed as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_SCENARIO_ERROR
 
 
 if __name__ == "__main__":

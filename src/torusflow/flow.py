@@ -38,15 +38,17 @@ these real transforms:
 which is 4 at n = 1 and 10 at n = 2, with no complex transform; fields
 runs them on numpy.fft at n = 1 and on scipy.fft at n = 2.  The stepper
 carries (t, dt, evaluation), and phi goes back to the grid (1 inverse
-more) only for a FlowState that is kept: a snapshot, the final state,
-or the last state of a FlowFailure.
+more) only for a FlowState that is kept: a snapshot, or the last state
+of a FlowFailure.
 
 Any candidate with non-finite values or an eigenvalue floor below
 eps_pos (or NaN) is rejected and retried at dt/2; too many consecutive
 rejections abort the flow with the last good state attached.
 Diagnostics (curvature floor, potential rate extremes, eigenvalue floor,
-volume) are recorded at every accepted step, and full states are kept at
-the configured snapshot times.
+volume) are recorded at every accepted step.  Full states are kept at
+the configured snapshot times, whose last entry is always t_end: the
+stepper lands on each in turn, and the state at t_end, the trace's
+final state, is its last snapshot.
 """
 
 from __future__ import annotations
@@ -116,11 +118,19 @@ class FlowConfig:
             raise ValueError(f"sigma must lie in (0, 1], got {self.sigma}")
         if not (0 < self.t_end <= 2.0):
             raise ValueError(f"t_end must lie in (0, 2], got {self.t_end}")
-        snaps = tuple(sorted(float(s) for s in self.snapshot_times))
-        for s in snaps:
-            if not (0.0 < s <= self.t_end + 1e-12):
+        # sorted, one entry per distinct time, and t_end always the last one
+        t_end = float(self.t_end)
+        snaps = []
+        for s in sorted(float(s) for s in self.snapshot_times):
+            if _same_time(s, t_end):
+                s = t_end
+            elif not (0.0 < s < t_end):
                 raise ValueError(f"snapshot time {s} outside (0, t_end={self.t_end}]")
-        object.__setattr__(self, "snapshot_times", snaps)
+            if not (snaps and _same_time(snaps[-1], s)):
+                snaps.append(s)
+        if not (snaps and snaps[-1] == t_end):
+            snaps.append(t_end)
+        object.__setattr__(self, "snapshot_times", tuple(snaps))
         if not (0 < self.eps_pos < math.inf):
             raise ValueError(f"eps_pos must be positive and finite, got {self.eps_pos}")
         if self.max_rejects < 1:
@@ -170,9 +180,13 @@ class FlowTrace:
     alpha: FlatMetric
     flat_potential: ScalarField  # gauge max = 0; d dbar of it closes the class
     config: FlowConfig
-    snapshots: tuple
+    snapshots: tuple  # one state per config.snapshot_times entry
     diagnostics: tuple
-    final: FlowState
+
+    @property
+    def final(self) -> FlowState:
+        """The state at t_end, which is always the last snapshot."""
+        return self.snapshots[-1]
 
     @property
     def times(self) -> tuple:
@@ -310,22 +324,21 @@ def dot_phi(state: FlowState, alpha: FlatMetric | None = None, dealias: bool = F
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
-    """One accepted adaptive step from state."""
+    """One accepted adaptive step from state, ending at t_end at the latest."""
     kernel = _Kernel(state.base, config)
     ev = kernel.evaluate(_rfft(state.base.geometry, state.phi.values))
     if ev is None:
         raise FlowFailure("current state is not positive", state)
-    return kernel.state(*_step(kernel, state.t, state.last_dt, ev, ()))
+    t_next = config.t_end if config.t_end > state.t + 1e-14 else math.inf
+    return kernel.state(*_step(kernel, state.t, state.last_dt, ev, t_next))
 
 
-def _step(kernel: _Kernel, t: float, last_dt: float, ev: _Evaluation, boundaries: tuple):
+def _step(kernel: _Kernel, t: float, last_dt: float, ev: _Evaluation, t_next: float):
     """One accepted step from time t, whose state took last_dt and has the
-    evaluation ev; returns (new_t, dt, new_evaluation)."""
+    evaluation ev, ending at t_next at the latest; returns (new_t, dt,
+    new_evaluation)."""
     config = kernel.config
-    dt = kernel.target_dt(t, ev)
-    remaining = [b for b in (*boundaries, config.t_end) if b > t + 1e-14]
-    if remaining:
-        dt = min(dt, min(remaining) - t)
+    dt = min(kernel.target_dt(t, ev), t_next - t)
     rejects = 0
     while True:
         ev_new = kernel.evaluate(kernel.advance(ev, dt))
@@ -356,18 +369,11 @@ def run_flow(metric0: KahlerMetric, config: FlowConfig) -> FlowTrace:
     t, dt = 0.0, 0.0
     diagnostics = [kernel.diagnostics(t, dt, ev)]
     snapshots = []
-    boundaries = config.snapshot_times
-    snap_iter = set(boundaries)
-    while t < config.t_end - 1e-12:
-        t, dt, ev = _step(kernel, t, dt, ev, boundaries)
-        diagnostics.append(kernel.diagnostics(t, dt, ev))
-        for s in sorted(snap_iter):
-            if abs(t - s) <= 1e-12 * max(1.0, s):
-                snapshots.append(kernel.state(t, dt, ev))
-                snap_iter.discard(s)
-                break
-    # the last step usually lands on the last snapshot, which is then the final state
-    final = snapshots[-1] if snapshots and snapshots[-1].t == t else kernel.state(t, dt, ev)
+    for t_snap in config.snapshot_times:  # the last one is t_end
+        while t_snap > t + 1e-14:
+            t, dt, ev = _step(kernel, t, dt, ev, t_snap)
+            diagnostics.append(kernel.diagnostics(t, dt, ev))
+        snapshots.append(kernel.state(t, dt, ev))
     return FlowTrace(
         initial=metric0,
         alpha=kernel.alpha,
@@ -375,5 +381,4 @@ def run_flow(metric0: KahlerMetric, config: FlowConfig) -> FlowTrace:
         config=config,
         snapshots=tuple(snapshots),
         diagnostics=tuple(diagnostics),
-        final=final,
     )

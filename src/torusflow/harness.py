@@ -205,7 +205,6 @@ def measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
     volume_log_floor = float(np.log(v0.values).min())
 
     final = trace.final
-    g1 = None
     sup_abs_phi = 0.0
     trace_bound = 0.0
     equivalence = 0.0
@@ -216,20 +215,16 @@ def measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
         weight = s.t ** (n - 1) * np.exp(-_rhs_field(g_t, alpha, trace.config).values)
         trace_bound = max(trace_bound, float((weight * tr_field.values).max()))
         lo, hi = eigenvalue_range(g_t)
-        if s is trace.snapshots[-1] and (
-            s is final or np.array_equal(s.phi_osc.values, final.phi_osc.values)
-        ):
-            g1 = g_t  # the default snapshot times end at the final state
-        del g_t  # before the next assembly: two live n = 2 fields set the peak memory
+        if s is not final:
+            del g_t  # before the next assembly: two live n = 2 fields set the peak memory
         m = max(math.log(hi), -math.log(lo))
         equivalence = max(equivalence, s.t * m)
+    g1 = g_t  # the final state's assembly
 
     inf_dot = min(d.min_dot_phi for d in trace.diagnostics)
     dot_upper = max(d.t * (d.max_dot_phi - n) for d in trace.diagnostics)
 
     phi_final = final.phi
-    if g1 is None:
-        g1 = assemble(final.metric())
     form_rows = []
     for (label, form), density in zip(forms, densities):
         p0 = pair_test_form(g0, form)

@@ -10,11 +10,13 @@ the metric ignores an additive constant but the potential bounds do
 not, so round-trips must keep it.
 
 A flow trace persists as a directory: meta.json (geometry, config,
-matrices, snapshot table), one metric snapshot per stored time, the
-flat-representative potential, the initial potential, and a per-step
-diagnostics CSV with columns t, dt, minR, min_dotphi, max_dotphi,
-mineig, volume.  Loading recomputes nothing: a reader derives a state's
-dot phi from its assembled metric.
+matrices, snapshot table), one metric snapshot per configured snapshot
+time, the flat-representative potential, the initial potential, and a
+per-step diagnostics CSV with columns t, dt, minR, min_dotphi,
+max_dotphi, mineig, volume.  The final state is the snapshot at t_end,
+the last one, and is not stored again; the "final" record and
+final.tkrf of older traces are ignored.  Loading recomputes nothing: a
+reader derives a state's dot phi from its assembled metric.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import ScalarField, TorusGeometry
-from .flow import FlowConfig, FlowState, FlowTrace, StepDiagnostics
+from .flow import FlowConfig, FlowState, FlowTrace, StepDiagnostics, _same_time
 from .geometry import FlatMetric, KahlerMetric
 
 __all__ = [
@@ -195,7 +197,7 @@ def _config_json(config: FlowConfig) -> dict:
 
 
 def _config_from_json(d: dict) -> FlowConfig:
-    # FlowConfig turns the snapshot list back into a sorted tuple
+    # FlowConfig turns the snapshot list back into its normalized tuple
     return FlowConfig(**{name: d[name] for name in _CONFIG_FIELDS})
 
 
@@ -216,8 +218,6 @@ def save_trace(trace: FlowTrace, directory) -> Path:
         total = trace.initial.phi + s.phi_osc + s.phi_mean
         save_metric_snapshot(trace.initial.H, total, d / name)
         snap_table.append({"t": s.t, "last_dt": s.last_dt, "file": name})
-    final_total = trace.initial.phi + trace.final.phi_osc + trace.final.phi_mean
-    save_metric_snapshot(trace.initial.H, final_total, d / "final.tkrf")
 
     write_csv_atomic(
         d / "diagnostics.csv",
@@ -232,7 +232,6 @@ def save_trace(trace: FlowTrace, directory) -> Path:
         "H0": _matrix_json(trace.initial.H),
         "H_alpha": _matrix_json(trace.alpha.H),
         "snapshots": snap_table,
-        "final": {"t": trace.final.t, "last_dt": trace.final.last_dt, "file": "final.tkrf"},
         "files": {
             "initial_potential": "initial_potential.tkrf",
             "flat_potential": "flat_potential.tkrf",
@@ -288,8 +287,9 @@ def _read_diagnostics(path: Path) -> tuple:
 def load_trace(directory) -> FlowTrace:
     """Read a trace written by save_trace.  Raises FormatError when
     meta.json is not a torusflow-trace-1 record with every key and type
-    save_trace writes, or when the diagnostics file has no rows or a row
-    of the wrong length."""
+    save_trace writes, when its snapshot table does not hold one entry
+    per configured snapshot time in order, or when the diagnostics file
+    has no rows or a row of the wrong length."""
     d = Path(directory)
     try:
         meta = json.loads((d / "meta.json").read_text())
@@ -302,11 +302,16 @@ def load_trace(directory) -> FlowTrace:
         files = {key: d / meta["files"][key]
                  for key in ("initial_potential", "flat_potential", "diagnostics")}
         entries = [_entry(d, record) for record in meta["snapshots"]]
-        final_entry = _entry(d, meta["final"])
     except FormatError:
         raise
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"malformed meta.json: {type(exc).__name__}: {exc}") from exc
+    stored = [t for _, t, _ in entries]
+    if len(stored) != len(config.snapshot_times) or not all(
+        map(_same_time, stored, config.snapshot_times)
+    ):
+        raise FormatError(f"stored snapshot times {stored} are not the configured "
+                          f"{list(config.snapshot_times)}")
     init_phi = load_field(files["initial_potential"])
     geo = init_phi.geometry
     if (geo.n, geo.N) != shape:
@@ -319,5 +324,4 @@ def load_trace(directory) -> FlowTrace:
         config=config,
         snapshots=tuple(_state_from_file(e, base) for e in entries),
         diagnostics=_read_diagnostics(files["diagnostics"]),
-        final=_state_from_file(final_entry, base),
     )

@@ -23,11 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, TorusGeometry, constant_field, lp_norm, random_band_limited
+from .fields import FieldError, ScalarField, TorusGeometry, constant_field, lp_norm, random_band_limited
 from .geometry import (
     EPS_POS,
     FlatMetric,
     KahlerMetric,
+    PositivityError,
+    _check_background,
     assemble,
     det_field,
     min_eigenvalue,
@@ -86,19 +88,12 @@ class ScenarioSpec:
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ScenarioError(f"indices must increase strictly, got {idx}")
         object.__setattr__(self, "indices", idx)
-        H = self.background
-        if H is None:
-            H = np.eye(self.geometry.n, dtype=np.complex128)
-        object.__setattr__(self, "background", np.asarray(H, dtype=np.complex128))
-        H = self.background
-        if H.shape != (self.geometry.n, self.geometry.n):
-            raise ScenarioError(
-                f"background must be {self.geometry.n}x{self.geometry.n}, got {H.shape}"
-            )
-        if not np.allclose(H, H.conj().T, rtol=0.0, atol=1e-12):
-            raise ScenarioError("background must be Hermitian")
-        if float(np.linalg.eigvalsh(H).min()) <= 0.0:
-            raise ScenarioError("background must be positive definite")
+        n = self.geometry.n
+        try:
+            H = _check_background(np.eye(n) if self.background is None else self.background, n)
+        except (FieldError, PositivityError) as exc:
+            raise ScenarioError(str(exc)) from exc
+        object.__setattr__(self, "background", H)
         if self.p is not None and not math.isinf(self.p) and self.p <= 0:
             raise ScenarioError(f"trace exponent must be positive, got {self.p}")
 

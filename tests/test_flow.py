@@ -66,6 +66,8 @@ def mode_coefficient(metric, state):
         {"eps_pos": -1.0},
         {"eps_pos": float("nan")},
         {"eps_pos": float("inf")},
+        {"snapshot_times": (0.0, 0.5)},
+        {"snapshot_times": (1.0 + 2e-9,), "t_end": 1.0},
     ],
 )
 def test_config_rejects(kwargs):
@@ -78,6 +80,36 @@ def test_config_sorts_snapshots():
     assert cfg.snapshot_times == (0.1, 0.5, 1.0)
 
 
+@pytest.mark.parametrize(
+    "given, kept",
+    [
+        ((0.05, 0.05, 0.1), (0.05, 0.1)),
+        ((0.05, 0.05 + 1e-11), (0.05, 0.1)),
+        ((0.05,), (0.05, 0.1)),
+        ((0.05, 0.1 + 5e-13), (0.05, 0.1)),
+        ((0.05, 0.1 - 5e-13), (0.05, 0.1)),
+    ],
+)
+def test_config_snapshot_times_end_at_t_end(given, kept):
+    """One entry per distinct time, and t_end, exactly, always the last."""
+    times = FlowConfig(t_end=0.1, snapshot_times=given).snapshot_times
+    assert times == kept
+    assert times[-1] == 0.1
+
+
+def test_trace_keeps_one_state_per_snapshot_time(geo1):
+    cfg = FlowConfig(t_end=0.1, snapshot_times=(0.05, 0.01))
+    trace = run_flow(single_mode(geo1, 0.02), cfg)
+    assert cfg.snapshot_times == (0.01, 0.05, 0.1)
+    assert len(trace.times) == len(cfg.snapshot_times)
+    assert all(map(flow_module._same_time, trace.times, cfg.snapshot_times))
+    assert trace.final is trace.snapshots[-1]
+    # each state is that of the step that landed on its time
+    step_times = [d.t for d in trace.diagnostics]
+    assert all(t in step_times for t in trace.times)
+    assert trace.diagnostics[-1].t == trace.final.t
+
+
 # ---------------------------------------------------------------------------
 # stationarity and flat behaviour
 
@@ -87,7 +119,7 @@ def test_flat_stationarity(geo1):
     m = KahlerMetric(np.eye(1), constant_field(geo1, 0.0))
     trace = run_flow(m, FlowConfig(t_end=1.0))
     assert trace.final.t == pytest.approx(1.0, abs=1e-12)
-    for s in trace.snapshots + (trace.final,):
+    for s in trace.snapshots:
         assert abs(s.phi_mean) + np.abs(s.phi_osc.values).max() <= 1e-10
     for d in trace.diagnostics:
         assert abs(d.min_scalar_curvature) <= 1e-10

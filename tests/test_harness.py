@@ -1,6 +1,7 @@
 """Estimate harness: rate fits, fitted constants, check plumbing."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -230,14 +231,13 @@ def _assert_final_pairings(m, trace):
 
 
 def test_measure_reuses_last_snapshot_assembly(reported_family, monkeypatch, tmp_path):
-    """With the default snapshot times the last snapshot is the final
-    state, in process and after a save and load, and `measure` assembles
-    it once: t = 0, then each snapshot."""
+    """The last snapshot is the final state, in process and after a save
+    and load, and `measure` assembles it once: t = 0, then each snapshot."""
     scenarios, traces, _, _, ms = reported_family
     sc, tr = scenarios[0], traces[0]
     assert tr.final is tr.snapshots[-1]
     loaded = load_trace(save_trace(tr, tmp_path / "trace"))
-    assert loaded.final is not loaded.snapshots[-1]
+    assert loaded.final is loaded.snapshots[-1]
     for trace in (tr, loaded):
         m, count = _measure_assemblies(trace, sc, monkeypatch)
         assert count == 1 + len(trace.snapshots) == 7
@@ -246,14 +246,43 @@ def test_measure_reuses_last_snapshot_assembly(reported_family, monkeypatch, tmp
 
 
 def test_measure_assembles_off_grid_final_state(monkeypatch):
-    """A final time that is not a snapshot time is assembled on its own."""
+    """A final time missing from the configured snapshot times becomes the
+    last snapshot, and is assembled once with the others."""
     geo = TorusGeometry(1, 16)
     (sc,) = make_sequence(ScenarioSpec(geometry=geo, seed=90, indices=(4,)))
     tr = run_flow(sc.metric, FlowConfig(t_end=0.3, snapshot_times=(0.05, 0.25)))
-    assert tr.final.t == pytest.approx(0.3) and tr.snapshots[-1].t == 0.25
+    assert tr.config.snapshot_times == (0.05, 0.25, 0.3)
+    assert tr.final is tr.snapshots[-1] and tr.final.t == pytest.approx(0.3)
     m, count = _measure_assemblies(tr, sc, monkeypatch)
-    assert count == 1 + len(tr.snapshots) + 1 == 4
+    assert count == 1 + len(tr.snapshots) == 4
     _assert_final_pairings(m, tr)
+
+
+def _add_final_record(trace_dir):
+    """The layout of a trace whose final state is also stored on its own:
+    a "final" record in meta.json and final.tkrf, a copy of the last
+    snapshot's file, as such traces held."""
+    meta = json.loads((trace_dir / "meta.json").read_text())
+    last = meta["snapshots"][-1]
+    (trace_dir / "final.tkrf").write_bytes((trace_dir / last["file"]).read_bytes())
+    meta["final"] = {"t": last["t"], "last_dt": last["last_dt"], "file": "final.tkrf"}
+    (trace_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+
+
+def test_trace_with_a_final_record_loads_and_measures_the_same(reported_family, tmp_path):
+    """A stored "final" record and final.tkrf are ignored: the trace loads
+    with its last snapshot as the final state and measures bit-identically."""
+    scenarios, traces, _, _, ms = reported_family
+    d = save_trace(traces[0], tmp_path / "trace")
+    plain = load_trace(d)
+    _add_final_record(d)
+    legacy = load_trace(d)
+    assert legacy.final is legacy.snapshots[-1]
+    assert legacy.times == plain.times
+    for a, b in zip(legacy.snapshots, plain.snapshots):
+        assert (a.t, a.last_dt, a.phi_mean) == (b.t, b.last_dt, b.phi_mean)
+        assert np.array_equal(a.phi_osc.values, b.phi_osc.values)
+    assert measure_family(scenarios[:1], [legacy]) == measure_family(scenarios[:1], [plain]) == ms[:1]
 
 
 def test_check_result_serialization(reported_family):

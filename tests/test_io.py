@@ -140,13 +140,10 @@ def small_trace():
 def test_trace_layout(tmp_path, small_trace):
     d = save_trace(small_trace, tmp_path / "trace")
     names = {p.name for p in d.iterdir()}
-    assert "meta.json" in names
-    assert "initial_potential.tkrf" in names
-    assert "flat_potential.tkrf" in names
-    assert "final.tkrf" in names
-    assert "diagnostics.csv" in names
-    assert "snapshot_t0.010000.tkrf" in names
-    assert "snapshot_t0.050000.tkrf" in names
+    # the final state is the snapshot at t_end, stored once
+    assert names == {"meta.json", "initial_potential.tkrf", "flat_potential.tkrf",
+                     "diagnostics.csv", "snapshot_t0.010000.tkrf", "snapshot_t0.050000.tkrf"}
+    assert "final" not in json.loads((d / "meta.json").read_text())
     header = (d / "diagnostics.csv").read_text().splitlines()[0]
     assert header == "t,dt,minR,min_dotphi,max_dotphi,mineig,volume"
 
@@ -176,6 +173,7 @@ def test_trace_round_trip(tmp_path, small_trace):
     # diagnostics go through repr() so floats survive exactly
     assert back.diagnostics == small_trace.diagnostics
 
+    assert back.final is back.snapshots[-1]
     assert back.final.t == small_trace.final.t
     assert np.abs(back.final.phi_osc.values - small_trace.final.phi_osc.values).max() < 1e-14
 
@@ -208,11 +206,12 @@ def _edit_diagnostics(edit):
 MALFORMED_TRACES = {
     "meta_not_json": lambda d: (d / "meta.json").write_text("{"),
     "meta_not_object": lambda d: (d / "meta.json").write_text("[]"),
-    "missing_final": _edit_meta(lambda m: m.pop("final")),
+    "missing_last_snapshot": _edit_meta(lambda m: m["snapshots"].pop()),
     "missing_config_key": _edit_meta(lambda m: m["config"].pop("sigma")),
     "missing_snapshot_time": _edit_meta(lambda m: m["snapshots"][0].pop("t")),
     "snapshots_not_list": _edit_meta(lambda m: m.update(snapshots=5)),
-    "time_not_number": _edit_meta(lambda m: m["final"].update(t="late")),
+    "time_not_number": _edit_meta(lambda m: m["snapshots"][-1].update(t="late")),
+    "time_not_configured": _edit_meta(lambda m: m["snapshots"][0].update(t=0.02)),
     "geometry_not_object": _edit_meta(lambda m: m.update(geometry=[1, 16])),
     "short_row": _edit_diagnostics(lambda ls: ls[:1] + [",".join(ls[1].split(",")[:5])] + ls[2:]),
     "long_row": _edit_diagnostics(lambda ls: ls[:1] + [ls[1] + ",1.0"] + ls[2:]),

@@ -175,7 +175,7 @@ def test_distance_times_must_be_snapshot_times():
     with pytest.raises(ConfigError) as err:
         config_from_dict(d)
     assert err.value.errors == [
-        "distance.times: [0.1] are not flow snapshot times [0.05, 0.25]; "
+        "distance.times: [0.1] are not flow snapshot times [0.05, 0.25, 1.0]; "
         "distances are read off stored snapshots"
     ]
     d["distance"]["enabled"] = False  # the rule binds only a stage that runs
@@ -205,6 +205,20 @@ def test_background_must_be_positive():
     with pytest.raises(ConfigError) as err:
         config_from_dict(d)
     assert any(m.startswith("scenario: ") for m in err.value.errors)
+
+
+@pytest.mark.parametrize("entry", [math.inf, math.nan])
+def test_nonfinite_background_is_a_config_error(entry, tmp_path, capsys):
+    d = {"geometry": {"n": 1, "N": 8},
+         "scenario": {"indices": [1], "max_mode": 1, "background": [[[entry, 0]]]}}
+    message = "scenario: background matrix has non-finite entries"
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(json.loads(json.dumps(d)))
+    assert err.value.errors == [message]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(d))  # as Infinity or NaN
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_error_accumulation():
@@ -274,9 +288,13 @@ def test_readme_config_block_lists_every_key():
 
 
 def test_snapshot_times_coercion():
-    d = base_dict(flow={"t_end": 0.5, "snapshot_times": [0.1, 0.25]})
+    d = base_dict(flow={"t_end": 0.5, "snapshot_times": [0.25, 0.1]})
     cfg = config_from_dict(d)
-    assert cfg.flow.snapshot_times == (0.1, 0.25)
+    assert cfg.flow.snapshot_times == (0.1, 0.25, 0.5)  # t_end is always kept
+
+    cfg = config_from_dict(base_dict(flow={"t_end": 1, "snapshot_times": [0.5]}))
+    assert cfg.flow.snapshot_times == (0.5, 1.0)
+    assert all(type(t) is float for t in cfg.flow.snapshot_times)
 
     d = base_dict(flow={"snapshot_times": [0.1, "x"]})
     with pytest.raises(ConfigError) as err:
@@ -621,18 +639,19 @@ def test_unloadable_trace_is_recomputed(tmp_path):
     d["scenario"]["indices"] = [1]
     cfg = config_from_dict(d)
     run_experiment(cfg, tmp_path)
-    final = tmp_path / "scenario_i001" / "trace" / "final.tkrf"
-    final.write_bytes(final.read_bytes()[:100])
+    trace_dir = tmp_path / "scenario_i001" / "trace"
+    last = trace_dir / json.loads((trace_dir / "meta.json").read_text())["snapshots"][-1]["file"]
+    last.write_bytes(last.read_bytes()[:100])
 
     checked = run_experiment(cfg, tmp_path, resume_only=True)
     assert checked.scenarios[0]["status"] == "error"
     assert "trace reload failed" in checked.scenarios[0]["error"]
-    assert len(final.read_bytes()) == 100, "check must not rewrite the trace"
+    assert len(last.read_bytes()) == 100, "check must not rewrite the trace"
 
     rerun = run_experiment(cfg, tmp_path)
     assert rerun.scenarios[0]["status"] == "ok"
     assert exit_code_of(rerun) == 0
-    assert len(final.read_bytes()) > 100
+    assert len(last.read_bytes()) > 100
 
 
 def test_flow_pool_has_no_more_workers_than_flows(tmp_path, monkeypatch):
@@ -787,9 +806,9 @@ def test_cli_distance_reports_a_nonpositive_snapshot(tmp_path, capsys):
 # command line
 
 
-def _drop_final(trace_dir):
+def _drop_last_snapshot(trace_dir):
     meta = json.loads((trace_dir / "meta.json").read_text())
-    del meta["final"]
+    del meta["snapshots"][-1]
     (trace_dir / "meta.json").write_text(json.dumps(meta))
 
 
@@ -800,7 +819,7 @@ def _cut_diagnostics_row(trace_dir):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("corrupt", [_drop_final, _cut_diagnostics_row])
+@pytest.mark.parametrize("corrupt", [_drop_last_snapshot, _cut_diagnostics_row])
 def test_cli_malformed_trace_is_reported_then_recomputed(corrupt, tmp_path, capsys):
     d = json.loads(json.dumps(FLAT_DICT))
     d["scenario"]["indices"] = [1]
