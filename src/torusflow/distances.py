@@ -67,6 +67,7 @@ __all__ = [
     "MetricGraph",
     "flat_distance_exact",
     "random_queries",
+    "flat_accuracy_battery",
     "check_distance_estimate",
     "FLAT_TOL",
     "battery_config_errors",
@@ -183,8 +184,6 @@ class MetricGraph:
 
     def __init__(self, metric, radius: int = DistanceConfig.radius):
         geo, vals = _coefficients(metric)
-        if geo is None:
-            raise ValueError("flat metric carries no grid; give it one: FlatMetric(H, geometry=...)")
         eig = _eigenvalues(vals)
         if float(eig[0].min()) <= 0:
             raise PositivityError("distance on a non-positive metric")
@@ -276,7 +275,7 @@ def random_queries(geometry: TorusGeometry, count: int, seed: int) -> tuple:
 def flat_accuracy_battery(flat: FlatMetric, count: int = DistanceConfig.flat_queries,
                           seed: int = DistanceConfig.seed,
                           radius: int = DistanceConfig.radius) -> dict:
-    """Graph-vs-closed-form accuracy on a constant metric with a grid.
+    """Graph-vs-closed-form accuracy on a constant metric.
 
     The graph value always over-approximates; the worst relative excess
     over the battery is the stencil's effective angular error.  Every
@@ -285,7 +284,7 @@ def flat_accuracy_battery(flat: FlatMetric, count: int = DistanceConfig.flat_que
     all the queries.  Returns max_rel_error, count, and the per-query
     graph and exact distances.
     """
-    graph = MetricGraph(flat, radius)  # a grid-less metric raises ValueError
+    graph = MetricGraph(flat, radius)
     geo = graph.geometry
     sources, targets = random_queries(geo, count, seed)
     approx = graph.distance_batch(np.zeros_like(sources), (targets - sources) % geo.N)

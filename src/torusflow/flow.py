@@ -135,8 +135,8 @@ class FlowConfig:
             raise ValueError(f"eps_pos must be positive and finite, got {self.eps_pos}")
         if self.max_rejects < 1:
             raise ValueError("max_rejects must be at least 1")
-        if self.t_ramp <= 0:
-            raise ValueError("t_ramp must be positive")
+        if not (0 < self.t_ramp < math.inf):
+            raise ValueError(f"t_ramp must be positive and finite, got {self.t_ramp}")
 
 
 @dataclass(frozen=True, eq=False)

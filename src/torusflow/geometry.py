@@ -12,7 +12,8 @@ Conventions, fixed once for the whole package:
 
 Backgrounds H are constant Hermitian positive matrices; the potential
 phi is a real grid field, normalized to zero mean on ingest since the
-metric is blind to the additive constant.
+metric is blind to the additive constant.  Every metric lives on a grid;
+a FlatMetric carries its own.
 """
 
 from __future__ import annotations
@@ -114,30 +115,21 @@ class KahlerMetric:
 
 @dataclass(frozen=True, eq=False)
 class FlatMetric:
-    """Constant-coefficient metric: the matrix H, plus an optional grid
-    reference so curvature operations can hand back zero fields."""
+    """Constant-coefficient metric: the matrix H on its grid, so that
+    curvature operations can hand back zero fields."""
 
     H: np.ndarray
-    geometry: TorusGeometry | None = None
+    geometry: TorusGeometry
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.H, dtype=np.complex128)
-        n = arr.shape[0] if arr.ndim == 2 else 0
-        object.__setattr__(self, "H", _check_background(arr, n))
-        if self.geometry is not None and self.geometry.n != n:
-            raise FieldError("grid dimension does not match the matrix")
+        object.__setattr__(self, "H", _check_background(self.H, self.geometry.n))
 
     @property
     def n(self) -> int:
-        return self.H.shape[0]
+        return self.geometry.n
 
-    def as_metric(self, geometry: TorusGeometry | None = None) -> KahlerMetric:
-        geo = geometry or self.geometry
-        if geo is None:
-            raise FieldError("no grid attached; pass a geometry")
-        if geo.n != self.n:
-            raise FieldError("grid dimension does not match the matrix")
-        return KahlerMetric(self.H, constant_field(geo, 0.0))
+    def as_metric(self) -> KahlerMetric:
+        return KahlerMetric(self.H, constant_field(self.geometry, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,9 +255,9 @@ def _scalar_curvature(geometry: TorusGeometry, v: np.ndarray, log_det_hat: np.nd
 
 
 def _coefficients(metric) -> tuple:
-    """Resolve metric-like input to (geometry or None, packed coefficients);
-    a FlatMetric gives the (n^2,) slots of its matrix, which broadcast
-    against grids."""
+    """Resolve metric-like input to (geometry, packed coefficients); a
+    FlatMetric gives the (n^2,) slots of its matrix, which broadcast
+    against its grid."""
     if isinstance(metric, HermitianField):
         return metric.geometry, metric.values
     if isinstance(metric, KahlerMetric):
@@ -335,8 +327,6 @@ def volume(metric) -> float:
 def ricci(metric, eps_pos: float = EPS_POS) -> HermitianField:
     """-d dbar log det g; identically zero for constant coefficients."""
     if isinstance(metric, FlatMetric):
-        if metric.geometry is None:
-            raise FieldError("constant-coefficient input carries no grid; attach one")
         zeros = np.zeros((metric.n**2,) + metric.geometry.shape)
         return HermitianField(metric.geometry, zeros)
     g = assemble(metric) if isinstance(metric, KahlerMetric) else metric
@@ -352,8 +342,6 @@ def scalar_curvature_of(g: HermitianField, eps_pos: float = EPS_POS) -> ScalarFi
 
 def scalar_curvature(metric, eps_pos: float = EPS_POS) -> ScalarField:
     if isinstance(metric, FlatMetric):
-        if metric.geometry is None:
-            raise FieldError("constant-coefficient input carries no grid; attach one")
         return constant_field(metric.geometry, 0.0)
     g = assemble(metric) if isinstance(metric, KahlerMetric) else metric
     return scalar_curvature_of(g, eps_pos)
@@ -397,12 +385,9 @@ def riemann_norm(metric, eps_pos: float = EPS_POS) -> ScalarField:
 
 def trace_wrt(a, b) -> ScalarField:
     """tr_a b = a^{j kbar} b_{j kbar}, pointwise; a must be positive."""
-    geo_a, va = _coefficients(a)
+    geo, va = _coefficients(a)
     geo_b, vb = _coefficients(b)
-    geo = geo_a or geo_b
-    if geo is None:
-        raise FieldError("at least one argument must carry a grid")
-    if geo_a is not None and geo_b is not None and geo_a != geo_b:
+    if geo != geo_b:
         raise FieldError("arguments live on different grids")
     if _min_eigenvalue(va) <= 0:
         raise PositivityError("trace base metric is not positive")
@@ -448,7 +433,6 @@ def _wedge_density(coeffs: np.ndarray, beta, n: int) -> np.ndarray:
 def pair_test_form(metric, form: TestForm) -> float:
     """int f * beta /\\ omega; reduces to the volume when f = 1, beta = H."""
     geo, v = _coefficients(metric)
-    geo = geo or form.geometry
     if geo != form.geometry:
         raise FieldError("metric and form live on different grids")
     dens = _wedge_density(v, form.beta, geo.n)
@@ -471,8 +455,6 @@ def pairing_density(form: TestForm) -> ScalarField:
 def volume_density(metric, reference: FlatMetric) -> ScalarField:
     """det(g) / det(reference.H) as a grid field."""
     geo, v = _coefficients(metric)
-    if geo is None:
-        raise FieldError("volume_density needs a grid-carrying metric")
     ref_det = float(_det(_pack(reference.H)))
     if ref_det <= 0:
         raise PositivityError("reference metric is not positive")

@@ -198,7 +198,7 @@ def measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
     g0 = assemble(trace.initial)
 
     sup_u = float(np.abs(u.values).max())
-    unit = FlatMetric(np.eye(n))
+    unit = FlatMetric(np.eye(n), geo)
     trace_flat_vs_unit = float(trace_wrt(unit, alpha).values.max())
     trace_unit_vs_flat = float(trace_wrt(alpha, unit).values.max())
     v0 = volume_density(g0, alpha)

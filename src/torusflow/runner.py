@@ -25,16 +25,17 @@ is that scenario's error row; the family is fitted over the others.  An
 error row keeps no report.json, checks.csv or distance.csv from an
 earlier run.
 
-The runner makes no measurement decision: `harness` decides the checks
-and the family verdict (`family_passed`), and `distances` decides when
-its battery may run and whether it passed.  The runner reads their
-verdicts into the manifest.
+The runner builds no scenario and makes no measurement decision:
+`scenarios.make_sequence` builds every family, flat or calibrated,
+`harness` decides the checks and the family verdict (`family_passed`),
+and `distances` decides when its battery may run and whether it passed.
+The runner reads their verdicts into the manifest.
 
 Config defaults live in the records the sections build (FlowConfig,
 ScenarioSpec, HarnessConfig, DistanceConfig; ExperimentConfig for the
-top-level keys and scenario.flat): a key the config omits takes its
-record's default.  config_from_dict resolves the three that depend on
-other sections: the scenario seed, q_list and distance.enabled.
+top-level keys): a key the config omits takes its record's default.
+config_from_dict resolves the three that depend on other sections: the
+scenario seed, q_list and distance.enabled.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ from pathlib import Path
 
 from . import __version__
 from . import io as tfio
-from .fields import FieldError, TorusGeometry, constant_field
+from .fields import FieldError, TorusGeometry
 from .flow import FlowConfig, run_flow
-from .geometry import KahlerMetric, PositivityError, pairing_density
-from .geometry import volume as volume_of
+from .geometry import PositivityError, pairing_density
 from .harness import (HarnessConfig, build_reports, default_test_forms, family_passed,
                       family_summary, measure)
 from .distances import (DistanceConfig, battery_config_errors, distance_checks,
@@ -88,7 +88,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A parsed config: the record each section builds, plus the top-level
-    output and seed and the scenario section's flat switch."""
+    output and seed."""
 
     geometry: TorusGeometry
     scenario: ScenarioSpec
@@ -96,7 +96,6 @@ class ExperimentConfig:
     harness: HarnessConfig
     distance: DistanceConfig
     output: str | None = None
-    flat: bool = False
     seed: int = 7
 
     @property
@@ -112,7 +111,7 @@ class ExperimentConfig:
                 "background": tfio._matrix_json(spec.background),
                 "lambda_gate": spec.lambda_gate,
                 "p": "inf" if spec.p is not None and math.isinf(spec.p) else spec.p,
-                "flat": self.flat,
+                "flat": spec.flat,
             },
             "flow": tfio._config_json(self.flow),
             "harness": asdict(self.harness),
@@ -147,6 +146,10 @@ def _is_int(v) -> bool:
 
 def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_seed(v) -> bool:
+    return _is_int(v) and v >= 0
 
 
 def _is_positive_int(v) -> bool:
@@ -192,7 +195,7 @@ _TOP = (
     ("flow", None, None, None),
     ("harness", None, None, None),
     ("distance", None, None, None),
-    ("seed", _is_int, "must be an integer", None),
+    ("seed", _is_seed, "must be an integer >= 0", None),
     ("output", lambda v: v is None or isinstance(v, str), "must be a path string", None),
 )
 _GEOMETRY = (
@@ -208,7 +211,7 @@ _SCENARIO = (
     ("lambda_gate", _is_positive, "must be positive", float),
     ("p", None, None, _parse_p),
     ("flat", lambda v: isinstance(v, bool), "must be true or false", None),
-    ("seed", _is_int, "must be an integer", None),
+    ("seed", _is_seed, "must be an integer >= 0", None),
 )
 _FLOW = (  # types only: FlowConfig checks the values
     ("scheme", None, None, None),
@@ -222,7 +225,7 @@ _FLOW = (  # types only: FlowConfig checks the values
 )
 _HARNESS = (
     ("test_forms", lambda v: _is_int(v) and v >= 0, "must be a non-negative integer", None),
-    ("form_seed", _is_int, "must be an integer", None),
+    ("form_seed", _is_seed, "must be an integer >= 0", None),
     ("q_list", lambda v: v is None or _is_list(v, _is_positive),
      "must be a list of positive numbers", lambda v: _floats(v or ())),
 )
@@ -232,7 +235,7 @@ _DISTANCE = (
     ("queries", _is_positive_int, "must be a positive integer", None),
     ("flat_queries", _is_positive_int, "must be a positive integer", None),
     ("times", lambda v: _is_list(v, _is_positive), "must be a list of positive numbers", _floats),
-    ("seed", _is_int, "must be an integer", None),
+    ("seed", _is_seed, "must be an integer >= 0", None),
 )
 
 
@@ -299,7 +302,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError([f"flow: {exc}"]) from exc
     seed = top.get("seed", ExperimentConfig.seed)
-    flat = scen.pop("flat", ExperimentConfig.flat)
     scen.setdefault("seed", seed)
     try:
         spec = ScenarioSpec(geometry=geometry, **scen)
@@ -312,7 +314,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if distance.enabled is None:  # on in the uniform-equivalence regime unless forced
         distance = replace(distance, enabled=math.isinf(spec.trace_exponent))
     config = ExperimentConfig(geometry=geometry, scenario=spec, flow=flow, harness=harness,
-                              distance=distance, output=top.get("output"), flat=flat, seed=seed)
+                              distance=distance, output=top.get("output"), seed=seed)
     if distance.enabled and (errors := battery_config_errors(config)):
         raise ConfigError(errors)
     return config
@@ -360,25 +362,10 @@ def scenario_dir(out: Path, index: int) -> Path:
     return Path(out) / f"scenario_i{index:03d}"
 
 
-def _flat_scenarios(spec: ScenarioSpec) -> list:
-    """The background itself, as flat initial data for every index."""
-    metric = KahlerMetric(spec.background, constant_field(spec.geometry, 0.0))
-    vol, trace_norm = volume_of(metric), spec.trace_norm(metric)
-    return [
-        Scenario(index=i, amplitude=0.0, metric=metric, curvature_floor=0.0, volume=vol,
-                 trace_norm=trace_norm, positive_part_budget=0.0)
-        for i in spec.indices
-    ]
-
-
-def _scenarios(spec: ScenarioSpec, flat: bool) -> list:
-    return _flat_scenarios(spec) if flat else make_sequence(spec)
-
-
 def first_scenario(config: ExperimentConfig) -> Scenario:
     """The smallest-index scenario, built as run_experiment builds it."""
     spec = replace(config.scenario, indices=config.scenario.indices[:1])
-    return _scenarios(spec, config.flat)[0]
+    return make_sequence(spec)[0]
 
 
 def _flow_one(config: ExperimentConfig, scenario: Scenario, out: Path) -> tuple:
@@ -477,7 +464,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     scenario_rows = []
     try:
         with _timed(timings, "scenario_generation"):
-            scenarios = _scenarios(config.scenario, config.flat)
+            scenarios = make_sequence(config.scenario)
     except ScenarioError as exc:
         scenarios = []
         scenario_rows.append({"status": "error", "error": f"scenario generation failed: {exc}"})

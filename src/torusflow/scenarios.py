@@ -14,6 +14,10 @@ many of the same amplitudes: make_sequence shares one table of readings
 (min R, min eigenvalue) by amplitude across them, and a table hit skips
 the probe but still counts as a step, so each index takes the same path
 and lands on the same amplitude as a calibration of its own.
+
+A flat family (ScenarioSpec.flat) is the background itself at every
+index, with amplitude 0: no shape is drawn and no curvature probed.
+Calibrated or flat, every index passes the same admission gates.
 """
 
 from __future__ import annotations
@@ -79,7 +83,8 @@ class ScenarioSpec:
     max_mode: int = 3
     background: np.ndarray | None = None
     lambda_gate: float = 10.0
-    p: float | None = None  # trace-norm exponent; None means 2n, math.inf allowed
+    p: float | None = None  # trace-norm exponent in [1, inf]; None means 2n
+    flat: bool = False  # the background itself at every index, uncalibrated
 
     def __post_init__(self) -> None:
         idx = tuple(int(i) for i in self.indices)
@@ -94,8 +99,8 @@ class ScenarioSpec:
         except (FieldError, PositivityError) as exc:
             raise ScenarioError(str(exc)) from exc
         object.__setattr__(self, "background", H)
-        if self.p is not None and not math.isinf(self.p) and self.p <= 0:
-            raise ScenarioError(f"trace exponent must be positive, got {self.p}")
+        if self.p is not None and not 1 <= self.p <= math.inf:
+            raise ScenarioError(f"trace exponent must be in [1, inf], got {self.p}")
 
     @property
     def trace_exponent(self) -> float:
@@ -104,7 +109,7 @@ class ScenarioSpec:
     def trace_norm(self, metric) -> float:
         """The trace gate's reading: the L^trace_exponent norm of tr g
         against the unit background and its volume form."""
-        unit = FlatMetric(np.eye(self.geometry.n))
+        unit = FlatMetric(np.eye(self.geometry.n), self.geometry)
         p = self.trace_exponent
         weight = None if math.isinf(p) else constant_field(self.geometry, volume(unit))
         return lp_norm(trace_wrt(unit, metric), p, weight)
@@ -191,14 +196,29 @@ def calibrate_amplitude(
     )
 
 
-def make_sequence(spec: ScenarioSpec) -> list:
-    """Calibrate every index of the family; deterministic in the seed."""
-    shape = random_band_limited(spec.seed, spec.max_mode, spec.geometry)
-    H0 = spec.background
+def _members(spec: ScenarioSpec):
+    """(index, amplitude, metric, coefficients, scalar curvature) of each
+    index.  A flat family is its background at every index: no shape is
+    drawn and no curvature probed."""
+    geo, H0 = spec.geometry, spec.background
+    if spec.flat:
+        metric = FlatMetric(H0, geo).as_metric()
+        coeffs, curv = assemble(metric), constant_field(geo, 0.0)
+        for i in spec.indices:
+            yield i, 0.0, metric, coeffs, curv
+        return
+    shape = random_band_limited(spec.seed, spec.max_mode, geo)
     table: dict = {}  # one family, one shape: the indices share their probes
-    out = []
     for i in spec.indices:
         a, coeffs, curv = calibrate_amplitude(shape, H0, -1.0 / i, table=table)
+        yield i, a, KahlerMetric(H0, shape * a), coeffs, curv
+
+
+def make_sequence(spec: ScenarioSpec) -> list:
+    """Every index of the family, calibrated (or flat), each through the
+    admission gates; deterministic in the seed."""
+    out = []
+    for i, a, metric, coeffs, curv in _members(spec):
         vol = volume(coeffs)
         if vol < 1.0 / spec.lambda_gate:
             raise GateViolation(
@@ -216,7 +236,7 @@ def make_sequence(spec: ScenarioSpec) -> list:
             Scenario(
                 index=i,
                 amplitude=a,
-                metric=KahlerMetric(H0, shape * a),
+                metric=metric,
                 curvature_floor=curv.min(),
                 volume=vol,
                 trace_norm=tr_norm,

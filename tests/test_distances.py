@@ -70,12 +70,6 @@ def test_stencil_validation(geo1):
             distances.stencil_edges(geo1, radius)
         with pytest.raises(ValueError, match="positive integer"):
             MetricGraph(flat, radius)
-    # a graph needs a grid, and a FlatMetric is the one way to give it one
-    gridless = FlatMetric(np.eye(1))
-    with pytest.raises(ValueError, match="no grid"):
-        MetricGraph(gridless)
-    with pytest.raises(ValueError, match="no grid"):
-        flat_accuracy_battery(gridless, count=5)
 
 
 def test_query_validation(geo1):
@@ -92,8 +86,8 @@ def test_query_validation(geo1):
 # closed forms on the flat torus
 
 
-def test_flat_exact_values():
-    H = FlatMetric(np.eye(1))
+def test_flat_exact_values(geo1):
+    H = FlatMetric(np.eye(1), geometry=geo1)
     assert flat_distance_exact(H, (0.0, 0.0), (0.0, 0.0)) == 0.0
     assert flat_distance_exact(H, (0.0, 0.0), (0.5, 0.0)) == pytest.approx(SQ2 * 0.5, abs=1e-15)
     # wrap-around: separation 0.6 is really 0.4
@@ -101,9 +95,9 @@ def test_flat_exact_values():
     assert flat_distance_exact(H, (0.0, 0.0), (0.5, 0.5)) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_flat_exact_scaling():
-    a = flat_distance_exact(FlatMetric(np.eye(1)), (0.0, 0.0), (0.3, 0.1))
-    b = flat_distance_exact(FlatMetric(4.0 * np.eye(1)), (0.0, 0.0), (0.3, 0.1))
+def test_flat_exact_scaling(geo1):
+    a = flat_distance_exact(FlatMetric(np.eye(1), geometry=geo1), (0.0, 0.0), (0.3, 0.1))
+    b = flat_distance_exact(FlatMetric(4.0 * np.eye(1), geometry=geo1), (0.0, 0.0), (0.3, 0.1))
     assert b == pytest.approx(2.0 * a, rel=1e-14)
 
 
@@ -123,14 +117,15 @@ def test_flat_exact_matches_shift_loop(H):
     rng = np.random.default_rng(4)
     for _ in range(50):
         x, y = rng.random((2, 2 * H.shape[0]))
-        assert flat_distance_exact(FlatMetric(H), x, y) == pytest.approx(
+        flat = FlatMetric(H, geometry=TorusGeometry(H.shape[0], 8))
+        assert flat_distance_exact(flat, x, y) == pytest.approx(
             _flat_exact_loop(H, x, y), rel=1e-14
         )
 
 
-def test_flat_exact_rejects_bad_points():
+def test_flat_exact_rejects_bad_points(geo1):
     with pytest.raises(ValueError):
-        flat_distance_exact(FlatMetric(np.eye(1)), (0.0,), (0.5, 0.0))
+        flat_distance_exact(FlatMetric(np.eye(1), geometry=geo1), (0.0,), (0.5, 0.0))
 
 
 @pytest.mark.parametrize("metric", [np.eye(1), [[1.0]], 1.0])
@@ -162,8 +157,8 @@ def test_graph_wraps_indices(geo1):
 
 
 def test_graph_overapproximates_flat(geo1):
-    g = MetricGraph(FlatMetric(np.eye(1), geometry=geo1))
-    flat = FlatMetric(np.eye(1))
+    flat = FlatMetric(np.eye(1), geometry=geo1)
+    g = MetricGraph(flat)
     for s, t in zip(*random_queries(geo1, 25, seed=11)):
         exact = flat_distance_exact(flat, s / geo1.N, t / geo1.N)
         assert g.distance(s, t) >= exact - 1e-12
@@ -204,7 +199,7 @@ def test_radius_refines_distances():
                   for r in (1, 2, 3))
     assert d1 >= d2 >= d3
     assert d1 > d3 + 1e-9
-    exact = flat_distance_exact(FlatMetric(np.eye(1)), (0, 0), (4 / 32, 12 / 32))
+    exact = flat_distance_exact(flat, (0, 0), (4 / 32, 12 / 32))
     assert d3 == pytest.approx(exact, rel=1e-12)
 
 

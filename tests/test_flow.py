@@ -68,6 +68,8 @@ def mode_coefficient(metric, state):
         {"eps_pos": float("inf")},
         {"snapshot_times": (0.0, 0.5)},
         {"snapshot_times": (1.0 + 2e-9,), "t_end": 1.0},
+        {"t_ramp": float("nan")},
+        {"t_ramp": float("inf")},
     ],
 )
 def test_config_rejects(kwargs):

@@ -138,7 +138,7 @@ def test_min_eigenvalue_two_dim(geo2):
 
 
 def trace_of_unit(m):
-    return trace_wrt(m, FlatMetric(np.eye(m.geometry.n)))
+    return trace_wrt(m, FlatMetric(np.eye(m.geometry.n), geometry=m.geometry))
 
 
 SHORT_FLOW = FlowConfig(t_end=0.1, snapshot_times=(0.05, 0.1))
@@ -248,15 +248,15 @@ def test_packed_field_rejects_complex_values(geo1):
 
 def test_volume_values(geo1, geo2):
     assert volume(bump_metric(geo1)) == pytest.approx(2.0, abs=1e-12)
-    assert volume(FlatMetric(np.eye(2))) == pytest.approx(8.0, abs=1e-12)
-    assert volume(FlatMetric(2.0 * np.eye(1))) == pytest.approx(4.0, abs=1e-12)
+    assert volume(FlatMetric(np.eye(2), geometry=geo2)) == pytest.approx(8.0, abs=1e-12)
+    assert volume(FlatMetric(2.0 * np.eye(1), geometry=geo1)) == pytest.approx(4.0, abs=1e-12)
     # volume is mean det, so the oscillating part drops out at n=1
     assert volume(bump_metric(geo1, a=0.01)) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_volume_rejects_nonpositive():
+def test_volume_rejects_nonpositive(geo1):
     with pytest.raises(PositivityError):
-        volume(FlatMetric(-np.eye(1)))
+        volume(FlatMetric(-np.eye(1), geometry=geo1))
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +383,17 @@ def test_riemann_norm_is_the_scalar_curvature_in_one_dimension(geo1):
     assert np.abs(rm - r).max() <= 1e-10 * r.max()
 
 
+def test_flat_metric_requires_its_grid(geo1):
+    with pytest.raises(TypeError):
+        FlatMetric(np.eye(1))
+    with pytest.raises(FieldError, match="shape"):
+        FlatMetric(np.eye(2), geometry=geo1)
+
+
 def test_flat_curvature_is_zero(geo1):
     flat = FlatMetric(1.7 * np.eye(1), geometry=geo1)
     assert np.abs(ricci(flat).values).max() == 0.0
     assert np.abs(scalar_curvature(flat).values).max() == 0.0
-
-
-def test_flat_curvature_needs_grid():
-    with pytest.raises(FieldError):
-        ricci(FlatMetric(np.eye(1)))
 
 
 def test_trace_of_ricci_is_scalar_curvature(geo1, geo2):
@@ -444,9 +446,6 @@ def test_trace_rejects_grid_mismatch(geo1):
     with pytest.raises(FieldError):
         trace_wrt(g1, g2)
 
-    with pytest.raises(FieldError):
-        trace_wrt(FlatMetric(np.eye(1)), FlatMetric(np.eye(1)))
-
 
 # ---------------------------------------------------------------------------
 # harmonic projection
@@ -484,7 +483,7 @@ def test_projection_two_dim_recovery(geo2):
 
 def test_projection_idempotent(geo1):
     flat0 = FlatMetric(1.3 * np.eye(1), geometry=geo1)
-    flat, u = harmonic_projection(flat0.as_metric(geo1))
+    flat, u = harmonic_projection(flat0.as_metric())
     assert np.abs(flat.H - flat0.H).max() < 1e-14
     assert np.abs(u.values).max() < 1e-14
 
@@ -548,13 +547,13 @@ def test_test_form_validation(geo1, geo2):
 
 
 def test_volume_density_identity(geo1):
-    flat = FlatMetric(1.4 * np.eye(1))
-    v = volume_density(flat.as_metric(geo1), FlatMetric(1.4 * np.eye(1)))
+    flat = FlatMetric(1.4 * np.eye(1), geometry=geo1)
+    v = volume_density(flat.as_metric(), flat)
     assert np.abs(v.values - 1.0).max() < 1e-14
 
 
 def test_volume_density_single_mode(geo1):
-    v = volume_density(bump_metric(geo1), FlatMetric(np.eye(1)))
+    v = volume_density(bump_metric(geo1), FlatMetric(np.eye(1), geometry=geo1))
     x = geo1.coordinate(0)
     assert np.abs(v.values - (1.0 - B * np.cos(2 * np.pi * x))).max() < 1e-12
     # equal volumes in one class: the mean of v - 1 vanishes
@@ -563,4 +562,4 @@ def test_volume_density_single_mode(geo1):
 
 def test_volume_density_rejects_degenerate(geo1):
     with pytest.raises(PositivityError):
-        volume_density(bump_metric(geo1), FlatMetric(np.zeros((1, 1))))
+        volume_density(bump_metric(geo1), FlatMetric(np.zeros((1, 1)), geometry=geo1))

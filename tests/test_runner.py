@@ -46,7 +46,7 @@ def test_minimal_defaults():
     assert cfg.scenario.max_mode == 3
     assert cfg.scenario.seed == 7
     assert cfg.seed == 7
-    assert cfg.flat is False
+    assert cfg.scenario.flat is False
     assert cfg.harness.test_forms == 5 and cfg.harness.form_seed == 101
     assert cfg.harness.q_list == (1.0, 1.5)
     # default trace exponent is finite (2n), so the distance battery stays off
@@ -140,6 +140,62 @@ def test_trace_exponent_rejections(bad, shown):
     with pytest.raises(ConfigError) as err:
         config_from_dict(d)
     assert f"scenario.p: expected a number or 'inf', got {shown}" in err.value.errors
+
+
+def _cli_exit(tmp_path, d, command="run", *args):
+    """The CLI's exit code for config d, written as JSON."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(d))  # non-finite floats as NaN, Infinity, -Infinity
+    return main([command, "--config", str(p), "--out", str(tmp_path / "out"), *args])
+
+
+@pytest.mark.parametrize("p", [math.nan, -math.inf, 0.5, 0])
+def test_trace_exponent_outside_one_to_inf_is_a_config_error(p, tmp_path, capsys):
+    d = base_dict()
+    d["scenario"]["p"] = p
+    message = f"scenario: trace exponent must be in [1, inf], got {float(p)}"
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(json.loads(json.dumps(d)))
+    assert err.value.errors == [message]
+    assert _cli_exit(tmp_path, d) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("p, want", [(1, 1.0), ("inf", math.inf), (math.inf, math.inf)])
+def test_trace_exponent_accepts_one_to_inf(p, want):
+    d = base_dict()
+    d["scenario"]["p"] = p
+    assert config_from_dict(json.loads(json.dumps(d))).scenario.trace_exponent == want
+
+
+@pytest.mark.parametrize("section, key", [
+    (None, "seed"), ("scenario", "seed"), ("harness", "form_seed"), ("distance", "seed"),
+])
+def test_negative_seed_is_a_config_error(section, key, tmp_path, capsys):
+    d = base_dict()
+    (d if section is None else d.setdefault(section, {}))[key] = -1
+    message = f"{key if section is None else f'{section}.{key}'}: must be an integer >= 0, got -1"
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    assert err.value.errors == [message]
+    assert _cli_exit(tmp_path, d) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    assert _cli_exit(tmp_path, base_dict(), "run", "--seed", "-1") == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == "config error: seed: must be an integer >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("t_ramp", [math.nan, math.inf])
+def test_nonfinite_t_ramp_is_a_config_error(t_ramp, tmp_path, capsys):
+    """check never flows, so a t_ramp that slips through fails here
+    instead of hanging a flow."""
+    message = f"flow: t_ramp must be positive and finite, got {t_ramp}"
+    assert _cli_exit(tmp_path, base_dict(flow={"t_ramp": t_ramp}), "check") \
+        == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_distance_enabled_override():
@@ -321,6 +377,29 @@ def test_seed_fallback_and_type():
     with pytest.raises(ConfigError) as err:
         config_from_dict(base_dict(seed="7"))
     assert any(m.startswith("seed: must be an integer") for m in err.value.errors)
+
+
+def test_flat_switch_is_part_of_the_scenario_spec():
+    cfg = config_from_dict(json.loads(json.dumps(FLAT_DICT)))
+    assert cfg.scenario.flat is True
+    assert cfg.normalized["scenario"]["flat"] is True
+    # the switch is written where it always was, so run directories resume
+    assert cfg.config_hash == "27641da9d8094a847e7895e19df4a7865ddda601b699311058181b2eb912ab1a"
+    assert cfg.trace_key == "dc100ed4640a10a609faf44ee7b31fe289d538e284a9182c87d04bed5fae5344"
+    assert config_from_dict(base_dict()).scenario.flat is False
+
+
+def test_collapsing_flat_family_is_a_scenario_error(tmp_path, capsys):
+    """A flat family passes the same admission gates as a calibrated one."""
+    d = json.loads(json.dumps(FLAT_DICT))
+    d["scenario"]["background"] = [[[0.04, 0]]]
+    assert _cli_exit(tmp_path, d) == EXIT_SCENARIO_ERROR
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["scenarios"] == [{
+        "status": "error",
+        "error": "scenario generation failed: index 1: volume 0.08 below the "
+                 "non-collapsing gate 1/10",
+    }]
 
 
 def test_output_field():

@@ -6,6 +6,7 @@ the floor in [-1, -1/2] must lie between the two quadratic roots below.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,10 +22,12 @@ from torusflow import (
     ZeroShape,
     assemble,
     calibrate_amplitude,
+    constant_field,
     make_sequence,
     min_eigenvalue,
     random_band_limited,
     scalar_curvature,
+    volume,
 )
 from torusflow import scenarios
 from torusflow.scenarios import GateViolation
@@ -252,3 +255,38 @@ def test_two_dim_family_smoke(geo2):
     for sc in fam:
         assert -1.0 / sc.index - 1e-12 <= sc.curvature_floor <= -0.5 / sc.index + 1e-12
         assert min_eigenvalue(sc.metric) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# flat families
+
+
+def test_flat_family_is_its_background_through_the_gates(geo2, monkeypatch):
+    """A flat family draws no shape and probes nothing; each index is the
+    background with a +0.0 potential and the readings of that metric."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flat family draws no shape and runs no probe")
+
+    monkeypatch.setattr(scenarios, "random_band_limited", refuse)
+    monkeypatch.setattr(scenarios, "calibrate_amplitude", refuse)
+    H0 = np.array([[1.2, 0.1 + 0.05j], [0.1 - 0.05j, 0.9]])
+    spec = ScenarioSpec(geometry=geo2, seed=7, indices=(1, 4, 16), max_mode=2,
+                        background=H0, flat=True)
+    flat = KahlerMetric(spec.background, constant_field(geo2, 0.0))
+    fam = make_sequence(spec)
+    assert [sc.index for sc in fam] == [1, 4, 16]
+    for sc in fam:
+        assert sc.amplitude == sc.curvature_floor == sc.positive_part_budget == 0.0
+        assert sc.volume == volume(flat)
+        assert sc.trace_norm == spec.trace_norm(flat)
+        assert np.array_equal(sc.metric.H, H0)
+        phi = sc.metric.phi.values
+        assert not phi.any() and not np.signbit(phi).any()
+
+
+def test_flat_family_fails_the_volume_gate():
+    spec = ScenarioSpec(geometry=TorusGeometry(1, 16), seed=7, indices=(1, 4),
+                        background=[[0.04]], flat=True)
+    message = "index 1: volume 0.08 below the non-collapsing gate 1/10"
+    with pytest.raises(GateViolation, match=re.escape(message)):
+        make_sequence(spec)
