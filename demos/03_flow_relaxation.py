@@ -39,6 +39,6 @@ print(f"\nlinear-regime decay to t=0.1 (heat kernel says {target:.6f}):")
 for sigma in (0.1, 0.01, 0.001):
     tr = run_flow(small, FlowConfig(sigma=sigma, t_end=0.1, snapshot_times=(0.1,)))
     s = tr.snapshot_at(0.1)
-    tot = small.phi.values + s.phi_osc.values + s.phi_mean
+    tot = small.phi.values + s.phi.values
     c1 = 2 * np.fft.fftn(tot)[1, 0].real / tot.size
     print(f"  sigma = {sigma:5}: ratio {c1 / 1e-4:.6f}")

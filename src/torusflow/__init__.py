@@ -50,7 +50,6 @@ from .flow import (
     StepDiagnostics,
     dot_phi,
     run_flow,
-    step,
 )
 from .scenarios import (
     BracketFailure,
@@ -100,7 +99,7 @@ __all__ = [
     "pairing_density", "ricci", "riemann_norm", "scalar_curvature",
     "trace_wrt", "volume", "volume_density",
     "FlowConfig", "FlowFailure", "FlowState", "FlowTrace",
-    "StepDiagnostics", "dot_phi", "run_flow", "step",
+    "StepDiagnostics", "dot_phi", "run_flow",
     "BracketFailure", "Scenario", "ScenarioError", "ScenarioSpec",
     "ZeroShape", "calibrate_amplitude", "make_sequence",
     "CheckResult", "EstimateReport", "build_reports", "check_scalar_floor",

@@ -39,7 +39,8 @@ which is 4 at n = 1 and 10 at n = 2, with no complex transform; fields
 runs them on numpy.fft at n = 1 and on scipy.fft at n = 2.  The stepper
 carries (t, dt, evaluation), and phi goes back to the grid (1 inverse
 more) only for a FlowState that is kept: a snapshot, or the last state
-of a FlowFailure.
+of a FlowFailure.  A FlowState is its time and its full potential, mean
+included; run_flow is the only stepper.
 
 Any candidate with non-finite values or an eigenvalue floor below
 eps_pos (or NaN) is rejected and retried at dt/2; too many consecutive
@@ -85,7 +86,6 @@ __all__ = [
     "StepDiagnostics",
     "FlowFailure",
     "dot_phi",
-    "step",
     "run_flow",
 ]
 
@@ -141,26 +141,21 @@ class FlowConfig:
 
 @dataclass(frozen=True, eq=False)
 class FlowState:
-    """Flow potential at one instant, on top of a fixed initial metric.
+    """Flow potential phi at time t, on top of a fixed initial metric.
 
-    phi_osc is the mean-zero part and phi_mean the tracked additive
-    constant: the metric ignores the mean but the potential bounds and
-    pairing gaps do not, so it is carried explicitly.  The rate
-    d phi/dt is not stored; dot_phi derives it from metric().
+    phi is the full potential with its mean kept: the metric ignores an
+    additive constant, but the potential bound sup|phi| and the pairing
+    gaps do not.  metric() hands it to KahlerMetric, the one place that
+    removes a mean.  The rate d phi/dt is not stored; dot_phi derives it
+    from metric().
     """
 
     base: KahlerMetric
     t: float
-    phi_osc: ScalarField
-    phi_mean: float
-    last_dt: float
-
-    @property
-    def phi(self) -> ScalarField:
-        return self.phi_osc + self.phi_mean
+    phi: ScalarField
 
     def metric(self) -> KahlerMetric:
-        return KahlerMetric(self.base.H, self.base.phi + self.phi_osc)
+        return KahlerMetric(self.base.H, self.base.phi + self.phi)
 
 
 @dataclass(frozen=True)
@@ -298,17 +293,9 @@ class _Kernel:
             volume=_volume(ev.coeffs),
         )
 
-    def state(self, t: float, dt: float, ev: _Evaluation) -> FlowState:
+    def state(self, t: float, ev: _Evaluation) -> FlowState:
         geo = self.geometry
-        phi_full = _irfft(geo, ev.phi_hat)
-        mean = float(phi_full.mean())
-        return FlowState(
-            base=self.base,
-            t=t,
-            phi_osc=ScalarField(geo, phi_full - mean),
-            phi_mean=mean,
-            last_dt=dt,
-        )
+        return FlowState(self.base, t, ScalarField(geo, _irfft(geo, ev.phi_hat)))
 
 
 def dot_phi(state: FlowState, alpha: FlatMetric | None = None, dealias: bool = False) -> ScalarField:
@@ -323,20 +310,9 @@ def dot_phi(state: FlowState, alpha: FlatMetric | None = None, dealias: bool = F
     return _rhs_field(assemble(state.metric()), alpha, FlowConfig(dealias=dealias))
 
 
-def step(state: FlowState, config: FlowConfig) -> FlowState:
-    """One accepted adaptive step from state, ending at t_end at the latest."""
-    kernel = _Kernel(state.base, config)
-    ev = kernel.evaluate(_rfft(state.base.geometry, state.phi.values))
-    if ev is None:
-        raise FlowFailure("current state is not positive", state)
-    t_next = config.t_end if config.t_end > state.t + 1e-14 else math.inf
-    return kernel.state(*_step(kernel, state.t, state.last_dt, ev, t_next))
-
-
-def _step(kernel: _Kernel, t: float, last_dt: float, ev: _Evaluation, t_next: float):
-    """One accepted step from time t, whose state took last_dt and has the
-    evaluation ev, ending at t_next at the latest; returns (new_t, dt,
-    new_evaluation)."""
+def _step(kernel: _Kernel, t: float, ev: _Evaluation, t_next: float):
+    """One accepted step from time t, whose state has the evaluation ev,
+    ending at t_next at the latest; returns (new_t, dt, new_evaluation)."""
     config = kernel.config
     dt = min(kernel.target_dt(t, ev), t_next - t)
     rejects = 0
@@ -348,11 +324,11 @@ def _step(kernel: _Kernel, t: float, last_dt: float, ev: _Evaluation, t_next: fl
         if rejects > config.max_rejects:
             raise FlowFailure(
                 f"step at t={t:.6g} rejected {rejects} times (dt={dt:.3e})",
-                kernel.state(t, last_dt, ev),
+                kernel.state(t, ev),
             )
         dt /= 2.0
         if dt < 1e-15:
-            raise FlowFailure(f"time step underflow at t={t:.6g}", kernel.state(t, last_dt, ev))
+            raise FlowFailure(f"time step underflow at t={t:.6g}", kernel.state(t, ev))
 
 
 def run_flow(metric0: KahlerMetric, config: FlowConfig) -> FlowTrace:
@@ -362,18 +338,15 @@ def run_flow(metric0: KahlerMetric, config: FlowConfig) -> FlowTrace:
     ev = kernel.evaluate(np.zeros(geo.dealias_keep.shape, dtype=np.complex128))
     if ev is None:
         zero = ScalarField(geo, np.zeros(geo.shape))
-        raise FlowFailure(
-            "initial metric is not positive",
-            FlowState(metric0, 0.0, zero, 0.0, 0.0),
-        )
+        raise FlowFailure("initial metric is not positive", FlowState(metric0, 0.0, zero))
     t, dt = 0.0, 0.0
     diagnostics = [kernel.diagnostics(t, dt, ev)]
     snapshots = []
     for t_snap in config.snapshot_times:  # the last one is t_end
         while t_snap > t + 1e-14:
-            t, dt, ev = _step(kernel, t, dt, ev, t_snap)
+            t, dt, ev = _step(kernel, t, ev, t_snap)
             diagnostics.append(kernel.diagnostics(t, dt, ev))
-        snapshots.append(kernel.state(t, dt, ev))
+        snapshots.append(kernel.state(t, ev))
     return FlowTrace(
         initial=metric0,
         alpha=kernel.alpha,

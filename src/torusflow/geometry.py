@@ -12,8 +12,10 @@ Conventions, fixed once for the whole package:
 
 Backgrounds H are constant Hermitian positive matrices; the potential
 phi is a real grid field, normalized to zero mean on ingest since the
-metric is blind to the additive constant.  Every metric lives on a grid;
-a FlatMetric carries its own.
+metric is blind to the additive constant.  That is the package's one
+gauge rule: a flow state keeps its potential's mean, which the potential
+bounds read, and only KahlerMetric removes it.  Every metric lives on a
+grid; a FlatMetric carries its own.
 """
 
 from __future__ import annotations
@@ -73,14 +75,20 @@ class ProjectionError(ValueError):
     """Constant-coefficient representative failed its Hessian identity."""
 
 
-def _check_background(H, n: int) -> np.ndarray:
-    arr = np.asarray(H, dtype=np.complex128)
+def _check_hermitian(M, n: int, what: str) -> np.ndarray:
+    """M as an n x n complex array; FieldError unless finite and Hermitian."""
+    arr = np.asarray(M, dtype=np.complex128)
     if arr.shape != (n, n):
-        raise FieldError(f"background matrix shape {arr.shape}, expected {(n, n)}")
+        raise FieldError(f"{what} shape {arr.shape}, expected {(n, n)}")
     if not np.all(np.isfinite(arr)):
-        raise FieldError("background matrix has non-finite entries")
+        raise FieldError(f"{what} has non-finite entries")
     if np.abs(arr - arr.conj().T).max() > 1e-12 * max(1.0, np.abs(arr).max()):
-        raise FieldError("background matrix is not Hermitian")
+        raise FieldError(f"{what} is not Hermitian")
+    return arr
+
+
+def _check_background(H, n: int) -> np.ndarray:
+    arr = _check_hermitian(H, n, "background matrix")
     evals = np.linalg.eigvalsh(arr)
     if evals.min() <= 0:
         raise PositivityError(f"background matrix not positive (eigenvalues {evals})")
@@ -150,16 +158,13 @@ class TestForm:
         n = self.f.geometry.n
         if n == 1:
             b = complex(np.asarray(self.beta).reshape(()))
+            if not np.isfinite(b):
+                raise FieldError("n=1 coefficient is non-finite")
             if abs(b.imag) > 1e-15:
                 raise FieldError("n=1 coefficient must be real")
             object.__setattr__(self, "beta", float(b.real))
         else:
-            arr = np.asarray(self.beta, dtype=np.complex128)
-            if arr.shape != (n, n):
-                raise FieldError(f"coefficient matrix shape {arr.shape}, expected {(n, n)}")
-            if np.abs(arr - arr.conj().T).max() > 1e-12 * max(1.0, np.abs(arr).max()):
-                raise FieldError("coefficient matrix is not Hermitian")
-            object.__setattr__(self, "beta", arr)
+            object.__setattr__(self, "beta", _check_hermitian(self.beta, n, "coefficient matrix"))
         # smoothness gate: the factor must live inside the dealiased band
         g = self.f.geometry
         hat = _rfft(g, self.f.values)

@@ -10,13 +10,18 @@ the metric ignores an additive constant but the potential bounds do
 not, so round-trips must keep it.
 
 A flow trace persists as a directory: meta.json (geometry, config,
-matrices, snapshot table), one metric snapshot per configured snapshot
-time, the flat-representative potential, the initial potential, and a
-per-step diagnostics CSV with columns t, dt, minR, min_dotphi,
-max_dotphi, mineig, volume.  The final state is the snapshot at t_end,
-the last one, and is not stored again; the "final" record and
-final.tkrf of older traces are ignored.  Loading recomputes nothing: a
-reader derives a state's dot phi from its assembled metric.
+matrices, snapshot table of {t, file} records), one metric snapshot per
+configured snapshot time, the flat-representative potential, the
+initial potential, and a per-step diagnostics CSV with columns t, dt,
+minR, min_dotphi, max_dotphi, mineig, volume, every cell finite.  A
+snapshot file holds the initial potential plus the state's flow
+potential, so a loaded state's phi is the stored total less the initial
+one, mean kept.  The final state is the snapshot at t_end, the last
+one, and is not stored again; the "final" record and final.tkrf of
+older traces are ignored, as is any other key of a snapshot record
+(older traces stored each snapshot's step size, which its diagnostics
+row holds).  Loading recomputes nothing: a reader derives a state's dot
+phi from its assembled metric.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import csv
 import dataclasses
 import io as _io
 import json
+import math
 import os
 import struct
 import tempfile
@@ -215,9 +221,8 @@ def save_trace(trace: FlowTrace, directory) -> Path:
     snap_table = []
     for s in trace.snapshots:
         name = _snap_name(s.t)
-        total = trace.initial.phi + s.phi_osc + s.phi_mean
-        save_metric_snapshot(trace.initial.H, total, d / name)
-        snap_table.append({"t": s.t, "last_dt": s.last_dt, "file": name})
+        save_metric_snapshot(trace.initial.H, trace.initial.phi + s.phi, d / name)
+        snap_table.append({"t": s.t, "file": name})
 
     write_csv_atomic(
         d / "diagnostics.csv",
@@ -243,25 +248,16 @@ def save_trace(trace: FlowTrace, directory) -> Path:
 
 
 def _entry(d: Path, record) -> tuple:
-    """(path, t, last_dt) of a snapshot record in meta.json."""
-    return d / record["file"], float(record["t"]), float(record["last_dt"])
+    """(path, t) of a snapshot record in meta.json."""
+    return d / record["file"], float(record["t"])
 
 
 def _state_from_file(entry: tuple, base: KahlerMetric) -> FlowState:
-    path, t, last_dt = entry
+    path, t = entry
     H, total = load_metric_snapshot(path)
-    geo = base.geometry
     if not np.allclose(H, base.H, rtol=0.0, atol=1e-12):
         raise FormatError("snapshot background differs from trace background")
-    flow_phi = total.values - base.phi.values
-    mean = float(flow_phi.mean())
-    return FlowState(
-        base=base,
-        t=t,
-        phi_osc=ScalarField(geo, flow_phi - mean),
-        phi_mean=mean,
-        last_dt=last_dt,
-    )
+    return FlowState(base, t, total - base.phi)
 
 
 def _read_diagnostics(path: Path) -> tuple:
@@ -278,7 +274,11 @@ def _read_diagnostics(path: Path) -> tuple:
         try:
             if len(row) != len(DIAG_COLUMNS):
                 raise ValueError(f"{len(row)} cells, expected {len(DIAG_COLUMNS)}")
-            out.append(StepDiagnostics(*map(float, row)))
+            values = [float(cell) for cell in row]
+            bad = [name for name, v in zip(DIAG_COLUMNS, values) if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"non-finite {', '.join(bad)}")
+            out.append(StepDiagnostics(*values))
         except ValueError as exc:
             raise FormatError(f"diagnostics line {line}: {exc}") from exc
     return tuple(out)
@@ -289,7 +289,7 @@ def load_trace(directory) -> FlowTrace:
     meta.json is not a torusflow-trace-1 record with every key and type
     save_trace writes, when its snapshot table does not hold one entry
     per configured snapshot time in order, or when the diagnostics file
-    has no rows or a row of the wrong length."""
+    has no rows, a row of the wrong length or a non-finite cell."""
     d = Path(directory)
     try:
         meta = json.loads((d / "meta.json").read_text())
@@ -306,7 +306,7 @@ def load_trace(directory) -> FlowTrace:
         raise
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"malformed meta.json: {type(exc).__name__}: {exc}") from exc
-    stored = [t for _, t, _ in entries]
+    stored = [t for _, t in entries]
     if len(stored) != len(config.snapshot_times) or not all(
         map(_same_time, stored, config.snapshot_times)
     ):

@@ -12,7 +12,8 @@ A run directory looks like
       family.csv          one row per index
       family_summary.json fitted constants, rate fits, monotonicity
       plots/              two-column csv files, sorted by abscissa
-      manifest.json       written last, atomically: its presence marks success
+      manifest.json       removed first, written last, atomically: its presence
+                          marks a run that completed
 
 Re-running with the same config resumes from persisted traces (matching
 trace_key) and regenerates everything downstream, byte-identically apart
@@ -208,7 +209,7 @@ _SCENARIO = (
      "must be a strictly increasing list of positive integers", tuple),
     ("max_mode", _is_positive_int, "must be a positive integer", None),
     ("background", None, None, _parse_background),
-    ("lambda_gate", _is_positive, "must be positive", float),
+    ("lambda_gate", lambda v: _is_num(v) and 0 < v < math.inf, "must be positive and finite", float),
     ("p", None, None, _parse_p),
     ("flat", lambda v: isinstance(v, bool), "must be true or false", None),
     ("seed", _is_seed, "must be an integer >= 0", None),
@@ -458,6 +459,8 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     """Full pipeline; with resume_only no flow is computed, only reloaded."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # an earlier run's manifest would mark this one a success if it crashed
+    (out / "manifest.json").unlink(missing_ok=True)
     timings: dict = {}
     t_start = time.perf_counter()
 

@@ -25,10 +25,10 @@ from torusflow import (
     assemble,
     constant_field,
     dot_phi,
+    integrate,
     min_eigenvalue,
     run_flow,
     scalar_curvature,
-    step,
     volume,
 )
 from torusflow import flow as flow_module
@@ -42,7 +42,7 @@ def single_mode(geo, a):
 
 
 def mode_coefficient(metric, state):
-    total = metric.phi.values + state.phi_osc.values + state.phi_mean
+    total = metric.phi.values + state.phi.values
     idx = (1,) + (0,) * (metric.geometry.axes - 1)
     return np.fft.fftn(total)[idx]
 
@@ -122,7 +122,8 @@ def test_flat_stationarity(geo1):
     trace = run_flow(m, FlowConfig(t_end=1.0))
     assert trace.final.t == pytest.approx(1.0, abs=1e-12)
     for s in trace.snapshots:
-        assert abs(s.phi_mean) + np.abs(s.phi_osc.values).max() <= 1e-10
+        mean = integrate(s.phi)
+        assert abs(mean) + np.abs(s.phi.values - mean).max() <= 1e-10
     for d in trace.diagnostics:
         assert abs(d.min_scalar_curvature) <= 1e-10
         assert abs(d.min_dot_phi) <= 1e-12 and abs(d.max_dot_phi) <= 1e-12
@@ -131,7 +132,7 @@ def test_flat_stationarity(geo1):
 def test_dot_phi_closed_form(geo1):
     m = single_mode(geo1, 0.05)
     zero = constant_field(geo1, 0.0)
-    state = FlowState(base=m, t=0.0, phi_osc=zero, phi_mean=0.0, last_dt=0.0)
+    state = FlowState(base=m, t=0.0, phi=zero)
     got = dot_phi(state).values
     b = 0.05 * np.pi**2
     x = geo1.coordinate(0)
@@ -142,7 +143,7 @@ def test_dot_phi_mass_identity(geo1):
     # int e^{dot phi} det H_alpha = int det g, pointwise algebra
     m = single_mode(geo1, 0.04)
     zero = constant_field(geo1, 0.0)
-    state = FlowState(base=m, t=0.0, phi_osc=zero, phi_mean=0.0, last_dt=0.0)
+    state = FlowState(base=m, t=0.0, phi=zero)
     rhs = dot_phi(state).values
     b = 0.04 * np.pi**2
     g = 1.0 - b * np.cos(2 * np.pi * geo1.coordinate(0))
@@ -236,15 +237,7 @@ def test_diagnostics_cover_every_step(bump_trace):
 
 
 # ---------------------------------------------------------------------------
-# stepping API and failure modes
-
-
-def test_step_advances(geo1):
-    m = single_mode(geo1, 0.02)
-    trace = run_flow(m, FlowConfig(t_end=0.01, snapshot_times=(0.01,)))
-    nxt = step(trace.final, FlowConfig(t_end=1.0))
-    assert isinstance(nxt, FlowState)
-    assert nxt.t > trace.final.t
+# failure modes and step refinement
 
 
 def test_nonpositive_initial_fails(geo1):
@@ -315,6 +308,17 @@ def test_step_diagnostics_match_the_public_api(bump_trace_two_dim):
         assert abs(row.max_dot_phi - rate.max()) <= 1e-12
         assert abs(row.min_eigenvalue - min_eigenvalue(assemble(metric))) <= 1e-8
         assert row.volume == pytest.approx(volume(metric), rel=1e-12)
+
+
+def test_constant_in_phi_moves_its_mean_not_the_metric(bump_trace_two_dim):
+    """A state keeps its potential's mean; metric() is blind to it."""
+    s = bump_trace_two_dim.final
+    c = 0.37
+    shifted = FlowState(s.base, s.t, s.phi + c)
+    g, g_shifted = assemble(s.metric()).values, assemble(shifted.metric()).values
+    # rounding of the shifted values, amplified by the Hessian symbol's |2 pi k|^2
+    assert np.abs(g_shifted - g).max() <= 1e-12 * np.abs(g).max()
+    assert integrate(shifted.phi) - integrate(s.phi) == pytest.approx(c, abs=1e-14)
 
 
 # real transforms per accepted step, and those of the set-up: projection,

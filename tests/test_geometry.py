@@ -542,6 +542,16 @@ def test_test_form_validation(geo1, geo2):
         TestForm(hot, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_test_form_rejects_nonfinite_coefficients(geo1, geo2, bad):
+    """A coefficient the pairing would turn into nan or inf is refused, at
+    n=1 and n=2 alike, as FlatMetric refuses the same matrix."""
+    with pytest.raises(FieldError, match="non-finite"):
+        TestForm(ScalarField(geo1, np.ones(geo1.shape)), bad)
+    with pytest.raises(FieldError, match="non-finite"):
+        TestForm(ScalarField(geo2, np.ones(geo2.shape)), np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 # ---------------------------------------------------------------------------
 # volume density
 

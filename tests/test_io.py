@@ -163,8 +163,8 @@ def test_trace_round_trip(tmp_path, small_trace):
     assert back.times == small_trace.times
     for s0, s1 in zip(small_trace.snapshots, back.snapshots):
         assert s1.t == s0.t
-        assert s1.phi_mean == pytest.approx(s0.phi_mean, abs=1e-14)
-        assert np.abs(s1.phi_osc.values - s0.phi_osc.values).max() < 1e-14
+        # the full potential, mean included
+        assert np.abs(s1.phi.values - s0.phi.values).max() < 1e-14
         # the rate derived from the stored potential matches the flow's state
         rate0 = dot_phi(s0, small_trace.alpha, dealias=True)
         rate1 = dot_phi(s1, back.alpha, dealias=True)
@@ -175,7 +175,7 @@ def test_trace_round_trip(tmp_path, small_trace):
 
     assert back.final is back.snapshots[-1]
     assert back.final.t == small_trace.final.t
-    assert np.abs(back.final.phi_osc.values - small_trace.final.phi_osc.values).max() < 1e-14
+    assert np.abs(back.final.phi.values - small_trace.final.phi.values).max() < 1e-14
 
 
 def test_trace_rejects_wrong_format(tmp_path, small_trace):
@@ -203,6 +203,13 @@ def _edit_diagnostics(edit):
     return corrupt
 
 
+def _set_cell(lines, line, column, text):
+    """The CSV lines with one cell, at 0-based line and named column, replaced."""
+    cells = lines[line].split(",")
+    cells[lines[0].split(",").index(column)] = text
+    return lines[:line] + [",".join(cells)] + lines[line + 1:]
+
+
 MALFORMED_TRACES = {
     "meta_not_json": lambda d: (d / "meta.json").write_text("{"),
     "meta_not_object": lambda d: (d / "meta.json").write_text("[]"),
@@ -218,6 +225,8 @@ MALFORMED_TRACES = {
     "cell_not_number": _edit_diagnostics(lambda ls: ls[:1] + ["x" + ls[1]] + ls[2:]),
     "header_only": _edit_diagnostics(lambda ls: ls[:1]),
     "empty_diagnostics": _edit_diagnostics(lambda ls: []),
+    "nan_cell": _edit_diagnostics(lambda ls: _set_cell(ls, 3, "minR", "nan")),
+    "inf_cell_at_t0": _edit_diagnostics(lambda ls: _set_cell(ls, 1, "volume", "inf")),
 }
 
 

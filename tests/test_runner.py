@@ -277,6 +277,18 @@ def test_nonfinite_background_is_a_config_error(entry, tmp_path, capsys):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def test_infinite_lambda_gate_is_a_config_error(tmp_path, capsys):
+    """An infinite gate would admit any family: volume >= 0, trace norm <= inf."""
+    d = {"geometry": {"n": 1, "N": 16},
+         "scenario": {"indices": [1], "max_mode": 1, "lambda_gate": math.inf}}
+    message = "scenario.lambda_gate: must be positive and finite, got inf"
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(json.loads(json.dumps(d)))
+    assert err.value.errors == [message]
+    assert _cli_exit(tmp_path, d) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_error_accumulation():
     d = base_dict()
     d["scenario"]["lambda_gate"] = -2
@@ -713,6 +725,23 @@ def test_worker_exception_becomes_error_row(tmp_path, monkeypatch):
     assert (tmp_path / "manifest.json").exists()
 
 
+def test_crashed_run_leaves_no_manifest(tmp_path, monkeypatch):
+    """A manifest marks a completed run, so a crash removes an earlier one."""
+    d = json.loads(json.dumps(FLAT_DICT))
+    d["scenario"]["indices"] = [1]
+    cfg = config_from_dict(d)
+    run_experiment(cfg, tmp_path)
+    assert (tmp_path / "manifest.json").exists()
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(runner, "measure", broken)
+    with pytest.raises(RuntimeError, match="injected"):
+        run_experiment(cfg, tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_unloadable_trace_is_recomputed(tmp_path):
     d = json.loads(json.dumps(FLAT_DICT))
     d["scenario"]["indices"] = [1]
@@ -898,7 +927,21 @@ def _cut_diagnostics_row(trace_dir):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("corrupt", [_drop_last_snapshot, _cut_diagnostics_row])
+def _nan_min_r(line):
+    """A corruption that writes nan into the minR cell of one CSV line."""
+    def corrupt(trace_dir):
+        path = trace_dir / "diagnostics.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[line].split(",")
+        cells[lines[0].split(",").index("minR")] = "nan"
+        lines[line] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    corrupt.__name__ = f"_nan_min_r_line_{line + 1}"
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [_drop_last_snapshot, _cut_diagnostics_row,
+                                     _nan_min_r(1), _nan_min_r(3)])
 def test_cli_malformed_trace_is_reported_then_recomputed(corrupt, tmp_path, capsys):
     d = json.loads(json.dumps(FLAT_DICT))
     d["scenario"]["indices"] = [1]
