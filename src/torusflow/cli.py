@@ -18,7 +18,7 @@ import numpy as np
 from . import io as tfio
 from .distances import battery_config_errors, distance_fragment, distance_passed
 from .fields import FieldError
-from .geometry import PositivityError, ProjectionError, harmonic_projection, ricci, volume
+from .geometry import PositivityError, ProjectionError, assemble, harmonic_projection, volume
 from .runner import (
     ConfigError,
     ensure_trace,
@@ -121,16 +121,16 @@ def _cmd_flow(args) -> int:
 def _cmd_project(args) -> int:
     config = parse_config(args.config, args.seed)
     scenario = _first_scenario(config)
+    g = assemble(scenario.metric)  # the projection and the volume share one assembly
     try:
-        flat, u = harmonic_projection(scenario.metric)
+        flat, u = harmonic_projection(g)
     except ProjectionError as exc:
         raise _Failed(f"projection failed: {exc}") from exc
     sup_u = float(np.abs(u.values).max())
-    ric = float(np.abs(ricci(flat).values).max())
     print(f"flat representative of scenario i={scenario.index}:")
     print(f"  H_flat = {np.array2string(flat.H, precision=12)}")
-    print(f"  sup|u| = {sup_u:.12g}   max|Ricci| = {ric:.3g}")
-    print(f"  volume: input {volume(scenario.metric):.12g}, flat {volume(flat):.12g}")
+    print(f"  sup|u| = {sup_u:.12g}   min R = {scenario.curvature_floor:.6g}")
+    print(f"  volume: input {volume(g):.12g}, flat {volume(flat):.12g}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -48,10 +48,9 @@ from scipy.sparse.csgraph import dijkstra
 from .fields import TorusGeometry
 from .geometry import (
     FlatMetric,
-    PositivityError,
     _coefficients,
-    _eigenvalues,
     _pack,
+    _positive_eigenvalues,
     _quadratic_form,
     assemble,
     riemann_norm,
@@ -184,9 +183,7 @@ class MetricGraph:
 
     def __init__(self, metric, radius: int = DistanceConfig.radius):
         geo, vals = _coefficients(metric)
-        eig = _eigenvalues(vals)
-        if float(eig[0].min()) <= 0:
-            raise PositivityError("distance on a non-positive metric")
+        eig = _positive_eigenvalues(vals)
         self.geometry = geo
         # search limit per unit of d_I: sqrt(lambda_max) plus rounding headroom.
         # d_I is fetched before this graph's weights exist, so the first graph

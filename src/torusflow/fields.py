@@ -329,9 +329,9 @@ def integrate(f: ScalarField) -> float:
 def lp_norm(f: ScalarField, p: float, weight: ScalarField | None = None) -> float:
     """L^p norm with an optional nonnegative weight density.
 
-    p may be math.inf (the weight is ignored there beyond masking zeros:
-    the sup is taken over the whole grid, matching a.e. sup for positive
-    weights).
+    p may be math.inf: the sup is then taken over the whole grid and the
+    weight is only validated, not applied, which matches the a.e. sup for
+    a positive weight.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")

@@ -7,8 +7,8 @@ Conventions, fixed once for the whole package:
   curvature   Ricci = -d dbar log det g, scalar = tr_g Ricci.  This is
               the complex (Chern) normalization; the Riemannian scalar
               curvature of the underlying real metric is twice it;
-  positivity  curvature and volume operations insist on a minimum
-              eigenvalue of at least EPS_POS.
+  positivity  one gate, _positive_eigenvalues, holds every background and
+              every operation that needs positivity to lambda_min >= EPS_POS.
 
 Backgrounds H are constant Hermitian positive matrices; the potential
 phi is a real grid field, normalized to zero mean on ingest since the
@@ -49,7 +49,6 @@ __all__ = [
     "FlatMetric",
     "TestForm",
     "assemble",
-    "det_field",
     "inverse_field",
     "eigenvalue_range",
     "min_eigenvalue",
@@ -89,9 +88,7 @@ def _check_hermitian(M, n: int, what: str) -> np.ndarray:
 
 def _check_background(H, n: int) -> np.ndarray:
     arr = _check_hermitian(H, n, "background matrix")
-    evals = np.linalg.eigvalsh(arr)
-    if evals.min() <= 0:
-        raise PositivityError(f"background matrix not positive (eigenvalues {evals})")
+    _positive_eigenvalues(_pack(arr), what="background matrix")
     return arr
 
 
@@ -233,6 +230,16 @@ def _eigenvalues(v: np.ndarray, ref: np.ndarray | None = None) -> tuple:
     return (b - disc) / (2.0 * a), (b + disc) / (2.0 * a)
 
 
+def _positive_eigenvalues(v: np.ndarray, eps_pos: float = EPS_POS, what: str = "metric") -> tuple:
+    """_eigenvalues(v), or PositivityError unless the smallest is at least
+    eps_pos (NaN is not).  The package's one positivity gate."""
+    eig = _eigenvalues(v)
+    lo = float(np.min(eig[0]))
+    if not lo >= eps_pos:
+        raise PositivityError(f"{what} eigenvalue below {eps_pos:g} (min {lo:.6g})")
+    return eig
+
+
 def _quadratic_form(v: np.ndarray, w) -> np.ndarray:
     """sum_jk v_{j kbar} w^j conj(w^k) for a complex n-vector w (w[j] may
     itself be an array of components, which broadcasts)."""
@@ -259,18 +266,24 @@ def _scalar_curvature(geometry: TorusGeometry, v: np.ndarray, log_det_hat: np.nd
     return -_pairing(v, _hessian(geometry, log_det_hat)) / _det(v)
 
 
+def _field(metric) -> HermitianField:
+    """The coefficient field of a KahlerMetric (assembled) or of a
+    HermitianField (as it is)."""
+    if isinstance(metric, KahlerMetric):
+        return assemble(metric)
+    if isinstance(metric, HermitianField):
+        return metric
+    raise TypeError(f"not a potential-form metric or its field: {type(metric).__name__}")
+
+
 def _coefficients(metric) -> tuple:
     """Resolve metric-like input to (geometry, packed coefficients); a
     FlatMetric gives the (n^2,) slots of its matrix, which broadcast
     against its grid."""
-    if isinstance(metric, HermitianField):
-        return metric.geometry, metric.values
-    if isinstance(metric, KahlerMetric):
-        g = assemble(metric)
-        return g.geometry, g.values
     if isinstance(metric, FlatMetric):
         return metric.geometry, _pack(metric.H)
-    raise TypeError(f"not a metric-like object: {type(metric).__name__}")
+    g = _field(metric)
+    return g.geometry, g.values
 
 
 def assemble(metric: KahlerMetric) -> HermitianField:
@@ -285,10 +298,6 @@ def assemble(metric: KahlerMetric) -> HermitianField:
     return out
 
 
-def det_field(g: HermitianField) -> np.ndarray:
-    return _det(g.values)
-
-
 def eigenvalue_range(metric) -> tuple:
     """(min, max) eigenvalue over the grid; closed form for n <= 2."""
     _, v = _coefficients(metric)
@@ -296,12 +305,8 @@ def eigenvalue_range(metric) -> tuple:
     return float(eig[0].min()), float(eig[-1].max())
 
 
-def _min_eigenvalue(v: np.ndarray) -> float:
-    return float(_eigenvalues(v)[0].min())
-
-
 def min_eigenvalue(metric) -> float:
-    return _min_eigenvalue(_coefficients(metric)[1])
+    return float(_eigenvalues(_coefficients(metric)[1])[0].min())
 
 
 def inverse_field(g: HermitianField) -> np.ndarray:
@@ -315,44 +320,38 @@ def inverse_field(g: HermitianField) -> np.ndarray:
 
 def log_det_field(g: HermitianField, eps_pos: float = EPS_POS) -> ScalarField:
     """log det g as a sum of eigenvalue logs, which avoids cancellation."""
-    eig = _eigenvalues(g.values)
-    if eig[0].min() < eps_pos:
-        raise PositivityError(f"metric eigenvalue below {eps_pos:g}")
-    return ScalarField(g.geometry, _log_det(eig))
+    return ScalarField(g.geometry, _log_det(_positive_eigenvalues(g.values, eps_pos)))
 
 
 def volume(metric) -> float:
     """int omega^n = 2^n n! int det(g) dLeb; requires positivity."""
     _, v = _coefficients(metric)
-    if _min_eigenvalue(v) <= 0:
-        raise PositivityError("volume of a non-positive metric")
+    _positive_eigenvalues(v)
     return _volume(v)
 
 
-def ricci(metric, eps_pos: float = EPS_POS) -> HermitianField:
+def ricci(metric) -> HermitianField:
     """-d dbar log det g; identically zero for constant coefficients."""
     if isinstance(metric, FlatMetric):
         zeros = np.zeros((metric.n**2,) + metric.geometry.shape)
         return HermitianField(metric.geometry, zeros)
-    g = assemble(metric) if isinstance(metric, KahlerMetric) else metric
-    return complex_hessian(-log_det_field(g, eps_pos))
+    return complex_hessian(-log_det_field(_field(metric)))
 
 
-def scalar_curvature_of(g: HermitianField, eps_pos: float = EPS_POS) -> ScalarField:
+def scalar_curvature_of(g: HermitianField) -> ScalarField:
     """Scalar curvature from assembled coefficients."""
     geo = g.geometry
-    log_det_hat = _rfft(geo, log_det_field(g, eps_pos).values)
+    log_det_hat = _rfft(geo, log_det_field(g).values)
     return ScalarField(geo, _scalar_curvature(geo, g.values, log_det_hat))
 
 
-def scalar_curvature(metric, eps_pos: float = EPS_POS) -> ScalarField:
+def scalar_curvature(metric) -> ScalarField:
     if isinstance(metric, FlatMetric):
         return constant_field(metric.geometry, 0.0)
-    g = assemble(metric) if isinstance(metric, KahlerMetric) else metric
-    return scalar_curvature_of(g, eps_pos)
+    return scalar_curvature_of(_field(metric))
 
 
-def riemann_norm(metric, eps_pos: float = EPS_POS) -> ScalarField:
+def riemann_norm(metric) -> ScalarField:
     """Pointwise norm |Rm| of the curvature tensor of g = H + d dbar phi,
     given as its assembled field or as a KahlerMetric.
 
@@ -362,12 +361,9 @@ def riemann_norm(metric, eps_pos: float = EPS_POS) -> ScalarField:
     the metric is scaled by lambda.  The derivatives of g come from the
     half spectra of its packed slots.
     """
-    g = assemble(metric) if isinstance(metric, KahlerMetric) else metric
-    if not isinstance(g, HermitianField):
-        raise TypeError("riemann_norm needs a potential-form metric or its assembled field")
+    g = _field(metric)
     geo = g.geometry
-    if min_eigenvalue(g) < eps_pos:
-        raise PositivityError(f"metric eigenvalue below {eps_pos:g}")
+    _positive_eigenvalues(g.values)
     # the derivatives of slot s times basis[s], the matrix of that slot alone,
     # summed over s: d3 = d_j g_{l mbar} on axes (..., j, l, m) and
     # d4 = d_j d_kbar g_{l mbar} on axes (..., j, k, l, m)
@@ -394,8 +390,7 @@ def trace_wrt(a, b) -> ScalarField:
     geo_b, vb = _coefficients(b)
     if geo != geo_b:
         raise FieldError("arguments live on different grids")
-    if _min_eigenvalue(va) <= 0:
-        raise PositivityError("trace base metric is not positive")
+    _positive_eigenvalues(va)
     val = _pairing(va, vb) / _det(va)
     return ScalarField(geo, np.broadcast_to(val, geo.shape).copy())
 
@@ -409,7 +404,8 @@ def harmonic_projection(metric, tol: float = 1e-6):
     Poisson solve on the trace and then verified against the full
     Hessian identity; a residual above tol is an error.
     """
-    geo, v = _coefficients(metric)
+    g = _field(metric)
+    geo, v = g.geometry, g.values
     Hbar = v.mean(axis=tuple(range(1, 1 + geo.axes)), keepdims=True)
     diff = Hbar - v  # target Hessian of u
     rho = _pairing(_pack(np.eye(geo.n)), diff)  # tr(adj(I) diff), the trace
@@ -460,7 +456,4 @@ def pairing_density(form: TestForm) -> ScalarField:
 def volume_density(metric, reference: FlatMetric) -> ScalarField:
     """det(g) / det(reference.H) as a grid field."""
     geo, v = _coefficients(metric)
-    ref_det = float(_det(_pack(reference.H)))
-    if ref_det <= 0:
-        raise PositivityError("reference metric is not positive")
-    return ScalarField(geo, _det(v) / ref_det)
+    return ScalarField(geo, _det(v) / float(_det(_pack(reference.H))))

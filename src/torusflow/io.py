@@ -255,6 +255,8 @@ def _entry(d: Path, record) -> tuple:
 def _state_from_file(entry: tuple, base: KahlerMetric) -> FlowState:
     path, t = entry
     H, total = load_metric_snapshot(path)
+    if total.geometry != base.geometry:
+        raise FormatError(f"{path.name} is not on the initial potential's grid")
     if not np.allclose(H, base.H, rtol=0.0, atol=1e-12):
         raise FormatError("snapshot background differs from trace background")
     return FlowState(base, t, total - base.phi)
@@ -288,8 +290,9 @@ def load_trace(directory) -> FlowTrace:
     """Read a trace written by save_trace.  Raises FormatError when
     meta.json is not a torusflow-trace-1 record with every key and type
     save_trace writes, when its snapshot table does not hold one entry
-    per configured snapshot time in order, or when the diagnostics file
-    has no rows, a row of the wrong length or a non-finite cell."""
+    per configured snapshot time in order, when a field file is not on
+    the initial potential's grid, or when the diagnostics file has no
+    rows, a row of the wrong length or a non-finite cell."""
     d = Path(directory)
     try:
         meta = json.loads((d / "meta.json").read_text())
@@ -316,11 +319,14 @@ def load_trace(directory) -> FlowTrace:
     geo = init_phi.geometry
     if (geo.n, geo.N) != shape:
         raise FormatError("geometry record disagrees with stored fields")
+    flat_potential = load_field(files["flat_potential"])
+    if flat_potential.geometry != geo:
+        raise FormatError(f"{files['flat_potential'].name} is not on the initial potential's grid")
     base = KahlerMetric(H0, init_phi)
     return FlowTrace(
         initial=base,
         alpha=FlatMetric(H_alpha, geometry=geo),
-        flat_potential=load_field(files["flat_potential"]),
+        flat_potential=flat_potential,
         config=config,
         snapshots=tuple(_state_from_file(e, base) for e in entries),
         diagnostics=_read_diagnostics(files["diagnostics"]),

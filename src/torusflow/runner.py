@@ -399,7 +399,7 @@ def ensure_trace(config: ExperimentConfig, out, scenario: Scenario,
     if _has_persisted_trace(sdir, config.trace_key):
         try:
             return tfio.load_trace(sdir / "trace"), None
-        except (OSError, tfio.FormatError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             why = f"trace reload failed: {exc}"
     if resume_only:
         return None, why
@@ -533,9 +533,9 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         with _timed(timings, "harness"):
             reports, fam = build_reports(ms)
             family = family_summary(ms, fam)
-        outputs.extend(emit_outputs(out, reports, family, ms, distance_frags))
-        all_pass = (all_pass and all(rep.all_passed for rep in reports) and family_passed(family)
-                    and all(distance_passed(frag) for frag in distance_frags.values()))
+        written, verdicts = emit_outputs(out, reports, family, ms, distance_frags)
+        outputs.extend(written)
+        all_pass = all_pass and all(verdicts.values()) and family_passed(family)
 
     timings["total"] = time.perf_counter() - t_start
     manifest = RunManifest(
@@ -577,8 +577,10 @@ def _remove_reports(sdir: Path) -> None:
         (sdir / name).unlink(missing_ok=True)
 
 
-def emit_outputs(out: Path, reports, summary, ms, distance_frags) -> list:
-    written = []
+def emit_outputs(out: Path, reports, summary, ms, distance_frags) -> tuple:
+    """(written paths, verdict per index).  A scenario's verdict, its
+    report.json "pass", is every row of its checks.csv and its flat battery."""
+    written, verdicts = [], {}
 
     for r in reports:
         sdir = scenario_dir(out, r.index)
@@ -589,6 +591,7 @@ def emit_outputs(out: Path, reports, summary, ms, distance_frags) -> list:
             report["distance"] = {k: v for k, v in frag.items() if k != "flat_rows"}
             checks.extend(distance_checks(frag))
             written.append(write_distance_csv(sdir, frag))
+        report["pass"] = verdicts[r.index] = r.all_passed and (frag is None or distance_passed(frag))
         tfio.write_json_atomic(sdir / "report.json", report)
         rows = [
             (chk.name, _fmt(chk.slack), _fmt(chk.tolerance), str(chk.passed).lower())
@@ -651,4 +654,4 @@ def emit_outputs(out: Path, reports, summary, ms, distance_frags) -> list:
         path = plots / name
         tfio.write_csv_atomic(path, hdr, [(_fmt(a), _fmt(b)) for a, b in sorted(rows)])
         written.append(path)
-    return written
+    return written, verdicts

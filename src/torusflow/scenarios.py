@@ -34,8 +34,8 @@ from .geometry import (
     KahlerMetric,
     PositivityError,
     _check_background,
+    _det,
     assemble,
-    det_field,
     min_eigenvalue,
     scalar_curvature,
     trace_wrt,
@@ -230,7 +230,7 @@ def make_sequence(spec: ScenarioSpec) -> list:
             raise GateViolation(
                 f"index {i}: trace norm {tr_norm:.6g} exceeds the gate {spec.lambda_gate:g}"
             )
-        det = det_field(coeffs)
+        det = _det(coeffs.values)
         budget = float((np.maximum(curv.values, 0.0) * det).mean() / det.mean())
         out.append(
             Scenario(

@@ -51,10 +51,11 @@ from torusflow.geometry import (
     _eigenvalues,
     _matrices,
     _pack,
+    _det,
     _pairing,
     _quadratic_form,
-    det_field,
     inverse_field,
+    log_det_field,
 )
 
 B = 0.05 * np.pi**2  # metric dip of the reference scenario
@@ -90,7 +91,7 @@ def test_pointwise_closed_forms_match_linalg(n, seed, spread):
     assert np.array_equal(_pack(a), g.values)
     assert np.array_equal(a, np.conj(np.swapaxes(a, -1, -2)))
     scale = np.abs(a).max() ** n
-    assert np.allclose(det_field(g), np.linalg.det(a).real, rtol=1e-10, atol=1e-12 * scale)
+    assert np.allclose(_det(g.values), np.linalg.det(a).real, rtol=1e-10, atol=1e-12 * scale)
     assert np.allclose(_matrices(inverse_field(g)), np.linalg.inv(a), rtol=1e-8, atol=1e-12)
     eig = np.linalg.eigvalsh(a)
     for got, want in zip(_eigenvalues(g.values), np.moveaxis(eig, -1, 0)):
@@ -155,15 +156,19 @@ def distance_estimate(trace):
 
 # HermitianField validations per operation on a potential-form metric,
 # counted after the optional input step (third entry) has run: one
-# assembly, plus the Ricci Hessian for ricci; none on an assembled field
-# or for loading a trace; a flow assembles its initial metric once and
-# checks the projection residual once; the distance estimate assembles
-# the initial metric and each snapshot once
+# assembly, plus the Ricci Hessian for ricci and the residual Hessian for
+# harmonic_projection; none on an assembled field or for loading a trace;
+# a flow assembles its initial metric once and checks the projection
+# residual once; the distance estimate assembles the initial metric and
+# each snapshot once
 ASSEMBLY_BUDGET = {
     "assemble": (assemble, 1),
     "volume": (volume, 1),
     "trace_wrt": (trace_of_unit, 1),
     "MetricGraph": (MetricGraph, 1),
+    "scalar_curvature": (scalar_curvature, 1),
+    "eigenvalue_range": (eigenvalue_range, 1),
+    "harmonic_projection": (harmonic_projection, 2),
     "ricci": (ricci, 2),
     "riemann_norm": (riemann_norm, 1),
     "riemann_norm_of_field": (riemann_norm, 0, lambda m, _dir: assemble(m)),
@@ -185,20 +190,35 @@ def test_assembly_budget(validations, geo1, tmp_path, name):
     assert len(validations) == budget
 
 
-# operations that require positivity, on a metric past the wall:
-# min eigenvalue 1 - 0.2 pi^2 < 0
+def background_at_floor(m):
+    """The constant matrix lambda_min(m) I."""
+    return min_eigenvalue(m) * np.eye(m.geometry.n)
+
+
+# operations that require positivity, and the two constructors that take
+# a background, all held to the one floor EPS_POS = 1e-8
 POSITIVITY_GATES = {
     "volume": volume,
     "trace_wrt": trace_of_unit,
     "MetricGraph": MetricGraph,
     "scalar_curvature": scalar_curvature,
+    "ricci": ricci,
+    "riemann_norm": riemann_norm,
+    "log_det_field": lambda m: log_det_field(assemble(m)),
+    "FlatMetric_background": lambda m: FlatMetric(background_at_floor(m), m.geometry),
+    "KahlerMetric_background": lambda m: KahlerMetric(background_at_floor(m), 0.0 * m.phi),
 }
 
 
 @pytest.mark.parametrize("name", sorted(POSITIVITY_GATES))
 def test_operations_reject_nonpositive_metric(geo1, name):
-    with pytest.raises(PositivityError):
-        POSITIVITY_GATES[name](bump_metric(geo1, a=0.2))
+    """On bump metrics 1 - a pi^2 cos(2 pi x) whose minimum eigenvalue lies
+    past the wall (1 - 0.2 pi^2 < 0) or in (0, EPS_POS)."""
+    for a, lam in ((0.2, 1.0 - 0.2 * np.pi**2), ((1.0 - 1e-10) / np.pi**2, 1e-10)):
+        m = bump_metric(geo1, a=a)
+        assert min_eigenvalue(m) == pytest.approx(lam, abs=1e-12)
+        with pytest.raises(PositivityError, match="eigenvalue below 1e-08"):
+            POSITIVITY_GATES[name](m)
 
 
 def test_assemble_two_dim_adds_the_background():
@@ -410,7 +430,7 @@ def test_curvature_integral_vanishes(geo1, geo2):
     for geo, amp in ((geo1, 0.05), (geo2, 0.02)):
         m = KahlerMetric(np.eye(geo.n), amp * cos_field(geo, 1))
         g = assemble(m)
-        weighted = ScalarField(geo, scalar_curvature(m).values * det_field(g))
+        weighted = ScalarField(geo, scalar_curvature(m).values * _det(g.values))
         assert abs(integrate(weighted)) < 1e-8
 
 
@@ -428,7 +448,7 @@ def test_trace_am_gm(geo2):
     # n (det b / det a)^{1/n} <= tr_a b pointwise for positive pairs
     a = assemble(KahlerMetric(np.eye(2) + 0.1, 0.03 * cos_field(geo2, 0)))
     b = assemble(KahlerMetric(2.0 * np.eye(2), 0.05 * cos_field(geo2, 3)))
-    lhs = 2.0 * np.sqrt(det_field(b) / det_field(a))
+    lhs = 2.0 * np.sqrt(_det(b.values) / _det(a.values))
     rhs = trace_wrt(a, b).values
     assert np.all(lhs <= rhs + 1e-12)
 
@@ -486,6 +506,11 @@ def test_projection_idempotent(geo1):
     flat, u = harmonic_projection(flat0.as_metric())
     assert np.abs(flat.H - flat0.H).max() < 1e-14
     assert np.abs(u.values).max() < 1e-14
+
+
+def test_projection_takes_a_potential_form_metric(geo1):
+    with pytest.raises(TypeError):
+        harmonic_projection(FlatMetric(np.eye(1), geometry=geo1))
 
 
 def test_projection_preserves_hessian_identity(geo2):

@@ -210,6 +210,14 @@ def _set_cell(lines, line, column, text):
     return lines[:line] + [",".join(cells)] + lines[line + 1:]
 
 
+def _replace_with_coarse_field(name, write):
+    """Overwrite the trace file `name` with a field of -7.0 on the N=8 grid."""
+    def corrupt(d):
+        geo = TorusGeometry(1, 8)
+        write(d / name, ScalarField(geo, np.full(geo.shape, -7.0)))
+    return corrupt
+
+
 MALFORMED_TRACES = {
     "meta_not_json": lambda d: (d / "meta.json").write_text("{"),
     "meta_not_object": lambda d: (d / "meta.json").write_text("[]"),
@@ -227,6 +235,10 @@ MALFORMED_TRACES = {
     "empty_diagnostics": _edit_diagnostics(lambda ls: []),
     "nan_cell": _edit_diagnostics(lambda ls: _set_cell(ls, 3, "minR", "nan")),
     "inf_cell_at_t0": _edit_diagnostics(lambda ls: _set_cell(ls, 1, "volume", "inf")),
+    "flat_potential_on_other_grid": _replace_with_coarse_field(
+        "flat_potential.tkrf", lambda path, f: save_field(f, path)),
+    "snapshot_on_other_grid": _replace_with_coarse_field(
+        "snapshot_t0.010000.tkrf", lambda path, f: save_metric_snapshot(np.eye(1), f, path)),
 }
 
 

@@ -675,7 +675,10 @@ VERDICT_SOURCES = {
 @pytest.mark.parametrize("source", list(VERDICT_SOURCES))
 def test_every_verdict_source_can_fail_the_run(calib_run, tmp_path, monkeypatch, source):
     """Each verdict the run reads, made to fail on its own, fails the run;
-    the checks reread the calibrated run's traces, so no flow runs."""
+    the checks reread the calibrated run's traces, so no flow runs.  Each
+    report.json's "pass" is its scenario's verdict: every row of its
+    checks.csv, and its flat battery."""
+    import csv
     import shutil
 
     cfg, out, _ = calib_run
@@ -687,6 +690,12 @@ def test_every_verdict_source_can_fail_the_run(calib_run, tmp_path, monkeypatch,
     assert manifest.any_errors is False
     assert manifest.all_checks_pass is (fail is None)
     assert exit_code_of(manifest) == (EXIT_OK if fail is None else EXIT_CHECK_FAIL)
+    for row in manifest.scenarios:
+        report = json.loads(Path(row["report"]).read_text())
+        with open(Path(row["report"]).with_name("checks.csv"), newline="") as fh:
+            checks_pass = all(chk["pass"] == "true" for chk in csv.DictReader(fh))
+        battery = report["distance"]["flat_battery"]["max_rel_error"]
+        assert report["pass"] is (checks_pass and battery <= distances.FLAT_TOL)
 
 
 def test_family_table_distance_columns(calib_run):
@@ -1037,11 +1046,18 @@ def test_cli_flow_reports_a_failed_flow(flat_cfg_file, tmp_path, monkeypatch, ca
     assert "flow failed: ProjectionError: injected" in capsys.readouterr().err
 
 
-def test_cli_project(calib_cfg_file, tmp_path, capsys):
+def test_cli_project(calib_cfg_file, tmp_path, capsys, monkeypatch, validations):
+    """Past the scenario, project assembles its metric once and validates
+    one more field, the projection's residual Hessian."""
+    scenario = runner.first_scenario(parse_config(calib_cfg_file))
+    monkeypatch.setattr(cli, "first_scenario", lambda config: scenario)
+    validations.clear()
     code = main(["project", "--config", str(calib_cfg_file), "--out", str(tmp_path)])
     outtext = capsys.readouterr().out
     assert code == EXIT_OK
+    assert len(validations) == 2
     assert "flat representative of scenario i=1" in outtext
+    assert f"min R = {scenario.curvature_floor:.6g}" in outtext
     assert (tmp_path / "flat_potential.tkrf").exists()
     assert (tmp_path / "flat_metric.tkrf").exists()
 
