@@ -355,14 +355,19 @@ FLAT_TOL = 0.02  # largest relative error the flat battery may show
 def battery_config_errors(config) -> list:
     """Config-error messages for the battery of an experiment config
     (its geometry, flow snapshot times and distance section); empty when
-    it may run.  Distances are read off stored snapshots, and a graph
-    must keep every edge distinct and fit the edge budget."""
+    it may run.  Distances are read off stored snapshots, each time is
+    listed once, and a graph must keep every edge distinct and fit the
+    edge budget."""
     geo, dist, snaps = config.geometry, config.distance, config.flow.snapshot_times
     errors = [] if dist.times else [
         "distance.times: must name at least one snapshot time while distances are on"]
     if missing := [float(t) for t in dist.times if not any(_same_time(s, t) for s in snaps)]:
         errors.append(f"distance.times: {missing} are not flow snapshot times {list(snaps)}; "
                       "distances are read off stored snapshots")
+    times = dist.times
+    if repeated := [float(t) for k, t in enumerate(times) if any(_same_time(s, t) for s in times[:k])]:
+        errors.append(f"distance.times: {repeated} listed more than once; each time is one "
+                      "set of distance rows")
     try:
         edges = stencil_edges(geo, dist.radius)
     except ValueError as exc:

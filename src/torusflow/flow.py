@@ -67,11 +67,13 @@ from .geometry import (
     EPS_POS,
     FlatMetric,
     KahlerMetric,
+    PositivityError,
     _det,
     _eigenvalues,
     _log_det,
     _pack,
     _pairing,
+    _positive_eigenvalues,
     _scalar_curvature,
     _volume,
     assemble,
@@ -247,22 +249,22 @@ class _Kernel:
         self.stab_symbol = _pairing(self.H0, geo.hessian_symbols) / _det(self.H0)
 
     def evaluate(self, phi_hat: np.ndarray) -> _Evaluation | None:
-        """None rejects the candidate: non-finite, or its eigenvalue floor
-        below eps_pos or NaN."""
+        """None rejects the candidate: non-finite, or failing the positivity
+        gate at eps_pos."""
         if not np.all(np.isfinite(phi_hat)):
             return None
         geo = self.geometry
         coeffs = _hessian(geo, phi_hat)
         coeffs += self.fixed
-        eig = _eigenvalues(coeffs)
-        lo = float(eig[0].min())
-        if not lo >= self.config.eps_pos:
+        try:
+            eig = _positive_eigenvalues(coeffs, self.config.eps_pos)
+        except PositivityError:
             return None
         log_det_hat = _rfft(geo, _log_det(eig))
         rhs_hat = _rhs(geo, log_det_hat, self.alpha, self.config)
         # c = 1 / smallest root of det(g - lam H0): the top eigenvalue of g^{-1} wrt H0
         stiffness = 1.0 / float(_eigenvalues(coeffs, self.H0)[0].min())
-        return _Evaluation(phi_hat, coeffs, lo, log_det_hat, rhs_hat,
+        return _Evaluation(phi_hat, coeffs, float(eig[0].min()), log_det_hat, rhs_hat,
                            _irfft(geo, rhs_hat), stiffness)
 
     def target_dt(self, t: float, ev: _Evaluation) -> float:

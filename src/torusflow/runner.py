@@ -22,9 +22,9 @@ from manifest timings.
 Scenarios are measured one at a time: each trace is loaded, measured,
 given its distance fragment and released before the next is loaded.  A
 scenario whose flow fails, or whose trace cannot be loaded or measured,
-is that scenario's error row; the family is fitted over the others.  An
-error row keeps no report.json, checks.csv or distance.csv from an
-earlier run.
+is that scenario's error row; the family is fitted over the others.  A
+run first removes every report file above that an earlier run wrote, so
+none outlives the run that replaced it; traces and trace keys stay.
 
 The runner builds no scenario and makes no measurement decision:
 `scenarios.make_sequence` builds every family, flat or calibrated,
@@ -459,8 +459,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     """Full pipeline; with resume_only no flow is computed, only reloaded."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # an earlier run's manifest would mark this one a success if it crashed
-    (out / "manifest.json").unlink(missing_ok=True)
+    _remove_reports(out)
     timings: dict = {}
     t_start = time.perf_counter()
 
@@ -508,8 +507,6 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
                 ms.append(m)
                 if frag is not None:
                     distance_frags[sc.index] = frag
-        if status != "ok":
-            _remove_reports(sdir)
         scenario_rows.append(
             {
                 "index": sc.index,
@@ -570,11 +567,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _remove_reports(sdir: Path) -> None:
-    """Drop an error row's reports from an earlier run, so that none reads
-    as this run's verdict; its trace and trace key stay as they are."""
+def _remove_reports(out: Path) -> None:
+    """Drop every report file an earlier run wrote, so that none reads as
+    this run's; traces and trace keys stay as they are.  The manifest goes
+    first: an earlier one would mark this run a success if it crashed."""
+    paths = [out / "manifest.json", out / "family.csv", out / "family_summary.json"]
+    paths += out.glob("plots/*_vs_*.csv")  # every plot emit_outputs writes is <y>_vs_<x>
     for name in ("report.json", "checks.csv", "distance.csv"):
-        (sdir / name).unlink(missing_ok=True)
+        paths += out.glob(f"scenario_i*/{name}")
+    for path in paths:
+        path.unlink(missing_ok=True)
 
 
 def emit_outputs(out: Path, reports, summary, ms, distance_frags) -> tuple:

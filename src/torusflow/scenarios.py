@@ -11,9 +11,10 @@ always sits above the band) and then bisects into the band; the whole
 search is capped at 60 steps.  Every index starts from the same
 amplitude and doubles or halves it, so the indices of one family visit
 many of the same amplitudes: make_sequence shares one table of readings
-(min R, min eigenvalue) by amplitude across them, and a table hit skips
-the probe but still counts as a step, so each index takes the same path
-and lands on the same amplitude as a calibration of its own.
+(min R, or the min eigenvalue where positivity fails) by amplitude
+across them, and a table hit skips the probe but still counts as a
+step, so each index takes the same path and lands on the same amplitude
+as a calibration of its own.
 
 A flat family (ScenarioSpec.flat) is the background itself at every
 index, with amplitude 0: no shape is drawn and no curvature probed.
@@ -29,7 +30,6 @@ import numpy as np
 
 from .fields import FieldError, ScalarField, TorusGeometry, constant_field, lp_norm, random_band_limited
 from .geometry import (
-    EPS_POS,
     FlatMetric,
     KahlerMetric,
     PositivityError,
@@ -129,13 +129,13 @@ class Scenario:
 
 
 def _floor_of(shape: ScalarField, H0: np.ndarray, amplitude: float):
-    """(coefficients, scalar curvature, min eigenvalue) at one candidate
-    amplitude; the curvature is None where positivity fails."""
+    """(coefficients, scalar curvature, None) at one candidate amplitude,
+    or (coefficients, None, min eigenvalue) where positivity fails."""
     coeffs = assemble(KahlerMetric(H0, shape * amplitude))
-    lam = min_eigenvalue(coeffs)
-    if lam < EPS_POS:
-        return coeffs, None, lam
-    return coeffs, scalar_curvature(coeffs), lam
+    try:
+        return coeffs, scalar_curvature(coeffs), None
+    except PositivityError:
+        return coeffs, None, min_eigenvalue(coeffs)
 
 
 def calibrate_amplitude(
@@ -153,7 +153,8 @@ def calibrate_amplitude(
     floor is reached or the evaluation budget runs out.
 
     table maps an amplitude to its reading (min R, or None where
-    positivity failed; min eigenvalue) for this shape and background.
+    positivity failed; the min eigenvalue there, else None) for this
+    shape and background.
     Readings found there are not probed again, and new ones are added,
     so calls that share it share their probes.  A table hit still takes
     one of the max_evals steps; a hit in the band is probed once more

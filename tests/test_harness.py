@@ -168,6 +168,25 @@ def test_fitted_constants_cover_family(reported_family):
         assert abs(min(slacks)) <= FIT_TOL, b.check
 
 
+def test_fit_family_is_the_fitted_bounds_table(reported_family):
+    """The six FITTED_BOUNDS rows are the one fit rule: no other constant
+    is fitted over the family."""
+    _, _, _, fam, ms = reported_family
+    assert set(harness._fit_family(ms)) == set(fam) == {b.key for b in FITTED_BOUNDS}
+
+
+def test_weak_convergence_is_the_pairing_identity(reported_family):
+    """weak_convergence checks only what can fail: each form's gap,
+    computed two ways, agrees within IDENTITY_TOL."""
+    _, _, reports, _, ms = reported_family
+    for rep, m in zip(reports, ms):
+        check = rep.checks["weak_convergence"]
+        worst = max(row[4] for row in m.forms)
+        assert check.constants["max_identity_residual"] == worst
+        assert check.slack == harness.IDENTITY_TOL - worst, f"i={m.index}"
+        assert check.tolerance == 0.0
+
+
 def test_rate_sections(reported_family):
     _, _, _, fam, ms = reported_family
     summary = family_summary(ms, fam)

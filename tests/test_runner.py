@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import shutil
 import weakref
 from pathlib import Path
 
@@ -898,6 +899,66 @@ def test_cli_check_names_the_scenario_it_cannot_measure(tmp_path, capsys):
     assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in kept} == stored
 
 
+def _delete_every_trace(out, d):
+    for trace_dir in out.glob("scenario_i*/trace"):
+        shutil.rmtree(trace_dir)
+    return "check", d
+
+
+def _distance_off(out, d):
+    return "run", {**d, "distance": {**d["distance"], "enabled": False}}
+
+
+def _unloadable_i004(out, d):
+    _drop_last_snapshot(out / "scenario_i004" / "trace")
+    return "check", d
+
+
+def _drop_index_16(out, d):
+    return "run", {**d, "scenario": {**d["scenario"], "indices": [1, 4]}}
+
+
+def _report_files(out):
+    patterns = ("manifest.json", "family.csv", "family_summary.json", "plots/*.csv",
+                *(f"scenario_i*/{name}" for name in REPORTS))
+    return {str(p) for pattern in patterns for p in out.glob(pattern)}
+
+
+@pytest.mark.parametrize("second, code, stale, reflowed", [
+    (_delete_every_trace, EXIT_SCENARIO_ERROR,
+     ["family.csv", "family_summary.json", "plots/min_scalar_vs_t_i001.csv",
+      "plots/inf_dot_phi_vs_i.csv"], ()),
+    (_distance_off, EXIT_OK, ["scenario_i001/distance.csv"], ()),
+    (_unloadable_i004, EXIT_SCENARIO_ERROR,
+     ["plots/min_scalar_vs_t_i004.csv", "scenario_i004/report.json"], ()),
+    (_drop_index_16, EXIT_OK,
+     ["scenario_i016/report.json", "plots/min_scalar_vs_t_i016.csv"], (1, 4)),
+])
+def test_no_report_outlives_the_run_that_replaced_it(second, code, stale, reflowed, tmp_path):
+    """Every report file on disk after a run or check is one that it
+    listed; traces and trace keys it did not flow again keep their bytes
+    and mtimes."""
+    d = json.loads(json.dumps(FLAT_DISTANCE_DICT))
+    d["scenario"]["indices"] = [1, 4, 16]
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    command, d = second(out, d)
+    cfg.write_text(json.dumps(d))
+    assert all((out / name).exists() for name in stale)
+    kept = [p for i in (1, 4, 16) if i not in reflowed
+            for p in (out / f"scenario_i{i:03d}").rglob("*")
+            if p.name == "trace_key.txt" or p.parent.name == "trace"]
+    stored = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in kept}
+
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert _report_files(out) == {*manifest["outputs"], str(out / "manifest.json")}
+    assert not any((out / name).exists() for name in stale)
+    assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in kept} == stored
+
+
 def test_cli_distance_reports_a_nonpositive_snapshot(tmp_path, capsys):
     """torusflow distance on a trace whose snapshot is no metric: a message
     and exit code 2, not a traceback, and the trace is left as it was."""
@@ -1096,16 +1157,19 @@ def test_cli_rejects_distance_time_without_snapshot(tmp_path, capsys):
         ([0.1], "distance.times: [0.1] are not flow snapshot times"),
         # no time would leave a distance check that cannot fail
         ([], "distance.times: must name at least one snapshot time"),
+        # a time listed twice would repeat its check rows
+        ([0.25, 0.05, 0.25 + 1e-12], "distance.times: [0.250000000001] listed more than once"),
     ]:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"geometry": {"n": 1, "N": 16},
                                  "scenario": {"indices": [1], "max_mode": 1, "p": "inf"},
                                  "flow": {"snapshot_times": [0.05, 0.25]},
                                  "distance": {"times": times}}))
-        code = main(["run", "--config", str(p), "--out", str(tmp_path / "out")])
-        assert code == EXIT_CONFIG_ERROR
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for command in ("run", "check"):
+            code = main([command, "--config", str(p), "--out", str(tmp_path / "out")])
+            assert code == EXIT_CONFIG_ERROR
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
 
 def test_cli_distance_rejects_time_without_snapshot(tmp_path, capsys, monkeypatch):
@@ -1120,6 +1184,9 @@ def test_cli_distance_rejects_time_without_snapshot(tmp_path, capsys, monkeypatc
         ({"geometry": {"n": 1, "N": 16}, "scenario": {"indices": [1], "max_mode": 1},
           "flow": {"snapshot_times": [0.05, 0.25]}, "distance": {"times": [0.1]}},
          "distance.times: [0.1] are not flow snapshot times"),
+        ({"geometry": {"n": 1, "N": 16}, "scenario": {"indices": [1], "max_mode": 1},
+          "flow": {"snapshot_times": [0.05, 0.1]}, "distance": {"times": [0.1, 0.05, 0.1]}},
+         "distance.times: [0.1] listed more than once"),
         ({"geometry": {"n": 1, "N": 8}, "scenario": {"indices": [1], "max_mode": 1},
           "distance": {"radius": 4}},
          "distance.radius: stencil radius 4 needs N > 8"),

@@ -29,7 +29,7 @@ from torusflow import (
     scalar_curvature,
     volume,
 )
-from torusflow import scenarios
+from torusflow import geometry, scenarios
 from torusflow.scenarios import GateViolation
 
 # roots of b^2 - (2 + pi^2/F) b + 1 = 0 at F=1/2 and F=1, divided by pi^2
@@ -169,6 +169,25 @@ def test_make_sequence_assembly_budget(validations, monkeypatch):
     assert len(probes) == len(set(probes))
     assert set(probes) == visited
     assert len(validations) == len(probes)
+
+
+def test_one_eigenvalue_pass_per_probe(geo1, monkeypatch):
+    """A probe reads positivity and min R off one eigenvalue pass over the
+    grid, the gate's inside scalar_curvature.  (Its KahlerMetric also
+    checks the (n^2,) background matrix, which is no grid pass.)"""
+    passes = []
+    original = geometry._eigenvalues
+
+    def counted(v, *args):
+        if np.ndim(v) > 1:
+            passes.append(v.shape)
+        return original(v, *args)
+
+    monkeypatch.setattr(geometry, "_eigenvalues", counted)
+    table = {}
+    calibrate_amplitude(cos_field(geo1, 0), np.eye(1), -1.0, table=table)
+    assert len(table) > 1
+    assert len(passes) == len(table)
 
 
 SHARED_TABLE_FAMILIES = {
