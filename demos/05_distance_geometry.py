@@ -6,7 +6,7 @@ Distances are shortest paths over a stencil graph: each grid point links
 to neighbours within radius r, with edge lengths from the metric through
 ds^2 = 2 Re(g dz dz-bar). On a constant metric the answer has a closed
 form, which calibrates the stencil's angular error; along the flow the
-contraction d_0 - d_t stays below C sqrt(L t).
+contraction d_0 - d_t stays below a fitted C sqrt(t).
 """
 
 import math
@@ -47,13 +47,13 @@ for r in (1, 2, 3):
     approx = g.distance((0, 0), (16, 3))
     print(f"  radius {r}: over-approximation {(approx - exact) / exact:.4%}")
 
-# the flow contracts distances no faster than C sqrt(L t)
+# the flow contracts distances no faster than C sqrt(t)
 spec = ScenarioSpec(geometry=geo, seed=90, indices=(4,), p=math.inf)
 sc = make_sequence(spec)[0]
 trace = run_flow(sc.metric, FlowConfig())
 # a query set is a (sources, targets) pair of (10, 2) grid index arrays
 sources, targets = random_queries(geo, 10, 2024)
 frag = check_distance_estimate(trace, (sources, targets), times=(0.05, 0.25, 1.0), radius=3)
-print(f"\ncalibrated i=4 scenario: L = {frag['L']:.4f}, fitted C = {frag['fitted_C']:.4f}")
+print(f"\ncalibrated i=4 scenario: fitted C = {frag['fitted_C']:.4g}")
 print(f"  min slack over 10 pairs x 3 times: {frag['min_slack']:+.3e} -> pass={frag['pass']}")
 print(f"  initial-vs-flat relative gap: {frag['max_flat_relative_gap']:.4%}")

@@ -153,8 +153,7 @@ def _cmd_distance(args) -> int:
     battery = frag["flat_battery"]
     table = write_distance_csv(scenario_dir(out, scenario.index), frag)
     print(f"distance battery on scenario i={scenario.index}:")
-    print(f"  L = {frag['L']:.6g}, fitted C = {frag['fitted_C']:.6g}, "
-          f"min slack = {frag['min_slack']:.3g}")
+    print(f"  fitted C = {frag['fitted_C']:.6g}, min slack = {frag['min_slack']:.3g}")
     print(f"  flat battery ({battery['count']} queries): max relative error "
           f"{battery['max_rel_error']:.4%}")
     print(f"  table: {table}")

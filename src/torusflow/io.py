@@ -208,7 +208,7 @@ def _config_from_json(d: dict) -> FlowConfig:
 
 
 def _snap_name(t: float) -> str:
-    return f"snapshot_t{t:.6f}.tkrf"
+    return f"snapshot_t{t!r}.tkrf"  # repr is unique per float, so no two times share a file
 
 
 def save_trace(trace: FlowTrace, directory) -> Path:
@@ -244,6 +244,10 @@ def save_trace(trace: FlowTrace, directory) -> Path:
         },
     }
     write_json_atomic(d / "meta.json", meta)  # manifest written last
+    named = {r["file"] for r in snap_table}
+    for path in d.glob("snapshot_t*.tkrf"):  # files of a trace this one replaced
+        if path.name not in named:
+            path.unlink()
     return d
 
 
@@ -290,9 +294,10 @@ def load_trace(directory) -> FlowTrace:
     """Read a trace written by save_trace.  Raises FormatError when
     meta.json is not a torusflow-trace-1 record with every key and type
     save_trace writes, when its snapshot table does not hold one entry
-    per configured snapshot time in order, when a field file is not on
-    the initial potential's grid, or when the diagnostics file has no
-    rows, a row of the wrong length or a non-finite cell."""
+    per configured snapshot time in order, each in its own file, when a
+    field file is not on the initial potential's grid, or when the
+    diagnostics file has no rows, a row of the wrong length or a
+    non-finite cell."""
     d = Path(directory)
     try:
         meta = json.loads((d / "meta.json").read_text())
@@ -309,6 +314,8 @@ def load_trace(directory) -> FlowTrace:
         raise
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"malformed meta.json: {type(exc).__name__}: {exc}") from exc
+    if len({path for path, _ in entries}) != len(entries):
+        raise FormatError(f"two snapshot records name one file: {[p.name for p, _ in entries]}")
     stored = [t for _, t in entries]
     if len(stored) != len(config.snapshot_times) or not all(
         map(_same_time, stored, config.snapshot_times)

@@ -158,7 +158,7 @@ def _is_positive_int(v) -> bool:
 
 
 def _is_positive(v) -> bool:
-    return _is_num(v) and v > 0
+    return _is_num(v) and 0 < v < math.inf
 
 
 def _is_list(v, check) -> bool:
@@ -209,7 +209,7 @@ _SCENARIO = (
      "must be a strictly increasing list of positive integers", tuple),
     ("max_mode", _is_positive_int, "must be a positive integer", None),
     ("background", None, None, _parse_background),
-    ("lambda_gate", lambda v: _is_num(v) and 0 < v < math.inf, "must be positive and finite", float),
+    ("lambda_gate", _is_positive, "must be positive and finite", float),
     ("p", None, None, _parse_p),
     ("flat", lambda v: isinstance(v, bool), "must be true or false", None),
     ("seed", _is_seed, "must be an integer >= 0", None),
@@ -228,14 +228,15 @@ _HARNESS = (
     ("test_forms", lambda v: _is_int(v) and v >= 0, "must be a non-negative integer", None),
     ("form_seed", _is_seed, "must be an integer >= 0", None),
     ("q_list", lambda v: v is None or _is_list(v, _is_positive),
-     "must be a list of positive numbers", lambda v: _floats(v or ())),
+     "must be a list of positive finite numbers", lambda v: _floats(v or ())),
 )
 _DISTANCE = (
     ("enabled", lambda v: v is None or isinstance(v, bool), "must be true, false or omitted", None),
     ("radius", _is_positive_int, "must be a positive integer", None),
     ("queries", _is_positive_int, "must be a positive integer", None),
     ("flat_queries", _is_positive_int, "must be a positive integer", None),
-    ("times", lambda v: _is_list(v, _is_positive), "must be a list of positive numbers", _floats),
+    ("times", lambda v: _is_list(v, _is_positive), "must be a list of positive finite numbers",
+     _floats),
     ("seed", _is_seed, "must be an integer >= 0", None),
 )
 

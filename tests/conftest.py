@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,12 @@ def validations(monkeypatch):
     monkeypatch.setattr(HermitianField, "__post_init__",
                         lambda self: calls.append(1) or original(self))
     return calls
+
+
+def share_first_snapshot_file(trace_dir):
+    """Point a trace's second snapshot record at the first one's file, as
+    six-decimal file names did for snapshot times that agree to six
+    decimals."""
+    meta = json.loads((trace_dir / "meta.json").read_text())
+    meta["snapshots"][1]["file"] = meta["snapshots"][0]["file"]
+    (trace_dir / "meta.json").write_text(json.dumps(meta))

@@ -333,8 +333,8 @@ def test_criterion_9_distance_suite(family64):
     )
     if not frag["pass"]:
         failures.append(f"i=4 estimate: min slack {frag['min_slack']:.3g} < 0 with C={frag['fitted_C']:.3g}")
-    if not frag["L"] > 0.0:
-        failures.append("i=4 estimate: curvature scale L vanished")
+    if not frag["fitted_C"] > 0.0:
+        failures.append("i=4 estimate: no distance shrank, so the fit read no row")
     if len(frag["rows"]) != 30:
         failures.append(f"i=4 estimate: expected 30 rows, got {len(frag['rows'])}")
 

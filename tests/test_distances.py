@@ -8,6 +8,7 @@ sqrt(0.5) and the (1,1) half-diagonal is exactly 1.
 import gc
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -39,7 +40,7 @@ from torusflow import distances
 from torusflow.fields import ScalarField
 from torusflow.geometry import _quadratic_form
 from torusflow.distances import distance_fragment
-from torusflow.runner import config_from_dict
+from torusflow.runner import config_from_dict, exit_code_of, run_experiment
 
 SQ2 = math.sqrt(2.0)
 _H2 = np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 1.5]])
@@ -428,9 +429,35 @@ def test_distance_estimate_on_calibrated_trace():
     queries = random_queries(geo, 10, seed=77)
     out = check_distance_estimate(trace, queries)
     assert out["pass"], out["min_slack"]
-    assert out["L"] > 0.0
     assert out["fitted_C"] >= 0.0
     assert len(out["rows"]) == 30  # 10 queries x 3 times
     assert all(r["slack"] >= -1e-9 for r in out["rows"])
+    # the bound reads d_0, d_t and t alone: slack = C sqrt(t) - (d_0 - d_t)
+    for r in out["rows"]:
+        assert r["gap"] == r["d0"] - r["dt"]
+        assert r["slack"] == out["fitted_C"] * math.sqrt(r["t"]) - r["gap"]
     # near-flat data: the initial distance sits close to the attractor's
     assert out["max_flat_relative_gap"] < 0.1
+
+
+def test_distance_run_calls_no_riemann_norm(tmp_path, monkeypatch):
+    """A run with distances on completes while every binding of
+    riemann_norm in the package raises."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("riemann_norm called")
+
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "torusflow" and hasattr(module, "riemann_norm"):
+            monkeypatch.setattr(module, "riemann_norm", forbidden)
+            patched += 1
+    assert patched >= 2  # the package and torusflow.geometry
+    config = config_from_dict({
+        "geometry": {"n": 1, "N": 16},
+        "scenario": {"indices": [1, 4], "seed": 90, "p": "inf"},
+        "distance": {"queries": 3, "flat_queries": 20},
+    })
+    assert config.distance.enabled
+    manifest = run_experiment(config, tmp_path)
+    assert [row["status"] for row in manifest.scenarios] == ["ok", "ok"]
+    assert exit_code_of(manifest) == 0

@@ -149,9 +149,9 @@ def short_flow(metric):
     return run_flow(metric, SHORT_FLOW)
 
 
-def distance_estimate(trace):
+def distance_estimate(trace, times=SHORT_FLOW.snapshot_times):
     queries = random_queries(trace.initial.geometry, 3, seed=0)
-    return check_distance_estimate(trace, queries, times=SHORT_FLOW.snapshot_times)
+    return check_distance_estimate(trace, queries, times=times)
 
 
 # HermitianField validations per operation on a potential-form metric,
@@ -160,7 +160,7 @@ def distance_estimate(trace):
 # harmonic_projection; none on an assembled field or for loading a trace;
 # a flow assembles its initial metric once and checks the projection
 # residual once; the distance estimate assembles the initial metric and
-# each snapshot once
+# the snapshot at each distance time once, and no other snapshot
 ASSEMBLY_BUDGET = {
     "assemble": (assemble, 1),
     "volume": (volume, 1),
@@ -176,6 +176,8 @@ ASSEMBLY_BUDGET = {
     "load_trace": (load_trace, 0, lambda m, d: save_trace(short_flow(m), d)),
     "check_distance_estimate": (distance_estimate, 1 + len(SHORT_FLOW.snapshot_times),
                                 lambda m, _dir: short_flow(m)),
+    "check_distance_estimate_one_time": (lambda tr: distance_estimate(tr, times=(0.1,)), 2,
+                                         lambda m, _dir: short_flow(m)),
 }
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import cos_field
+from conftest import cos_field, share_first_snapshot_file
 
 from torusflow import (
     FlowConfig,
@@ -137,12 +137,19 @@ def small_trace():
     return run_flow(m, cfg)
 
 
+def _snapshot_files(d) -> list:
+    """The snapshot file names a trace's meta.json lists, in time order."""
+    return [record["file"] for record in json.loads((d / "meta.json").read_text())["snapshots"]]
+
+
 def test_trace_layout(tmp_path, small_trace):
     d = save_trace(small_trace, tmp_path / "trace")
     names = {p.name for p in d.iterdir()}
+    files = _snapshot_files(d)
     # the final state is the snapshot at t_end, stored once
+    assert len(set(files)) == len(small_trace.snapshots) == 2
     assert names == {"meta.json", "initial_potential.tkrf", "flat_potential.tkrf",
-                     "diagnostics.csv", "snapshot_t0.010000.tkrf", "snapshot_t0.050000.tkrf"}
+                     "diagnostics.csv", *files}
     assert "final" not in json.loads((d / "meta.json").read_text())
     header = (d / "diagnostics.csv").read_text().splitlines()[0]
     assert header == "t,dt,minR,min_dotphi,max_dotphi,mineig,volume"
@@ -178,6 +185,39 @@ def test_trace_round_trip(tmp_path, small_trace):
     assert np.abs(back.final.phi.values - small_trace.final.phi.values).max() < 1e-14
 
 
+def test_trace_round_trip_keeps_close_snapshot_times_apart(tmp_path):
+    """Snapshot times that agree to six decimals are stored in files of
+    their own and each reads back as its own state."""
+    geo = TorusGeometry(1, 16)
+    m = KahlerMetric(np.eye(1), 0.02 * cos_field(geo, 0))
+    trace = run_flow(m, FlowConfig(t_end=1.0, snapshot_times=(1e-7, 3e-7, 0.05, 1.0)))
+    d = save_trace(trace, tmp_path / "trace")
+    assert len(set(_snapshot_files(d))) == 4
+    back = load_trace(d)
+    assert back.times == trace.times == (1e-7, 3e-7, 0.05, 1.0)
+    for s0, s1 in zip(trace.snapshots, back.snapshots):
+        assert np.abs(s1.phi.values - s0.phi.values).max() < 1e-14
+
+
+def test_resaved_trace_drops_the_snapshot_files_it_replaced(tmp_path, small_trace):
+    """A trace saved over one with six-decimal snapshot file names leaves
+    only the files its own meta.json names."""
+    d = save_trace(small_trace, tmp_path / "trace")
+    meta = json.loads((d / "meta.json").read_text())
+    for record in meta["snapshots"]:
+        old = f"snapshot_t{record['t']:.6f}.tkrf"
+        (d / record["file"]).rename(d / old)
+        record["file"] = old
+    (d / "meta.json").write_text(json.dumps(meta))
+    assert load_trace(d).times == small_trace.times
+
+    save_trace(small_trace, d)
+    assert {p.name for p in d.iterdir()} == {"meta.json", "initial_potential.tkrf",
+                                             "flat_potential.tkrf", "diagnostics.csv",
+                                             *_snapshot_files(d)}
+    assert load_trace(d).times == small_trace.times
+
+
 def test_trace_rejects_wrong_format(tmp_path, small_trace):
     d = save_trace(small_trace, tmp_path / "trace")
     meta = json.loads((d / "meta.json").read_text())
@@ -211,10 +251,10 @@ def _set_cell(lines, line, column, text):
 
 
 def _replace_with_coarse_field(name, write):
-    """Overwrite the trace file `name` with a field of -7.0 on the N=8 grid."""
+    """Overwrite the trace file name(d) with a field of -7.0 on the N=8 grid."""
     def corrupt(d):
         geo = TorusGeometry(1, 8)
-        write(d / name, ScalarField(geo, np.full(geo.shape, -7.0)))
+        write(d / name(d), ScalarField(geo, np.full(geo.shape, -7.0)))
     return corrupt
 
 
@@ -227,6 +267,7 @@ MALFORMED_TRACES = {
     "snapshots_not_list": _edit_meta(lambda m: m.update(snapshots=5)),
     "time_not_number": _edit_meta(lambda m: m["snapshots"][-1].update(t="late")),
     "time_not_configured": _edit_meta(lambda m: m["snapshots"][0].update(t=0.02)),
+    "snapshots_share_a_file": share_first_snapshot_file,
     "geometry_not_object": _edit_meta(lambda m: m.update(geometry=[1, 16])),
     "short_row": _edit_diagnostics(lambda ls: ls[:1] + [",".join(ls[1].split(",")[:5])] + ls[2:]),
     "long_row": _edit_diagnostics(lambda ls: ls[:1] + [ls[1] + ",1.0"] + ls[2:]),
@@ -236,9 +277,9 @@ MALFORMED_TRACES = {
     "nan_cell": _edit_diagnostics(lambda ls: _set_cell(ls, 3, "minR", "nan")),
     "inf_cell_at_t0": _edit_diagnostics(lambda ls: _set_cell(ls, 1, "volume", "inf")),
     "flat_potential_on_other_grid": _replace_with_coarse_field(
-        "flat_potential.tkrf", lambda path, f: save_field(f, path)),
+        lambda d: "flat_potential.tkrf", lambda path, f: save_field(f, path)),
     "snapshot_on_other_grid": _replace_with_coarse_field(
-        "snapshot_t0.010000.tkrf", lambda path, f: save_metric_snapshot(np.eye(1), f, path)),
+        lambda d: _snapshot_files(d)[0], lambda path, f: save_metric_snapshot(np.eye(1), f, path)),
 }
 
 

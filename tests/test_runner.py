@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import share_first_snapshot_file
+
 from torusflow.cli import (
     EXIT_CHECK_FAIL,
     EXIT_CONFIG_ERROR,
@@ -374,10 +376,10 @@ def test_snapshot_times_coercion():
 def test_q_list_custom_and_invalid():
     d = base_dict(harness={"q_list": [2, 3]})
     assert config_from_dict(d).harness.q_list == (2.0, 3.0)
-    d = base_dict(harness={"q_list": [0]})
-    with pytest.raises(ConfigError) as err:
-        config_from_dict(d)
-    assert any(m.startswith("harness.q_list") for m in err.value.errors)
+    for bad in (0, math.inf):  # x ** inf would read 1.0 at every index
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(base_dict(harness={"q_list": [2, bad]}))
+        assert any(m.startswith("harness.q_list") for m in err.value.errors)
 
 
 def test_seed_fallback_and_type():
@@ -832,7 +834,8 @@ def test_one_loaded_trace_at_a_time(tmp_path, monkeypatch):
 
 def _write_nonpositive_snapshot(trace_dir):
     """Rewrite the t = 0.05 snapshot with a potential that is no metric."""
-    snap = trace_dir / "snapshot_t0.050000.tkrf"
+    records = json.loads((trace_dir / "meta.json").read_text())["snapshots"]
+    snap = trace_dir / next(r["file"] for r in records if math.isclose(r["t"], 0.05))
     H, phi = load_metric_snapshot(snap)
     x = phi.geometry.coordinate(0)
     save_metric_snapshot(H, ScalarField(phi.geometry, 0.2 * np.cos(2 * np.pi * x)), snap)
@@ -1011,7 +1014,7 @@ def _nan_min_r(line):
 
 
 @pytest.mark.parametrize("corrupt", [_drop_last_snapshot, _cut_diagnostics_row,
-                                     _nan_min_r(1), _nan_min_r(3)])
+                                     share_first_snapshot_file, _nan_min_r(1), _nan_min_r(3)])
 def test_cli_malformed_trace_is_reported_then_recomputed(corrupt, tmp_path, capsys):
     d = json.loads(json.dumps(FLAT_DICT))
     d["scenario"]["indices"] = [1]
@@ -1159,6 +1162,8 @@ def test_cli_rejects_distance_time_without_snapshot(tmp_path, capsys):
         ([], "distance.times: must name at least one snapshot time"),
         # a time listed twice would repeat its check rows
         ([0.25, 0.05, 0.25 + 1e-12], "distance.times: [0.250000000001] listed more than once"),
+        # every snapshot lies within a relative 1e-9 of t = inf, so the first would be read
+        ([math.inf], "distance.times: must be a list of positive finite numbers"),
     ]:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"geometry": {"n": 1, "N": 16},
