@@ -78,7 +78,7 @@ from .distances import (
     primitive_offsets,
     random_queries,
 )
-from .io import load_field, load_metric_snapshot, load_trace, save_field, save_metric_snapshot, save_trace
+from .io import load_field, load_trace, save_field, save_trace
 from .runner import (
     ConfigError,
     ExperimentConfig,
@@ -106,8 +106,7 @@ __all__ = [
     "default_test_forms", "family_summary", "fit_rate", "measure",
     "MetricGraph", "check_distance_estimate", "flat_accuracy_battery",
     "flat_distance_exact", "primitive_offsets", "random_queries",
-    "load_field", "load_metric_snapshot", "load_trace",
-    "save_field", "save_metric_snapshot", "save_trace",
+    "load_field", "load_trace", "save_field", "save_trace",
     "ConfigError", "ExperimentConfig", "RunManifest",
     "config_from_dict", "exit_code_of", "parse_config", "run_experiment",
     "__version__",

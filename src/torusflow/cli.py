@@ -135,8 +135,8 @@ def _cmd_project(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         tfio.save_field(u, out / "flat_potential.tkrf")
-        tfio.save_metric_snapshot(flat.H, u * 0.0, out / "flat_metric.tkrf")
-        print(f"  wrote {out / 'flat_potential.tkrf'} and {out / 'flat_metric.tkrf'}")
+        tfio.write_json_atomic(out / "flat_metric.json", {"H": tfio._matrix_json(flat.H)})
+        print(f"  wrote {out / 'flat_potential.tkrf'} and {out / 'flat_metric.json'}")
     return EXIT_OK
 
 

@@ -43,8 +43,9 @@ of a FlowFailure.  A FlowState is its time and its full potential, mean
 included; run_flow is the only stepper.
 
 Any candidate with non-finite values or an eigenvalue floor below
-eps_pos (or NaN) is rejected and retried at dt/2; too many consecutive
-rejections abort the flow with the last good state attached.
+EPS_POS (or NaN), the package's one positivity gate, is rejected and
+retried at dt/2; too many consecutive rejections abort the flow with
+the last good state attached.
 Diagnostics (curvature floor, potential rate extremes, eigenvalue floor,
 volume) are recorded at every accepted step.  Full states are kept at
 the configured snapshot times, whose last entry is always t_end: the
@@ -64,7 +65,6 @@ from .fields import HermitianField, ScalarField, TorusGeometry, _hessian, _irfft
 # checks that its tracer also patches this module's binding of it
 from .fields import complex_hessian
 from .geometry import (
-    EPS_POS,
     FlatMetric,
     KahlerMetric,
     PositivityError,
@@ -108,7 +108,6 @@ class FlowConfig:
     sigma: float = 0.2
     t_end: float = 1.0
     snapshot_times: tuple = DEFAULT_SNAPSHOTS
-    eps_pos: float = EPS_POS
     dealias: bool = True
     max_rejects: int = 20
     t_ramp: float = 1e-3
@@ -133,8 +132,6 @@ class FlowConfig:
         if not (snaps and snaps[-1] == t_end):
             snaps.append(t_end)
         object.__setattr__(self, "snapshot_times", tuple(snaps))
-        if not (0 < self.eps_pos < math.inf):
-            raise ValueError(f"eps_pos must be positive and finite, got {self.eps_pos}")
         if self.max_rejects < 1:
             raise ValueError("max_rejects must be at least 1")
         if not (0 < self.t_ramp < math.inf):
@@ -229,7 +226,7 @@ def _rhs(geo: TorusGeometry, log_det_hat: np.ndarray, alpha: FlatMetric,
 def _rhs_field(g: HermitianField, alpha: FlatMetric, config: FlowConfig) -> ScalarField:
     """_rhs on the grid for an assembled metric."""
     geo = g.geometry
-    log_det_hat = _rfft(geo, log_det_field(g, config.eps_pos).values)
+    log_det_hat = _rfft(geo, log_det_field(g).values)
     return ScalarField(geo, _irfft(geo, _rhs(geo, log_det_hat, alpha, config)))
 
 
@@ -250,14 +247,14 @@ class _Kernel:
 
     def evaluate(self, phi_hat: np.ndarray) -> _Evaluation | None:
         """None rejects the candidate: non-finite, or failing the positivity
-        gate at eps_pos."""
+        gate."""
         if not np.all(np.isfinite(phi_hat)):
             return None
         geo = self.geometry
         coeffs = _hessian(geo, phi_hat)
         coeffs += self.fixed
         try:
-            eig = _positive_eigenvalues(coeffs, self.config.eps_pos)
+            eig = _positive_eigenvalues(coeffs)
         except PositivityError:
             return None
         log_det_hat = _rfft(geo, _log_det(eig))

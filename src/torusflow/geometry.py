@@ -230,13 +230,13 @@ def _eigenvalues(v: np.ndarray, ref: np.ndarray | None = None) -> tuple:
     return (b - disc) / (2.0 * a), (b + disc) / (2.0 * a)
 
 
-def _positive_eigenvalues(v: np.ndarray, eps_pos: float = EPS_POS, what: str = "metric") -> tuple:
+def _positive_eigenvalues(v: np.ndarray, what: str = "metric") -> tuple:
     """_eigenvalues(v), or PositivityError unless the smallest is at least
-    eps_pos (NaN is not).  The package's one positivity gate."""
+    EPS_POS (NaN is not).  The package's one positivity gate."""
     eig = _eigenvalues(v)
     lo = float(np.min(eig[0]))
-    if not lo >= eps_pos:
-        raise PositivityError(f"{what} eigenvalue below {eps_pos:g} (min {lo:.6g})")
+    if not lo >= EPS_POS:
+        raise PositivityError(f"{what} eigenvalue below {EPS_POS:g} (min {lo:.6g})")
     return eig
 
 
@@ -318,9 +318,9 @@ def inverse_field(g: HermitianField) -> np.ndarray:
     return np.stack([v[3] / det, -v[1] / det, -v[2] / det, v[0] / det])
 
 
-def log_det_field(g: HermitianField, eps_pos: float = EPS_POS) -> ScalarField:
+def log_det_field(g: HermitianField) -> ScalarField:
     """log det g as a sum of eigenvalue logs, which avoids cancellation."""
-    return ScalarField(g.geometry, _log_det(_positive_eigenvalues(g.values, eps_pos)))
+    return ScalarField(g.geometry, _log_det(_positive_eigenvalues(g.values)))
 
 
 def volume(metric) -> float:

@@ -1,27 +1,22 @@
 """Snapshot and trace persistence.
 
 Binary field files: header = magic b"TKRF1" + three little-endian
-uint32 (n, N, kind), then little-endian float64 payload in row-major
-axis order.  Kind 0 is a scalar field (N^{2n} values); kind 1 is a
-metric snapshot, which prepends a constant-matrix record for the
-background H (n*n re/im pairs, row-major) to a scalar potential
-payload.  The stored potential is the FULL one including its mean:
+uint32 (n, N, kind), then the N^{2n} values as little-endian float64 in
+row-major axis order, and nothing after them.  Kind 0, a scalar field,
+is the only kind.  The stored field is the FULL one including its mean:
 the metric ignores an additive constant but the potential bounds do
 not, so round-trips must keep it.
 
-A flow trace persists as a directory: meta.json (geometry, config,
-matrices, snapshot table of {t, file} records), one metric snapshot per
-configured snapshot time, the flat-representative potential, the
-initial potential, and a per-step diagnostics CSV with columns t, dt,
-minR, min_dotphi, max_dotphi, mineig, volume, every cell finite.  A
-snapshot file holds the initial potential plus the state's flow
-potential, so a loaded state's phi is the stored total less the initial
-one, mean kept.  The final state is the snapshot at t_end, the last
-one, and is not stored again; the "final" record and final.tkrf of
-older traces are ignored, as is any other key of a snapshot record
-(older traces stored each snapshot's step size, which its diagnostics
-row holds).  Loading recomputes nothing: a reader derives a state's dot
-phi from its assembled metric.
+A flow trace persists as a directory: meta.json (format
+torusflow-trace-2: geometry, config, the background and flat matrices
+as [re, im] pairs, snapshot table of {t, file} records), one field file
+per configured snapshot time holding that state's flow potential phi,
+the flat-representative potential, the initial potential, and a
+per-step diagnostics CSV with columns t, dt, minR, min_dotphi,
+max_dotphi, mineig, volume, every cell finite.  The final state is the
+snapshot at t_end, the last one, and is not stored again.  A trace of
+any other format is not read.  Loading recomputes nothing: a reader
+derives a state's dot phi from its assembled metric.
 """
 
 from __future__ import annotations
@@ -46,8 +41,6 @@ __all__ = [
     "FormatError",
     "save_field",
     "load_field",
-    "save_metric_snapshot",
-    "load_metric_snapshot",
     "save_trace",
     "load_trace",
     "write_json_atomic",
@@ -57,7 +50,7 @@ __all__ = [
 
 MAGIC = b"TKRF1"
 KIND_SCALAR = 0
-KIND_METRIC = 1
+TRACE_FORMAT = "torusflow-trace-2"
 
 # one column per StepDiagnostics field, in field order
 DIAG_COLUMNS = ("t", "dt", "minR", "min_dotphi", "max_dotphi", "mineig", "volume")
@@ -69,84 +62,27 @@ class FormatError(ValueError):
     pass
 
 
-def _header(n: int, N: int, kind: int) -> bytes:
-    return MAGIC + struct.pack("<III", n, N, kind)
-
-
-def _read_header(buf) -> tuple:
-    head = buf.read(len(MAGIC) + 12)
-    if len(head) != len(MAGIC) + 12 or head[: len(MAGIC)] != MAGIC:
-        raise FormatError("not a field snapshot (bad magic)")
-    n, N, kind = struct.unpack("<III", head[len(MAGIC):])
-    if kind not in (KIND_SCALAR, KIND_METRIC):
-        raise FormatError(f"unknown field kind {kind}")
-    return n, N, kind
-
-
-def _matrix_bytes(H: np.ndarray) -> bytes:
-    flat = np.asarray(H, dtype=np.complex128).ravel()
-    pairs = np.empty(2 * flat.size, dtype="<f8")
-    pairs[0::2] = flat.real
-    pairs[1::2] = flat.imag
-    return pairs.tobytes()
-
-
-def _read_matrix(buf, n: int) -> np.ndarray:
-    raw = buf.read(16 * n * n)
-    if len(raw) != 16 * n * n:
-        raise FormatError("truncated matrix record")
-    pairs = np.frombuffer(raw, dtype="<f8")
-    return (pairs[0::2] + 1j * pairs[1::2]).reshape(n, n)
-
-
-def _payload_bytes(values: np.ndarray) -> bytes:
-    return np.ascontiguousarray(values, dtype="<f8").tobytes()
-
-
-def _read_payload(buf, geo: TorusGeometry) -> np.ndarray:
-    count = geo.npoints
-    raw = buf.read(8 * count)
-    if len(raw) != 8 * count:
-        raise FormatError("truncated field payload")
-    return np.frombuffer(raw, dtype="<f8").reshape(geo.shape).copy()
-
-
 def save_field(field: ScalarField, path) -> None:
     geo = field.geometry
-    data = _header(geo.n, geo.N, KIND_SCALAR) + _payload_bytes(field.values)
-    write_bytes_atomic(path, data)
+    header = MAGIC + struct.pack("<III", geo.n, geo.N, KIND_SCALAR)
+    write_bytes_atomic(path, header + np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
 def load_field(path) -> ScalarField:
     with open(path, "rb") as fh:
-        n, N, kind = _read_header(fh)
+        head = fh.read(len(MAGIC) + 12)
+        if len(head) != len(MAGIC) + 12 or head[: len(MAGIC)] != MAGIC:
+            raise FormatError("not a field snapshot (bad magic)")
+        n, N, kind = struct.unpack("<III", head[len(MAGIC):])
         if kind != KIND_SCALAR:
             raise FormatError(f"expected a scalar field, found kind {kind}")
         geo = TorusGeometry(n=n, N=N)
-        return ScalarField(geo, _read_payload(fh, geo))
-
-
-def save_metric_snapshot(H: np.ndarray, phi: ScalarField, path) -> None:
-    """H + the full potential (mean kept); coefficients are H + d dbar phi."""
-    geo = phi.geometry
-    n = geo.n
-    H = np.asarray(H, dtype=np.complex128)
-    if H.shape != (n, n):
-        raise FormatError(f"H must be {n}x{n}, got {H.shape}")
-    data = _header(n, geo.N, KIND_METRIC) + _matrix_bytes(H) + _payload_bytes(phi.values)
-    write_bytes_atomic(path, data)
-
-
-def load_metric_snapshot(path) -> tuple:
-    """Returns (H, phi) with phi's mean preserved (no gauge applied)."""
-    with open(path, "rb") as fh:
-        n, N, kind = _read_header(fh)
-        if kind != KIND_METRIC:
-            raise FormatError(f"expected a metric snapshot, found kind {kind}")
-        geo = TorusGeometry(n=n, N=N)
-        H = _read_matrix(fh, n)
-        phi = ScalarField(geo, _read_payload(fh, geo))
-        return H, phi
+        raw = fh.read(8 * geo.npoints)
+        if len(raw) != 8 * geo.npoints:
+            raise FormatError("truncated field payload")
+        if fh.read(1):
+            raise FormatError("bytes after the field payload")
+    return ScalarField(geo, np.frombuffer(raw, dtype="<f8").reshape(geo.shape).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +157,7 @@ def save_trace(trace: FlowTrace, directory) -> Path:
     snap_table = []
     for s in trace.snapshots:
         name = _snap_name(s.t)
-        save_metric_snapshot(trace.initial.H, trace.initial.phi + s.phi, d / name)
+        save_field(s.phi, d / name)
         snap_table.append({"t": s.t, "file": name})
 
     write_csv_atomic(
@@ -231,7 +167,7 @@ def save_trace(trace: FlowTrace, directory) -> Path:
     )
 
     meta = {
-        "format": "torusflow-trace-1",
+        "format": TRACE_FORMAT,
         "geometry": {"n": geo.n, "N": geo.N},
         "config": _config_json(trace.config),
         "H0": _matrix_json(trace.initial.H),
@@ -256,14 +192,11 @@ def _entry(d: Path, record) -> tuple:
     return d / record["file"], float(record["t"])
 
 
-def _state_from_file(entry: tuple, base: KahlerMetric) -> FlowState:
-    path, t = entry
-    H, total = load_metric_snapshot(path)
-    if total.geometry != base.geometry:
+def _field_on(path: Path, geo: TorusGeometry) -> ScalarField:
+    field = load_field(path)
+    if field.geometry != geo:
         raise FormatError(f"{path.name} is not on the initial potential's grid")
-    if not np.allclose(H, base.H, rtol=0.0, atol=1e-12):
-        raise FormatError("snapshot background differs from trace background")
-    return FlowState(base, t, total - base.phi)
+    return field
 
 
 def _read_diagnostics(path: Path) -> tuple:
@@ -292,7 +225,7 @@ def _read_diagnostics(path: Path) -> tuple:
 
 def load_trace(directory) -> FlowTrace:
     """Read a trace written by save_trace.  Raises FormatError when
-    meta.json is not a torusflow-trace-1 record with every key and type
+    meta.json is not a torusflow-trace-2 record with every key and type
     save_trace writes, when its snapshot table does not hold one entry
     per configured snapshot time in order, each in its own file, when a
     field file is not on the initial potential's grid, or when the
@@ -301,7 +234,7 @@ def load_trace(directory) -> FlowTrace:
     d = Path(directory)
     try:
         meta = json.loads((d / "meta.json").read_text())
-        if meta.get("format") != "torusflow-trace-1":
+        if meta.get("format") != TRACE_FORMAT:
             raise FormatError(f"unrecognized trace format {meta.get('format')!r}")
         config = _config_from_json(meta["config"])
         H0 = _matrix_from_json(meta["H0"])
@@ -326,15 +259,12 @@ def load_trace(directory) -> FlowTrace:
     geo = init_phi.geometry
     if (geo.n, geo.N) != shape:
         raise FormatError("geometry record disagrees with stored fields")
-    flat_potential = load_field(files["flat_potential"])
-    if flat_potential.geometry != geo:
-        raise FormatError(f"{files['flat_potential'].name} is not on the initial potential's grid")
     base = KahlerMetric(H0, init_phi)
     return FlowTrace(
         initial=base,
         alpha=FlatMetric(H_alpha, geometry=geo),
-        flat_potential=flat_potential,
+        flat_potential=_field_on(files["flat_potential"], geo),
         config=config,
-        snapshots=tuple(_state_from_file(e, base) for e in entries),
+        snapshots=tuple(FlowState(base, t, _field_on(path, geo)) for path, t in entries),
         diagnostics=_read_diagnostics(files["diagnostics"]),
     )

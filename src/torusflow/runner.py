@@ -219,7 +219,6 @@ _FLOW = (  # types only: FlowConfig checks the values
     ("sigma", _is_num, "must be a number", None),
     ("t_end", _is_num, "must be a number", None),
     ("snapshot_times", lambda v: _is_list(v, _is_num), "must be a list of numbers", _floats),
-    ("eps_pos", _is_num, "must be a number", None),
     ("dealias", lambda v: isinstance(v, bool), "must be true or false", None),
     ("max_rejects", _is_int, "must be an integer", None),
     ("t_ramp", _is_num, "must be a number", None),

@@ -62,10 +62,6 @@ def mode_coefficient(metric, state):
         {"snapshot_times": (0.5, 1.5), "t_end": 1.0},
         {"max_rejects": 0},
         {"t_ramp": 0.0},
-        {"eps_pos": 0.0},
-        {"eps_pos": -1.0},
-        {"eps_pos": float("nan")},
-        {"eps_pos": float("inf")},
         {"snapshot_times": (0.0, 0.5)},
         {"snapshot_times": (1.0 + 2e-9,), "t_end": 1.0},
         {"t_ramp": float("nan")},

@@ -1,7 +1,6 @@
 """Estimate harness: rate fits, fitted constants, check plumbing."""
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -275,37 +274,6 @@ def test_measure_assembles_off_grid_final_state(monkeypatch):
     m, count = _measure_assemblies(tr, sc, monkeypatch)
     assert count == 1 + len(tr.snapshots) == 4
     _assert_final_pairings(m, tr)
-
-
-def _add_legacy_records(trace_dir, dts):
-    """The layout of older traces: each snapshot record also holds the
-    last_dt of the step that landed on it, and the final state is stored
-    on its own, a "final" record in meta.json and final.tkrf, a copy of
-    the last snapshot's file."""
-    meta = json.loads((trace_dir / "meta.json").read_text())
-    for record in meta["snapshots"]:
-        record["last_dt"] = dts[record["t"]]
-    last = meta["snapshots"][-1]
-    (trace_dir / "final.tkrf").write_bytes((trace_dir / last["file"]).read_bytes())
-    meta["final"] = {"t": last["t"], "last_dt": last["last_dt"], "file": "final.tkrf"}
-    (trace_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-
-def test_trace_with_a_final_record_loads_and_measures_the_same(reported_family, tmp_path):
-    """Stored last_dt values, a "final" record and final.tkrf are ignored:
-    the trace loads with its last snapshot as the final state and measures
-    bit-identically."""
-    scenarios, traces, _, _, ms = reported_family
-    d = save_trace(traces[0], tmp_path / "trace")
-    plain = load_trace(d)
-    _add_legacy_records(d, {row.t: row.dt for row in plain.diagnostics})
-    legacy = load_trace(d)
-    assert legacy.final is legacy.snapshots[-1]
-    assert legacy.times == plain.times
-    for a, b in zip(legacy.snapshots, plain.snapshots):
-        assert a.t == b.t
-        assert np.array_equal(a.phi.values, b.phi.values)
-    assert measure_family(scenarios[:1], [legacy]) == measure_family(scenarios[:1], [plain]) == ms[:1]
 
 
 def test_check_result_serialization(reported_family):

@@ -1,6 +1,7 @@
 """Binary field format, atomic writers, and flow-trace persistence."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -19,10 +20,8 @@ from torusflow.io import (
     FormatError,
     MAGIC,
     load_field,
-    load_metric_snapshot,
     load_trace,
     save_field,
-    save_metric_snapshot,
     save_trace,
     write_bytes_atomic,
     write_csv_atomic,
@@ -48,26 +47,14 @@ def test_field_header(tmp_path, geo1):
     assert len(raw) == len(MAGIC) + 12 + 8 * geo1.N**2
 
 
-def test_metric_snapshot_round_trip(tmp_path, geo2):
-    H = np.array([[1.2, 0.1 + 0.2j], [0.1 - 0.2j, 0.9]])
-    phi = 0.05 * cos_field(geo2, 1) + 0.7  # nonzero mean must survive
-    p = tmp_path / "snap.tkrf"
-    save_metric_snapshot(H, phi, p)
-    H2, phi2 = load_metric_snapshot(p)
-    assert np.array_equal(H2, H)
-    assert np.array_equal(phi2.values, phi.values)
-
-
-def test_metric_snapshot_shape_check(tmp_path, geo1):
-    with pytest.raises(FormatError):
-        save_metric_snapshot(np.eye(2), cos_field(geo1, 0), tmp_path / "bad.tkrf")
-
-
 def test_kind_mismatch(tmp_path, geo1):
+    """Kind 0, a scalar field, is the only kind a field file may name."""
     p = tmp_path / "f.tkrf"
     save_field(cos_field(geo1, 0), p)
-    with pytest.raises(FormatError):
-        load_metric_snapshot(p)
+    raw = p.read_bytes()
+    p.write_bytes(raw[: len(MAGIC) + 8] + struct.pack("<I", 1) + raw[len(MAGIC) + 12:])
+    with pytest.raises(FormatError, match="found kind 1"):
+        load_field(p)
 
 
 def test_bad_magic(tmp_path):
@@ -82,6 +69,14 @@ def test_truncated_payload(tmp_path, geo1):
     save_field(cos_field(geo1, 0), p)
     p.write_bytes(p.read_bytes()[:-16])
     with pytest.raises(FormatError):
+        load_field(p)
+
+
+def test_trailing_bytes(tmp_path, geo1):
+    p = tmp_path / "f.tkrf"
+    save_field(cos_field(geo1, 0), p)
+    p.write_bytes(p.read_bytes() + b"\x00" * 80)
+    with pytest.raises(FormatError, match="after the field payload"):
         load_field(p)
 
 
@@ -171,7 +166,7 @@ def test_trace_round_trip(tmp_path, small_trace):
     for s0, s1 in zip(small_trace.snapshots, back.snapshots):
         assert s1.t == s0.t
         # the full potential, mean included
-        assert np.abs(s1.phi.values - s0.phi.values).max() < 1e-14
+        assert np.array_equal(s1.phi.values, s0.phi.values)
         # the rate derived from the stored potential matches the flow's state
         rate0 = dot_phi(s0, small_trace.alpha, dealias=True)
         rate1 = dot_phi(s1, back.alpha, dealias=True)
@@ -182,7 +177,20 @@ def test_trace_round_trip(tmp_path, small_trace):
 
     assert back.final is back.snapshots[-1]
     assert back.final.t == small_trace.final.t
-    assert np.abs(back.final.phi.values - small_trace.final.phi.values).max() < 1e-14
+    assert np.array_equal(back.final.phi.values, small_trace.final.phi.values)
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
+def test_trace_round_trip_reads_back_every_flow_potential(tmp_path, n, N):
+    """Each snapshot file holds the flow's phi itself, so every loaded
+    potential equals the one the flow wrote, bit for bit."""
+    geo = TorusGeometry(n, N)
+    m = KahlerMetric(np.eye(n), 0.02 * cos_field(geo, 0) + 0.01 * cos_field(geo, 1, mode=2))
+    trace = run_flow(m, FlowConfig(t_end=0.25, snapshot_times=(0.01, 0.05, 0.1, 0.25)))
+    back = load_trace(save_trace(trace, tmp_path / "trace"))
+    assert back.times == trace.times
+    for s0, s1 in zip(trace.snapshots, back.snapshots):
+        assert np.array_equal(s1.phi.values, s0.phi.values), s0.t
 
 
 def test_trace_round_trip_keeps_close_snapshot_times_apart(tmp_path):
@@ -196,7 +204,7 @@ def test_trace_round_trip_keeps_close_snapshot_times_apart(tmp_path):
     back = load_trace(d)
     assert back.times == trace.times == (1e-7, 3e-7, 0.05, 1.0)
     for s0, s1 in zip(trace.snapshots, back.snapshots):
-        assert np.abs(s1.phi.values - s0.phi.values).max() < 1e-14
+        assert np.array_equal(s1.phi.values, s0.phi.values)
 
 
 def test_resaved_trace_drops_the_snapshot_files_it_replaced(tmp_path, small_trace):
@@ -219,12 +227,14 @@ def test_resaved_trace_drops_the_snapshot_files_it_replaced(tmp_path, small_trac
 
 
 def test_trace_rejects_wrong_format(tmp_path, small_trace):
+    """Only torusflow-trace-2 is read; the error names the format found."""
     d = save_trace(small_trace, tmp_path / "trace")
     meta = json.loads((d / "meta.json").read_text())
-    meta["format"] = "torusflow-trace-999"
-    (d / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(FormatError):
-        load_trace(d)
+    for fmt in ("torusflow-trace-1", "torusflow-trace-999"):
+        meta["format"] = fmt
+        (d / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=fmt):
+            load_trace(d)
 
 
 def _edit_meta(edit):
@@ -250,11 +260,11 @@ def _set_cell(lines, line, column, text):
     return lines[:line] + [",".join(cells)] + lines[line + 1:]
 
 
-def _replace_with_coarse_field(name, write):
+def _replace_with_coarse_field(name):
     """Overwrite the trace file name(d) with a field of -7.0 on the N=8 grid."""
     def corrupt(d):
         geo = TorusGeometry(1, 8)
-        write(d / name(d), ScalarField(geo, np.full(geo.shape, -7.0)))
+        save_field(ScalarField(geo, np.full(geo.shape, -7.0)), d / name(d))
     return corrupt
 
 
@@ -276,10 +286,10 @@ MALFORMED_TRACES = {
     "empty_diagnostics": _edit_diagnostics(lambda ls: []),
     "nan_cell": _edit_diagnostics(lambda ls: _set_cell(ls, 3, "minR", "nan")),
     "inf_cell_at_t0": _edit_diagnostics(lambda ls: _set_cell(ls, 1, "volume", "inf")),
-    "flat_potential_on_other_grid": _replace_with_coarse_field(
-        lambda d: "flat_potential.tkrf", lambda path, f: save_field(f, path)),
-    "snapshot_on_other_grid": _replace_with_coarse_field(
-        lambda d: _snapshot_files(d)[0], lambda path, f: save_metric_snapshot(np.eye(1), f, path)),
+    "flat_potential_on_other_grid": _replace_with_coarse_field(lambda d: "flat_potential.tkrf"),
+    "snapshot_on_other_grid": _replace_with_coarse_field(lambda d: _snapshot_files(d)[0]),
+    "snapshot_with_trailing_bytes": lambda d: (d / _snapshot_files(d)[0]).write_bytes(
+        (d / _snapshot_files(d)[0]).read_bytes() + b"\x00" * 8),
 }
 
 

@@ -22,7 +22,7 @@ from torusflow.cli import (
 from torusflow import FlowConfig, ProjectionError, ScalarField, cli, distances, harness, runner
 from torusflow.distances import FLAT_TOL, DistanceConfig
 from torusflow import io as tfio
-from torusflow.io import load_metric_snapshot, save_metric_snapshot
+from torusflow.io import load_field, save_field
 from torusflow.runner import (
     ConfigError,
     config_from_dict,
@@ -73,13 +73,15 @@ def test_unknown_top_level_key():
 
 
 def test_unknown_section_keys_all_reported():
-    d = base_dict(flow={"dt": 0.1}, distance={"stencil": 3})
+    d = base_dict(flow={"dt": 0.1, "eps_pos": 1e-8}, distance={"stencil": 3})
     d["scenario"]["amplitude"] = 0.5
     with pytest.raises(ConfigError) as err:
         config_from_dict(d)
     msgs = err.value.errors
     assert any(m.startswith("scenario.amplitude: unknown key") for m in msgs)
     assert any(m.startswith("flow.dt: unknown key") for m in msgs)
+    # the one positivity floor is EPS_POS; the flow has no knob of its own
+    assert any(m.startswith("flow.eps_pos: unknown key") for m in msgs)
     assert any(m.startswith("distance.stencil: unknown key") for m in msgs)
 
 
@@ -307,7 +309,7 @@ def test_error_accumulation():
 
 
 def test_flow_values_validated(tmp_path, capsys):
-    for key, value in [("sigma", 1.5), ("eps_pos", -1.0), ("eps_pos", 0.0)]:
+    for key, value in [("sigma", 1.5)]:
         d = base_dict(flow={key: value})
         with pytest.raises(ConfigError) as err:
             config_from_dict(d)
@@ -398,9 +400,9 @@ def test_flat_switch_is_part_of_the_scenario_spec():
     cfg = config_from_dict(json.loads(json.dumps(FLAT_DICT)))
     assert cfg.scenario.flat is True
     assert cfg.normalized["scenario"]["flat"] is True
-    # the switch is written where it always was, so run directories resume
-    assert cfg.config_hash == "27641da9d8094a847e7895e19df4a7865ddda601b699311058181b2eb912ab1a"
-    assert cfg.trace_key == "dc100ed4640a10a609faf44ee7b31fe289d538e284a9182c87d04bed5fae5344"
+    # pinned: the hashes move only when the normalized config does
+    assert cfg.config_hash == "435c02dd3a0ec82031d08ea76c9d32a04d3572f096ad9585d76f153eaae6ac85"
+    assert cfg.trace_key == "437c7e87a50e0da5fe21839cafe44f4621254cace14419c0210f0fcaac92d513"
     assert config_from_dict(base_dict()).scenario.flat is False
 
 
@@ -833,12 +835,12 @@ def test_one_loaded_trace_at_a_time(tmp_path, monkeypatch):
 
 
 def _write_nonpositive_snapshot(trace_dir):
-    """Rewrite the t = 0.05 snapshot with a potential that is no metric."""
+    """Rewrite the t = 0.05 snapshot of a flat scenario's trace (initial
+    potential 0) with a flow potential that makes no metric."""
     records = json.loads((trace_dir / "meta.json").read_text())["snapshots"]
     snap = trace_dir / next(r["file"] for r in records if math.isclose(r["t"], 0.05))
-    H, phi = load_metric_snapshot(snap)
-    x = phi.geometry.coordinate(0)
-    save_metric_snapshot(H, ScalarField(phi.geometry, 0.2 * np.cos(2 * np.pi * x)), snap)
+    geo = load_field(snap).geometry
+    save_field(ScalarField(geo, 0.2 * np.cos(2 * np.pi * geo.coordinate(0))), snap)
 
 
 def test_cli_check_reports_a_nonpositive_snapshot(tmp_path, capsys):
@@ -993,6 +995,14 @@ def _drop_last_snapshot(trace_dir):
     (trace_dir / "meta.json").write_text(json.dumps(meta))
 
 
+def _name_format_1(trace_dir):
+    """The meta.json format of traces whose snapshots held the initial
+    potential plus phi, which are not read."""
+    meta = json.loads((trace_dir / "meta.json").read_text())
+    meta["format"] = "torusflow-trace-1"
+    (trace_dir / "meta.json").write_text(json.dumps(meta))
+
+
 def _cut_diagnostics_row(trace_dir):
     path = trace_dir / "diagnostics.csv"
     lines = path.read_text().splitlines()
@@ -1014,7 +1024,8 @@ def _nan_min_r(line):
 
 
 @pytest.mark.parametrize("corrupt", [_drop_last_snapshot, _cut_diagnostics_row,
-                                     share_first_snapshot_file, _nan_min_r(1), _nan_min_r(3)])
+                                     share_first_snapshot_file, _nan_min_r(1), _nan_min_r(3),
+                                     _name_format_1])
 def test_cli_malformed_trace_is_reported_then_recomputed(corrupt, tmp_path, capsys):
     d = json.loads(json.dumps(FLAT_DICT))
     d["scenario"]["indices"] = [1]
@@ -1031,6 +1042,8 @@ def test_cli_malformed_trace_is_reported_then_recomputed(corrupt, tmp_path, caps
     assert "trace reload failed" in capsys.readouterr().out
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["scenarios"][0]["status"] == "error"
+    if corrupt is _name_format_1:
+        assert "'torusflow-trace-1'" in manifest["scenarios"][0]["error"]
     assert manifest["any_errors"] and not manifest["all_checks_pass"]
     assert {p.name: p.read_bytes() for p in trace_dir.iterdir()} == corrupted
 
@@ -1123,7 +1136,9 @@ def test_cli_project(calib_cfg_file, tmp_path, capsys, monkeypatch, validations)
     assert "flat representative of scenario i=1" in outtext
     assert f"min R = {scenario.curvature_floor:.6g}" in outtext
     assert (tmp_path / "flat_potential.tkrf").exists()
-    assert (tmp_path / "flat_metric.tkrf").exists()
+    assert not (tmp_path / "flat_metric.tkrf").exists()
+    H = tfio._matrix_from_json(json.loads((tmp_path / "flat_metric.json").read_text())["H"])
+    assert f"H_flat = {np.array2string(H, precision=12)}" in outtext
 
 
 def test_cli_distance(calib_cfg_file, calib_run, capsys):
