@@ -36,11 +36,19 @@ these real transforms:
   rhs on the grid                     1 inverse
 
 which is 4 at n = 1 and 10 at n = 2, with no complex transform; fields
-runs them on numpy.fft at n = 1 and on scipy.fft at n = 2.  The stepper
-carries (t, dt, evaluation), and phi goes back to the grid (1 inverse
-more) only for a FlowState that is kept: a snapshot, or the last state
-of a FlowFailure.  A FlowState is its time and its full potential, mean
-included; run_flow is the only stepper.
+runs them on numpy.fft at n = 1 and on scipy.fft at n = 2.  Each
+evaluation of a candidate computes the grid's closed forms once:
+
+  det g                  1; read by the eigenvalues, the pencil, the
+                         curvature floor and the volume
+  eigenvalues of g       1 pass, the positivity gate's; it gives log det g
+                         and, when H0 = I, the stiffness
+  pencil det(g - lam H0) 1 pass more, only when H0 is not the identity
+
+The stepper carries (t, dt, evaluation), and phi goes back to the grid
+(1 inverse more) only for a FlowState that is kept: a snapshot, or the
+last state of a FlowFailure.  A FlowState is its time and its full
+potential, mean included; run_flow is the only stepper.
 
 Any candidate with non-finite values or an eigenvalue floor below
 EPS_POS (or NaN), the package's one positivity gate, is rejected and
@@ -60,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import HermitianField, ScalarField, TorusGeometry, _hessian, _irfft, _rfft
+from .fields import ScalarField, TorusGeometry, _hessian, _irfft, _rfft
 # complex_hessian is not called here, but perfbench/test_perfbench.py
 # checks that its tracer also patches this module's binding of it
 from .fields import complex_hessian
@@ -202,11 +210,13 @@ class _Evaluation:
     """A candidate potential that passed evaluate, with everything the step
     and its diagnostics read."""
 
-    __slots__ = ("phi_hat", "coeffs", "min_eig", "log_det_hat", "rhs_hat", "rhs", "stiffness")
+    __slots__ = ("phi_hat", "coeffs", "det", "min_eig", "log_det_hat", "rhs_hat", "rhs",
+                 "stiffness")
 
-    def __init__(self, phi_hat, coeffs, min_eig, log_det_hat, rhs_hat, rhs, stiffness):
+    def __init__(self, phi_hat, coeffs, det, min_eig, log_det_hat, rhs_hat, rhs, stiffness):
         self.phi_hat = phi_hat          # half spectrum of the flow potential
         self.coeffs = coeffs            # packed metric coefficients
+        self.det = det                  # det g on the grid
         self.min_eig = min_eig          # absolute eigenvalue floor
         self.log_det_hat = log_det_hat  # half spectrum of log det g
         self.rhs_hat = rhs_hat          # half spectrum of d phi/dt
@@ -223,11 +233,10 @@ def _rhs(geo: TorusGeometry, log_det_hat: np.ndarray, alpha: FlatMetric,
     return out
 
 
-def _rhs_field(g: HermitianField, alpha: FlatMetric, config: FlowConfig) -> ScalarField:
-    """_rhs on the grid for an assembled metric."""
-    geo = g.geometry
-    log_det_hat = _rfft(geo, log_det_field(g).values)
-    return ScalarField(geo, _irfft(geo, _rhs(geo, log_det_hat, alpha, config)))
+def _rhs_field(geo: TorusGeometry, log_det: np.ndarray, alpha: FlatMetric,
+               config: FlowConfig) -> ScalarField:
+    """_rhs on the grid, from log det g on the grid."""
+    return ScalarField(geo, _irfft(geo, _rhs(geo, _rfft(geo, log_det), alpha, config)))
 
 
 class _Kernel:
@@ -241,6 +250,9 @@ class _Kernel:
         g0 = assemble(base)  # H0 + d dbar psi0, the one assembly of the flow
         self.alpha, self.flat_potential = harmonic_projection(g0)
         self.H0 = _pack(base.H)
+        # with H0 = I the pencil det(g - lam H0) performs the gate's own
+        # eigenvalue arithmetic, so its floor is the gate's, bit for bit
+        self.identity_background = np.array_equal(self.H0, _pack(np.eye(geo.n)))
         self.fixed = g0.values
         # tr_{H0}(d dbar): the pairing of H0 with the Hessian symbol over det H0
         self.stab_symbol = _pairing(self.H0, geo.hessian_symbols) / _det(self.H0)
@@ -253,15 +265,20 @@ class _Kernel:
         geo = self.geometry
         coeffs = _hessian(geo, phi_hat)
         coeffs += self.fixed
+        det = _det(coeffs)
         try:
-            eig = _positive_eigenvalues(coeffs)
+            eig = _positive_eigenvalues(coeffs, det=det)
         except PositivityError:
             return None
+        min_eig = float(eig[0].min())
         log_det_hat = _rfft(geo, _log_det(eig))
         rhs_hat = _rhs(geo, log_det_hat, self.alpha, self.config)
         # c = 1 / smallest root of det(g - lam H0): the top eigenvalue of g^{-1} wrt H0
-        stiffness = 1.0 / float(_eigenvalues(coeffs, self.H0)[0].min())
-        return _Evaluation(phi_hat, coeffs, float(eig[0].min()), log_det_hat, rhs_hat,
+        if self.identity_background:
+            stiffness = 1.0 / min_eig
+        else:
+            stiffness = 1.0 / float(_eigenvalues(coeffs, self.H0, det)[0].min())
+        return _Evaluation(phi_hat, coeffs, det, min_eig, log_det_hat, rhs_hat,
                            _irfft(geo, rhs_hat), stiffness)
 
     def target_dt(self, t: float, ev: _Evaluation) -> float:
@@ -278,10 +295,19 @@ class _Kernel:
             return phi_hat + dt * rhs_hat
         c = ev.stiffness
         s = self.stab_symbol
-        return (phi_hat + dt * (rhs_hat - c * s * phi_hat)) / (1.0 - dt * c * s)
+        # (phi_hat + dt * (rhs_hat - c * s * phi_hat)) / (1.0 - dt * c * s),
+        # the same operations in place
+        out = (c * s) * phi_hat
+        np.subtract(rhs_hat, out, out=out)
+        out *= dt
+        out += phi_hat
+        den = (dt * c) * s
+        np.subtract(1.0, den, out=den)
+        out /= den
+        return out
 
     def diagnostics(self, t: float, dt: float, ev: _Evaluation) -> StepDiagnostics:
-        curv = _scalar_curvature(self.geometry, ev.coeffs, ev.log_det_hat)
+        curv = _scalar_curvature(self.geometry, ev.coeffs, ev.det, ev.log_det_hat)
         return StepDiagnostics(
             t=t,
             dt=dt,
@@ -289,7 +315,7 @@ class _Kernel:
             min_dot_phi=float(ev.rhs.min()),
             max_dot_phi=float(ev.rhs.max()),
             min_eigenvalue=ev.min_eig,
-            volume=_volume(ev.coeffs),
+            volume=_volume(ev.coeffs, ev.det),
         )
 
     def state(self, t: float, ev: _Evaluation) -> FlowState:
@@ -306,7 +332,8 @@ def dot_phi(state: FlowState, alpha: FlatMetric | None = None, dealias: bool = F
     """
     if alpha is None:
         alpha, _ = harmonic_projection(state.base)
-    return _rhs_field(assemble(state.metric()), alpha, FlowConfig(dealias=dealias))
+    g = assemble(state.metric())
+    return _rhs_field(g.geometry, log_det_field(g).values, alpha, FlowConfig(dealias=dealias))
 
 
 def _step(kernel: _Kernel, t: float, ev: _Evaluation, t_next: float):

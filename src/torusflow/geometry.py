@@ -218,22 +218,26 @@ def _pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[3] * b[0] + a[0] * b[3] - 2.0 * (a[1] * b[1] + a[2] * b[2])
 
 
-def _eigenvalues(v: np.ndarray, ref: np.ndarray | None = None) -> tuple:
-    """Ascending roots of det(v - lam ref) = 0; ref defaults to the identity."""
+def _eigenvalues(v: np.ndarray, ref: np.ndarray | None = None, det=None) -> tuple:
+    """Ascending roots of det(v - lam ref) = 0; ref defaults to the identity.
+    det, when given, is _det(v), so a caller that has it computes it once."""
     if len(v) == 1:
         return (v[0],) if ref is None else (v[0] / ref[0],)
     if ref is None:
         a, b = 1.0, v[0] + v[3]
     else:
         a, b = _det(ref), _pairing(ref, v)
-    disc = np.sqrt(np.maximum(b * b - 4.0 * a * _det(v), 0.0))
+    if det is None:
+        det = _det(v)
+    disc = np.sqrt(np.maximum(b * b - 4.0 * a * det, 0.0))
     return (b - disc) / (2.0 * a), (b + disc) / (2.0 * a)
 
 
-def _positive_eigenvalues(v: np.ndarray, what: str = "metric") -> tuple:
+def _positive_eigenvalues(v: np.ndarray, what: str = "metric", det=None) -> tuple:
     """_eigenvalues(v), or PositivityError unless the smallest is at least
-    EPS_POS (NaN is not).  The package's one positivity gate."""
-    eig = _eigenvalues(v)
+    EPS_POS (NaN is not).  The package's one positivity gate; det as in
+    _eigenvalues."""
+    eig = _eigenvalues(v, None, det)
     lo = float(np.min(eig[0]))
     if not lo >= EPS_POS:
         raise PositivityError(f"{what} eigenvalue below {EPS_POS:g} (min {lo:.6g})")
@@ -251,19 +255,23 @@ def _quadratic_form(v: np.ndarray, w) -> np.ndarray:
 
 def _log_det(eig: tuple) -> np.ndarray:
     """log det from the eigenvalues as a sum of logs, which avoids cancellation."""
-    return sum(np.log(e) for e in eig)
+    out = np.log(eig[0])
+    for e in eig[1:]:
+        out += np.log(e)
+    return out
 
 
-def _volume(v: np.ndarray) -> float:
-    """int omega^n = 2^n n! int det(g) dLeb."""
+def _volume(v: np.ndarray, det) -> float:
+    """int omega^n = 2^n n! int det(g) dLeb, from det = _det(v)."""
     n = 1 if len(v) == 1 else 2
-    return float((2.0**n) * math.factorial(n) * _det(v).mean())
+    return float((2.0**n) * math.factorial(n) * det.mean())
 
 
-def _scalar_curvature(geometry: TorusGeometry, v: np.ndarray, log_det_hat: np.ndarray) -> np.ndarray:
-    """tr_g Ric with Ric = -d dbar log det g, from the coefficients and the
-    half spectrum of log det g."""
-    return -_pairing(v, _hessian(geometry, log_det_hat)) / _det(v)
+def _scalar_curvature(geometry: TorusGeometry, v: np.ndarray, det: np.ndarray,
+                      log_det_hat: np.ndarray) -> np.ndarray:
+    """tr_g Ric with Ric = -d dbar log det g, from the coefficients, det =
+    _det(v) and the half spectrum of log det g."""
+    return -_pairing(v, _hessian(geometry, log_det_hat)) / det
 
 
 def _field(metric) -> HermitianField:
@@ -327,7 +335,7 @@ def volume(metric) -> float:
     """int omega^n = 2^n n! int det(g) dLeb; requires positivity."""
     _, v = _coefficients(metric)
     _positive_eigenvalues(v)
-    return _volume(v)
+    return _volume(v, _det(v))
 
 
 def ricci(metric) -> HermitianField:
@@ -342,7 +350,7 @@ def scalar_curvature_of(g: HermitianField) -> ScalarField:
     """Scalar curvature from assembled coefficients."""
     geo = g.geometry
     log_det_hat = _rfft(geo, log_det_field(g).values)
-    return ScalarField(geo, _scalar_curvature(geo, g.values, log_det_hat))
+    return ScalarField(geo, _scalar_curvature(geo, g.values, _det(g.values), log_det_hat))
 
 
 def scalar_curvature(metric) -> ScalarField:
@@ -446,9 +454,13 @@ def pairing_density(form: TestForm) -> ScalarField:
     Pairs with a potential by a plain integral: for omega' - omega =
     d dbar psi the pairing gap int form /\\ (omega' - omega) equals
     int psi * pairing_density(form), the discrete integration by parts
-    being exact for band-limited data.
+    being exact for band-limited data.  A constant factor has d dbar f = 0,
+    so its density is the zero field, with no Hessian taken.
     """
     geo = form.geometry
+    f = form.f.values
+    if np.all(f == f.flat[0]):
+        return constant_field(geo, 0.0)
     hess = complex_hessian(form.f).values
     return ScalarField(geo, _wedge_density(hess, form.beta, geo.n))
 

@@ -29,18 +29,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import constant_field, integrate, random_band_limited
+from .fields import HermitianField, constant_field, integrate, random_band_limited
 from .geometry import (
     FlatMetric,
     TestForm,
+    _log_det,
+    _positive_eigenvalues,
     assemble,
-    eigenvalue_range,
     pair_test_form,
     trace_wrt,
     volume,
     volume_density,
 )
-from .flow import FlowTrace, _rhs_field
+from .flow import FlowConfig, FlowTrace, _rhs_field
 from .scenarios import ScenarioSpec
 
 __all__ = [
@@ -187,6 +188,20 @@ class ScenarioMeasurement:
     min_scalar_vs_t: list  # (t, min_x R) per diagnostics row, sorted by t
 
 
+def _snapshot_readings(g: HermitianField, t: float, alpha: FlatMetric,
+                       config: FlowConfig) -> tuple:
+    """(sup_x t^{n-1} e^{-dot phi} tr_alpha omega, lambda_min, lambda_max) of one
+    snapshot's assembled metric, from one eigenvalue pass.  None of its grid
+    temporaries outlives the call into the next assembly."""
+    geo = g.geometry
+    eig = _positive_eigenvalues(g.values)
+    lo, hi = float(eig[0].min()), float(eig[-1].max())
+    log_det = _log_det(eig)
+    del eig  # before the transforms of the rate
+    weight = t ** (geo.n - 1) * np.exp(-_rhs_field(geo, log_det, alpha, config).values)
+    return float((weight * trace_wrt(alpha, g).values).max()), lo, hi
+
+
 def measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
             q_list) -> ScenarioMeasurement:
     """Everything the reports read off one scenario's trace, which it does
@@ -211,10 +226,8 @@ def measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
     for s in trace.snapshots:
         sup_abs_phi = max(sup_abs_phi, float(np.abs(s.phi.values).max()))
         g_t = assemble(s.metric())
-        tr_field = trace_wrt(alpha, g_t)
-        weight = s.t ** (n - 1) * np.exp(-_rhs_field(g_t, alpha, trace.config).values)
-        trace_bound = max(trace_bound, float((weight * tr_field.values).max()))
-        lo, hi = eigenvalue_range(g_t)
+        bound, lo, hi = _snapshot_readings(g_t, s.t, alpha, trace.config)
+        trace_bound = max(trace_bound, bound)
         if s is not final:
             del g_t  # before the next assembly: two live n = 2 fields set the peak memory
         m = max(math.log(hi), -math.log(lo))

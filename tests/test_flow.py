@@ -354,6 +354,43 @@ def test_transform_budget(monkeypatch, n, N):
     assert per_step * steps <= sum(used.values()) <= per_step * steps + setup
 
 
+@pytest.mark.parametrize("H, pencil", [(np.eye(2), 0), (np.array([[1.0, 1.0], [1.0, 2.0]]), 1)])
+def test_one_det_and_eigenvalue_pass_per_evaluation(monkeypatch, H, pencil):
+    """Each evaluation computes det g once and makes one eigenvalue pass over
+    the grid, the gate's, plus the pencil det(g - lam H0) when H0 is not the
+    identity; either way the stiffness is that pencil's floor, bit for bit."""
+    from torusflow import geometry
+
+    calls = {"_det": [], "_eigenvalues": []}
+    for name, grid_calls in calls.items():
+        original = getattr(geometry, name)
+
+        def counted(v, *args, _calls=grid_calls, _fn=original):
+            if np.ndim(v) > 1:
+                _calls.append(v.shape)
+            return _fn(v, *args)
+
+        for module in (geometry, flow_module):
+            monkeypatch.setattr(module, name, counted)
+    evaluations = []
+    original_evaluate = flow_module._Kernel.evaluate
+
+    def evaluate(self, phi_hat):
+        evaluations.append(original_evaluate(self, phi_hat))
+        return evaluations[-1]
+
+    monkeypatch.setattr(flow_module._Kernel, "evaluate", evaluate)
+    geo = TorusGeometry(2, 8)
+    psi = 0.01 * cos_field(geo, 0) + 0.005 * cos_field(geo, 3)
+    run_flow(KahlerMetric(H, psi), FlowConfig(t_end=0.05, snapshot_times=(0.05,)))
+    assert len(evaluations) > 5 and None not in evaluations  # no rejection
+    assert len(calls["_det"]) == len(evaluations)
+    assert len(calls["_eigenvalues"]) == (1 + pencil) * len(evaluations)
+    for ev in evaluations:
+        floor = geometry._eigenvalues(ev.coeffs, geometry._pack(H))[0].min()
+        assert ev.stiffness == 1.0 / float(floor)
+
+
 def test_transform_module_is_chosen_by_grid_rank():
     """An n = 1 flow leaves scipy.fft unimported, since importing it also
     loads scipy.special; an n = 2 flow imports it."""

@@ -29,6 +29,7 @@ from torusflow import (
     TorusGeometry,
     assemble,
     complex_hessian,
+    default_test_forms,
     eigenvalue_range,
     harmonic_projection,
     integrate,
@@ -45,6 +46,7 @@ from torusflow import (
     volume,
     volume_density,
 )
+from torusflow import geometry as geometry_module
 from torusflow.distances import check_distance_estimate
 from torusflow.io import load_trace, save_trace
 from torusflow.geometry import (
@@ -554,6 +556,19 @@ def test_pairing_ibp_two_dim(geo2):
     gap = pair_test_form(m1, form) - pair_test_form(m0, form)
     direct = integrate(ScalarField(geo2, psi.values * pairing_density(form).values))
     assert gap == pytest.approx(direct, abs=1e-11 * max(1.0, abs(gap)))
+
+
+def test_constant_form_density_is_zero_without_a_hessian(geo1, geo2, monkeypatch):
+    def no_hessian(phi):
+        raise AssertionError("complex_hessian called")
+
+    monkeypatch.setattr(geometry_module, "complex_hessian", no_hessian)
+    for geo in (geo1, geo2):
+        constant_forms = [form for label, form in default_test_forms(geo)
+                          if label.startswith("const")]
+        assert len(constant_forms) == (1 if geo.n == 1 else 5)
+        for form in constant_forms:
+            assert pairing_density(form).values.tobytes() == np.zeros(geo.shape).tobytes()
 
 
 def test_test_form_validation(geo1, geo2):

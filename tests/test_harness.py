@@ -27,7 +27,7 @@ from torusflow import (
     run_flow,
     save_trace,
 )
-from torusflow import harness
+from torusflow import geometry, harness
 from torusflow.harness import FIT_TOL, FITTED_BOUNDS
 
 CHECK_NAMES = {
@@ -238,6 +238,24 @@ def _measure_assemblies(trace, sc, monkeypatch):
     monkeypatch.setattr(harness, "assemble", lambda m: calls.append(1) or assemble(m))
     (m,) = measure_family([sc], [trace])
     return m, len(calls)
+
+
+def test_measure_makes_one_eigenvalue_pass_per_snapshot(reported_family, monkeypatch):
+    """A snapshot's rate and eigenvalue range read one grid pass; the one
+    more is the initial volume's."""
+    scenarios, traces, _, _, ms = reported_family
+    passes = []
+    original = geometry._eigenvalues
+
+    def counted(v, *args):
+        if np.ndim(v) > 1:
+            passes.append(v.shape)
+        return original(v, *args)
+
+    monkeypatch.setattr(geometry, "_eigenvalues", counted)
+    (m,) = measure_family(scenarios[:1], traces[:1])
+    assert len(passes) == 1 + len(traces[0].snapshots)
+    assert m == ms[0]
 
 
 def _assert_final_pairings(m, trace):
