@@ -20,6 +20,10 @@ from .distances import battery_config_errors, distance_fragment, distance_passed
 from .fields import FieldError
 from .geometry import PositivityError, ProjectionError, assemble, harmonic_projection, volume
 from .runner import (
+    EXIT_CHECK_FAIL,
+    EXIT_CONFIG_ERROR,
+    EXIT_OK,
+    EXIT_SCENARIO_ERROR,
     ConfigError,
     ensure_trace,
     exit_code_of,
@@ -30,11 +34,6 @@ from .runner import (
     write_distance_csv,
 )
 from .scenarios import ScenarioError
-
-EXIT_OK = 0
-EXIT_CHECK_FAIL = 1
-EXIT_SCENARIO_ERROR = 2
-EXIT_CONFIG_ERROR = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -225,18 +225,18 @@ class _Evaluation:
 
 
 def _rhs(geo: TorusGeometry, log_det_hat: np.ndarray, alpha: FlatMetric,
-         config: FlowConfig) -> np.ndarray:
+         dealias: bool) -> np.ndarray:
     """Half spectrum of d phi/dt = log det g - log det H_alpha,
-    2/3-truncated when config.dealias."""
-    out = log_det_hat * geo.dealias_keep if config.dealias else log_det_hat.copy()
+    2/3-truncated when dealias."""
+    out = log_det_hat * geo.dealias_keep if dealias else log_det_hat.copy()
     out[(0,) * geo.axes] -= geo.npoints * math.log(_det(_pack(alpha.H)))
     return out
 
 
 def _rhs_field(geo: TorusGeometry, log_det: np.ndarray, alpha: FlatMetric,
-               config: FlowConfig) -> ScalarField:
+               dealias: bool) -> ScalarField:
     """_rhs on the grid, from log det g on the grid."""
-    return ScalarField(geo, _irfft(geo, _rhs(geo, _rfft(geo, log_det), alpha, config)))
+    return ScalarField(geo, _irfft(geo, _rhs(geo, _rfft(geo, log_det), alpha, dealias)))
 
 
 class _Kernel:
@@ -272,7 +272,7 @@ class _Kernel:
             return None
         min_eig = float(eig[0].min())
         log_det_hat = _rfft(geo, _log_det(eig))
-        rhs_hat = _rhs(geo, log_det_hat, self.alpha, self.config)
+        rhs_hat = _rhs(geo, log_det_hat, self.alpha, self.config.dealias)
         # c = 1 / smallest root of det(g - lam H0): the top eigenvalue of g^{-1} wrt H0
         if self.identity_background:
             stiffness = 1.0 / min_eig
@@ -333,7 +333,7 @@ def dot_phi(state: FlowState, alpha: FlatMetric | None = None, dealias: bool = F
     if alpha is None:
         alpha, _ = harmonic_projection(state.base)
     g = assemble(state.metric())
-    return _rhs_field(g.geometry, log_det_field(g).values, alpha, FlowConfig(dealias=dealias))
+    return _rhs_field(g.geometry, log_det_field(g).values, alpha, dealias)
 
 
 def _step(kernel: _Kernel, t: float, ev: _Evaluation, t_next: float):

@@ -334,8 +334,9 @@ def log_det_field(g: HermitianField) -> ScalarField:
 def volume(metric) -> float:
     """int omega^n = 2^n n! int det(g) dLeb; requires positivity."""
     _, v = _coefficients(metric)
-    _positive_eigenvalues(v)
-    return _volume(v, _det(v))
+    det = _det(v)
+    _positive_eigenvalues(v, det=det)
+    return _volume(v, det)
 
 
 def ricci(metric) -> HermitianField:
@@ -348,9 +349,10 @@ def ricci(metric) -> HermitianField:
 
 def scalar_curvature_of(g: HermitianField) -> ScalarField:
     """Scalar curvature from assembled coefficients."""
-    geo = g.geometry
-    log_det_hat = _rfft(geo, log_det_field(g).values)
-    return ScalarField(geo, _scalar_curvature(geo, g.values, _det(g.values), log_det_hat))
+    geo, v = g.geometry, g.values
+    det = _det(v)
+    log_det_hat = _rfft(geo, _log_det(_positive_eigenvalues(v, det=det)))
+    return ScalarField(geo, _scalar_curvature(geo, v, det, log_det_hat))
 
 
 def scalar_curvature(metric) -> ScalarField:

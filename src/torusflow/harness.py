@@ -2,12 +2,16 @@
 
 Every check produces a named entry with the measured constant(s), a
 signed slack, a tolerance, and a pass flag; pass means slack >= -tol.
-Per-scenario raw measurements are taken first, one trace at a time
-(`measure`); family-level constants are then fitted over the index sweep
-(as the smallest constant making each bound hold family-wide), and the
-per-scenario entries record the slack against the fitted constant.  The
+Per-scenario measurements are taken first, one trace at a time
+(`measure`), and they already hold the rows one scenario decides alone:
+`scalar_floor`, `weak_convergence` and `volume_density`.  `build_reports`
+then fits the six FITTED_BOUNDS constants over the index sweep (as the
+smallest constant making each bound hold family-wide), adds their rows
+with each scenario's slack against the fitted constant, and puts the
+flat representative's own readings beside its fitted row.  The
 interesting content is in the decay-rate fits: measured quantities
-regressed against the index i on log-log axes.
+regressed against the index i on log-log axes.  `family_columns` is the
+schema of family.csv: one scenario's cells, by column name.
 
 Check names, fixed for the JSON report schema:
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +46,7 @@ from .geometry import (
     volume,
     volume_density,
 )
-from .flow import FlowConfig, FlowTrace, _rhs_field
+from .flow import FlowTrace, _rhs_field
 from .scenarios import ScenarioSpec
 
 __all__ = [
@@ -54,6 +59,7 @@ __all__ = [
     "fit_rate",
     "measure",
     "build_reports",
+    "family_columns",
     "family_summary",
     "family_passed",
 ]
@@ -163,33 +169,37 @@ def default_test_forms(geometry, count: int = HarnessConfig.test_forms,
 # raw per-scenario measurements
 
 
+class Pairing(NamedTuple):
+    """A test form's pairings with g0 and the final metric, their gap from the
+    flow potential and |final - initial - gap|, named as in report.json."""
+
+    label: str
+    pairing_initial: float
+    pairing_final: float
+    gap: float
+    identity_residual: float
+
+
 @dataclass
 class ScenarioMeasurement:
     index: int
     amplitude: float
-    sup_u: float
-    trace_flat_vs_unit: float
-    trace_unit_vs_flat: float
+    flat_readings: dict  # flat_representative's own constants, by report key
     volume_log_floor: float  # min_x log(det g0 / det H_alpha)
-    volume_initial: float
-    volume_flat: float
     sup_abs_phi: float
     inf_dot_phi: float
     dot_phi_upper: float  # sup_t t * (max dot-phi - n)
     trace_bound: float  # sup_t sup_x t^{n-1} e^{-dot phi} tr_alpha omega
     equivalence: float  # sup_t t * max(log lam_max, -log lam_min) vs unit background
-    forms: list  # (label, pairing0, pairing1, gap, residual)
-    pointwise_slack: float
-    l1_gap: float
-    l1_budget: float
+    forms: list  # a Pairing per test form
     lq_norms: dict
     v_minus_one_l1: float
-    scalar_floor: CheckResult
+    checks: dict  # check name -> CheckResult of the rows this scenario decides alone
     min_scalar_vs_t: list  # (t, min_x R) per diagnostics row, sorted by t
 
 
 def _snapshot_readings(g: HermitianField, t: float, alpha: FlatMetric,
-                       config: FlowConfig) -> tuple:
+                       dealias: bool) -> tuple:
     """(sup_x t^{n-1} e^{-dot phi} tr_alpha omega, lambda_min, lambda_max) of one
     snapshot's assembled metric, from one eigenvalue pass.  None of its grid
     temporaries outlives the call into the next assembly."""
@@ -198,7 +208,7 @@ def _snapshot_readings(g: HermitianField, t: float, alpha: FlatMetric,
     lo, hi = float(eig[0].min()), float(eig[-1].max())
     log_det = _log_det(eig)
     del eig  # before the transforms of the rate
-    weight = t ** (geo.n - 1) * np.exp(-_rhs_field(geo, log_det, alpha, config).values)
+    weight = t ** (geo.n - 1) * np.exp(-_rhs_field(geo, log_det, alpha, dealias).values)
     return float((weight * trace_wrt(alpha, g).values).max()), lo, hi
 
 
@@ -209,13 +219,17 @@ def measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
     geo = trace.initial.geometry
     n = geo.n
     alpha = trace.alpha
-    u = trace.flat_potential
     g0 = assemble(trace.initial)
 
-    sup_u = float(np.abs(u.values).max())
     unit = FlatMetric(np.eye(n), geo)
-    trace_flat_vs_unit = float(trace_wrt(unit, alpha).values.max())
-    trace_unit_vs_flat = float(trace_wrt(alpha, unit).values.max())
+    vol_flat = volume(alpha)  # L^1 norms below are against omega_alpha^n
+    flat_readings = {
+        "sup_u": float(np.abs(trace.flat_potential.values).max()),
+        "trace_flat_vs_unit": float(trace_wrt(unit, alpha).values.max()),
+        "trace_unit_vs_flat": float(trace_wrt(alpha, unit).values.max()),
+        "volume_input": volume(g0),
+        "volume_flat": vol_flat,
+    }
     v0 = volume_density(g0, alpha)
     volume_log_floor = float(np.log(v0.values).min())
 
@@ -226,7 +240,7 @@ def measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
     for s in trace.snapshots:
         sup_abs_phi = max(sup_abs_phi, float(np.abs(s.phi.values).max()))
         g_t = assemble(s.metric())
-        bound, lo, hi = _snapshot_readings(g_t, s.t, alpha, trace.config)
+        bound, lo, hi = _snapshot_readings(g_t, s.t, alpha, trace.config.dealias)
         trace_bound = max(trace_bound, bound)
         if s is not final:
             del g_t  # before the next assembly: two live n = 2 fields set the peak memory
@@ -238,51 +252,44 @@ def measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
     dot_upper = max(d.t * (d.max_dot_phi - n) for d in trace.diagnostics)
 
     phi_final = final.phi
-    form_rows = []
+    pairings = []
     for (label, form), density in zip(forms, densities):
         p0 = pair_test_form(g0, form)
         p1 = pair_test_form(g1, form)
         gap = integrate(phi_final * density)
-        residual = abs(p1 - p0 - gap)
-        form_rows.append((label, p0, p1, gap, residual))
+        pairings.append(Pairing(label, p0, p1, gap, abs(p1 - p0 - gap)))
 
-    v_init = v0
     f_fin = volume_density(g1, alpha)
     shrink = math.exp(-1.0 / index)
-    pointwise_slack = float(
-        (v_init.values * (1.0 + RELATIVE_PAD) - shrink * f_fin.values).min()
-    )
-    measure = volume(alpha)  # L^1 norms below are against omega_alpha^n
-    l1_gap = float(np.abs(v_init.values - f_fin.values).mean() * measure)
-    vol_final = float(f_fin.values.mean() * measure)
+    pointwise_slack = float((v0.values * (1.0 + RELATIVE_PAD) - shrink * f_fin.values).min())
+    l1_gap = float(np.abs(v0.values - f_fin.values).mean() * vol_flat)
+    vol_final = float(f_fin.values.mean() * vol_flat)
     l1_budget = 2.0 * (1.0 - shrink) * vol_final * (1.0 + RELATIVE_PAD)
     lq = {}
     for q in q_list:
         expo = q / n
-        lq[f"{q:g}"] = float((np.abs(v_init.values - 1.0) ** expo).mean() ** (1.0 / expo))
-    v_minus_one_l1 = float(np.abs(v_init.values - 1.0).mean() * measure)
+        lq[f"{q:g}"] = float((np.abs(v0.values - 1.0) ** expo).mean() ** (1.0 / expo))
+    v_minus_one_l1 = float(np.abs(v0.values - 1.0).mean() * vol_flat)
+    volume_check = _result("volume_density", {
+        "pointwise_slack": pointwise_slack, "l1_gap": l1_gap, "l1_budget": l1_budget,
+        "lq_norms": dict(lq), "v_minus_one_l1": v_minus_one_l1,
+    }, min(pointwise_slack, l1_budget - l1_gap), 0.0)
 
     return ScenarioMeasurement(
         index=index,
         amplitude=amplitude,
-        sup_u=sup_u,
-        trace_flat_vs_unit=trace_flat_vs_unit,
-        trace_unit_vs_flat=trace_unit_vs_flat,
+        flat_readings=flat_readings,
         volume_log_floor=volume_log_floor,
-        volume_initial=volume(g0),
-        volume_flat=measure,
         sup_abs_phi=sup_abs_phi,
         inf_dot_phi=inf_dot,
         dot_phi_upper=dot_upper,
         trace_bound=trace_bound,
         equivalence=equivalence,
-        forms=form_rows,
-        pointwise_slack=pointwise_slack,
-        l1_gap=l1_gap,
-        l1_budget=l1_budget,
+        forms=pairings,
         lq_norms=lq,
         v_minus_one_l1=v_minus_one_l1,
-        scalar_floor=check_scalar_floor(trace, index),
+        checks={res.name: res for res in (check_scalar_floor(trace, index),
+                                          _weak_convergence_result(pairings), volume_check)},
         min_scalar_vs_t=sorted((d.t, d.min_scalar_curvature) for d in trace.diagnostics),
     )
 
@@ -356,29 +363,12 @@ def _fitted_results(m: ScenarioMeasurement, fam: dict):
         )
 
 
-def _weak_convergence_result(m: ScenarioMeasurement) -> CheckResult:
+def _weak_convergence_result(pairings) -> CheckResult:
     """The pairing identity: each form's gap, computed two ways, agrees
     within IDENTITY_TOL; the gaps' decay is family_summary's rate fit."""
-    rows = [
-        {"label": lab, "pairing_initial": p0, "pairing_final": p1,
-         "gap": gap, "identity_residual": res}
-        for lab, p0, p1, gap, res in m.forms
-    ]
-    worst = max((r["identity_residual"] for r in rows), default=0.0)
-    constants = {"forms": rows, "max_identity_residual": worst}
+    worst = max((p.identity_residual for p in pairings), default=0.0)
+    constants = {"forms": [p._asdict() for p in pairings], "max_identity_residual": worst}
     return _result("weak_convergence", constants, IDENTITY_TOL - worst, 0.0)
-
-
-def _volume_density_result(m: ScenarioMeasurement) -> CheckResult:
-    slack = min(m.pointwise_slack, m.l1_budget - m.l1_gap)
-    constants = {
-        "pointwise_slack": m.pointwise_slack,
-        "l1_gap": m.l1_gap,
-        "l1_budget": m.l1_budget,
-        "lq_norms": dict(m.lq_norms),
-        "v_minus_one_l1": m.v_minus_one_l1,
-    }
-    return _result("volume_density", constants, slack, 0.0)
 
 
 def build_reports(ms):
@@ -394,18 +384,28 @@ def build_reports(ms):
         rep = EstimateReport(index=m.index, amplitude=m.amplitude)
         for res in _fitted_results(m, fam):
             rep.add(res)
-        rep.checks["flat_representative"].constants.update(
-            sup_u=m.sup_u,
-            trace_flat_vs_unit=m.trace_flat_vs_unit,
-            trace_unit_vs_flat=m.trace_unit_vs_flat,
-            volume_input=m.volume_initial,
-            volume_flat=m.volume_flat,
-        )
-        rep.add(m.scalar_floor)
-        rep.add(_weak_convergence_result(m))
-        rep.add(_volume_density_result(m))
+        rep.checks["flat_representative"].constants.update(m.flat_readings)
+        rep.checks.update(m.checks)
         reports.append(rep)
     return reports, fam
+
+
+def family_columns(m: ScenarioMeasurement) -> dict:
+    """One scenario's family.csv cells, column name -> value, in column order."""
+    return {
+        "index": m.index,
+        "amplitude": m.amplitude,
+        "volume_log_floor": m.volume_log_floor,
+        "sup_u": m.flat_readings["sup_u"],
+        "sup_abs_phi": m.sup_abs_phi,
+        "inf_dot_phi": m.inf_dot_phi,
+        "t_excess_sup": m.dot_phi_upper,
+        "trace_bound": m.trace_bound,
+        "equivalence": m.equivalence,
+        **{f"E_{p.label}": p.gap for p in m.forms},
+        "v_minus_one_L1": m.v_minus_one_l1,
+        **{f"Lq_{q}": m.lq_norms[q] for q in sorted(m.lq_norms)},
+    }
 
 
 DEGENERATE = 1e-12  # below this a measured family is flat, not decaying
@@ -439,12 +439,12 @@ def family_summary(ms, fam) -> dict:
             }
         # decay of pairing gaps, random (oscillatory) forms only: constant
         # test factors pair to exactly zero and carry no rate
-        labels = [r[0] for r in ms[0].forms if r[0].startswith("rand")]
+        labels = [p.label for p in ms[0].forms if p.label.startswith("rand")]
         per_form = {}
         passing = 0
         fitted = 0
         for lab in labels:
-            vals = [next(abs(r[3]) for r in m.forms if r[0] == lab) for m in ms]
+            vals = [next(abs(p.gap) for p in m.forms if p.label == lab) for m in ms]
             if min(vals) <= DEGENERATE:
                 per_form[lab] = {"slope": None, "pass": False, "reason": "gap at rounding level"}
                 continue

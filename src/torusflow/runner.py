@@ -56,8 +56,8 @@ from . import io as tfio
 from .fields import FieldError, TorusGeometry
 from .flow import FlowConfig, run_flow
 from .geometry import PositivityError, pairing_density
-from .harness import (HarnessConfig, build_reports, default_test_forms, family_passed,
-                      family_summary, measure)
+from .harness import (HarnessConfig, build_reports, default_test_forms, family_columns,
+                      family_passed, family_summary, measure)
 from .distances import (DistanceConfig, battery_config_errors, distance_checks,
                         distance_fragment, distance_passed)
 from .scenarios import Scenario, ScenarioError, ScenarioSpec, make_sequence
@@ -76,6 +76,14 @@ __all__ = [
     "emit_outputs",
     "exit_code_of",
 ]
+
+
+# process exit codes of a command: all checks pass, a check fails, a
+# scenario or trace error, a config error
+EXIT_OK = 0
+EXIT_CHECK_FAIL = 1
+EXIT_SCENARIO_ERROR = 2
+EXIT_CONFIG_ERROR = 3
 
 
 class ConfigError(ValueError):
@@ -551,10 +559,10 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
 
 def exit_code_of(manifest: RunManifest) -> int:
     if manifest.any_errors:
-        return 2
+        return EXIT_SCENARIO_ERROR
     if not manifest.all_checks_pass:
-        return 1
-    return 0
+        return EXIT_CHECK_FAIL
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -602,32 +610,17 @@ def emit_outputs(out: Path, reports, summary, ms, distance_frags) -> tuple:
         tfio.write_csv_atomic(sdir / "checks.csv", ("check", "slack", "tolerance", "pass"), rows)
         written.extend([sdir / "report.json", sdir / "checks.csv"])
 
-    # family table: one row per index
-    form_labels = [row[0] for row in ms[0].forms]
-    header = (
-        ["index", "amplitude", "volume_log_floor", "sup_u", "sup_abs_phi",
-         "inf_dot_phi", "t_excess_sup", "trace_bound", "equivalence"]
-        + [f"E_{lab}" for lab in form_labels]
-        + ["v_minus_one_L1"]
-        + [f"Lq_{q}" for q in sorted(ms[0].lq_norms)]
-    )
-    if distance_frags:
-        header = header + ["distance_min_slack", "distance_flat_max_rel"]
+    # family table: one row per index, harness's columns then the distance cells
     fam_rows = []
     for m in ms:
-        row = [
-            m.index, _fmt(m.amplitude), _fmt(m.volume_log_floor), _fmt(m.sup_u),
-            _fmt(m.sup_abs_phi), _fmt(m.inf_dot_phi), _fmt(m.dot_phi_upper),
-            _fmt(m.trace_bound), _fmt(m.equivalence),
-        ]
-        row.extend(_fmt(r[3]) for r in m.forms)
-        row.append(_fmt(m.v_minus_one_l1))
-        row.extend(_fmt(m.lq_norms[q]) for q in sorted(m.lq_norms))
+        cells = family_columns(m)
         if distance_frags:  # every measured scenario has its fragment
             frag = distance_frags[m.index]
-            row.extend([_fmt(frag["min_slack"]), _fmt(frag["max_flat_relative_gap"])])
-        fam_rows.append(row)
-    tfio.write_csv_atomic(out / "family.csv", header, fam_rows)
+            cells.update(distance_min_slack=frag["min_slack"],
+                         distance_flat_max_rel=frag["max_flat_relative_gap"])
+        fam_rows.append(cells)
+    tfio.write_csv_atomic(out / "family.csv", list(fam_rows[0]),
+                          [[_fmt(v) for v in cells.values()] for cells in fam_rows])
     written.append(out / "family.csv")
 
     tfio.write_json_atomic(out / "family_summary.json", summary)
@@ -642,14 +635,8 @@ def emit_outputs(out: Path, reports, summary, ms, distance_frags) -> tuple:
         written.append(path)
     series = [
         ("inf_dot_phi_vs_i.csv", ("i", "inf_dot_phi"), [(m.index, m.inf_dot_phi) for m in ms]),
-        (
-            "pairing_gap_vs_i.csv",
-            ("i", "max_abs_pairing_gap"),
-            [
-                (m.index, max((abs(r[3]) for r in m.forms if r[0] != "const"), default=0.0))
-                for m in ms
-            ],
-        ),
+        ("pairing_gap_vs_i.csv", ("i", "max_abs_pairing_gap"),
+         [(m.index, max((abs(p.gap) for p in m.forms), default=0.0)) for m in ms]),
         ("density_l1_vs_i.csv", ("i", "v_minus_one_l1"), [(m.index, m.v_minus_one_l1) for m in ms]),
     ]
     for name, hdr, rows in series:

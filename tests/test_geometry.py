@@ -283,6 +283,27 @@ def test_volume_rejects_nonpositive(geo1):
         volume(FlatMetric(-np.eye(1), geometry=geo1))
 
 
+def test_one_det_per_curvature_and_volume(monkeypatch):
+    """At n = 2 the positivity gate and the closed form share one det g:
+    one grid _det per scalar_curvature_of and one per volume."""
+    dets = []
+    original = geometry_module._det
+
+    def counted(v):
+        if np.ndim(v) > 1:
+            dets.append(v.shape)
+        return original(v)
+
+    geo = TorusGeometry(2, 8)
+    g = assemble(KahlerMetric(np.eye(2), 0.01 * cos_field(geo, 0) + 0.005 * cos_field(geo, 3)))
+    expected = (geometry_module.scalar_curvature_of(g).values, volume(g))
+    monkeypatch.setattr(geometry_module, "_det", counted)
+    assert np.array_equal(geometry_module.scalar_curvature_of(g).values, expected[0])
+    assert len(dets) == 1
+    assert volume(g) == expected[1]
+    assert len(dets) == 2
+
+
 # ---------------------------------------------------------------------------
 # curvature
 

@@ -228,7 +228,7 @@ def test_scalar_floor_single_check(reported_family):
         res = check_scalar_floor(tr, sc.index)
         assert res.name == "scalar_floor"
         assert res.passed
-        assert m.scalar_floor == res == rep.checks["scalar_floor"]
+        assert m.checks["scalar_floor"] == res == rep.checks["scalar_floor"]
         assert m.min_scalar_vs_t == sorted((d.t, d.min_scalar_curvature) for d in tr.diagnostics)
 
 
