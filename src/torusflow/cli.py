@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tfio
-from .distances import battery_config_errors, distance_fragment, distance_passed
+from .distances import battery_config_errors, distance_fragment
 from .fields import FieldError
 from .geometry import PositivityError, ProjectionError, assemble, harmonic_projection, volume
 from .runner import (
@@ -146,17 +146,17 @@ def _cmd_distance(args) -> int:
     out = _resolve_out(args, config)
     scenario, trace = _first_trace(config, out)
     try:
-        frag = distance_fragment(config, trace)
+        result = distance_fragment(config, trace)
     except (PositivityError, FieldError) as exc:  # a trace that holds no valid metric
         raise _Failed(f"measurement failed: {type(exc).__name__}: {exc}") from exc
-    battery = frag["flat_battery"]
-    table = write_distance_csv(scenario_dir(out, scenario.index), frag)
+    report, battery = result.report, result.report["flat_battery"]
+    table = write_distance_csv(scenario_dir(out, scenario.index), result)
     print(f"distance battery on scenario i={scenario.index}:")
-    print(f"  fitted C = {frag['fitted_C']:.6g}, min slack = {frag['min_slack']:.3g}")
+    print(f"  fitted C = {report['fitted_C']:.6g}, min slack = {report['min_slack']:.3g}")
     print(f"  flat battery ({battery['count']} queries): max relative error "
           f"{battery['max_rel_error']:.4%}")
     print(f"  table: {table}")
-    return EXIT_OK if distance_passed(frag) else EXIT_CHECK_FAIL
+    return EXIT_OK if result.passed else EXIT_CHECK_FAIL
 
 
 _COMMANDS = {

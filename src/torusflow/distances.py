@@ -32,7 +32,8 @@ A run's battery (`distance_fragment`) is the estimate on a flow trace
 plus the flat battery on its attractor.  It needs one or more distance
 times, each a snapshot time, 2r < N and at most MAX_GRAPH_EDGES edges
 (`battery_config_errors`).  It passes when the fitted estimate holds
-within FIT_TOL and the flat battery's error is at most FLAT_TOL.
+within FIT_TOL and the flat battery's error is at most FLAT_TOL.  Its
+`DistanceResult` holds every output row and the verdict, finished here.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -68,9 +70,9 @@ __all__ = [
     "check_distance_estimate",
     "FLAT_TOL",
     "battery_config_errors",
+    "DISTANCE_COLUMNS",
+    "DistanceResult",
     "distance_fragment",
-    "distance_checks",
-    "distance_passed",
 ]
 
 
@@ -361,24 +363,40 @@ def battery_config_errors(config) -> list:
     return errors
 
 
-def distance_fragment(config, trace: FlowTrace) -> dict:
+DISTANCE_COLUMNS = ("query", "t", "d", "method", "slack")
+
+
+class DistanceResult(NamedTuple):
+    """One scenario's battery, finished: report.json's "distance" entry, a
+    check row per (query, time), distance.csv's rows under DISTANCE_COLUMNS
+    (graph rows with their slack against the fitted bound, then flat-exact
+    rows with their relative gap), family.csv's two cells and the verdict."""
+
+    report: dict
+    checks: list
+    rows: list
+    family_cells: dict
+    passed: bool
+
+
+def distance_fragment(config, trace: FlowTrace) -> DistanceResult:
     """Distance estimate on one trace of an experiment config, plus the
-    flat battery's summary."""
+    flat battery on its attractor."""
     dist = config.distance
     queries = random_queries(config.geometry, dist.queries, dist.seed)
-    frag = check_distance_estimate(trace, queries, times=dist.times, radius=dist.radius)
+    report = check_distance_estimate(trace, queries, times=dist.times, radius=dist.radius)
+    flat_rows = report.pop("flat_rows")
     battery = flat_accuracy_battery(trace.alpha, count=dist.flat_queries, seed=dist.seed + 1,
                                     radius=dist.radius)
-    frag["flat_battery"] = {k: battery[k] for k in ("max_rel_error", "count")}
-    return frag
-
-
-def distance_checks(frag: dict) -> list:
-    """One check per (query, time) row of a fragment: slack against the
-    fitted bound."""
-    return [_result(f"distance[q{r['query']},t={r['t']:g}]", {}, r["slack"], FIT_TOL)
-            for r in frag["rows"]]
-
-
-def distance_passed(frag: dict) -> bool:
-    return frag["pass"] and frag["flat_battery"]["max_rel_error"] <= FLAT_TOL
+    report["flat_battery"] = {k: battery[k] for k in ("max_rel_error", "count")}
+    graph_rows = report["rows"]
+    return DistanceResult(
+        report=report,
+        checks=[_result(f"distance[q{r['query']},t={r['t']:g}]", {}, r["slack"], FIT_TOL)
+                for r in graph_rows],
+        rows=[(r["query"], r["t"], r["dt"], "graph", r["slack"]) for r in graph_rows]
+        + [(r["query"], 0.0, r["d0"], "flat_exact", r["rel_gap"]) for r in flat_rows],
+        family_cells={"distance_min_slack": report["min_slack"],
+                      "distance_flat_max_rel": report["max_flat_relative_gap"]},
+        passed=report["pass"] and battery["max_rel_error"] <= FLAT_TOL,
+    )

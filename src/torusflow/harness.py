@@ -13,6 +13,10 @@ interesting content is in the decay-rate fits: measured quantities
 regressed against the index i on log-log axes.  `family_columns` is the
 schema of family.csv: one scenario's cells, by column name.
 
+A measurement's `distance`, its `distances.DistanceResult` when the battery
+ran, goes to its report: `EstimateReport.all_passed`, report.json's "pass",
+is the scenario's whole verdict, and `family_columns` ends with its cells.
+
 Check names, fixed for the JSON report schema:
 
   flat_representative   sup |u|, background equivalence, volume-ratio floor
@@ -106,20 +110,28 @@ class EstimateReport:
     index: int
     amplitude: float
     checks: dict = field(default_factory=dict)
+    distance: object = None  # the scenario's distances.DistanceResult, if the battery ran
 
-    def add(self, res: CheckResult) -> None:
-        self.checks[res.name] = res
+    @property
+    def check_rows(self) -> list:
+        """checks.csv's rows: the checks by name, then the distance rows."""
+        rows = [chk for _, chk in sorted(self.checks.items())]
+        return rows if self.distance is None else rows + self.distance.checks
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks.values())
+        """The scenario's verdict: every check, and the distance battery."""
+        return (all(c.passed for c in self.checks.values())
+                and (self.distance is None or self.distance.passed))
 
     def as_dict(self) -> dict:
+        distance = {} if self.distance is None else {"distance": self.distance.report}
         return {
             "index": self.index,
             "amplitude": self.amplitude,
             "checks": {k: v.as_dict() for k, v in sorted(self.checks.items())},
             "pass": self.all_passed,
+            **distance,
         }
 
 
@@ -196,6 +208,7 @@ class ScenarioMeasurement:
     v_minus_one_l1: float
     checks: dict  # check name -> CheckResult of the rows this scenario decides alone
     min_scalar_vs_t: list  # (t, min_x R) per diagnostics row, sorted by t
+    distance: object = None  # distances.DistanceResult when the battery ran
 
 
 def _snapshot_readings(g: HermitianField, t: float, alpha: FlatMetric,
@@ -375,18 +388,15 @@ def build_reports(ms):
     """Per-scenario reports with family-fitted constants.
 
     ms: the ScenarioMeasurement of every scenario in the family, from
-    `measure`.  Returns (list of EstimateReport in the order of ms,
-    family constants).
+    `measure`, each with its distance result if the battery ran.  Returns
+    (list of EstimateReport in the order of ms, family constants).
     """
     fam = _fit_family(ms)
     reports = []
     for m in ms:
-        rep = EstimateReport(index=m.index, amplitude=m.amplitude)
-        for res in _fitted_results(m, fam):
-            rep.add(res)
-        rep.checks["flat_representative"].constants.update(m.flat_readings)
-        rep.checks.update(m.checks)
-        reports.append(rep)
+        checks = {res.name: res for res in _fitted_results(m, fam)}
+        checks["flat_representative"].constants.update(m.flat_readings)
+        reports.append(EstimateReport(m.index, m.amplitude, {**checks, **m.checks}, m.distance))
     return reports, fam
 
 
@@ -405,6 +415,7 @@ def family_columns(m: ScenarioMeasurement) -> dict:
         **{f"E_{p.label}": p.gap for p in m.forms},
         "v_minus_one_L1": m.v_minus_one_l1,
         **{f"Lq_{q}": m.lq_norms[q] for q in sorted(m.lq_norms)},
+        **(m.distance.family_cells if m.distance is not None else {}),
     }
 
 

@@ -77,11 +77,12 @@ def load_field(path) -> ScalarField:
         if kind != KIND_SCALAR:
             raise FormatError(f"expected a scalar field, found kind {kind}")
         geo = TorusGeometry(n=n, N=N)
-        raw = fh.read(8 * geo.npoints)
-        if len(raw) != 8 * geo.npoints:
-            raise FormatError("truncated field payload")
-        if fh.read(1):
-            raise FormatError("bytes after the field payload")
+        # the header's payload against the file's, before any read of it
+        size, payload = os.fstat(fh.fileno()).st_size - len(head), 8 * geo.npoints
+        if size != payload:
+            raise FormatError(f"header n={n}, N={N} promises a {payload}-byte payload, the file "
+                              f"holds {size} bytes: truncated, or bytes after the field payload")
+        raw = fh.read(payload)
     return ScalarField(geo, np.frombuffer(raw, dtype="<f8").reshape(geo.shape).copy())
 
 

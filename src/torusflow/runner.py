@@ -20,17 +20,18 @@ trace_key) and regenerates everything downstream, byte-identically apart
 from manifest timings.
 
 Scenarios are measured one at a time: each trace is loaded, measured,
-given its distance fragment and released before the next is loaded.  A
-scenario whose flow fails, or whose trace cannot be loaded or measured,
-is that scenario's error row; the family is fitted over the others.  A
-run first removes every report file above that an earlier run wrote, so
-none outlives the run that replaced it; traces and trace keys stay.
+given its distance result and released before the next is loaded.  A
+scenario whose flow fails or whose worker dies, or whose trace cannot be
+loaded or measured, is that scenario's error row; the family is fitted
+over the others.  A run first removes every report file above that an
+earlier run wrote, so none outlives the run that replaced it.
 
 The runner builds no scenario and makes no measurement decision:
-`scenarios.make_sequence` builds every family, flat or calibrated,
-`harness` decides the checks and the family verdict (`family_passed`),
-and `distances` decides when its battery may run and whether it passed.
-The runner reads their verdicts into the manifest.
+`scenarios.make_sequence` builds every family, `distances` decides when
+its battery may run and hands back a finished `DistanceResult`, and
+`harness` decides each scenario's verdict (`EstimateReport.all_passed`,
+the battery included) and the family's (`family_passed`).  The runner
+writes their rows and reads their verdicts into the manifest.
 
 Config defaults live in the records the sections build (FlowConfig,
 ScenarioSpec, HarnessConfig, DistanceConfig; ExperimentConfig for the
@@ -45,8 +46,8 @@ import hashlib
 import json
 import math
 import time
-from itertools import repeat
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -58,8 +59,7 @@ from .flow import FlowConfig, run_flow
 from .geometry import PositivityError, pairing_density
 from .harness import (HarnessConfig, build_reports, default_test_forms, family_columns,
                       family_passed, family_summary, measure)
-from .distances import (DistanceConfig, battery_config_errors, distance_checks,
-                        distance_fragment, distance_passed)
+from .distances import DISTANCE_COLUMNS, DistanceConfig, battery_config_errors, distance_fragment
 from .scenarios import Scenario, ScenarioError, ScenarioSpec, make_sequence
 
 __all__ = [
@@ -332,13 +332,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def parse_config(path, seed: int | None = None) -> ExperimentConfig:
     """Load a JSON config file; a given seed replaces the file's global
     seed, and the scenario seed is then derived from it."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError([f"config file not found: {path}"])
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError([f"config file not found: {path}"]) from None
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not UTF-8
+        raise ConfigError([f"config file cannot be read: {path}: {exc}"]) from exc
     if seed is not None:
         if not isinstance(raw, dict):
             raise ConfigError(["top level: expected a JSON object"])
@@ -377,15 +378,15 @@ def first_scenario(config: ExperimentConfig) -> Scenario:
     return make_sequence(spec)[0]
 
 
-def _flow_one(config: ExperimentConfig, scenario: Scenario, out: Path) -> tuple:
-    """Worker: run one flow and persist it; returns a status tuple."""
+def _flow_one(config: ExperimentConfig, scenario: Scenario, out: Path) -> str | None:
+    """Worker: run one flow and persist it; returns None, or why it failed."""
     sdir = scenario_dir(out, scenario.index)
     try:
         tfio.save_trace(run_flow(scenario.metric, config.flow), sdir / "trace")
         (sdir / "trace_key.txt").write_text(config.trace_key + "\n")
-        return ("ok", None)
     except Exception as exc:  # any failure becomes this scenario's error row
-        return ("error", f"flow failed: {type(exc).__name__}: {exc}")
+        return f"flow failed: {type(exc).__name__}: {exc}"
+    return None
 
 
 def _has_persisted_trace(sdir: Path, trace_key: str) -> bool:
@@ -409,10 +410,7 @@ def ensure_trace(config: ExperimentConfig, out, scenario: Scenario,
             return tfio.load_trace(sdir / "trace"), None
         except (OSError, ValueError) as exc:
             why = f"trace reload failed: {exc}"
-    if resume_only:
-        return None, why
-    status, why = _flow_one(config, scenario, out)
-    if status != "ok":
+    if resume_only or (why := _flow_one(config, scenario, out)) is not None:
         return None, why
     return ensure_trace(config, out, scenario, resume_only=True)
 
@@ -427,39 +425,47 @@ def _timed(timings: dict, stage: str):
         timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - t0
 
 
-def write_distance_csv(sdir: Path, frag: dict) -> Path:
-    """Graph rows (slack against the fitted bound), then flat-exact rows."""
-    rows = [
-        (drow["query"], _fmt(drow["t"]), _fmt(drow["dt"]), "graph", _fmt(drow["slack"]))
-        for drow in frag["rows"]
-    ]
-    rows.extend(
-        (frow["query"], "0.0", _fmt(frow["d0"]), "flat_exact", _fmt(frow["rel_gap"]))
-        for frow in frag["flat_rows"]
-    )
+def write_distance_csv(sdir: Path, result) -> Path:
+    """A scenario's distance.csv: the rows of its DistanceResult."""
     path = sdir / "distance.csv"
-    tfio.write_csv_atomic(path, ("query", "t", "d", "method", "slack"), rows)
+    tfio.write_csv_atomic(path, DISTANCE_COLUMNS, result.rows)
     return path
 
 
 def _measure_scenario(config: ExperimentConfig, out: Path, scenario: Scenario, forms,
                       densities, resume_only: bool, timings: dict) -> tuple:
-    """(measurement, distance fragment or None, None), or (None, None, reason).
+    """(measurement with its distance result, None), or (None, reason).
     The trace lives only in this call, so the caller holds one at a time."""
     trace, why = ensure_trace(config, out, scenario, resume_only)
     if trace is None:
-        return None, None, why
+        return None, why
     try:
         with _timed(timings, "harness"):
             m = measure(trace, scenario.index, scenario.amplitude, forms, densities,
                         list(config.harness.q_list))
-        frag = None
         if config.distance.enabled:
             with _timed(timings, "distance"):
-                frag = distance_fragment(config, trace)
+                m.distance = distance_fragment(config, trace)
     except (PositivityError, FieldError) as exc:  # a trace that holds no valid metric
-        return None, None, f"measurement failed: {type(exc).__name__}: {exc}"
-    return m, frag, None
+        return None, f"measurement failed: {type(exc).__name__}: {exc}"
+    return m, None
+
+
+def _flow_pending(config: ExperimentConfig, pending: list, out: Path, jobs: int) -> dict:
+    """Index -> _flow_one's result per pending scenario.  The pool forks all
+    its workers at once, so it gets no more than there are flows, and each
+    result is read on its own: a dead worker fails each unfinished flow."""
+    workers = min(jobs, len(pending))
+    if workers <= 1:
+        return {sc.index: _flow_one(config, sc, out) for sc in pending}
+    errors = {}
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for sc, future in [(sc, pool.submit(_flow_one, config, sc, out)) for sc in pending]:
+            try:
+                errors[sc.index] = future.result()
+            except BrokenProcessPool as exc:
+                errors[sc.index] = f"flow worker died: {exc}"
+    return errors
 
 
 def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
@@ -479,20 +485,13 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         scenarios = []
         scenario_rows.append({"status": "error", "error": f"scenario generation failed: {exc}"})
 
-    # flows for scenarios with no persisted trace, optionally parallel; the
-    # pool forks all its workers at once, so it gets no more than there are flows
+    # flows for scenarios with no persisted trace, optionally parallel
     pending = [] if resume_only else [
         sc for sc in scenarios
         if not _has_persisted_trace(scenario_dir(out, sc.index), config.trace_key)
     ]
-    workers = min(jobs, len(pending))
     with _timed(timings, "flows"):
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                flowed = list(pool.map(_flow_one, repeat(config), pending, repeat(out)))
-        else:
-            flowed = [_flow_one(config, sc, out) for sc in pending]
-    statuses = {sc.index: res for sc, res in zip(pending, flowed)}
+        flow_errors = _flow_pending(config, pending, out, jobs)
 
     with _timed(timings, "harness"):
         forms = default_test_forms(
@@ -502,23 +501,17 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         densities = [pairing_density(form) for _, form in forms]
 
     ms = []
-    distance_frags = {}
     for sc in scenarios:
         sdir = scenario_dir(out, sc.index)
-        status, err = statuses.get(sc.index, ("ok", None))
-        if status == "ok":
-            m, frag, err = _measure_scenario(config, out, sc, forms, densities,
-                                             resume_only, timings)
-            if m is None:
-                status = "error"
-            else:
+        err = flow_errors.get(sc.index)
+        if err is None:
+            m, err = _measure_scenario(config, out, sc, forms, densities, resume_only, timings)
+            if m is not None:
                 ms.append(m)
-                if frag is not None:
-                    distance_frags[sc.index] = frag
         scenario_rows.append(
             {
                 "index": sc.index,
-                "status": status,
+                "status": "ok" if err is None else "error",
                 "error": err,
                 "amplitude": sc.amplitude,
                 "curvature_floor": sc.curvature_floor,
@@ -538,9 +531,8 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         with _timed(timings, "harness"):
             reports, fam = build_reports(ms)
             family = family_summary(ms, fam)
-        written, verdicts = emit_outputs(out, reports, family, ms, distance_frags)
-        outputs.extend(written)
-        all_pass = all_pass and all(verdicts.values()) and family_passed(family)
+        outputs.extend(emit_outputs(out, reports, family, ms))
+        all_pass = all_pass and all(r.all_passed for r in reports) and family_passed(family)
 
     timings["total"] = time.perf_counter() - t_start
     manifest = RunManifest(
@@ -566,13 +558,8 @@ def exit_code_of(manifest: RunManifest) -> int:
 
 
 # ---------------------------------------------------------------------------
-# artifact emission
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+# artifact emission: tables take raw values, and csv writes each float by
+# its repr, so every cell reads back exactly
 
 
 def _remove_reports(out: Path) -> None:
@@ -587,40 +574,23 @@ def _remove_reports(out: Path) -> None:
         path.unlink(missing_ok=True)
 
 
-def emit_outputs(out: Path, reports, summary, ms, distance_frags) -> tuple:
-    """(written paths, verdict per index).  A scenario's verdict, its
-    report.json "pass", is every row of its checks.csv and its flat battery."""
-    written, verdicts = [], {}
+def emit_outputs(out: Path, reports, summary, ms) -> list:
+    """Write every report file of a measured family; returns their paths."""
+    written = []
 
     for r in reports:
         sdir = scenario_dir(out, r.index)
-        report = r.as_dict()
-        checks = [chk for _, chk in sorted(r.checks.items())]
-        frag = distance_frags.get(r.index)
-        if frag is not None:
-            report["distance"] = {k: v for k, v in frag.items() if k != "flat_rows"}
-            checks.extend(distance_checks(frag))
-            written.append(write_distance_csv(sdir, frag))
-        report["pass"] = verdicts[r.index] = r.all_passed and (frag is None or distance_passed(frag))
-        tfio.write_json_atomic(sdir / "report.json", report)
-        rows = [
-            (chk.name, _fmt(chk.slack), _fmt(chk.tolerance), str(chk.passed).lower())
-            for chk in checks
-        ]
+        if r.distance is not None:
+            written.append(write_distance_csv(sdir, r.distance))
+        tfio.write_json_atomic(sdir / "report.json", r.as_dict())
+        rows = [(chk.name, chk.slack, chk.tolerance, str(chk.passed).lower())
+                for chk in r.check_rows]
         tfio.write_csv_atomic(sdir / "checks.csv", ("check", "slack", "tolerance", "pass"), rows)
         written.extend([sdir / "report.json", sdir / "checks.csv"])
 
-    # family table: one row per index, harness's columns then the distance cells
-    fam_rows = []
-    for m in ms:
-        cells = family_columns(m)
-        if distance_frags:  # every measured scenario has its fragment
-            frag = distance_frags[m.index]
-            cells.update(distance_min_slack=frag["min_slack"],
-                         distance_flat_max_rel=frag["max_flat_relative_gap"])
-        fam_rows.append(cells)
+    fam_rows = [family_columns(m) for m in ms]
     tfio.write_csv_atomic(out / "family.csv", list(fam_rows[0]),
-                          [[_fmt(v) for v in cells.values()] for cells in fam_rows])
+                          [list(cells.values()) for cells in fam_rows])
     written.append(out / "family.csv")
 
     tfio.write_json_atomic(out / "family_summary.json", summary)
@@ -630,8 +600,7 @@ def emit_outputs(out: Path, reports, summary, ms, distance_frags) -> tuple:
     plots.mkdir(exist_ok=True)
     for m in ms:
         path = plots / f"min_scalar_vs_t_i{m.index:03d}.csv"
-        tfio.write_csv_atomic(path, ("t", "min_scalar_curvature"),
-                              [(_fmt(a), _fmt(b)) for a, b in m.min_scalar_vs_t])
+        tfio.write_csv_atomic(path, ("t", "min_scalar_curvature"), m.min_scalar_vs_t)
         written.append(path)
     series = [
         ("inf_dot_phi_vs_i.csv", ("i", "inf_dot_phi"), [(m.index, m.inf_dot_phi) for m in ms]),
@@ -641,6 +610,6 @@ def emit_outputs(out: Path, reports, summary, ms, distance_frags) -> tuple:
     ]
     for name, hdr, rows in series:
         path = plots / name
-        tfio.write_csv_atomic(path, hdr, [(_fmt(a), _fmt(b)) for a, b in sorted(rows)])
+        tfio.write_csv_atomic(path, hdr, sorted(rows))
         written.append(path)
-    return written, verdicts
+    return written

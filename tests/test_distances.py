@@ -392,8 +392,8 @@ def test_dijkstra_source_budget(monkeypatch):
         return original(graph, **kwargs)
 
     monkeypatch.setattr(distances, "dijkstra", counted)
-    frag = distance_fragment(config, trace)
-    assert frag["flat_battery"]["count"] == 30
+    result = distance_fragment(config, trace)
+    assert result.report["flat_battery"]["count"] == 30
     queries = random_queries(config.geometry, config.distance.queries, config.distance.seed)
     sources = len(np.unique(queries[0], axis=0))
     graphs = len(config.distance.times) + 1  # t = 0 and each time

@@ -28,6 +28,7 @@ from torusflow import (
     save_trace,
 )
 from torusflow import geometry, harness
+from torusflow.distances import DistanceResult
 from torusflow.harness import FIT_TOL, FITTED_BOUNDS
 
 CHECK_NAMES = {
@@ -119,6 +120,27 @@ def reported_family():
     ms = measure_family(scenarios, traces)
     reports, fam = build_reports(ms)
     return scenarios, traces, reports, fam, ms
+
+
+def test_failed_distance_result_fails_the_report():
+    """A report's verdict takes in its distance result: a battery that fails
+    while every harness row passes fails the report, which keeps its checks
+    and lists the distance rows after its own sorted ones."""
+    rows = [harness._result(name, {}, 0.5, 0.0) for name in ("volume_density", "rate_lower")]
+    distance_rows = [harness._result("distance[q0,t=0.25]", {}, 0.0, FIT_TOL)]
+    failed = DistanceResult(report={"pass": True, "flat_battery": {"max_rel_error": 0.5}},
+                            checks=distance_rows, rows=[], family_cells={}, passed=False)
+    checks = {res.name: res for res in rows}
+    plain = harness.EstimateReport(4, 0.1, dict(checks))
+    with_distance = harness.EstimateReport(4, 0.1, dict(checks), failed)
+    assert plain.all_passed and plain.as_dict()["pass"] is True
+    assert "distance" not in plain.as_dict()
+    assert with_distance.all_passed is False
+    report = with_distance.as_dict()
+    assert report["pass"] is False
+    assert report["checks"] == plain.as_dict()["checks"]
+    assert report["distance"] is failed.report
+    assert with_distance.check_rows == [rows[1], rows[0], *distance_rows]
 
 
 def test_reports_have_every_check(reported_family):

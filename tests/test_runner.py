@@ -3,8 +3,11 @@
 import gc
 import json
 import math
+import os
 import shutil
+import struct
 import weakref
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -791,8 +794,10 @@ def test_flow_pool_has_no_more_workers_than_flows(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
     cfg = config_from_dict(json.loads(json.dumps(FLAT_DICT)))
@@ -802,6 +807,23 @@ def test_flow_pool_has_no_more_workers_than_flows(tmp_path, monkeypatch):
     assert exit_code_of(run_experiment(cfg, tmp_path, jobs=64)) == EXIT_OK
     assert pools == [2]
     assert (tmp_path / "scenario_i004" / "trace_key.txt").exists()
+
+
+def _dying_flow_one(config, scenario, out):
+    """A flow worker killed mid-flow, as by the OOM killer."""
+    os._exit(9)
+
+
+def test_dead_flow_worker_becomes_error_rows(tmp_path, monkeypatch):
+    """A worker that dies breaks the pool: every unfinished scenario is an
+    error row, and the run still ends in a manifest and exit code 2."""
+    monkeypatch.setattr(runner, "_flow_one", _dying_flow_one)
+    cfg = config_from_dict(json.loads(json.dumps(FLAT_DICT)))
+    manifest = run_experiment(cfg, tmp_path, jobs=2)
+    assert exit_code_of(manifest) == EXIT_SCENARIO_ERROR
+    assert [row["status"] for row in manifest.scenarios] == ["error", "error"]
+    assert all(row["error"].startswith("flow worker died: ") for row in manifest.scenarios)
+    assert json.loads((tmp_path / "manifest.json").read_text())["any_errors"] is True
 
 
 N2_FLAT_DICT = {
@@ -1023,9 +1045,17 @@ def _nan_min_r(line):
     return corrupt
 
 
+def _oversized_header(trace_dir):
+    """A field header whose payload, 8 N^{2n} bytes, no file could hold."""
+    path = trace_dir / "initial_potential.tkrf"
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(tfio.MAGIC)] + struct.pack("<II", 2, 65536)
+                     + raw[len(tfio.MAGIC) + 8:])
+
+
 @pytest.mark.parametrize("corrupt", [_drop_last_snapshot, _cut_diagnostics_row,
                                      share_first_snapshot_file, _nan_min_r(1), _nan_min_r(3),
-                                     _name_format_1])
+                                     _name_format_1, _oversized_header])
 def test_cli_malformed_trace_is_reported_then_recomputed(corrupt, tmp_path, capsys):
     d = json.loads(json.dumps(FLAT_DICT))
     d["scenario"]["indices"] = [1]
@@ -1221,6 +1251,19 @@ def test_cli_distance_rejects_time_without_snapshot(tmp_path, capsys, monkeypatc
         assert code == EXIT_CONFIG_ERROR
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: p.mkdir(),
+    lambda p: p.write_bytes(b'{"geometry": {"n": 1, "N": 16}, "output": "\xff"}'),
+], ids=["directory", "not_utf8"])
+def test_cli_unreadable_config(make, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    make(cfg)
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG_ERROR
+    assert "config file cannot be read" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config(tmp_path, capsys):

@@ -31,6 +31,22 @@ import run  # noqa: E402
 from capture_reference import parse_seeds  # noqa: E402
 
 
+def benchmark_commands(work: Path, seeds):
+    """Every benchmark command, seed by seed in WORKLOADS order:
+    (seed, workload, config name, command, config file).  Each seed's
+    configs are written into a directory of their own under work, where
+    the commands put their outputs; it is removed once the seed's last
+    command is done."""
+    for seed in seeds:
+        seed_dir = work / f"seed_{seed}"
+        seed_dir.mkdir()
+        for workload, (config_name, command) in run.WORKLOADS.items():
+            config = seed_dir / f"{config_name}.json"
+            config.write_text(json.dumps(run.CONFIGS[config_name](seed)))
+            yield seed, workload, config_name, command, config
+        shutil.rmtree(seed_dir, ignore_errors=True)
+
+
 def command_problems(work: Path, tag: str, config: Path, command: str, out: Path,
                      reference: dict) -> list:
     """Gate problems of one spawned `run` or `check` command."""
@@ -60,21 +76,15 @@ def main(argv) -> int:
     work = Path(tempfile.mkdtemp(prefix="gate_refs."))
     passed = total = 0
     try:
-        for seed in seeds:
-            outs = {}
-            for workload, (config_name, command) in run.WORKLOADS.items():
-                config = work / f"{config_name}-{seed}.json"
-                config.write_text(json.dumps(run.CONFIGS[config_name](seed)))
-                out = outs.setdefault(config_name, work / f"{config_name}-{seed}")
-                total += 1
-                problems = command_problems(work, f"{workload}-{seed}", config, command, out,
-                                            gate.load_reference(config_name, seed))
-                if problems:
-                    print(f"{workload} seed {seed}: {'; '.join(problems)}", flush=True)
-                else:
-                    passed += 1
-            for out in outs.values():
-                shutil.rmtree(out, ignore_errors=True)
+        for seed, workload, config_name, command, config in benchmark_commands(work, seeds):
+            total += 1
+            problems = command_problems(work, f"{workload}-{seed}", config, command,
+                                        config.parent / config_name,
+                                        gate.load_reference(config_name, seed))
+            if problems:
+                print(f"{workload} seed {seed}: {'; '.join(problems)}", flush=True)
+            else:
+                passed += 1
     finally:
         shutil.rmtree(work, ignore_errors=True)
     print(f"{passed} of {total} commands pass the gate")

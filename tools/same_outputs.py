@@ -4,7 +4,7 @@
     python3 tools/same_outputs.py PARENT_DIR CHANGE_DIR 0-23 90 91
 
 For every seed it runs the benchmark's commands (perfbench/run.py's
-WORKLOADS over its CONFIGS, as tools/gate_refs.py does) in each checkout:
+WORKLOADS over its CONFIGS, from tools/gate_refs.py) in each checkout:
 one `torusflow run` per config, plus a `torusflow check` on the n2-N16
 run's output.  Each side runs with its own src on PYTHONPATH and one
 BLAS thread, into a temporary directory.  A command is identical when
@@ -19,7 +19,6 @@ anything runs.  No file under perfbench/ is written.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import subprocess
@@ -32,6 +31,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run  # noqa: E402
 from capture_reference import parse_seeds  # noqa: E402
+
+sys.path.insert(0, str(ROOT / "tools"))
+from gate_refs import benchmark_commands  # noqa: E402
 
 SIDES = ("parent", "change")
 SKIPPED = {"manifest.json"}  # timings and paths differ from run to run
@@ -90,23 +92,17 @@ def main(argv) -> int:
     work = Path(tempfile.mkdtemp(prefix="same_outputs."))
     identical = total = 0
     try:
-        for side in SIDES:
-            (work / side).mkdir()
-        for seed in seeds:
-            for workload, (config_name, command) in run.WORKLOADS.items():
-                config = work / f"{config_name}-{seed}.json"
-                config.write_text(json.dumps(run.CONFIGS[config_name](seed)))
-                outs = {side: work / side / f"{config_name}-{seed}" for side in SIDES}
-                results = {side: run_command(checkouts[side], command, config, outs[side])
-                           for side in SIDES}
-                total += 1
-                problems = command_differences(results, outs)
-                for problem in problems:
-                    print(f"{workload} seed {seed}: {problem}", flush=True)
-                identical += not problems
-            for side in SIDES:
-                for out in (work / side).iterdir():
-                    shutil.rmtree(out, ignore_errors=True)
+        for seed, workload, config_name, command, config in benchmark_commands(work, seeds):
+            outs = {side: config.parent / side / config_name for side in SIDES}
+            for out in outs.values():
+                out.parent.mkdir(exist_ok=True)
+            results = {side: run_command(checkouts[side], command, config, outs[side])
+                       for side in SIDES}
+            total += 1
+            problems = command_differences(results, outs)
+            for problem in problems:
+                print(f"{workload} seed {seed}: {problem}", flush=True)
+            identical += not problems
     finally:
         shutil.rmtree(work, ignore_errors=True)
     print(f"{identical} of {total} commands identical")
