@@ -34,6 +34,14 @@ times, each a snapshot time, 2r < N and at most MAX_GRAPH_EDGES edges
 (`battery_config_errors`).  It passes when the fitted estimate holds
 within FIT_TOL and the flat battery's error is at most FLAT_TOL.  Its
 `DistanceResult` holds every output row and the verdict, finished here.
+
+scipy's sparse stack (scipy.sparse and scipy.sparse.csgraph) is not
+imported with this module: `_graph_stack` loads it, at the first graph
+build or search, or when the command line's set-up loads the back ends a
+config runs (cli).  Importing it after numpy costs 0.2-0.3 s and about
+33 MB, and a run that builds no graph never pays it.  Searches go
+through the module function `dijkstra`, looked up as a global at each
+call, so a tracer that replaces `distances.dijkstra` sees every search.
 """
 
 from __future__ import annotations
@@ -44,8 +52,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .fields import TorusGeometry
 from .geometry import (
@@ -147,9 +153,21 @@ def _topology(geometry: TorusGeometry, radius: int) -> tuple:
     return offs, nbr, indptr
 
 
-def _edge_graph(geometry: TorusGeometry, vals: np.ndarray, radius: int) -> csr_matrix:
-    """Both-way CSR of the edge weights of packed coefficients vals: the
-    segment length under the mean of the endpoint quadratic forms."""
+def _graph_stack():
+    """scipy.sparse with its csgraph subpackage loaded (module docstring)."""
+    import scipy.sparse.csgraph
+
+    return scipy.sparse
+
+
+def dijkstra(graph, **kwargs) -> np.ndarray:
+    """scipy.sparse.csgraph.dijkstra on graph, with scipy's keywords."""
+    return _graph_stack().csgraph.dijkstra(graph, **kwargs)
+
+
+def _edge_graph(geometry: TorusGeometry, vals: np.ndarray, radius: int):
+    """Both-way scipy CSR matrix of the edge weights of packed coefficients
+    vals: the segment length under the mean of the endpoint quadratic forms."""
     offsets, nbr, indptr = _topology(geometry, radius)
     K = len(offsets)
     wts = np.empty(nbr.shape)
@@ -160,7 +178,8 @@ def _edge_graph(geometry: TorusGeometry, vals: np.ndarray, radius: int) -> csr_m
         wts[:, k] = w.ravel()
         # the edge from i - v to i, stored again in row i
         wts[:, K + k] = np.roll(w, v, axis=geometry.grid_axes).ravel()
-    return csr_matrix((wts.ravel(), nbr.ravel(), indptr), shape=(geometry.npoints,) * 2)
+    return _graph_stack().csr_matrix((wts.ravel(), nbr.ravel(), indptr),
+                                      shape=(geometry.npoints,) * 2)
 
 
 @lru_cache(maxsize=4)

@@ -17,9 +17,13 @@ mean of grid values) integrates products of band-limited fields exactly.
 The grid's rank chooses the module that runs a real transform.  2-D
 grids (n = 1) use numpy.fft.  4-D grids (n = 2) use scipy.fft, which keeps
 numpy's conventions and runs a 16^4 transform about a fifth faster on one
-worker; it is imported at the first 4-D transform.  On 2-D grids the gain
-is about 10 us per transform, while importing scipy.fft also loads
-scipy.special, which costs about 4-5 MB and 0.1 s of set-up.  The shape
+worker.  On 2-D grids the gain is about 10 us per transform, while
+importing scipy.fft after numpy costs 0.2-0.3 s and about 27 MB: it loads
+scipy.special and scipy's shared array-API layer, which walks numpy's
+attributes and so loads numpy.f2py, numpy.testing and more.  Once
+another scipy stack is loaded it costs about 0.07 s and 5 MB.
+_fft_module imports it, at the first 4-D transform or when the command
+line's set-up loads the back ends a config runs (cli).  The shape
 draws of random_band_limited stay on numpy's complex fftn/ifftn at every
 rank.  Only this module runs transforms.
 

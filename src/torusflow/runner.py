@@ -336,7 +336,7 @@ def parse_config(path, seed: int | None = None) -> ExperimentConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError([f"config file not found: {path}"]) from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
     except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not UTF-8
         raise ConfigError([f"config file cannot be read: {path}: {exc}"]) from exc
@@ -493,12 +493,14 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     with _timed(timings, "flows"):
         flow_errors = _flow_pending(config, pending, out, jobs)
 
-    with _timed(timings, "harness"):
-        forms = default_test_forms(
-            config.geometry, count=config.harness.test_forms,
-            max_mode=config.scenario.max_mode, seed=config.harness.form_seed,
-        )
-        densities = [pairing_density(form) for _, form in forms]
+    forms = densities = ()  # test forms only for scenarios: a grid too large for one is for both
+    if scenarios:
+        with _timed(timings, "harness"):
+            forms = default_test_forms(
+                config.geometry, count=config.harness.test_forms,
+                max_mode=config.scenario.max_mode, seed=config.harness.form_seed,
+            )
+            densities = [pairing_density(form) for _, form in forms]
 
     ms = []
     for sc in scenarios:

@@ -217,31 +217,37 @@ def _members(spec: ScenarioSpec):
 
 def make_sequence(spec: ScenarioSpec) -> list:
     """Every index of the family, calibrated (or flat), each through the
-    admission gates; deterministic in the seed."""
+    admission gates; deterministic in the seed.  A grid whose fields do
+    not fit in memory is a ScenarioError."""
     out = []
-    for i, a, metric, coeffs, curv in _members(spec):
-        vol = volume(coeffs)
-        if vol < 1.0 / spec.lambda_gate:
-            raise GateViolation(
-                f"index {i}: volume {vol:.6g} below the non-collapsing gate "
-                f"1/{spec.lambda_gate:g}"
+    try:
+        for i, a, metric, coeffs, curv in _members(spec):
+            vol = volume(coeffs)
+            if vol < 1.0 / spec.lambda_gate:
+                raise GateViolation(
+                    f"index {i}: volume {vol:.6g} below the non-collapsing gate "
+                    f"1/{spec.lambda_gate:g}"
+                )
+            tr_norm = spec.trace_norm(coeffs)
+            if tr_norm > spec.lambda_gate:
+                raise GateViolation(
+                    f"index {i}: trace norm {tr_norm:.6g} exceeds the gate {spec.lambda_gate:g}"
+                )
+            det = _det(coeffs.values)
+            budget = float((np.maximum(curv.values, 0.0) * det).mean() / det.mean())
+            out.append(
+                Scenario(
+                    index=i,
+                    amplitude=a,
+                    metric=metric,
+                    curvature_floor=curv.min(),
+                    volume=vol,
+                    trace_norm=tr_norm,
+                    positive_part_budget=budget,
+                )
             )
-        tr_norm = spec.trace_norm(coeffs)
-        if tr_norm > spec.lambda_gate:
-            raise GateViolation(
-                f"index {i}: trace norm {tr_norm:.6g} exceeds the gate {spec.lambda_gate:g}"
-            )
-        det = _det(coeffs.values)
-        budget = float((np.maximum(curv.values, 0.0) * det).mean() / det.mean())
-        out.append(
-            Scenario(
-                index=i,
-                amplitude=a,
-                metric=metric,
-                curvature_floor=curv.min(),
-                volume=vol,
-                trace_norm=tr_norm,
-                positive_part_budget=budget,
-            )
-        )
+    except MemoryError as exc:
+        geo = spec.geometry
+        raise ScenarioError(
+            f"n={geo.n}, N={geo.N}: the grid is too large to allocate: {exc}") from exc
     return out

@@ -6,6 +6,8 @@ import math
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import weakref
 from concurrent.futures import Future
 from pathlib import Path
@@ -464,6 +466,16 @@ def test_parse_config_file(tmp_path):
     assert "config is not valid JSON" in err.value.errors[0]
 
 
+def test_deeply_nested_config_is_a_config_error(tmp_path, capsys):
+    """JSON nested past the decoder's recursion limit is reported as a
+    config that does not parse, not as a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 200_000)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: config is not valid JSON: ")
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -727,6 +739,23 @@ def test_scenario_error_manifest(tmp_path):
     assert manifest.family == {}
     assert manifest.scenarios[0]["status"] == "error"
     assert (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check", "flow", "project"])
+def test_grid_too_large_to_allocate_is_a_scenario_error(command, tmp_path, capsys):
+    """At n=2, N=16384 one field takes 2^59 bytes, more than any 64-bit
+    address space holds, so the first allocation fails at once.  run and
+    check record it as the family's error row, flow and project report it."""
+    d = {"geometry": {"n": 2, "N": 16384}, "scenario": {"indices": [1]}}
+    assert _cli_exit(tmp_path, d, command) == EXIT_SCENARIO_ERROR
+    if command in ("run", "check"):
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        [row] = manifest["scenarios"]
+        assert row["status"] == "error"
+        message = row["error"]
+    else:
+        message = capsys.readouterr().err
+    assert "n=2, N=16384: the grid is too large to allocate" in message
 
 
 def test_worker_exception_becomes_error_row(tmp_path, monkeypatch):
@@ -1277,3 +1306,65 @@ def test_cli_requires_out(flat_cfg_file, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG_ERROR
     assert "output: no directory given" in err
+
+
+# ---------------------------------------------------------------------------
+# scipy stacks: each command loads those its config runs, in set-up
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python(code: str, *args) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports torusflow from src."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_importing_the_cli_loads_no_scipy():
+    proc = _python("import sys\n"
+                   "import torusflow.cli\n"
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert proc.stdout.split() == ["[]"]
+
+
+# stops `run` where its pipeline would start and prints which stacks set-up loaded
+_SETUP_OF_RUN = (
+    "import sys\n"
+    "import torusflow.cli as cli\n"
+    "def stop(*args, **kwargs):\n"
+    "    stacks = ('scipy.fft', 'scipy.sparse', 'scipy.sparse.csgraph')\n"
+    "    print(*(m in sys.modules for m in stacks))\n"
+    "    raise SystemExit(0)\n"
+    "cli.run_experiment = stop\n"
+    "cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+)
+
+
+@pytest.mark.parametrize("d, loaded", [
+    ({"geometry": {"n": 2, "N": 16}, "scenario": {"indices": [1]}}, ["True", "False", "False"]),
+    (CALIB_DICT, ["False", "True", "True"]),
+], ids=["n2-no-distances", "n1-distances"])
+def test_run_setup_loads_the_stacks_its_config_runs(d, loaded, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    proc = _python(_SETUP_OF_RUN, str(cfg), str(tmp_path / "out"))
+    assert proc.stdout.split() == loaded
+
+
+def test_distance_command_runs_with_distances_off(calib_run, tmp_path):
+    """`distance` searches graphs whatever the config's distance switch, so
+    it loads the sparse stack itself and writes the table a run writes."""
+    cfg_run, out_run, _ = calib_run
+    d = json.loads(json.dumps(CALIB_DICT))
+    d["distance"]["enabled"] = False
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    _python("import sys\n"
+            "from torusflow.cli import main\n"
+            "sys.exit(main(['distance', '--config', sys.argv[1], '--out', sys.argv[2]]))\n",
+            str(cfg), str(tmp_path / "out"))
+    table = Path("scenario_i001") / "distance.csv"
+    assert (tmp_path / "out" / table).read_bytes() == (out_run / table).read_bytes()
