@@ -45,6 +45,11 @@ evaluation of a candidate computes the grid's closed forms once:
                          and, when H0 = I, the stiffness
   pencil det(g - lam H0) 1 pass more, only when H0 is not the identity
 
+Every candidate that passes the evaluation is accepted, so the evaluation
+also takes the step's diagnostics readings while its grid arrays live.
+It keeps the half spectra of phi and of the rhs, the stiffness and those
+readings; no grid array outlives it.
+
 The stepper carries (t, dt, evaluation), and phi goes back to the grid
 (1 inverse more) only for a FlowState that is kept: a snapshot, or the
 last state of a FlowFailure.  A FlowState is its time and its full
@@ -207,21 +212,17 @@ def _same_time(stored: float, t: float) -> bool:
 
 
 class _Evaluation:
-    """A candidate potential that passed evaluate, with everything the step
-    and its diagnostics read."""
+    """A candidate potential that passed evaluate: the half spectra the step
+    reads, its stiffness, and the diagnostics readings, taken while its grid
+    arrays lived."""
 
-    __slots__ = ("phi_hat", "coeffs", "det", "min_eig", "log_det_hat", "rhs_hat", "rhs",
-                 "stiffness")
+    __slots__ = ("phi_hat", "rhs_hat", "stiffness", "readings")
 
-    def __init__(self, phi_hat, coeffs, det, min_eig, log_det_hat, rhs_hat, rhs, stiffness):
-        self.phi_hat = phi_hat          # half spectrum of the flow potential
-        self.coeffs = coeffs            # packed metric coefficients
-        self.det = det                  # det g on the grid
-        self.min_eig = min_eig          # absolute eigenvalue floor
-        self.log_det_hat = log_det_hat  # half spectrum of log det g
-        self.rhs_hat = rhs_hat          # half spectrum of d phi/dt
-        self.rhs = rhs                  # d phi/dt on the grid
-        self.stiffness = stiffness      # max eigenvalue of g^{-1} wrt H0
+    def __init__(self, phi_hat, rhs_hat, stiffness, readings):
+        self.phi_hat = phi_hat      # half spectrum of the flow potential
+        self.rhs_hat = rhs_hat      # half spectrum of d phi/dt
+        self.stiffness = stiffness  # max eigenvalue of g^{-1} wrt H0
+        self.readings = readings    # the StepDiagnostics fields after t and dt
 
 
 def _rhs(geo: TorusGeometry, log_det_hat: np.ndarray, alpha: FlatMetric,
@@ -259,7 +260,8 @@ class _Kernel:
 
     def evaluate(self, phi_hat: np.ndarray) -> _Evaluation | None:
         """None rejects the candidate: non-finite, or failing the positivity
-        gate."""
+        gate.  A candidate that passes is accepted, so its diagnostics
+        readings are taken here and its grid arrays die with the call."""
         if not np.all(np.isfinite(phi_hat)):
             return None
         geo = self.geometry
@@ -272,14 +274,17 @@ class _Kernel:
             return None
         min_eig = float(eig[0].min())
         log_det_hat = _rfft(geo, _log_det(eig))
+        del eig
         rhs_hat = _rhs(geo, log_det_hat, self.alpha, self.config.dealias)
         # c = 1 / smallest root of det(g - lam H0): the top eigenvalue of g^{-1} wrt H0
         if self.identity_background:
             stiffness = 1.0 / min_eig
         else:
             stiffness = 1.0 / float(_eigenvalues(coeffs, self.H0, det)[0].min())
-        return _Evaluation(phi_hat, coeffs, det, min_eig, log_det_hat, rhs_hat,
-                           _irfft(geo, rhs_hat), stiffness)
+        min_curv = float(_scalar_curvature(geo, coeffs, det, log_det_hat).min())
+        rhs = _irfft(geo, rhs_hat)
+        readings = (min_curv, float(rhs.min()), float(rhs.max()), min_eig, _volume(coeffs, det))
+        return _Evaluation(phi_hat, rhs_hat, stiffness, readings)
 
     def target_dt(self, t: float, ev: _Evaluation) -> float:
         cfg = self.config
@@ -307,16 +312,7 @@ class _Kernel:
         return out
 
     def diagnostics(self, t: float, dt: float, ev: _Evaluation) -> StepDiagnostics:
-        curv = _scalar_curvature(self.geometry, ev.coeffs, ev.det, ev.log_det_hat)
-        return StepDiagnostics(
-            t=t,
-            dt=dt,
-            min_scalar_curvature=float(curv.min()),
-            min_dot_phi=float(ev.rhs.min()),
-            max_dot_phi=float(ev.rhs.max()),
-            min_eigenvalue=ev.min_eig,
-            volume=_volume(ev.coeffs, ev.det),
-        )
+        return StepDiagnostics(t, dt, *ev.readings)
 
     def state(self, t: float, ev: _Evaluation) -> FlowState:
         geo = self.geometry

@@ -162,6 +162,8 @@ class TestForm:
             object.__setattr__(self, "beta", float(b.real))
         else:
             object.__setattr__(self, "beta", _check_hermitian(self.beta, n, "coefficient matrix"))
+        if self.constant:
+            return  # a constant factor lives inside the band
         # smoothness gate: the factor must live inside the dealiased band
         g = self.f.geometry
         hat = _rfft(g, self.f.values)
@@ -173,6 +175,12 @@ class TestForm:
     @property
     def geometry(self) -> TorusGeometry:
         return self.f.geometry
+
+    @property
+    def constant(self) -> bool:
+        """Whether the factor f is constant on the grid."""
+        f = self.f.values
+        return bool(np.all(f == f.flat[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +468,7 @@ def pairing_density(form: TestForm) -> ScalarField:
     so its density is the zero field, with no Hessian taken.
     """
     geo = form.geometry
-    f = form.f.values
-    if np.all(f == f.flat[0]):
+    if form.constant:
         return constant_field(geo, 0.0)
     hess = complex_hessian(form.f).values
     return ScalarField(geo, _wedge_density(hess, form.beta, geo.n))

@@ -158,9 +158,11 @@ def fit_rate(indices, values) -> RateFit:
 
 def default_test_forms(geometry, count: int = HarnessConfig.test_forms,
                        max_mode: int = ScenarioSpec.max_mode, seed: int = HarnessConfig.form_seed):
-    """Constant form plus `count` band-limited factors (unit matrix part)."""
+    """Constant form plus `count` band-limited factors (unit matrix part).
+    The constant forms share one all-ones factor."""
     beta = 1.0 if geometry.n == 1 else np.eye(2, dtype=np.complex128)
-    forms = [("const", TestForm(constant_field(geometry, 1.0), beta))]
+    ones = constant_field(geometry, 1.0)
+    forms = [("const", TestForm(ones, beta))]
     for k in range(count):
         f = random_band_limited(seed + k, max_mode, geometry)
         forms.append((f"rand{k}", TestForm(f, beta)))
@@ -173,7 +175,7 @@ def default_test_forms(geometry, count: int = HarnessConfig.test_forms,
             "mix_im": np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=np.complex128),
         }
         for label, b in basis.items():
-            forms.append((f"const_{label}", TestForm(constant_field(geometry, 1.0), b)))
+            forms.append((f"const_{label}", TestForm(ones, b)))
     return forms
 
 
@@ -228,7 +230,11 @@ def _snapshot_readings(g: HermitianField, t: float, alpha: FlatMetric,
 def measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
             q_list) -> ScenarioMeasurement:
     """Everything the reports read off one scenario's trace, which it does
-    not keep.  densities: `pairing_density` of each (label, form) in forms."""
+    not keep.  densities: `pairing_density` of each (label, form) in forms.
+
+    Every reading of g0, the initial metric's assembly, is taken before the
+    snapshots are assembled, and no two assemblies are alive at once: at
+    n = 2 the live assembled fields set the peak memory."""
     geo = trace.initial.geometry
     n = geo.n
     alpha = trace.alpha
@@ -245,6 +251,8 @@ def measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
     }
     v0 = volume_density(g0, alpha)
     volume_log_floor = float(np.log(v0.values).min())
+    pairings_initial = [pair_test_form(g0, form) for _, form in forms]
+    del g0
 
     final = trace.final
     sup_abs_phi = 0.0
@@ -256,7 +264,7 @@ def measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
         bound, lo, hi = _snapshot_readings(g_t, s.t, alpha, trace.config.dealias)
         trace_bound = max(trace_bound, bound)
         if s is not final:
-            del g_t  # before the next assembly: two live n = 2 fields set the peak memory
+            del g_t  # before the next assembly, which would otherwise be a second live field
         m = max(math.log(hi), -math.log(lo))
         equivalence = max(equivalence, s.t * m)
     g1 = g_t  # the final state's assembly
@@ -266,8 +274,7 @@ def measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
 
     phi_final = final.phi
     pairings = []
-    for (label, form), density in zip(forms, densities):
-        p0 = pair_test_form(g0, form)
+    for (label, form), density, p0 in zip(forms, densities, pairings_initial):
         p1 = pair_test_form(g1, form)
         gap = integrate(phi_final * density)
         pairings.append(Pairing(label, p0, p1, gap, abs(p1 - p0 - gap)))

@@ -17,7 +17,7 @@ A run directory looks like
 
 Re-running with the same config resumes from persisted traces (matching
 trace_key) and regenerates everything downstream, byte-identically apart
-from manifest timings.
+from the manifest's timings and peak RSS.
 
 Scenarios are measured one at a time: each trace is loaded, measured,
 given its distance result and released before the next is loaded.  A
@@ -45,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import resource
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -54,7 +55,7 @@ from pathlib import Path
 
 from . import __version__
 from . import io as tfio
-from .fields import FieldError, TorusGeometry
+from .fields import FieldError, TorusGeometry, constant_field
 from .flow import FlowConfig, run_flow
 from .geometry import PositivityError, pairing_density
 from .harness import (HarnessConfig, build_reports, default_test_forms, family_columns,
@@ -363,6 +364,7 @@ class RunManifest:
     any_errors: bool
     outputs: list
     timings: dict
+    peak_rss_mb: dict  # the process's peak RSS at the end of each timed stage
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -415,14 +417,27 @@ def ensure_trace(config: ExperimentConfig, out, scenario: Scenario,
     return ensure_trace(config, out, scenario, resume_only=True)
 
 
-@contextmanager
-def _timed(timings: dict, stage: str):
-    """Adds the block's wall time to timings[stage]."""
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - t0
+class _Stages:
+    """The manifest's per-stage records: wall time summed over a stage's
+    blocks, and the process's peak RSS in MB when its last block ended."""
+
+    def __init__(self):
+        self.timings: dict = {}
+        self.peak_rss_mb: dict = {}
+
+    @contextmanager
+    def timed(self, stage: str):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[stage] = self.timings.get(stage, 0.0) + time.perf_counter() - t0
+            self.peak_rss_mb[stage] = _peak_rss_mb()
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set size in MB; Linux reports ru_maxrss in KiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def write_distance_csv(sdir: Path, result) -> Path:
@@ -433,18 +448,18 @@ def write_distance_csv(sdir: Path, result) -> Path:
 
 
 def _measure_scenario(config: ExperimentConfig, out: Path, scenario: Scenario, forms,
-                      densities, resume_only: bool, timings: dict) -> tuple:
+                      densities, resume_only: bool, stages: _Stages) -> tuple:
     """(measurement with its distance result, None), or (None, reason).
     The trace lives only in this call, so the caller holds one at a time."""
     trace, why = ensure_trace(config, out, scenario, resume_only)
     if trace is None:
         return None, why
     try:
-        with _timed(timings, "harness"):
+        with stages.timed("harness"):
             m = measure(trace, scenario.index, scenario.amplitude, forms, densities,
                         list(config.harness.q_list))
         if config.distance.enabled:
-            with _timed(timings, "distance"):
+            with stages.timed("distance"):
                 m.distance = distance_fragment(config, trace)
     except (PositivityError, FieldError) as exc:  # a trace that holds no valid metric
         return None, f"measurement failed: {type(exc).__name__}: {exc}"
@@ -474,12 +489,12 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _remove_reports(out)
-    timings: dict = {}
+    stages = _Stages()
     t_start = time.perf_counter()
 
     scenario_rows = []
     try:
-        with _timed(timings, "scenario_generation"):
+        with stages.timed("scenario_generation"):
             scenarios = make_sequence(config.scenario)
     except ScenarioError as exc:
         scenarios = []
@@ -490,24 +505,25 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         sc for sc in scenarios
         if not _has_persisted_trace(scenario_dir(out, sc.index), config.trace_key)
     ]
-    with _timed(timings, "flows"):
+    with stages.timed("flows"):
         flow_errors = _flow_pending(config, pending, out, jobs)
 
     forms = densities = ()  # test forms only for scenarios: a grid too large for one is for both
     if scenarios:
-        with _timed(timings, "harness"):
+        with stages.timed("harness"):
             forms = default_test_forms(
                 config.geometry, count=config.harness.test_forms,
                 max_mode=config.scenario.max_mode, seed=config.harness.form_seed,
             )
-            densities = [pairing_density(form) for _, form in forms]
+            zero = constant_field(config.geometry, 0.0)  # the density of every constant form
+            densities = [zero if form.constant else pairing_density(form) for _, form in forms]
 
     ms = []
     for sc in scenarios:
         sdir = scenario_dir(out, sc.index)
         err = flow_errors.get(sc.index)
         if err is None:
-            m, err = _measure_scenario(config, out, sc, forms, densities, resume_only, timings)
+            m, err = _measure_scenario(config, out, sc, forms, densities, resume_only, stages)
             if m is not None:
                 ms.append(m)
         scenario_rows.append(
@@ -530,13 +546,14 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     any_errors = any(row["status"] != "ok" for row in scenario_rows)
     all_pass = bool(ms) and not any_errors  # an error row is a scenario not checked
     if ms:
-        with _timed(timings, "harness"):
+        with stages.timed("harness"):
             reports, fam = build_reports(ms)
             family = family_summary(ms, fam)
         outputs.extend(emit_outputs(out, reports, family, ms))
         all_pass = all_pass and all(r.all_passed for r in reports) and family_passed(family)
 
-    timings["total"] = time.perf_counter() - t_start
+    stages.timings["total"] = time.perf_counter() - t_start
+    stages.peak_rss_mb["total"] = _peak_rss_mb()
     manifest = RunManifest(
         config_hash=config.config_hash,
         version=__version__,
@@ -545,7 +562,8 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         all_checks_pass=all_pass,
         any_errors=any_errors,
         outputs=sorted(str(p) for p in outputs),
-        timings=timings,
+        timings=stages.timings,
+        peak_rss_mb=stages.peak_rss_mb,
     )
     tfio.write_json_atomic(out / "manifest.json", manifest.as_dict())
     return manifest

@@ -5,6 +5,7 @@ potential, the equation reduces to the heat equation for the flat
 Laplacian, so the mode-(1,0) coefficient must decay like e^{-pi^2 t}.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -358,20 +359,26 @@ def test_transform_budget(monkeypatch, n, N):
 def test_one_det_and_eigenvalue_pass_per_evaluation(monkeypatch, H, pencil):
     """Each evaluation computes det g once and makes one eigenvalue pass over
     the grid, the gate's, plus the pencil det(g - lam H0) when H0 is not the
-    identity; either way the stiffness is that pencil's floor, bit for bit."""
+    identity; either way the stiffness is that pencil's floor, bit for bit.
+    The floor is taken, beside the count, from the coefficients each grid
+    eigenvalue pass receives."""
     from torusflow import geometry
 
-    calls = {"_det": [], "_eigenvalues": []}
-    for name, grid_calls in calls.items():
-        original = getattr(geometry, name)
+    originals = {name: getattr(geometry, name) for name in ("_det", "_eigenvalues")}
+    calls = {name: [] for name in originals}
+    floors = []  # pencil floor of the coefficients of each grid eigenvalue pass
 
-        def counted(v, *args, _calls=grid_calls, _fn=original):
-            if np.ndim(v) > 1:
-                _calls.append(v.shape)
-            return _fn(v, *args)
+    def counted(v, *args, _name):
+        if np.ndim(v) > 1:
+            calls[_name].append(v.shape)
+            if _name == "_eigenvalues":
+                pencil_eig = originals["_eigenvalues"](v, geometry._pack(H), originals["_det"](v))
+                floors.append(float(pencil_eig[0].min()))
+        return originals[_name](v, *args)
 
+    for name in originals:
         for module in (geometry, flow_module):
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, functools.partial(counted, _name=name))
     evaluations = []
     original_evaluate = flow_module._Kernel.evaluate
 
@@ -386,9 +393,35 @@ def test_one_det_and_eigenvalue_pass_per_evaluation(monkeypatch, H, pencil):
     assert len(evaluations) > 5 and None not in evaluations  # no rejection
     assert len(calls["_det"]) == len(evaluations)
     assert len(calls["_eigenvalues"]) == (1 + pencil) * len(evaluations)
+    # an evaluation's passes all receive its coefficients, so any one gives its floor
+    for ev, floor in zip(evaluations, floors[::1 + pencil], strict=True):
+        assert ev.stiffness == 1.0 / floor
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_evaluation_keeps_only_half_spectra(monkeypatch, n):
+    """After run_flow, no evaluation holds an array of the grid's shape or of
+    the packed coefficients' shape: only the half spectra of phi and of the
+    rhs remain, beside the stiffness and the diagnostics readings."""
+    evaluations = []
+    original_evaluate = flow_module._Kernel.evaluate
+
+    def evaluate(self, phi_hat):
+        evaluations.append(original_evaluate(self, phi_hat))
+        return evaluations[-1]
+
+    monkeypatch.setattr(flow_module._Kernel, "evaluate", evaluate)
+    geo = TorusGeometry(n, 8)
+    H = np.eye(n) if n == 1 else np.array([[1.0, 1.0], [1.0, 2.0]])
+    psi = 0.01 * cos_field(geo, 0) + 0.005 * cos_field(geo, 1)
+    run_flow(KahlerMetric(H, psi), FlowConfig(t_end=0.05, snapshot_times=(0.05,)))
+    assert len(evaluations) > 5 and None not in evaluations
+    half = geo.dealias_keep.shape
     for ev in evaluations:
-        floor = geometry._eigenvalues(ev.coeffs, geometry._pack(H))[0].min()
-        assert ev.stiffness == 1.0 / float(floor)
+        held = [getattr(ev, name) for name in ev.__slots__] + list(ev.readings)
+        shapes = [a.shape for a in held if isinstance(a, np.ndarray)]
+        assert shapes == [half, half]
+        assert geo.shape not in shapes and (n * n,) + geo.shape not in shapes
 
 
 def test_transform_module_is_chosen_by_grid_rank():

@@ -24,6 +24,7 @@ from torusflow import (
     KahlerMetric,
     MetricGraph,
     PositivityError,
+    ProjectionError,
     ScalarField,
     TestForm,
     TorusGeometry,
@@ -543,6 +544,40 @@ def test_projection_preserves_hessian_identity(geo2):
     flat, u = harmonic_projection(m)
     target = flat.H - _matrices(assemble(m).values)
     assert np.abs(_matrices(complex_hessian(u).values) - target).max() < 1e-10
+
+
+def _field_not_of_potential_form(geo, case):
+    """(field, tol, residual) for harmonic_projection.  At n = 1 every field
+    is its mean plus a potential's Hessian, so only the rounding residual is
+    left, and tol = 0 is below it.  At n = 2, g_{1 1bar} varying along z2
+    alone leaves a on both diagonal entries, and an off-diagonal entry
+    (1 + i) b cos(2 pi x) with a constant diagonal leaves sqrt(2) b."""
+    if case == "n1":
+        rng = np.random.default_rng(3)
+        return HermitianField(geo, 2.0 + 0.1 * rng.standard_normal((1,) + geo.shape)), 0.0, None
+    v = np.zeros((4,) + geo.shape)
+    v[0] = v[3] = 1.0
+    wave = np.cos(2.0 * np.pi * geo.coordinate(2 if case == "n2_diagonal" else 0))
+    if case == "n2_diagonal":
+        v[0] += 0.1 * wave
+        return HermitianField(geo, v), 1e-6, 0.1
+    v[1] = v[2] = 0.1 * wave
+    return HermitianField(geo, v), 1e-6, 0.1 * math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("case", ["n1", "n2_diagonal", "n2_off_diagonal"])
+def test_projection_rejects_a_field_not_of_potential_form(case):
+    """The Hessian-identity residual can fail, and it is the largest modulus
+    of an entry of d dbar u - (flat.H - g): at n = 2, |d0|, |d3| or
+    |d1 + i d2|."""
+    geo = TorusGeometry(1 if case == "n1" else 2, 8)
+    g, tol, residual = _field_not_of_potential_form(geo, case)
+    with pytest.raises(ProjectionError, match="not of potential form") as err:
+        harmonic_projection(g, tol=tol)
+    if residual is None:
+        harmonic_projection(g)  # the rounding residual passes the default tol
+    else:
+        assert f"residual {residual:.3e} exceeds" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

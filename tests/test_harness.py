@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
+
+from conftest import cos_field
 
 from torusflow import (
     FlowConfig,
@@ -314,6 +317,29 @@ def test_measure_assembles_off_grid_final_state(monkeypatch):
     m, count = _measure_assemblies(tr, sc, monkeypatch)
     assert count == 1 + len(tr.snapshots) == 4
     _assert_final_pairings(m, tr)
+
+
+def test_measure_holds_one_assembly_at_a_time(monkeypatch):
+    """At n = 2, `measure` reads g0 before it assembles the snapshots: no
+    field that `assemble` returned is alive when the next one is made."""
+    geo = TorusGeometry(2, 8)
+    psi = 0.01 * cos_field(geo, 0) + 0.005 * cos_field(geo, 3)
+    trace = run_flow(KahlerMetric(np.eye(2), psi),
+                     FlowConfig(t_end=0.05, snapshot_times=(0.01, 0.02)))
+    assembled = []
+    live_at_assembly = []
+
+    def tracked(metric):
+        live_at_assembly.append(sum(ref() is not None for ref in assembled))
+        g = assemble(metric)
+        assembled.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(harness, "assemble", tracked)
+    forms = default_test_forms(geo, max_mode=2)
+    measure(trace, 4, 0.0, forms, [pairing_density(form) for _, form in forms], [2.0, 3.0])
+    assert len(assembled) == 1 + len(trace.snapshots) == 4
+    assert live_at_assembly == [0, 0, 0, 0]
 
 
 def test_check_result_serialization(reported_family):

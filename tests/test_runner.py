@@ -645,6 +645,16 @@ def test_calibrated_pipeline_with_distance(calib_run):
     assert consts["flat_floor_constant"] > 0
 
 
+def test_manifest_records_peak_rss_per_stage(calib_run):
+    """peak_rss_mb sits beside timings, keyed like it, total included, and a
+    stage's peak never exceeds the run's."""
+    _, out, manifest = calib_run
+    peaks = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+    assert peaks == manifest.peak_rss_mb
+    assert set(peaks) == set(manifest.timings) >= {"flows", "harness", "distance", "total"}
+    assert all(0.0 < mb <= peaks["total"] for mb in peaks.values())
+
+
 def test_distance_artifacts(calib_run):
     cfg, out, _ = calib_run
     for i in (1, 4, 16):
@@ -883,6 +893,30 @@ def test_one_loaded_trace_at_a_time(tmp_path, monkeypatch):
         manifest = run_experiment(cfg, tmp_path, resume_only=resume_only)
         assert exit_code_of(manifest) == EXIT_OK
         assert len(loaded) == 3
+
+
+def test_constant_forms_share_one_factor_and_one_density(tmp_path, monkeypatch):
+    """At n = 2 the five constant test forms share one all-ones factor, and
+    their densities one zero field; each random form has its own."""
+    seen = []
+    original = runner.measure
+
+    def capture(trace, index, amplitude, forms, densities, q_list):
+        seen.append((forms, densities))
+        return original(trace, index, amplitude, forms, densities, q_list)
+
+    monkeypatch.setattr(runner, "measure", capture)
+    cfg = config_from_dict(json.loads(json.dumps(N2_FLAT_DICT)))
+    assert exit_code_of(run_experiment(cfg, tmp_path)) == EXIT_OK
+    forms, densities = seen[0]
+    assert all(f is forms and d is densities for f, d in seen)
+    constant = [(form.f.values, dens) for (label, form), dens in zip(forms, densities)
+                if label.startswith("const")]
+    assert len(constant) == 5
+    assert all(f is constant[0][0] and np.all(f == 1.0) for f, _ in constant)
+    assert all(d is constant[0][1] and not np.any(d.values) for _, d in constant)
+    random = [dens for (label, _), dens in zip(forms, densities) if label.startswith("rand")]
+    assert len(random) == 2 and all(np.any(d.values) for d in random)
 
 
 def _write_nonpositive_snapshot(trace_dir):
