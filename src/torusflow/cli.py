@@ -4,7 +4,8 @@ Subcommands: run (full pipeline), flow (integrate the first scenario),
 project (harmonic projection of the first scenario), distance (query
 battery on the first scenario's trace), check (harness on persisted
 traces only).  Exit codes: 0 all pass, 1 check failures, 2 scenario
-errors, 3 config errors.
+errors, 3 config errors.  A run or check that does not pass prints each
+failing row of every measured scenario's checks.csv.
 
 Importing the package loads no scipy.  Each command, once its config is
 parsed, imports the scipy stacks that config runs (`_load_back_ends`), so
@@ -31,6 +32,7 @@ from .runner import (
     ConfigError,
     ensure_trace,
     exit_code_of,
+    failed_checks,
     first_scenario,
     parse_config,
     run_experiment,
@@ -114,6 +116,9 @@ def _cmd_run(args, resume_only: bool = False) -> int:
     manifest = run_experiment(config, out, jobs=max(1, args.jobs), resume_only=resume_only)
     for row in manifest.scenarios:
         print(f"scenario i={row.get('index', '?')}: {_row_text(row, resume_only)}")
+        if row["status"] == "ok" and not manifest.all_checks_pass:
+            for name, slack, tolerance in failed_checks(scenario_dir(out, row["index"])):
+                print(f"  check {name} failed: slack {slack}, tolerance {tolerance}")
     verdict = "PASS" if manifest.all_checks_pass else "FAIL"
     print(f"checks: {verdict}; manifest: {out / 'manifest.json'}")
     return exit_code_of(manifest)

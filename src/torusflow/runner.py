@@ -17,7 +17,12 @@ A run directory looks like
 
 Re-running with the same config resumes from persisted traces (matching
 trace_key) and regenerates everything downstream, byte-identically apart
-from the manifest's timings and peak RSS.
+from the manifest's timings and peak RSS.  It also resumes the family:
+when the manifest it replaces recorded a completed run of the same config
+(same config_hash, one well-formed row per index), `check` and `run` take
+each scenario from its row (`scenarios.rebuild_sequence`) instead of
+calibrating again; otherwise `make_sequence` calibrates as on a fresh
+directory.
 
 Scenarios are measured one at a time: each trace is loaded, measured,
 given its distance result and released before the next is loaded.  A
@@ -42,13 +47,12 @@ scenario seed, q_list and distance.enabled.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
 import resource
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -61,7 +65,8 @@ from .geometry import PositivityError, pairing_density
 from .harness import (HarnessConfig, build_reports, default_test_forms, family_columns,
                       family_passed, family_summary, measure)
 from .distances import DISTANCE_COLUMNS, DistanceConfig, battery_config_errors, distance_fragment
-from .scenarios import Scenario, ScenarioError, ScenarioSpec, make_sequence
+from .scenarios import (SCENARIO_FIELDS, Scenario, ScenarioError, ScenarioSpec, make_sequence,
+                        rebuild_sequence)
 
 __all__ = [
     "ConfigError",
@@ -76,6 +81,7 @@ __all__ = [
     "run_experiment",
     "emit_outputs",
     "exit_code_of",
+    "failed_checks",
 ]
 
 
@@ -469,10 +475,14 @@ def _measure_scenario(config: ExperimentConfig, out: Path, scenario: Scenario, f
 def _flow_pending(config: ExperimentConfig, pending: list, out: Path, jobs: int) -> dict:
     """Index -> _flow_one's result per pending scenario.  The pool forks all
     its workers at once, so it gets no more than there are flows, and each
-    result is read on its own: a dead worker fails each unfinished flow."""
+    result is read on its own: a dead worker fails each unfinished flow.
+    The pool's modules are imported only when there is a pool."""
     workers = min(jobs, len(pending))
     if workers <= 1:
         return {sc.index: _flow_one(config, sc, out) for sc in pending}
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     errors = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for sc, future in [(sc, pool.submit(_flow_one, config, sc, out)) for sc in pending]:
@@ -485,9 +495,12 @@ def _flow_pending(config: ExperimentConfig, pending: list, out: Path, jobs: int)
 
 def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
                    resume_only: bool = False) -> RunManifest:
-    """Full pipeline; with resume_only no flow is computed, only reloaded."""
+    """Full pipeline; with resume_only no flow is computed, only reloaded.
+    The family is the one the replaced manifest recorded for this config,
+    or calibrated when there is none."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    recorded = _recorded_scenarios(out, config)
     _remove_reports(out)
     stages = _Stages()
     t_start = time.perf_counter()
@@ -495,7 +508,8 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     scenario_rows = []
     try:
         with stages.timed("scenario_generation"):
-            scenarios = make_sequence(config.scenario)
+            scenarios = (rebuild_sequence(config.scenario, recorded)
+                         or make_sequence(config.scenario))
     except ScenarioError as exc:
         scenarios = []
         scenario_rows.append({"status": "error", "error": f"scenario generation failed: {exc}"})
@@ -531,11 +545,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
                 "index": sc.index,
                 "status": "ok" if err is None else "error",
                 "error": err,
-                "amplitude": sc.amplitude,
-                "curvature_floor": sc.curvature_floor,
-                "volume": sc.volume,
-                "trace_norm": sc.trace_norm,
-                "positive_part_budget": sc.positive_part_budget,
+                **{name: getattr(sc, name) for name in SCENARIO_FIELDS},
                 "trace_dir": str(sdir / "trace"),
                 "report": str(sdir / "report.json"),
             }
@@ -569,6 +579,18 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     return manifest
 
 
+def _recorded_scenarios(out: Path, config: ExperimentConfig):
+    """The scenario rows of the manifest in out if it records this config,
+    else None; a manifest that is missing or unreadable is None too."""
+    try:
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError):  # ValueError: not JSON, or not UTF-8
+        return None
+    if not isinstance(manifest, dict) or manifest.get("config_hash") != config.config_hash:
+        return None
+    return manifest.get("scenarios")
+
+
 def exit_code_of(manifest: RunManifest) -> int:
     if manifest.any_errors:
         return EXIT_SCENARIO_ERROR
@@ -592,6 +614,15 @@ def _remove_reports(out: Path) -> None:
         paths += out.glob(f"scenario_i*/{name}")
     for path in paths:
         path.unlink(missing_ok=True)
+
+
+def failed_checks(sdir: Path) -> list:
+    """(check, slack, tolerance) of each failing row of a scenario's
+    checks.csv, as emit_outputs writes them."""
+    with open(Path(sdir) / "checks.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return [(name, slack, tolerance) for name, slack, tolerance, passed in rows
+            if passed != "true"]
 
 
 def emit_outputs(out: Path, reports, summary, ms) -> list:

@@ -19,6 +19,11 @@ as a calibration of its own.
 A flat family (ScenarioSpec.flat) is the background itself at every
 index, with amplitude 0: no shape is drawn and no curvature probed.
 Calibrated or flat, every index passes the same admission gates.
+
+A family a completed run recorded (its SCENARIO_FIELDS per index) is
+rebuilt by rebuild_sequence without a probe: the shape is drawn again and
+scaled by each recorded amplitude, which gives the same metric bits as
+the calibration that recorded it.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ __all__ = [
     "Scenario",
     "calibrate_amplitude",
     "make_sequence",
+    "rebuild_sequence",
+    "SCENARIO_FIELDS",
 ]
 
 MAX_EVALS = 60
@@ -126,6 +133,11 @@ class Scenario:
     volume: float
     trace_norm: float
     positive_part_budget: float  # int max(R,0) det g / int det g
+
+
+# the readings a Scenario carries beside its index and metric: the fields of
+# a manifest's scenario row, and all rebuild_sequence needs to restore one
+SCENARIO_FIELDS = ("amplitude", "curvature_floor", "volume", "trace_norm", "positive_part_budget")
 
 
 def _floor_of(shape: ScalarField, H0: np.ndarray, amplitude: float):
@@ -250,4 +262,34 @@ def make_sequence(spec: ScenarioSpec) -> list:
         geo = spec.geometry
         raise ScenarioError(
             f"n={geo.n}, N={geo.N}: the grid is too large to allocate: {exc}") from exc
+    return out
+
+
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def rebuild_sequence(spec: ScenarioSpec, rows) -> list | None:
+    """The family a completed run of spec recorded, or None.
+
+    rows are that run's manifest scenario rows: exactly one per index of
+    spec, in order, each with every SCENARIO_FIELDS value a finite number;
+    anything else is None.  Each metric is H0 + a d dbar psi on the
+    family's one shape at the recorded amplitude a (the background for a
+    flat family), the metric make_sequence built, so no curvature is
+    probed and no gate read again."""
+    if not (isinstance(rows, list) and len(rows) == len(spec.indices)):
+        return None
+    for row, i in zip(rows, spec.indices):
+        if not (isinstance(row, dict) and type(row.get("index")) is int and row["index"] == i
+                and all(_finite(row.get(name)) for name in SCENARIO_FIELDS)):
+            return None
+    geo, H0 = spec.geometry, spec.background
+    flat = FlatMetric(H0, geo).as_metric() if spec.flat else None
+    shape = None if spec.flat else random_band_limited(spec.seed, spec.max_mode, geo)
+    out = []
+    for row in rows:
+        values = {name: float(row[name]) for name in SCENARIO_FIELDS}
+        metric = flat if spec.flat else KahlerMetric(H0, shape * values["amplitude"])
+        out.append(Scenario(index=row["index"], metric=metric, **values))
     return out

@@ -1,6 +1,9 @@
 """tools/ab_pairs.py: the gain rule on fixed numbers; no benchmark runs."""
 
 import importlib.util
+import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -47,3 +50,28 @@ def test_directory_without_the_benchmark_is_refused(ab_pairs, tmp_path, monkeypa
     monkeypatch.setattr(ab_pairs.subprocess, "run", run)
     assert ab_pairs.main([str(ROOT), str(tmp_path), "--workload", "flow-n2-N16"]) == 2
     assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_both_sides_share_one_bytecode_cache_of_their_own(ab_pairs, monkeypatch, capsys):
+    """Every child of both sides runs with one bytecode-cache prefix,
+    empty before the first and written to (no checkout's __pycache__ is
+    read or written), and the tool removes it at exit."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    line = json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                       "metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}})
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    seen = []
+
+    def run(command, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cache, list(cache.iterdir()), "PYTHONDONTWRITEBYTECODE" in env))
+        assert env["PATH"] == os.environ["PATH"]
+        (cache / f"written_{len(seen)}").touch()  # a child compiles into the cache
+        return subprocess.CompletedProcess(command, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", run)
+    assert ab_pairs.main([str(ROOT), str(ROOT), "--workload", "check-n2-N16", "--pairs", "2"]) == 0
+    cache = seen[0][0]
+    assert [(c, len(listed), no_write) for c, listed, no_write in seen] == \
+        [(cache, k, False) for k in range(4)]
+    assert not cache.exists()

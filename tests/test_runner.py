@@ -1,5 +1,6 @@
 """Experiment runner: config strictness, pipeline artifacts, resume, CLI."""
 
+import concurrent.futures
 import gc
 import json
 import math
@@ -24,7 +25,8 @@ from torusflow.cli import (
     EXIT_SCENARIO_ERROR,
     main,
 )
-from torusflow import FlowConfig, ProjectionError, ScalarField, cli, distances, harness, runner
+from torusflow import (FlowConfig, ProjectionError, ScalarField, cli, distances, harness, runner,
+                       scenarios)
 from torusflow.distances import FLAT_TOL, DistanceConfig
 from torusflow import io as tfio
 from torusflow.io import load_field, save_field
@@ -838,7 +840,7 @@ def test_flow_pool_has_no_more_workers_than_flows(tmp_path, monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     cfg = config_from_dict(json.loads(json.dumps(FLAT_DICT)))
     assert exit_code_of(run_experiment(cfg, tmp_path, jobs=64)) == EXIT_OK
     assert pools == [2]
@@ -1047,6 +1049,153 @@ def test_no_report_outlives_the_run_that_replaced_it(second, code, stale, reflow
     assert _report_files(out) == {*manifest["outputs"], str(out / "manifest.json")}
     assert not any((out / name).exists() for name in stale)
     assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in kept} == stored
+
+
+# ---------------------------------------------------------------------------
+# a completed run's manifest holds the family: check and a resumed run
+# rebuild it from there instead of calibrating again
+
+
+@pytest.fixture
+def calibrations(monkeypatch):
+    """Every calibrate_amplitude call make_sequence makes."""
+    calls = []
+    calibrate = scenarios.calibrate_amplitude
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "calibrate_amplitude", spy)
+    return calls
+
+
+def _files(out):
+    """Relative path -> bytes of every file of a run directory but its manifest."""
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+
+
+def _scenario_rows(out):
+    """The manifest's scenario rows without their paths."""
+    rows = json.loads((out / "manifest.json").read_text())["scenarios"]
+    return [{k: v for k, v in row.items() if k not in ("trace_dir", "report")} for row in rows]
+
+
+def _copy_run(run, tmp_path):
+    """(the fixture run's directory, a copy of it to run in)."""
+    first = run[1]
+    shutil.copytree(first, tmp_path / "run")
+    return first, tmp_path / "run"
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_completed_run_resumes_its_family_without_calibrating(
+        command, calib_run, calib_cfg_file, calibrations, tmp_path, capsys):
+    """check and a resumed run take each scenario from the manifest they
+    replace: no curvature probe, and every file they write is the first
+    run's, byte for byte, as are the manifest's scenario rows."""
+    first, out = _copy_run(calib_run, tmp_path)
+    assert main([command, "--config", str(calib_cfg_file), "--out", str(out)]) == EXIT_OK
+    assert calibrations == []
+    assert _files(out) == _files(first)
+    assert _scenario_rows(out) == _scenario_rows(first)
+
+
+def test_resumed_run_flows_a_deleted_trace_again_from_the_recorded_family(
+        calib_run, calib_cfg_file, calibrations, tmp_path, capsys):
+    first, out = _copy_run(calib_run, tmp_path)
+    shutil.rmtree(out / "scenario_i004" / "trace")
+    assert main(["run", "--config", str(calib_cfg_file), "--out", str(out)]) == EXIT_OK
+    assert calibrations == []
+    assert (out / "scenario_i004" / "trace" / "meta.json").exists()
+    assert _files(out) == _files(first)
+
+
+def _edit_manifest(edit):
+    def apply(out):
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+    return apply
+
+
+def _set_row(key, value):
+    return _edit_manifest(lambda m: m["scenarios"][1].update({key: value}))
+
+
+MANIFEST_FALLBACKS = {
+    "no manifest": lambda out: (out / "manifest.json").unlink(),
+    "invalid JSON": lambda out: (out / "manifest.json").write_text('{"config_hash": '),
+    "not UTF-8": lambda out: (out / "manifest.json").write_bytes(b"\xff\xfe{}"),
+    "not an object": lambda out: (out / "manifest.json").write_text("[]"),
+    "another hash": _edit_manifest(lambda m: m.update(config_hash="0" * 64)),
+    "generation failure row": _edit_manifest(lambda m: m.update(
+        scenarios=[{"status": "error", "error": "scenario generation failed: x"}])),
+    "missing row": _edit_manifest(lambda m: m["scenarios"].pop()),
+    "rows out of order": _edit_manifest(lambda m: m["scenarios"].reverse()),
+    "float index": _set_row("index", 4.0),
+    "missing value": _edit_manifest(lambda m: m["scenarios"][1].pop("volume")),
+    "string amplitude": _set_row("amplitude", "0.01"),
+    "null budget": _set_row("positive_part_budget", None),
+    "boolean floor": _set_row("curvature_floor", True),
+    "infinite trace norm": _set_row("trace_norm", math.inf),
+    "NaN amplitude": _set_row("amplitude", math.nan),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("case", list(MANIFEST_FALLBACKS))
+def test_manifest_that_records_no_family_of_this_config_is_recalibrated(
+        case, command, calib_run, calib_cfg_file, calibrations, tmp_path, capsys):
+    """Without a manifest of the same config holding one well-formed row
+    per index, the family is calibrated as on a fresh directory: no error
+    row, the same exit code and the same files."""
+    first, out = _copy_run(calib_run, tmp_path)
+    MANIFEST_FALLBACKS[case](out)
+    assert main([command, "--config", str(calib_cfg_file), "--out", str(out)]) == EXIT_OK
+    assert len(calibrations) == 3
+    assert _files(out) == _files(first)
+    assert _scenario_rows(out) == _scenario_rows(first)
+
+
+def test_seed_override_recalibrates_and_finds_no_trace(calib_run, calib_cfg_file, calibrations,
+                                                       tmp_path, capsys):
+    """check --seed names another config: its family is calibrated, and
+    the traces of the stored one are not its own."""
+    _, out = _copy_run(calib_run, tmp_path)
+    code = main(["check", "--config", str(calib_cfg_file), "--out", str(out), "--seed", "12"])
+    assert code == EXIT_SCENARIO_ERROR
+    assert len(calibrations) == 3
+    assert [row["error"] for row in json.loads((out / "manifest.json").read_text())["scenarios"]] \
+        == ["no persisted trace for this config; run the full pipeline first"] * 3
+
+
+def test_flat_family_round_trips_through_the_manifest(flat_run, flat_cfg_file, tmp_path, capsys):
+    first, out = _copy_run(flat_run, tmp_path)
+    for command in ("check", "run"):
+        assert main([command, "--config", str(flat_cfg_file), "--out", str(out)]) == EXIT_OK
+        assert _files(out) == _files(first)
+        assert _scenario_rows(out) == _scenario_rows(first)
+
+
+def test_check_prints_each_failing_check(flat_run, flat_cfg_file, tmp_path, monkeypatch, capsys):
+    """A failing check names itself with its slack and tolerance, as in
+    checks.csv; a passing one prints nothing."""
+    _, out = _copy_run(flat_run, tmp_path)
+    monkeypatch.setattr(harness, "IDENTITY_TOL", -1.0)
+    code = main(["check", "--config", str(flat_cfg_file), "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_CHECK_FAIL
+    for i in (1, 4):
+        slack = next(row.split(",")[1] for row in
+                     (out / f"scenario_i{i:03d}" / "checks.csv").read_text().splitlines()
+                     if row.startswith("weak_convergence,"))
+        assert float(slack) < 0
+        assert lines[lines.index(f"scenario i={i}: checked") + 1] == \
+            f"  check weak_convergence failed: slack {slack}, tolerance 0.0"
+    assert sum(" failed: slack " in line for line in lines) == 2
 
 
 def test_cli_distance_reports_a_nonpositive_snapshot(tmp_path, capsys):
@@ -1362,6 +1511,15 @@ def test_importing_the_cli_loads_no_scipy():
                    "import torusflow.cli\n"
                    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     assert proc.stdout.split() == ["[]"]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The flow pool's modules load only when a run forks workers (--jobs > 1)."""
+    proc = _python("import sys\n"
+                   "import torusflow.cli\n"
+                   "print('concurrent.futures.process' in sys.modules, "
+                   "'multiprocessing' in sys.modules)\n")
+    assert proc.stdout.split() == ["False", "False"]
 
 
 # stops `run` where its pipeline would start and prints which stacks set-up loaded

@@ -12,17 +12,30 @@ and quartiles over the pairs, the pairs the change won (ties count for
 neither side), and whether a gain holds: the change wins at least nine
 tenths of the pairs, and the medians differ in its favour by more than
 the distance between the parent's quartiles.  It also prints each side's
-failed and attempted child processes.  It edits no file; run.py makes
-and removes its own work directory in each checkout as in any run.
+failed and attempted child processes.
+
+Both sides share one bytecode cache of the script's own: every child
+runs with PYTHONPYCACHEPREFIX set to a temporary directory, empty at the
+start and removed at exit, with bytecode writing on.  Neither side reads
+a checkout's __pycache__, warm or cold, and each module is compiled once,
+by the first child that imports it.  Writing stays on because a cache
+that is never written makes every child compile numpy and scipy from
+source: on a 2-core host the host probe then takes about 2.5 s in place
+of 0.75 s, and run.py's host-speed scale, taken from the probe, shrinks
+every time metric about threefold.  It edits no file in either checkout;
+run.py makes and removes its own work directory in each checkout as in
+any run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,9 +59,9 @@ def summarize(parent: list, change: list, better: str) -> dict:
     }
 
 
-def run_once(checkout: Path, command: list) -> dict:
+def run_once(checkout: Path, command: list, env: dict) -> dict:
     """The result line of one benchmark run in a checkout."""
-    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(command)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
@@ -93,11 +106,14 @@ def main(argv=None) -> int:
     command = spec["command"] + ["--workload", args.workload, "--seed", str(args.seed),
                                  "--seconds", str(spec["run_seconds"]), "--trace", "0"]
     runs = {side: [] for side in SIDES}
-    for i in range(args.pairs):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            runs[side].append(run_once(checkouts[side], command))
-            values = {k: round(v["value"], 4) for k, v in runs[side][-1]["metrics"].items()}
-            print(f"pair {i + 1} {side}: {values}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_pycache_") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        for i in range(args.pairs):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                runs[side].append(run_once(checkouts[side], command, env))
+                values = {k: round(v["value"], 4) for k, v in runs[side][-1]["metrics"].items()}
+                print(f"pair {i + 1} {side}: {values}", flush=True)
     print("\n".join(report(spec["end_to_end"], runs)))
     return 0
 
