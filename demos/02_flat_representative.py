@@ -15,7 +15,6 @@ from torusflow import (
     ScalarField,
     TorusGeometry,
     harmonic_projection,
-    ricci,
     scalar_curvature,
     volume,
 )
@@ -33,7 +32,7 @@ print(f"  scalar curvature range: [{scalar_curvature(metric).min():+.4f}, "
 flat, u = harmonic_projection(metric)
 
 print(f"flat representative: H_flat = {flat.H[0, 0].real:.12f}")
-print(f"  max |Ricci| = {np.abs(ricci(flat).values).max():.3e}")
+print(f"  max |R| = {np.abs(scalar_curvature(flat.as_metric()).values).max():.3e}")
 print(f"  volume in = {volume(metric):.12f}, volume out = {volume(flat):.12f}")
 print(f"  potential gauge: max u = {u.values.max():+.3e} (zero by convention)")
 print(f"  sup |u| = {np.abs(u.values).max():.6f}")

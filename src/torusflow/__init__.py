@@ -30,12 +30,10 @@ from .geometry import (
     ProjectionError,
     TestForm,
     assemble,
-    eigenvalue_range,
     harmonic_projection,
     min_eigenvalue,
     pair_test_form,
     pairing_density,
-    ricci,
     riemann_norm,
     scalar_curvature,
     trace_wrt,
@@ -48,7 +46,6 @@ from .flow import (
     FlowState,
     FlowTrace,
     StepDiagnostics,
-    dot_phi,
     run_flow,
 )
 from .scenarios import (
@@ -74,7 +71,6 @@ from .distances import (
     MetricGraph,
     check_distance_estimate,
     flat_accuracy_battery,
-    flat_distance_exact,
     primitive_offsets,
     random_queries,
 )
@@ -94,18 +90,17 @@ __all__ = [
     "constant_field", "flat_laplacian", "integrate",
     "lp_norm", "random_band_limited", "truncate_modes",
     "FlatMetric", "HermitianField", "KahlerMetric", "PositivityError",
-    "ProjectionError", "TestForm", "assemble", "eigenvalue_range",
-    "harmonic_projection", "min_eigenvalue", "pair_test_form",
-    "pairing_density", "ricci", "riemann_norm", "scalar_curvature",
-    "trace_wrt", "volume", "volume_density",
+    "ProjectionError", "TestForm", "assemble", "harmonic_projection",
+    "min_eigenvalue", "pair_test_form", "pairing_density", "riemann_norm",
+    "scalar_curvature", "trace_wrt", "volume", "volume_density",
     "FlowConfig", "FlowFailure", "FlowState", "FlowTrace",
-    "StepDiagnostics", "dot_phi", "run_flow",
+    "StepDiagnostics", "run_flow",
     "BracketFailure", "Scenario", "ScenarioError", "ScenarioSpec",
     "ZeroShape", "calibrate_amplitude", "make_sequence",
     "CheckResult", "EstimateReport", "build_reports", "check_scalar_floor",
     "default_test_forms", "family_summary", "fit_rate", "measure",
     "MetricGraph", "check_distance_estimate", "flat_accuracy_battery",
-    "flat_distance_exact", "primitive_offsets", "random_queries",
+    "primitive_offsets", "random_queries",
     "load_field", "load_trace", "save_field", "save_trace",
     "ConfigError", "ExperimentConfig", "RunManifest",
     "config_from_dict", "exit_code_of", "parse_config", "run_experiment",

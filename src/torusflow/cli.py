@@ -34,6 +34,7 @@ from .runner import (
     exit_code_of,
     failed_checks,
     first_scenario,
+    output_dir,
     parse_config,
     run_experiment,
     scenario_dir,
@@ -60,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the global seed")
-        p.add_argument("--jobs", type=int, default=1, help="scenario-level workers")
+        if name in ("run", "check"):  # the commands that flow a family
+            p.add_argument("--jobs", type=int, default=1, help="scenario-level workers")
     return parser
 
 
@@ -93,6 +95,7 @@ def _first_scenario(config):
 
 def _first_trace(config, out: Path) -> tuple:
     """(scenario, trace) of the first scenario, flowed first if no trace is stored."""
+    output_dir(out)  # run_experiment makes it for run and check
     scenario = _first_scenario(config)
     trace, why = ensure_trace(config, out, scenario)
     if trace is None:
@@ -140,6 +143,7 @@ def _cmd_flow(args) -> int:
 def _cmd_project(args) -> int:
     config = parse_config(args.config, args.seed)
     _load_back_ends(config, graphs=False)
+    out = output_dir(args.out) if args.out else None
     scenario = _first_scenario(config)
     g = assemble(scenario.metric)  # the projection and the volume share one assembly
     try:
@@ -151,9 +155,7 @@ def _cmd_project(args) -> int:
     print(f"  H_flat = {np.array2string(flat.H, precision=12)}")
     print(f"  sup|u| = {sup_u:.12g}   min R = {scenario.curvature_floor:.6g}")
     print(f"  volume: input {volume(g):.12g}, flat {volume(flat):.12g}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         tfio.save_field(u, out / "flat_potential.tkrf")
         tfio.write_json_atomic(out / "flat_metric.json", {"H": tfio._matrix_json(flat.H)})
         print(f"  wrote {out / 'flat_potential.tkrf'} and {out / 'flat_metric.json'}")

@@ -70,7 +70,6 @@ __all__ = [
     "MAX_GRAPH_EDGES",
     "stencil_edges",
     "MetricGraph",
-    "flat_distance_exact",
     "random_queries",
     "flat_accuracy_battery",
     "check_distance_estimate",
@@ -254,22 +253,6 @@ def _flat_distances(mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray
     d = (y - x)[:, None, :] + shifts
     q = 2.0 * _quadratic_form(_pack(mat), np.moveaxis(d[..., 0::2] + 1j * d[..., 1::2], -1, 0))
     return np.sqrt(np.maximum(q.min(axis=-1), 0.0))
-
-
-def flat_distance_exact(flat: FlatMetric, x, y) -> float:
-    """Flat-torus distance: min over lattice shifts in {-1,0,1}^{2n}.
-
-    x, y are real coordinate vectors in the unit cell (grid indices / N
-    work after dividing by N).
-    """
-    if not isinstance(flat, FlatMetric):
-        raise TypeError(f"expected a FlatMetric, got {type(flat).__name__}")
-    n = flat.n
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (2 * n,) or y.shape != (2 * n,):
-        raise ValueError(f"points must have {2 * n} real coordinates")
-    return float(_flat_distances(flat.H, x[None], y[None])[0])
 
 
 @lru_cache(maxsize=8)

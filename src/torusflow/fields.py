@@ -261,12 +261,6 @@ class ScalarField:
             return NotImplemented
         return ScalarField(self.geometry, self.values - v)
 
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ScalarField(self.geometry, v - self.values)
-
     def __mul__(self, other):
         v = self._coerce(other)
         if v is NotImplemented:
@@ -274,9 +268,6 @@ class ScalarField:
         return ScalarField(self.geometry, self.values * v)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScalarField(self.geometry, -self.values)
 
     def min(self) -> float:
         return float(self.values.min())

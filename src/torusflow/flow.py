@@ -91,7 +91,6 @@ from .geometry import (
     _volume,
     assemble,
     harmonic_projection,
-    log_det_field,
 )
 
 __all__ = [
@@ -100,7 +99,6 @@ __all__ = [
     "FlowTrace",
     "StepDiagnostics",
     "FlowFailure",
-    "dot_phi",
     "run_flow",
 ]
 
@@ -158,8 +156,8 @@ class FlowState:
     phi is the full potential with its mean kept: the metric ignores an
     additive constant, but the potential bound sup|phi| and the pairing
     gaps do not.  metric() hands it to KahlerMetric, the one place that
-    removes a mean.  The rate d phi/dt is not stored; dot_phi derives it
-    from metric().
+    removes a mean.  The rate d phi/dt is not stored; the step
+    diagnostics keep its extremes.
     """
 
     base: KahlerMetric
@@ -317,19 +315,6 @@ class _Kernel:
     def state(self, t: float, ev: _Evaluation) -> FlowState:
         geo = self.geometry
         return FlowState(self.base, t, ScalarField(geo, _irfft(geo, ev.phi_hat)))
-
-
-def dot_phi(state: FlowState, alpha: FlatMetric | None = None, dealias: bool = False) -> ScalarField:
-    """log(det g(t) / det H_alpha) for the state's current metric.
-
-    With alpha omitted the constant representative of the state's own
-    class is used, which is the flow's stationary normalization.  Raises
-    PositivityError where the metric is not positive.
-    """
-    if alpha is None:
-        alpha, _ = harmonic_projection(state.base)
-    g = assemble(state.metric())
-    return _rhs_field(g.geometry, log_det_field(g).values, alpha, dealias)
 
 
 def _step(kernel: _Kernel, t: float, ev: _Evaluation, t_next: float):

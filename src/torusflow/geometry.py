@@ -50,11 +50,8 @@ __all__ = [
     "TestForm",
     "assemble",
     "inverse_field",
-    "eigenvalue_range",
     "min_eigenvalue",
-    "log_det_field",
     "volume",
-    "ricci",
     "scalar_curvature",
     "scalar_curvature_of",
     "riemann_norm",
@@ -128,10 +125,6 @@ class FlatMetric:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "H", _check_background(self.H, self.geometry.n))
-
-    @property
-    def n(self) -> int:
-        return self.geometry.n
 
     def as_metric(self) -> KahlerMetric:
         return KahlerMetric(self.H, constant_field(self.geometry, 0.0))
@@ -314,13 +307,6 @@ def assemble(metric: KahlerMetric) -> HermitianField:
     return out
 
 
-def eigenvalue_range(metric) -> tuple:
-    """(min, max) eigenvalue over the grid; closed form for n <= 2."""
-    _, v = _coefficients(metric)
-    eig = _eigenvalues(v)
-    return float(eig[0].min()), float(eig[-1].max())
-
-
 def min_eigenvalue(metric) -> float:
     return float(_eigenvalues(_coefficients(metric)[1])[0].min())
 
@@ -334,25 +320,12 @@ def inverse_field(g: HermitianField) -> np.ndarray:
     return np.stack([v[3] / det, -v[1] / det, -v[2] / det, v[0] / det])
 
 
-def log_det_field(g: HermitianField) -> ScalarField:
-    """log det g as a sum of eigenvalue logs, which avoids cancellation."""
-    return ScalarField(g.geometry, _log_det(_positive_eigenvalues(g.values)))
-
-
 def volume(metric) -> float:
     """int omega^n = 2^n n! int det(g) dLeb; requires positivity."""
     _, v = _coefficients(metric)
     det = _det(v)
     _positive_eigenvalues(v, det=det)
     return _volume(v, det)
-
-
-def ricci(metric) -> HermitianField:
-    """-d dbar log det g; identically zero for constant coefficients."""
-    if isinstance(metric, FlatMetric):
-        zeros = np.zeros((metric.n**2,) + metric.geometry.shape)
-        return HermitianField(metric.geometry, zeros)
-    return complex_hessian(-log_det_field(_field(metric)))
 
 
 def scalar_curvature_of(g: HermitianField) -> ScalarField:

@@ -16,7 +16,7 @@ per-step diagnostics CSV with columns t, dt, minR, min_dotphi,
 max_dotphi, mineig, volume, every cell finite.  The final state is the
 snapshot at t_end, the last one, and is not stored again.  A trace of
 any other format is not read.  Loading recomputes nothing: a reader
-derives a state's dot phi from its assembled metric.
+derives d phi/dt from a state's assembled metric, as harness.measure does.
 """
 
 from __future__ import annotations
@@ -246,7 +246,8 @@ def load_trace(directory) -> FlowTrace:
         entries = [_entry(d, record) for record in meta["snapshots"]]
     except FormatError:
         raise
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, RecursionError) as exc:
+        # RecursionError: JSON nested too deep to parse
         raise FormatError(f"malformed meta.json: {type(exc).__name__}: {exc}") from exc
     if len({path for path, _ in entries}) != len(entries):
         raise FormatError(f"two snapshot records name one file: {[p.name for p, _ in entries]}")

@@ -75,6 +75,7 @@ __all__ = [
     "parse_config",
     "config_from_dict",
     "first_scenario",
+    "output_dir",
     "scenario_dir",
     "ensure_trace",
     "write_distance_csv",
@@ -376,6 +377,17 @@ class RunManifest:
         return asdict(self)
 
 
+def output_dir(out) -> Path:
+    """out as a directory, made with its parents if missing; a path that
+    cannot be one (a file there, say) is a ConfigError naming it."""
+    out = Path(out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"output: cannot make the directory {out}: {exc.strerror}"]) from exc
+    return out
+
+
 def scenario_dir(out: Path, index: int) -> Path:
     return Path(out) / f"scenario_i{index:03d}"
 
@@ -498,10 +510,10 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     """Full pipeline; with resume_only no flow is computed, only reloaded.
     The family is the one the replaced manifest recorded for this config,
     or calibrated when there is none."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     recorded = _recorded_scenarios(out, config)
     _remove_reports(out)
+    output_dir(out / "plots")  # emit_outputs writes there; made before any flow, so a file there fails
     stages = _Stages()
     t_start = time.perf_counter()
 
@@ -607,13 +619,17 @@ def exit_code_of(manifest: RunManifest) -> int:
 def _remove_reports(out: Path) -> None:
     """Drop every report file an earlier run wrote, so that none reads as
     this run's; traces and trace keys stay as they are.  The manifest goes
-    first: an earlier one would mark this run a success if it crashed."""
+    first: an earlier one would mark this run a success if it crashed.  A
+    path that cannot be removed (a directory, say) is a ConfigError."""
     paths = [out / "manifest.json", out / "family.csv", out / "family_summary.json"]
     paths += out.glob("plots/*_vs_*.csv")  # every plot emit_outputs writes is <y>_vs_<x>
     for name in ("report.json", "checks.csv", "distance.csv"):
         paths += out.glob(f"scenario_i*/{name}")
     for path in paths:
-        path.unlink(missing_ok=True)
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise ConfigError([f"output: cannot remove {path}: {exc.strerror}"]) from exc
 
 
 def failed_checks(sdir: Path) -> list:
@@ -648,7 +664,6 @@ def emit_outputs(out: Path, reports, summary, ms) -> list:
     written.append(out / "family_summary.json")
 
     plots = out / "plots"
-    plots.mkdir(exist_ok=True)
     for m in ms:
         path = plots / f"min_scalar_vs_t_i{m.index:03d}.csv"
         tfio.write_csv_atomic(path, ("t", "min_scalar_curvature"), m.min_scalar_vs_t)

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from torusflow import HermitianField, TorusGeometry, ScalarField
+from torusflow import HermitianField, TorusGeometry, ScalarField, assemble
+from torusflow.flow import _rhs_field
+from torusflow.geometry import _log_det, _positive_eigenvalues
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +28,13 @@ def cos_field(geometry, axis: int, mode: int = 1, amplitude: float = 1.0) -> Sca
 def sin_field(geometry, axis: int, mode: int = 1, amplitude: float = 1.0) -> ScalarField:
     x = geometry.coordinate(axis)
     return ScalarField(geometry, amplitude * np.sin(2.0 * np.pi * mode * x))
+
+
+def rate_field(state, alpha, dealias: bool = False) -> ScalarField:
+    """d phi/dt = log(det g / det alpha.H) of a flow state, through the
+    flow's right-hand side, as the harness derives it from a snapshot."""
+    g = assemble(state.metric())
+    return _rhs_field(g.geometry, _log_det(_positive_eigenvalues(g.values)), alpha, dealias)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cos_field
+from conftest import cos_field, rate_field
 
 from torusflow import (
     FlowConfig,
@@ -25,7 +25,7 @@ from torusflow import (
     TorusGeometry,
     assemble,
     constant_field,
-    dot_phi,
+    harmonic_projection,
     integrate,
     min_eigenvalue,
     run_flow,
@@ -130,7 +130,7 @@ def test_dot_phi_closed_form(geo1):
     m = single_mode(geo1, 0.05)
     zero = constant_field(geo1, 0.0)
     state = FlowState(base=m, t=0.0, phi=zero)
-    got = dot_phi(state).values
+    got = rate_field(state, harmonic_projection(m)[0]).values
     b = 0.05 * np.pi**2
     x = geo1.coordinate(0)
     assert np.abs(got - np.log(1.0 - b * np.cos(2 * np.pi * x))).max() < 1e-12
@@ -141,7 +141,7 @@ def test_dot_phi_mass_identity(geo1):
     m = single_mode(geo1, 0.04)
     zero = constant_field(geo1, 0.0)
     state = FlowState(base=m, t=0.0, phi=zero)
-    rhs = dot_phi(state).values
+    rhs = rate_field(state, harmonic_projection(m)[0]).values
     b = 0.04 * np.pi**2
     g = 1.0 - b * np.cos(2 * np.pi * geo1.coordinate(0))
     assert abs(np.exp(rhs).mean() - g.mean()) < 1e-14
@@ -300,7 +300,7 @@ def test_step_diagnostics_match_the_public_api(bump_trace_two_dim):
         (row,) = [d for d in trace.diagnostics if d.t == s.t]
         metric = s.metric()
         assert abs(row.min_scalar_curvature - scalar_curvature(metric).min()) <= 1e-12
-        rate = dot_phi(s, trace.alpha, dealias=True)
+        rate = rate_field(s, trace.alpha, dealias=True)
         assert abs(row.min_dot_phi - rate.min()) <= 1e-12
         assert abs(row.max_dot_phi - rate.max()) <= 1e-12
         assert abs(row.min_eigenvalue - min_eigenvalue(assemble(metric))) <= 1e-8

@@ -31,7 +31,6 @@ from torusflow import (
     assemble,
     complex_hessian,
     default_test_forms,
-    eigenvalue_range,
     harmonic_projection,
     integrate,
     min_eigenvalue,
@@ -39,7 +38,6 @@ from torusflow import (
     pairing_density,
     random_band_limited,
     random_queries,
-    ricci,
     riemann_norm,
     run_flow,
     scalar_curvature,
@@ -48,6 +46,7 @@ from torusflow import (
     volume_density,
 )
 from torusflow import geometry as geometry_module
+from torusflow import harness
 from torusflow.distances import check_distance_estimate
 from torusflow.io import load_trace, save_trace
 from torusflow.geometry import (
@@ -58,7 +57,6 @@ from torusflow.geometry import (
     _pairing,
     _quadratic_form,
     inverse_field,
-    log_det_field,
 )
 
 B = 0.05 * np.pi**2  # metric dip of the reference scenario
@@ -99,7 +97,7 @@ def test_pointwise_closed_forms_match_linalg(n, seed, spread):
     eig = np.linalg.eigvalsh(a)
     for got, want in zip(_eigenvalues(g.values), np.moveaxis(eig, -1, 0)):
         assert np.allclose(got, want, rtol=1e-8, atol=1e-10 * eig.max())
-    assert eigenvalue_range(g) == pytest.approx((eig.min(), eig.max()), rel=1e-8)
+    assert min_eigenvalue(g) == pytest.approx(eig.min(), rel=1e-8)
     tr = np.trace(np.linalg.inv(a) @ b, axis1=-2, axis2=-1).real
     assert np.allclose(trace_wrt(g, h).values, tr, rtol=1e-8)
     assert np.allclose(_pairing(g.values, h.values), np.linalg.det(a).real * tr, rtol=1e-8)
@@ -126,19 +124,18 @@ def test_assemble_single_mode(geo1):
     assert np.abs(g.values[0] - expected).max() < 1e-12
 
 
-def test_eigenvalue_range_closed_form(geo1):
-    lo, hi = eigenvalue_range(assemble(bump_metric(geo1)))
-    assert lo == pytest.approx(1.0 - B, abs=1e-12)
-    assert hi == pytest.approx(1.0 + B, abs=1e-12)
+def test_eigenvalue_extremes_closed_form(geo1):
+    eig = _eigenvalues(assemble(bump_metric(geo1)).values)
+    assert eig[0].min() == pytest.approx(1.0 - B, abs=1e-12)
+    assert eig[-1].max() == pytest.approx(1.0 + B, abs=1e-12)
     assert min_eigenvalue(bump_metric(geo1)) == pytest.approx(MIN_EIG, abs=1e-12)
 
 
 def test_min_eigenvalue_two_dim(geo2):
     # phi depends on x1 only: g = diag(1 - b cos, 1)
     m = KahlerMetric(np.eye(2), 0.05 * cos_field(geo2, 0))
-    lo, hi = eigenvalue_range(m)
-    assert lo == pytest.approx(1.0 - B, abs=1e-12)
-    assert hi == pytest.approx(1.0 + B, abs=1e-12)
+    assert min_eigenvalue(m) == pytest.approx(1.0 - B, abs=1e-12)
+    assert _eigenvalues(assemble(m).values)[-1].max() == pytest.approx(1.0 + B, abs=1e-12)
 
 
 def trace_of_unit(m):
@@ -159,20 +156,19 @@ def distance_estimate(trace, times=SHORT_FLOW.snapshot_times):
 
 # HermitianField validations per operation on a potential-form metric,
 # counted after the optional input step (third entry) has run: one
-# assembly, plus the Ricci Hessian for ricci and the residual Hessian for
-# harmonic_projection; none on an assembled field or for loading a trace;
-# a flow assembles its initial metric once and checks the projection
-# residual once; the distance estimate assembles the initial metric and
-# the snapshot at each distance time once, and no other snapshot
+# assembly, plus the residual Hessian for harmonic_projection; none on an
+# assembled field or for loading a trace; a flow assembles its initial
+# metric once and checks the projection residual once; the distance
+# estimate assembles the initial metric and the snapshot at each distance
+# time once, and no other snapshot
 ASSEMBLY_BUDGET = {
     "assemble": (assemble, 1),
     "volume": (volume, 1),
     "trace_wrt": (trace_of_unit, 1),
     "MetricGraph": (MetricGraph, 1),
     "scalar_curvature": (scalar_curvature, 1),
-    "eigenvalue_range": (eigenvalue_range, 1),
+    "min_eigenvalue": (min_eigenvalue, 1),
     "harmonic_projection": (harmonic_projection, 2),
-    "ricci": (ricci, 2),
     "riemann_norm": (riemann_norm, 1),
     "riemann_norm_of_field": (riemann_norm, 0, lambda m, _dir: assemble(m)),
     "run_flow": (short_flow, 2),
@@ -207,9 +203,10 @@ POSITIVITY_GATES = {
     "trace_wrt": trace_of_unit,
     "MetricGraph": MetricGraph,
     "scalar_curvature": scalar_curvature,
-    "ricci": ricci,
     "riemann_norm": riemann_norm,
-    "log_det_field": lambda m: log_det_field(assemble(m)),
+    # the log det of the rate d phi/dt that measure reads off each snapshot
+    "snapshot_readings": lambda m: harness._snapshot_readings(
+        assemble(m), 1.0, FlatMetric(np.eye(m.geometry.n), m.geometry), True),
     "FlatMetric_background": lambda m: FlatMetric(background_at_floor(m), m.geometry),
     "KahlerMetric_background": lambda m: KahlerMetric(background_at_floor(m), 0.0 * m.phi),
 }
@@ -438,15 +435,19 @@ def test_flat_metric_requires_its_grid(geo1):
 
 def test_flat_curvature_is_zero(geo1):
     flat = FlatMetric(1.7 * np.eye(1), geometry=geo1)
-    assert np.abs(ricci(flat).values).max() == 0.0
     assert np.abs(scalar_curvature(flat).values).max() == 0.0
+    # and through the spectral path, as a flat family's metric
+    assert np.abs(scalar_curvature(flat.as_metric()).values).max() == 0.0
 
 
 def test_trace_of_ricci_is_scalar_curvature(geo1, geo2):
+    """R = tr_g Ric, with the Ricci form -d dbar log det g taken here from
+    numpy's determinants of the assembled matrices."""
     for geo, amp in ((geo1, 0.05), (geo2, 0.03)):
         m = KahlerMetric(np.eye(geo.n), amp * cos_field(geo, 0))
         g = assemble(m)
-        lhs = trace_wrt(g, ricci(m)).values
+        log_det = np.log(np.linalg.det(_matrices(g.values)).real)
+        lhs = trace_wrt(g, complex_hessian(ScalarField(geo, -log_det))).values
         rhs = scalar_curvature(m).values
         assert np.abs(lhs - rhs).max() < 1e-10
 
@@ -504,7 +505,7 @@ def test_projection_reference_values(geo1):
     assert np.abs(flat.H - 1.0).max() < 1e-10
     expected = -0.05 * np.cos(2.0 * np.pi * x) - 0.05
     assert np.abs(u.values - expected).max() < 1e-8
-    assert np.abs(ricci(flat).values).max() <= 1e-8
+    assert np.abs(scalar_curvature(flat.as_metric()).values).max() <= 1e-8
     assert abs(volume(flat) - volume(bump_metric(geo1))) < 1e-10
 
 

@@ -6,14 +6,13 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import cos_field, share_first_snapshot_file
+from conftest import cos_field, rate_field, share_first_snapshot_file
 
 from torusflow import (
     FlowConfig,
     KahlerMetric,
     ScalarField,
     TorusGeometry,
-    dot_phi,
     run_flow,
 )
 from torusflow.io import (
@@ -168,8 +167,8 @@ def test_trace_round_trip(tmp_path, small_trace):
         # the full potential, mean included
         assert np.array_equal(s1.phi.values, s0.phi.values)
         # the rate derived from the stored potential matches the flow's state
-        rate0 = dot_phi(s0, small_trace.alpha, dealias=True)
-        rate1 = dot_phi(s1, back.alpha, dealias=True)
+        rate0 = rate_field(s0, small_trace.alpha, dealias=True)
+        rate1 = rate_field(s1, back.alpha, dealias=True)
         assert np.abs(rate1.values - rate0.values).max() < 1e-11
 
     # diagnostics go through repr() so floats survive exactly
@@ -271,6 +270,7 @@ def _replace_with_coarse_field(name):
 MALFORMED_TRACES = {
     "meta_not_json": lambda d: (d / "meta.json").write_text("{"),
     "meta_not_object": lambda d: (d / "meta.json").write_text("[]"),
+    "meta_nested_too_deep": lambda d: (d / "meta.json").write_text("[" * 200_000),
     "missing_last_snapshot": _edit_meta(lambda m: m["snapshots"].pop()),
     "missing_config_key": _edit_meta(lambda m: m["config"].pop("sigma")),
     "missing_snapshot_time": _edit_meta(lambda m: m["snapshots"][0].pop("t")),

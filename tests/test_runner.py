@@ -1265,9 +1265,14 @@ def _oversized_header(trace_dir):
                      + raw[len(tfio.MAGIC) + 8:])
 
 
+def _nest_meta_too_deep(trace_dir):
+    """A meta.json nested deeper than the JSON parser recurses."""
+    (trace_dir / "meta.json").write_text("[" * 200_000)
+
+
 @pytest.mark.parametrize("corrupt", [_drop_last_snapshot, _cut_diagnostics_row,
                                      share_first_snapshot_file, _nan_min_r(1), _nan_min_r(3),
-                                     _name_format_1, _oversized_header])
+                                     _name_format_1, _oversized_header, _nest_meta_too_deep])
 def test_cli_malformed_trace_is_reported_then_recomputed(corrupt, tmp_path, capsys):
     d = json.loads(json.dumps(FLAT_DICT))
     d["scenario"]["indices"] = [1]
@@ -1489,6 +1494,73 @@ def test_cli_requires_out(flat_cfg_file, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG_ERROR
     assert "output: no directory given" in err
+
+
+@pytest.mark.parametrize("command", ["run", "check", "flow", "project", "distance"])
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "inside_a_file"])
+def test_cli_output_path_that_cannot_be_a_directory_is_a_config_error(command, inside, tmp_path,
+                                                                       capsys):
+    """--out naming a regular file, or a path below one: every command ends
+    in a config error that names the path, and the file keeps its bytes."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FLAT_DISTANCE_DICT))
+    blocker = tmp_path / "a-file"
+    blocker.write_text("kept\n")
+    out = blocker / "out" if inside else blocker
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: output: cannot make the directory {out}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("report", ["manifest.json", "family.csv", "scenario_i001/checks.csv",
+                                    "plots/inf_dot_phi_vs_i.csv"])
+def test_cli_directory_where_a_report_goes_is_a_config_error(command, report, flat_run,
+                                                             flat_cfg_file, tmp_path, capsys):
+    """A report file an earlier run wrote has become a directory: run and
+    check end in a config error that names it, and leave it as it is."""
+    _, out = _copy_run(flat_run, tmp_path)
+    path = out / report
+    path.unlink()
+    path.mkdir()
+    (path / "inside").write_text("kept\n")
+    assert main([command, "--config", str(flat_cfg_file), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: output: cannot remove {path}: ")
+    assert (path / "inside").read_text() == "kept\n"
+    assert not (out / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_cli_file_where_the_plots_directory_goes_is_a_config_error(command, flat_run, flat_cfg_file,
+                                                                    tmp_path, capsys):
+    """A file where plots/ goes fails in set-up: the earlier run's reports
+    are gone and no scenario is measured, so none is written again."""
+    _, out = _copy_run(flat_run, tmp_path)
+    shutil.rmtree(out / "plots")
+    (out / "plots").write_text("kept\n")
+    assert main([command, "--config", str(flat_cfg_file), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: output: cannot make the directory {out / 'plots'}: ")
+    assert (out / "plots").read_text() == "kept\n"
+    assert not (out / "manifest.json").exists()
+    assert not list(out.glob("scenario_i*/report.json"))
+
+
+@pytest.mark.parametrize("command", ["flow", "project", "distance"])
+def test_jobs_is_an_option_of_run_and_check_only(command, flat_cfg_file, tmp_path, capsys):
+    """Only run and check flow a family, so only they take --jobs."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", str(flat_cfg_file), "--out", str(tmp_path), "--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    parser = cli._build_parser()
+    for accepting in ("run", "check"):
+        args = parser.parse_args([accepting, "--config", "c.json", "--jobs", "2"])
+        assert args.jobs == 2
 
 
 # ---------------------------------------------------------------------------
