@@ -7,14 +7,22 @@ traces only).  Exit codes: 0 all pass, 1 check failures, 2 scenario
 errors, 3 config errors.  A run or check that does not pass prints each
 failing row of every measured scenario's checks.csv.
 
-Importing the package loads no scipy.  Each command, once its config is
-parsed, imports the scipy stacks that config runs (`_load_back_ends`), so
-their import cost falls in set-up and not in the pipeline.
+Importing the package loads no scipy and changes no process setting.
+Each command, once its config is parsed, runs its set-up (`_set_up`): it
+imports the scipy stacks that config runs, so their import cost falls in
+set-up and not in the pipeline, and it sets the C library's malloc
+thresholds so that freed memory stays in the process
+(`_keep_freed_memory`).  glibc otherwise serves each grid array of a
+megabyte or more from a mapping of its own and unmaps it when the array is
+freed, and trims the heap top it frees, so every measured snapshot and flow
+step faults its temporaries in again.  A C library without `mallopt` is
+left as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from pathlib import Path
 
@@ -73,13 +81,42 @@ def _resolve_out(args, config) -> Path:
     return Path(out)
 
 
-def _load_back_ends(config, graphs: bool) -> None:
-    """Import what the config runs: scipy.fft for n = 2 transforms
-    (fields), and scipy's sparse graph stack when graphs will be searched
-    (distances).  A command that runs neither loads no scipy."""
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# Blocks below this size come from the heap, not from a mapping of their
+# own that free() unmaps.  32 MiB is the largest value glibc accepts on
+# 64-bit; at n = 2 it covers an N = 16 assembly (2 MiB) and an N = 32
+# scalar field (8 MiB).
+_MMAP_THRESHOLD = 32 << 20
+# glibc gives a freed heap top back to the system once it exceeds this, so
+# the next allocation faults the same pages in again; a command's live set
+# stays far below 1 GiB, so its freed memory is kept for reuse.
+_TRIM_THRESHOLD = 1 << 30
+
+
+def _keep_freed_memory() -> None:
+    """Set the two malloc thresholds above.  A C library without mallopt is
+    left as it is, and a value it refuses (mallopt returns 0) leaves that
+    threshold as it was."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
+def _set_up(config, graphs: bool) -> None:
+    """Everything a command does before its pipeline.  Import what the
+    config runs: scipy.fft for n = 2 transforms (fields), and scipy's sparse
+    graph stack when graphs will be searched (distances); a command that
+    runs neither loads no scipy.  Then keep freed memory in the process."""
     _fft_module(config.geometry)
     if graphs:
         _graph_stack()
+    _keep_freed_memory()
 
 
 class _Failed(Exception):
@@ -113,10 +150,12 @@ def _row_text(row: dict, resume_only: bool) -> str:
 
 def _cmd_run(args, resume_only: bool = False) -> int:
     """`run`, or with resume_only `check`: the pipeline on persisted traces only."""
+    if args.jobs < 1:
+        raise ConfigError([f"--jobs: must be an integer >= 1, got {args.jobs}"])
     config = parse_config(args.config, args.seed)
-    _load_back_ends(config, graphs=config.distance.enabled)
+    _set_up(config, graphs=config.distance.enabled)
     out = _resolve_out(args, config)
-    manifest = run_experiment(config, out, jobs=max(1, args.jobs), resume_only=resume_only)
+    manifest = run_experiment(config, out, jobs=args.jobs, resume_only=resume_only)
     for row in manifest.scenarios:
         print(f"scenario i={row.get('index', '?')}: {_row_text(row, resume_only)}")
         if row["status"] == "ok" and not manifest.all_checks_pass:
@@ -129,7 +168,7 @@ def _cmd_run(args, resume_only: bool = False) -> int:
 
 def _cmd_flow(args) -> int:
     config = parse_config(args.config, args.seed)
-    _load_back_ends(config, graphs=False)
+    _set_up(config, graphs=False)
     out = _resolve_out(args, config)
     scenario, trace = _first_trace(config, out)
     last = trace.diagnostics[-1]
@@ -142,7 +181,7 @@ def _cmd_flow(args) -> int:
 
 def _cmd_project(args) -> int:
     config = parse_config(args.config, args.seed)
-    _load_back_ends(config, graphs=False)
+    _set_up(config, graphs=False)
     out = output_dir(args.out) if args.out else None
     scenario = _first_scenario(config)
     g = assemble(scenario.metric)  # the projection and the volume share one assembly
@@ -164,7 +203,7 @@ def _cmd_project(args) -> int:
 
 def _cmd_distance(args) -> int:
     config = parse_config(args.config, args.seed)
-    _load_back_ends(config, graphs=True)
+    _set_up(config, graphs=True)
     if errors := battery_config_errors(config):  # whether or not `run` measures distances
         raise ConfigError(errors)
     out = _resolve_out(args, config)

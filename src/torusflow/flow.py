@@ -13,6 +13,8 @@ conserved quantity.
 Two time steppers:
 
   explicit        forward Euler with dt = sigma * h^2 / lambda_max(g^{-1});
+                  stable for sigma up to explicit_sigma_limit, which the
+                  config loader enforces;
   semi_implicit   the constant-coefficient operator c * tr_{H0}(d dbar)
                   is solved implicitly (a diagonal division in Fourier
                   space) with c = max_x lambda_max of g^{-1} relative to
@@ -100,6 +102,7 @@ __all__ = [
     "StepDiagnostics",
     "FlowFailure",
     "run_flow",
+    "explicit_sigma_limit",
 ]
 
 DEFAULT_SNAPSHOTS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
@@ -223,6 +226,25 @@ class _Evaluation:
         self.readings = readings    # the StepDiagnostics fields after t and dt
 
 
+def _stab_symbol(geo: TorusGeometry, H0: np.ndarray) -> np.ndarray:
+    """Half-spectrum symbol of tr_{H0}(d dbar), H0 packed: the pairing of H0
+    with the Hessian symbol over det H0."""
+    return _pairing(H0, geo.hessian_symbols) / _det(H0)
+
+
+def explicit_sigma_limit(geo: TorusGeometry, H0: np.ndarray, dealias: bool) -> float:
+    """The largest sigma at which the explicit scheme is stable on the
+    background H0 (an n x n matrix): forward Euler's 2 / (h^2 max |symbol|)
+    of tr_{H0}(d dbar) over the modes the rhs keeps.  Its dt scales that
+    operator by the top eigenvalue of g^{-1} wrt H0, which bounds tr_g(d
+    dbar), the rhs's linearisation.  At H0 = I it is 4 / (n pi^2), and
+    N^2 / (n pi^2 cut^2), about 9 / (n pi^2), with the 2/3 cut."""
+    symbol = np.abs(_stab_symbol(geo, _pack(H0)))
+    if dealias:
+        symbol = symbol[geo.dealias_keep]
+    return 2.0 / (geo.spacing**2 * float(symbol.max()))
+
+
 def _rhs(geo: TorusGeometry, log_det_hat: np.ndarray, alpha: FlatMetric,
          dealias: bool) -> np.ndarray:
     """Half spectrum of d phi/dt = log det g - log det H_alpha,
@@ -253,8 +275,7 @@ class _Kernel:
         # eigenvalue arithmetic, so its floor is the gate's, bit for bit
         self.identity_background = np.array_equal(self.H0, _pack(np.eye(geo.n)))
         self.fixed = g0.values
-        # tr_{H0}(d dbar): the pairing of H0 with the Hessian symbol over det H0
-        self.stab_symbol = _pairing(self.H0, geo.hessian_symbols) / _det(self.H0)
+        self.stab_symbol = _stab_symbol(geo, self.H0)
 
     def evaluate(self, phi_hat: np.ndarray) -> _Evaluation | None:
         """None rejects the candidate: non-finite, or failing the positivity

@@ -17,12 +17,12 @@ A run directory looks like
 
 Re-running with the same config resumes from persisted traces (matching
 trace_key) and regenerates everything downstream, byte-identically apart
-from the manifest's timings and peak RSS.  It also resumes the family:
-when the manifest it replaces recorded a completed run of the same config
-(same config_hash, one well-formed row per index), `check` and `run` take
-each scenario from its row (`scenarios.rebuild_sequence`) instead of
-calibrating again; otherwise `make_sequence` calibrates as on a fresh
-directory.
+from the manifest's timings, minor faults and peak RSS.  It also resumes
+the family: when the manifest it replaces recorded a completed run of the
+same config (same config_hash, one well-formed row per index), `check` and
+`run` take each scenario from its row (`scenarios.rebuild_sequence`)
+instead of calibrating again; otherwise `make_sequence` calibrates as on a
+fresh directory.
 
 Scenarios are measured one at a time: each trace is loaded, measured,
 given its distance result and released before the next is loaded.  A
@@ -51,16 +51,20 @@ import csv
 import hashlib
 import json
 import math
+import platform
 import resource
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import io as tfio
 from .fields import FieldError, TorusGeometry, constant_field
-from .flow import FlowConfig, run_flow
+from .flow import FlowConfig, explicit_sigma_limit, run_flow
 from .geometry import PositivityError, pairing_density
 from .harness import (HarnessConfig, build_reports, default_test_forms, family_columns,
                       family_passed, family_summary, measure)
@@ -324,6 +328,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         spec = ScenarioSpec(geometry=geometry, **scen)
     except ScenarioError as exc:
         raise ConfigError([f"scenario: {exc}"]) from exc
+    if flow.scheme == "explicit":
+        limit = explicit_sigma_limit(geometry, spec.background, flow.dealias)
+        if flow.sigma > limit:
+            raise ConfigError([f"flow.sigma: {flow.sigma} exceeds {limit:.6g}, the explicit "
+                               f"scheme's stability limit at n={n}, N={N}, "
+                               f"dealias={str(flow.dealias).lower()} on this background"])
     harness = HarnessConfig(**harness)
     if not harness.q_list:
         harness = replace(harness, q_list=(float(n), 1.5 * n))
@@ -371,7 +381,9 @@ class RunManifest:
     any_errors: bool
     outputs: list
     timings: dict
+    minor_faults: dict  # the process's minor page faults in each timed stage
     peak_rss_mb: dict  # the process's peak RSS at the end of each timed stage
+    libraries: dict  # versions of what the timings depend on
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -436,26 +448,51 @@ def ensure_trace(config: ExperimentConfig, out, scenario: Scenario,
 
 
 class _Stages:
-    """The manifest's per-stage records: wall time summed over a stage's
-    blocks, and the process's peak RSS in MB when its last block ended."""
+    """The manifest's per-stage records, each keyed by stage with "total"
+    for the whole run: wall time and this process's minor page faults, both
+    summed over a stage's blocks, and the process's peak RSS in MB when its
+    last block ended."""
 
     def __init__(self):
         self.timings: dict = {}
+        self.minor_faults: dict = {}
         self.peak_rss_mb: dict = {}
+        self._start = (time.perf_counter(), _usage().ru_minflt)
 
     @contextmanager
     def timed(self, stage: str):
-        t0 = time.perf_counter()
+        t0, faults0 = time.perf_counter(), _usage().ru_minflt
         try:
             yield
         finally:
-            self.timings[stage] = self.timings.get(stage, 0.0) + time.perf_counter() - t0
-            self.peak_rss_mb[stage] = _peak_rss_mb()
+            self._record(stage, t0, faults0)
+
+    def close(self) -> None:
+        """Record the run's total, from when the stages were made."""
+        self._record("total", *self._start)
+
+    def _record(self, stage: str, t0: float, faults0: int) -> None:
+        elapsed, usage = time.perf_counter() - t0, _usage()
+        self.timings[stage] = self.timings.get(stage, 0.0) + elapsed
+        self.minor_faults[stage] = self.minor_faults.get(stage, 0) + usage.ru_minflt - faults0
+        self.peak_rss_mb[stage] = usage.ru_maxrss / 1024.0  # Linux reports ru_maxrss in KiB
 
 
-def _peak_rss_mb() -> float:
-    """The process's peak resident set size in MB; Linux reports ru_maxrss in KiB."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def _usage():
+    return resource.getrusage(resource.RUSAGE_SELF)
+
+
+def _library_versions() -> dict:
+    """The interpreter, numpy, scipy and C library the run used; scipy is
+    None when the command loaded none of it (an n = 1 run without
+    distances), and the C library None when platform cannot name it."""
+    scipy = sys.modules.get("scipy")
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": None if scipy is None else scipy.__version__,
+        "libc": " ".join(filter(None, platform.libc_ver())) or None,
+    }
 
 
 def write_distance_csv(sdir: Path, result) -> Path:
@@ -515,7 +552,6 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     _remove_reports(out)
     output_dir(out / "plots")  # emit_outputs writes there; made before any flow, so a file there fails
     stages = _Stages()
-    t_start = time.perf_counter()
 
     scenario_rows = []
     try:
@@ -574,8 +610,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         outputs.extend(emit_outputs(out, reports, family, ms))
         all_pass = all_pass and all(r.all_passed for r in reports) and family_passed(family)
 
-    stages.timings["total"] = time.perf_counter() - t_start
-    stages.peak_rss_mb["total"] = _peak_rss_mb()
+    stages.close()
     manifest = RunManifest(
         config_hash=config.config_hash,
         version=__version__,
@@ -585,7 +620,9 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         any_errors=any_errors,
         outputs=sorted(str(p) for p in outputs),
         timings=stages.timings,
+        minor_faults=stages.minor_faults,
         peak_rss_mb=stages.peak_rss_mb,
+        libraries=_library_versions(),
     )
     tfio.write_json_atomic(out / "manifest.json", manifest.as_dict())
     return manifest

@@ -172,6 +172,35 @@ def test_explicit_scheme_decay(dealias):
     assert ratio == pytest.approx(np.exp(-HEAT_RATE * 0.05), rel=2e-3)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_explicit_sigma_limit_closed_forms(n):
+    geo = TorusGeometry(n, 16)
+    limit = flow_module.explicit_sigma_limit
+    assert limit(geo, np.eye(n), dealias=False) == pytest.approx(4 / (n * np.pi**2), rel=1e-14)
+    cut = geo.dealias_cutoff
+    assert limit(geo, np.eye(n), dealias=True) == pytest.approx(
+        16**2 / (n * np.pi**2 * cut**2), rel=1e-14)
+    # tr_{2 H0} halves the symbol
+    assert limit(geo, 2 * np.eye(n), dealias=False) == pytest.approx(8 / (n * np.pi**2), rel=1e-14)
+
+
+@pytest.mark.parametrize("factor, grows", [(0.95, False), (1.05, True)])
+def test_explicit_scheme_is_stable_up_to_its_limit(factor, grows):
+    """The checkerboard potential is the top mode of tr(d dbar); forward Euler
+    multiplies it by about 1 - 2 sigma / limit per step, so it decays just
+    below the limit and grows just above it."""
+    geo = TorusGeometry(1, 16)
+    i, j = np.indices(geo.shape)
+    checker = (-1.0) ** (i + j)
+    m = KahlerMetric(np.eye(1), ScalarField(geo, 1e-8 * checker))
+    sigma = factor * flow_module.explicit_sigma_limit(geo, np.eye(1), dealias=False)
+    cfg = FlowConfig(scheme="explicit", sigma=sigma, t_end=0.05, snapshot_times=(0.05,),
+                     dealias=False)
+    final = run_flow(m, cfg).final.metric().phi.values
+    ratio = abs(np.mean(final * checker)) / 1e-8
+    assert (ratio > 10.0) if grows else (ratio < 0.1)
+
+
 # ---------------------------------------------------------------------------
 # invariants along a genuinely nonlinear run
 

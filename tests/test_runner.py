@@ -327,6 +327,60 @@ def test_flow_values_validated(tmp_path, capsys):
         assert f"config error: flow: {key} must " in capsys.readouterr().err
 
 
+# the explicit scheme's stability limit, 4 / (n pi^2) without the 2/3 cut at
+# H0 = I, and N^2 / (n pi^2 (N // 3)^2) with it
+UNSTABLE_N1 = {"geometry": {"n": 1, "N": 16}, "scenario": {"indices": [1], "seed": 90},
+               "flow": {"scheme": "explicit", "sigma": 1.0, "dealias": False}}
+
+
+@pytest.mark.parametrize("n, sigma, dealias, limit", [
+    (1, 1.0, False, "0.405285"),
+    (1, 0.41, False, "0.405285"),
+    (2, 0.6, True, "0.518764"),
+    (2, 0.21, False, "0.202642"),
+])
+def test_explicit_sigma_above_the_stability_limit_is_a_config_error(n, sigma, dealias, limit,
+                                                                     tmp_path, capsys):
+    d = json.loads(json.dumps(UNSTABLE_N1))
+    d["geometry"]["n"] = n
+    d["flow"].update(sigma=sigma, dealias=dealias)
+    message = (f"flow.sigma: {sigma} exceeds {limit}, the explicit scheme's stability limit at "
+               f"n={n}, N=16, dealias={str(dealias).lower()} on this background")
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    assert err.value.errors == [message]
+    assert _cli_exit(tmp_path, d) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("n, sigma, dealias", [
+    (1, 0.4, False), (1, 1.0, True), (2, 0.5, True), (2, 0.2, False),
+])
+def test_explicit_sigma_within_the_stability_limit_is_accepted(n, sigma, dealias):
+    d = json.loads(json.dumps(UNSTABLE_N1))
+    d["geometry"]["n"] = n
+    d["flow"].update(sigma=sigma, dealias=dealias)
+    assert config_from_dict(d).flow.sigma == sigma
+
+
+def test_stability_limit_reads_the_background():
+    """A wider background scales the symbol down, so the limit rises with it."""
+    d = json.loads(json.dumps(UNSTABLE_N1))
+    d["scenario"]["background"] = [[[1.5, 0.0]]]
+    d["flow"]["sigma"] = 0.6
+    assert config_from_dict(d).flow.sigma == 0.6
+    d["flow"]["sigma"] = 0.61
+    with pytest.raises(ConfigError, match=r"flow.sigma: 0.61 exceeds 0.607927"):
+        config_from_dict(d)
+
+
+def test_explicit_run_within_the_limit_passes(tmp_path, capsys):
+    d = json.loads(json.dumps(UNSTABLE_N1))
+    d["flow"]["sigma"] = 0.4
+    assert _cli_exit(tmp_path, d) == EXIT_OK
+    assert "checks: PASS" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("flow", "sigma", "0.2"),
     ("flow", "max_rejects", "a"),
@@ -655,6 +709,44 @@ def test_manifest_records_peak_rss_per_stage(calib_run):
     assert peaks == manifest.peak_rss_mb
     assert set(peaks) == set(manifest.timings) >= {"flows", "harness", "distance", "total"}
     assert all(0.0 < mb <= peaks["total"] for mb in peaks.values())
+
+
+def test_manifest_records_minor_faults_per_stage(calib_run):
+    """minor_faults sits beside timings, keyed like it, total included: each
+    a count of this process's minor page faults, and the stages' sum no more
+    than the total."""
+    _, out, manifest = calib_run
+    faults = json.loads((out / "manifest.json").read_text())["minor_faults"]
+    assert faults == manifest.minor_faults
+    assert set(faults) == set(manifest.timings)
+    assert all(isinstance(count, int) and count >= 0 for count in faults.values())
+    assert sum(count for stage, count in faults.items() if stage != "total") <= faults["total"]
+
+
+def test_manifest_records_library_versions(calib_run):
+    """The interpreter, numpy, scipy (which a distance run loads) and the C library."""
+    import platform
+
+    import scipy
+
+    _, out, manifest = calib_run
+    libraries = json.loads((out / "manifest.json").read_text())["libraries"]
+    assert libraries == manifest.libraries == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "libc": " ".join(filter(None, platform.libc_ver())) or None,
+    }
+
+
+def test_manifest_of_a_run_that_loads_no_scipy_names_none(flat_cfg_file, tmp_path):
+    proc = _python("import json, sys\n"
+                   "from torusflow.cli import main\n"
+                   "assert main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+                   "print(json.load(open(sys.argv[2] + '/manifest.json'))['libraries']['scipy'],"
+                   " 'scipy' in sys.modules)\n",
+                   str(flat_cfg_file), str(tmp_path / "out"))
+    assert proc.stdout.split()[-2:] == ["None", "False"]
 
 
 def test_distance_artifacts(calib_run):
@@ -1561,6 +1653,96 @@ def test_jobs_is_an_option_of_run_and_check_only(command, flat_cfg_file, tmp_pat
     for accepting in ("run", "check"):
         args = parser.parse_args([accepting, "--config", "c.json", "--jobs", "2"])
         assert args.jobs == 2
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_config_error(command, jobs, flat_cfg_file, tmp_path, capsys):
+    code = main([command, "--config", str(flat_cfg_file), "--out", str(tmp_path), "--jobs", jobs])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: --jobs: must be an integer >= 1, got {jobs}\n"
+    assert not any(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# set-up keeps freed memory in the process: glibc's malloc thresholds
+
+
+class _Stop(Exception):
+    """Raised where a command's pipeline would start."""
+
+
+def _fake_c_library(monkeypatch, mallopt_returns=1, has_mallopt=True):
+    """Replace ctypes.CDLL by a library whose mallopt records its calls;
+    returns the list of (param, value) calls."""
+    import ctypes
+
+    calls = []
+
+    class FakeLibrary:
+        def __init__(self, name):
+            assert name is None  # the process's own symbols
+            if has_mallopt:
+                def mallopt(param, value):
+                    calls.append((param, value))
+                    return mallopt_returns
+
+                self.mallopt = mallopt
+
+    monkeypatch.setattr(ctypes, "CDLL", FakeLibrary)
+    return calls
+
+
+def _set_up_of(command, cfg_file, out, monkeypatch) -> None:
+    """Run a command up to its pipeline, where _Stop ends it."""
+    def stop(*args, **kwargs):
+        raise _Stop
+
+    for name in ("run_experiment", "_first_trace", "_first_scenario"):
+        monkeypatch.setattr(cli, name, stop)
+    with pytest.raises(_Stop):
+        main([command, "--config", str(cfg_file), "--out", str(out)])
+
+
+@pytest.mark.parametrize("command", ["run", "check", "flow", "project", "distance"])
+def test_set_up_sets_both_malloc_thresholds_once(command, calib_cfg_file, tmp_path, monkeypatch):
+    calls = _fake_c_library(monkeypatch)
+    _set_up_of(command, calib_cfg_file, tmp_path, monkeypatch)
+    assert calls == [(cli._M_TRIM_THRESHOLD, 1 << 30), (cli._M_MMAP_THRESHOLD, 32 << 20)]
+    assert (cli._M_TRIM_THRESHOLD, cli._M_MMAP_THRESHOLD) == (-1, -3)  # glibc's malloc.h
+
+
+def test_set_up_leaves_a_c_library_without_mallopt_as_it_is(calib_cfg_file, tmp_path,
+                                                              monkeypatch):
+    calls = _fake_c_library(monkeypatch, has_mallopt=False)
+    _set_up_of("run", calib_cfg_file, tmp_path, monkeypatch)
+    assert calls == []
+
+
+def test_set_up_goes_on_when_mallopt_refuses_a_value(calib_cfg_file, tmp_path, monkeypatch):
+    calls = _fake_c_library(monkeypatch, mallopt_returns=0)
+    _set_up_of("run", calib_cfg_file, tmp_path, monkeypatch)
+    assert len(calls) == 2
+
+
+def test_importing_the_package_sets_no_malloc_threshold():
+    """Only a command's set-up calls mallopt; the spy sees it when it does."""
+    proc = _python("import ctypes\n"
+                   "real, calls = ctypes.CDLL, []\n"
+                   "class Spy:\n"
+                   "    def __init__(self, name):\n"
+                   "        self._lib = real(name)\n"
+                   "    def __getattr__(self, attr):\n"
+                   "        if attr == 'mallopt':\n"
+                   "            return lambda *args: calls.append(args) or 1\n"
+                   "        return getattr(self._lib, attr)\n"
+                   "ctypes.CDLL = Spy\n"
+                   "import torusflow\n"
+                   "import torusflow.cli\n"
+                   "print(len(calls))\n"
+                   "torusflow.cli._keep_freed_memory()\n"
+                   "print(len(calls))\n")
+    assert proc.stdout.split() == ["0", "2"]
 
 
 # ---------------------------------------------------------------------------

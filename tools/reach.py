@@ -98,6 +98,8 @@ def cases(configs: dict, work: Path) -> list:
         # the trace gate admits no member: a scenario error
         "gated": {**n1_small, "scenario": {**n1_small["scenario"], "lambda_gate": 0.5}},
         "unknown": {**n1_small, "colour": "blue"},
+        # forward Euler past its stability limit: a config error
+        "unstable": {**n1_small, "flow": {"scheme": "explicit", "sigma": 1.0, "dealias": False}},
     }
     files = {}
     for name, config in {**configs, **extra}.items():
@@ -128,6 +130,8 @@ def cases(configs: dict, work: Path) -> list:
         ("flow gated", cmd("flow", "gated"), 2),
         ("check on a nested meta.json", cmd("check", "flat"), 2, damage_trace),
         ("run unknown key", cmd("run", "unknown"), 3),
+        ("run unstable explicit scheme", cmd("run", "unstable"), 3),
+        ("run with no worker", cmd("run", "flat") + ["--jobs", "0"], 3),
         ("run into a file", cmd("run", "flat", str(not_a_dir)), 3),
         ("run with no config", ["run", "--config", str(work / "missing.json")], 3),
     ]
