@@ -9,9 +9,11 @@ failing row of every measured scenario's checks.csv.
 
 Importing the package loads no scipy and changes no process setting.
 Each command, once its config is parsed, runs its set-up (`_set_up`): it
-imports the scipy stacks that config runs, so their import cost falls in
-set-up and not in the pipeline, and it sets the C library's malloc
-thresholds so that freed memory stays in the process
+loads the back ends that config runs, so their load cost falls in set-up
+and not in the pipeline.  At n = 2 that is scipy's FFT kernel, loaded
+alone with no scipy module (fields); scipy's sparse graph stack is
+imported only where graphs are searched.  Set-up also sets the C
+library's malloc thresholds so that freed memory stays in the process
 (`_keep_freed_memory`).  glibc otherwise serves each grid array of a
 megabyte or more from a mapping of its own and unmaps it when the array is
 freed, and trims the heap top it frees, so every measured snapshot and flow
@@ -109,10 +111,11 @@ def _keep_freed_memory() -> None:
 
 
 def _set_up(config, graphs: bool) -> None:
-    """Everything a command does before its pipeline.  Import what the
-    config runs: scipy.fft for n = 2 transforms (fields), and scipy's sparse
-    graph stack when graphs will be searched (distances); a command that
-    runs neither loads no scipy.  Then keep freed memory in the process."""
+    """Everything a command does before its pipeline.  Load what the config
+    runs: the n = 2 transforms, scipy's FFT kernel without the scipy package
+    (fields), and scipy's sparse graph stack when graphs will be searched
+    (distances); where the kernel loads, a command that searches no graph
+    imports no scipy module.  Then keep freed memory in the process."""
     _fft_module(config.geometry)
     if graphs:
         _graph_stack()

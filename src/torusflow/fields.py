@@ -15,17 +15,25 @@ modes stay inside the resolved band, and the rectangle rule (the plain
 mean of grid values) integrates products of band-limited fields exactly.
 
 The grid's rank chooses the module that runs a real transform.  2-D
-grids (n = 1) use numpy.fft.  4-D grids (n = 2) use scipy.fft, which keeps
-numpy's conventions and runs a 16^4 transform about a fifth faster on one
-worker.  On 2-D grids the gain is about 10 us per transform, while
-importing scipy.fft after numpy costs 0.2-0.3 s and about 27 MB: it loads
-scipy.special and scipy's shared array-API layer, which walks numpy's
-attributes and so loads numpy.f2py, numpy.testing and more.  Once
-another scipy stack is loaded it costs about 0.07 s and 5 MB.
-_fft_module imports it, at the first 4-D transform or when the command
-line's set-up loads the back ends a config runs (cli).  The shape
-draws of random_band_limited stay on numpy's complex fftn/ifftn at every
-rank.  Only this module runs transforms.
+grids (n = 1) use numpy.fft.  4-D grids (n = 2) use scipy's pocketfft
+kernel, which keeps numpy's conventions and runs a 16^4 transform about a
+fifth faster on one worker; numpy.fft there would also change the bits of
+every n = 2 output.  scipy.fft's rfftn and irfftn are each one call into
+that kernel, the C++ extension scipy/fft/_pocketfft/pypocketfft, so
+_fft_module loads the extension alone, by file path and under its full
+name, and makes the same two calls with scipy's default norm and one
+worker.  Importing scipy.fft after numpy costs 0.2-0.3 s and about 27 MB,
+almost none of it the transforms: it loads scipy.special and scipy's
+shared array-API layer, which walks numpy's attributes and so loads
+numpy.f2py, numpy.testing and more.  The extension alone loads in a few
+milliseconds and loads no scipy module.  It is not scipy's public API, so
+where it cannot be found or loaded _fft_module imports scipy.fft instead,
+with the same bits, and tests pin the kernel's bits to scipy.fft's.
+_fft_module loads the n = 2 transforms at the first 4-D transform, or when
+the command line's set-up loads the back ends a config runs (cli), and
+records which one it loaded in FFT_LIBRARY for the run's manifest.  The
+shape draws of random_band_limited stay on numpy's complex fftn/ifftn at
+every rank.  Only this module runs transforms.
 
 d/dx^a has the multiplier 2 pi i k_a, odd in k: one inverse real
 transform per axis gives the real gradient, from whose x^j and y^j
@@ -47,9 +55,13 @@ layout; the n <= 2 closed forms of geometry read it.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -180,13 +192,40 @@ def _band(modes: tuple, cut: int) -> np.ndarray:
     return keep
 
 
+# The module that runs each grid rank's real transforms, by name, for the
+# manifest: "numpy.fft", and at n = 2, once _fft_module has loaded it,
+# "pypocketfft" (the kernel alone) or "scipy.fft" (the fallback).
+FFT_LIBRARY = {1: "numpy.fft"}
+_KERNEL = "scipy.fft._pocketfft.pypocketfft"
+_fft_4d = None  # rfftn and irfftn of 4-D grids, once loaded
+
+
 def _fft_module(geometry: TorusGeometry):
-    """numpy.fft on 2-D grids, scipy.fft on 4-D ones (module docstring)."""
+    """numpy.fft on 2-D grids; on 4-D ones scipy's pocketfft kernel, loaded
+    alone, or scipy.fft where it cannot be (module docstring)."""
+    global _fft_4d
     if geometry.n == 1:
         return np.fft
-    import scipy.fft
+    if _fft_4d is None:
+        try:  # find_spec locates scipy without importing it
+            where = Path(importlib.util.find_spec("scipy").origin).parent / "fft" / "_pocketfft"
+            names = (where / f"pypocketfft{suffix}" for suffix in EXTENSION_SUFFIXES)
+            path = next(filter(Path.is_file, names))
+            spec = importlib.util.spec_from_file_location(_KERNEL, path)
+            kernel = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(kernel)
+        except (AttributeError, StopIteration, ImportError):  # no scipy, no file, or no load
+            import scipy.fft
 
-    return scipy.fft
+            _fft_4d, FFT_LIBRARY[2] = scipy.fft, "scipy.fft"
+        else:
+            # scipy.fft's calls: forward unnormalized (0), inverse by 1/N^{2n} (2), one worker
+            _fft_4d = SimpleNamespace(
+                rfftn=lambda x, axes: kernel.r2c(x, axes, True, 0, None, 1),
+                irfftn=lambda x, s, axes: kernel.c2r(x, axes, s[-1], False, 2, None, 1),
+            )
+            FFT_LIBRARY[2] = "pypocketfft"
+    return _fft_4d
 
 
 def _rfft(geometry: TorusGeometry, values: np.ndarray) -> np.ndarray:

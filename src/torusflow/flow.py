@@ -38,8 +38,9 @@ these real transforms:
   rhs on the grid                     1 inverse
 
 which is 4 at n = 1 and 10 at n = 2, with no complex transform; fields
-runs them on numpy.fft at n = 1 and on scipy.fft at n = 2.  Each
-evaluation of a candidate computes the grid's closed forms once:
+runs them on numpy.fft at n = 1 and on scipy's pocketfft kernel at
+n = 2.  Each evaluation of a candidate computes the grid's closed forms
+once:
 
   det g                  1; read by the eigenvalues, the pencil, the
                          curvature floor and the volume

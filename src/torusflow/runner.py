@@ -18,8 +18,8 @@ A run directory looks like
 Re-running with the same config resumes from persisted traces (matching
 trace_key) and regenerates everything downstream, byte-identically apart
 from the manifest's timings, minor faults and peak RSS.  It also resumes
-the family: when the manifest it replaces recorded a completed run of the
-same config (same config_hash, one well-formed row per index), `check` and
+the family: when the manifest it replaces recorded a completed run under
+the same trace_key (one well-formed row per index), `check` and
 `run` take each scenario from its row (`scenarios.rebuild_sequence`)
 instead of calibrating again; otherwise `make_sequence` calibrates as on a
 fresh directory.
@@ -49,9 +49,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import platform
+import re
 import resource
 import sys
 import time
@@ -63,7 +65,7 @@ import numpy as np
 
 from . import __version__
 from . import io as tfio
-from .fields import FieldError, TorusGeometry, constant_field
+from .fields import FFT_LIBRARY, FieldError, TorusGeometry, constant_field
 from .flow import FlowConfig, explicit_sigma_limit, run_flow
 from .geometry import PositivityError, pairing_density
 from .harness import (HarnessConfig, build_reports, default_test_forms, family_columns,
@@ -374,6 +376,7 @@ def parse_config(path, seed: int | None = None) -> ExperimentConfig:
 @dataclass
 class RunManifest:
     config_hash: str
+    trace_key: str  # the family and its traces depend on this slice of the config alone
     version: str
     scenarios: list
     family: dict
@@ -383,7 +386,7 @@ class RunManifest:
     timings: dict
     minor_faults: dict  # the process's minor page faults in each timed stage
     peak_rss_mb: dict  # the process's peak RSS at the end of each timed stage
-    libraries: dict  # versions of what the timings depend on
+    libraries: dict  # what the timings depend on: versions, and the FFT that ran
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -482,16 +485,23 @@ def _usage():
     return resource.getrusage(resource.RUSAGE_SELF)
 
 
-def _library_versions() -> dict:
-    """The interpreter, numpy, scipy and C library the run used; scipy is
-    None when the command loaded none of it (an n = 1 run without
-    distances), and the C library None when platform cannot name it."""
-    scipy = sys.modules.get("scipy")
+def _library_versions(geometry: TorusGeometry) -> dict:
+    """The interpreter, numpy, scipy, the C library and the module that ran
+    the grid's real transforms (fields.FFT_LIBRARY).  scipy is None when the
+    command ran none of it (an n = 1 run without distances): neither its FFT
+    kernel nor a stack.  Its version is read from its version.py, which
+    imports nothing; the C library is None when platform cannot name it."""
+    fft = FFT_LIBRARY.get(geometry.n)
+    scipy = None
+    if fft in ("pypocketfft", "scipy.fft") or "scipy" in sys.modules:
+        version_py = Path(importlib.util.find_spec("scipy").origin).with_name("version.py")
+        scipy = re.search(r"^version = ['\"](.+)['\"]$", version_py.read_text(), re.M)[1]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": None if scipy is None else scipy.__version__,
+        "scipy": scipy,
         "libc": " ".join(filter(None, platform.libc_ver())) or None,
+        "fft": fft,
     }
 
 
@@ -613,6 +623,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     stages.close()
     manifest = RunManifest(
         config_hash=config.config_hash,
+        trace_key=config.trace_key,
         version=__version__,
         scenarios=scenario_rows,
         family=family,
@@ -622,20 +633,22 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         timings=stages.timings,
         minor_faults=stages.minor_faults,
         peak_rss_mb=stages.peak_rss_mb,
-        libraries=_library_versions(),
+        libraries=_library_versions(config.geometry),
     )
     tfio.write_json_atomic(out / "manifest.json", manifest.as_dict())
     return manifest
 
 
 def _recorded_scenarios(out: Path, config: ExperimentConfig):
-    """The scenario rows of the manifest in out if it records this config,
-    else None; a manifest that is missing or unreadable is None too."""
+    """The scenario rows of the manifest in out if it records a run under
+    this config's trace key, else None; a manifest that is missing or
+    unreadable is None too.  The family depends only on that key's slice,
+    so a config that differs in its harness or distance section reuses it."""
     try:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError):  # ValueError: not JSON, or not UTF-8
         return None
-    if not isinstance(manifest, dict) or manifest.get("config_hash") != config.config_hash:
+    if not isinstance(manifest, dict) or manifest.get("trace_key") != config.trace_key:
         return None
     return manifest.get("scenarios")
 

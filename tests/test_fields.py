@@ -1,6 +1,11 @@
 """Spectral calculus: conventions, exactness, and transform plumbing."""
 
+import importlib.util
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +25,13 @@ from torusflow import (
     truncate_modes,
 )
 
+from torusflow import fields
+
 from conftest import cos_field
 from fd_oracles import d1
 
 PI_SQ = math.pi**2
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +238,99 @@ def test_derivatives_are_linear_and_real(seed, mode):
     rhs = complex_hessian(f).values + complex_hessian(g).values
     assert np.max(np.abs(lhs - rhs)) < 1e-11
     assert np.max(np.abs(flat_laplacian(f).values.imag)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the n = 2 transforms: scipy's pocketfft kernel, loaded alone, is not public
+# API, so its bits are pinned to scipy.fft's on the installed scipy
+
+
+def _grid_values(geo, *lead, seed=3):
+    return np.random.default_rng(seed).standard_normal(lead + geo.shape)
+
+
+@pytest.mark.parametrize("N", [16, 32])
+@pytest.mark.parametrize("lead", [(), (4,)], ids=["scalar", "packed"])
+def test_n2_transforms_equal_scipy_fft_bit_for_bit(N, lead):
+    """Forward and inverse, on a scalar field and on each slot of a packed
+    (4, N, N, N, N) stack, as geometry transforms its slots."""
+    import scipy.fft
+
+    geo = TorusGeometry(2, N)
+    assert fields.FFT_LIBRARY.get(2, "pypocketfft") == "pypocketfft"
+    stack = _grid_values(geo, *lead).reshape((-1,) + geo.shape)
+    for values in stack:
+        hat = fields._rfft(geo, values)
+        assert np.array_equal(hat, scipy.fft.rfftn(values, axes=geo.grid_axes))
+        back = fields._irfft(geo, hat)
+        assert np.array_equal(back, scipy.fft.irfftn(hat, s=geo.shape, axes=geo.grid_axes))
+    assert fields.FFT_LIBRARY[2] == "pypocketfft"
+
+
+_NO_KERNEL = {
+    "no file": lambda mp: mp.setattr(fields, "EXTENSION_SUFFIXES", [".missing"]),
+    "no scipy found": lambda mp: mp.setattr(importlib.util, "find_spec", lambda name: None),
+    "no load": lambda mp: mp.setattr(importlib.util, "module_from_spec", _refuse),
+}
+
+
+def _refuse(spec):
+    raise ImportError(f"cannot load {spec.name}")
+
+
+@pytest.mark.parametrize("cause", list(_NO_KERNEL))
+def test_n2_transforms_fall_back_to_scipy_fft_with_the_same_bits(cause, monkeypatch):
+    import scipy.fft
+
+    geo = TorusGeometry(2, 16)
+    values = _grid_values(geo)
+    hat = fields._rfft(geo, values)
+    back = fields._irfft(geo, hat)
+    monkeypatch.setattr(fields, "_fft_4d", None)
+    monkeypatch.delitem(fields.FFT_LIBRARY, 2, raising=False)
+    _NO_KERNEL[cause](monkeypatch)
+    assert fields._fft_module(geo) is scipy.fft
+    assert fields.FFT_LIBRARY[2] == "scipy.fft"
+    assert np.array_equal(fields._rfft(geo, values), hat)
+    assert np.array_equal(fields._irfft(geo, hat), back)
+
+
+# the kernel's bits in a fresh interpreter, with scipy's FFT and graph
+# stacks imported after it or before it (an n = 2 run with distances on)
+_LOAD_ORDER = (
+    "import sys\n"
+    "import numpy as np\n"
+    "from torusflow import fields\n"
+    "geo = fields.TorusGeometry(2, 16)\n"
+    "values = np.load(sys.argv[1])\n"
+    "def stacks():\n"
+    "    import scipy.fft\n"
+    "    import scipy.sparse.csgraph\n"
+    "if sys.argv[3] == 'stacks first':\n"
+    "    stacks()\n"
+    "hat = fields._rfft(geo, values)\n"
+    "stacks()\n"
+    "np.save(sys.argv[2], np.stack([hat.real, hat.imag]))\n"
+    "np.save(sys.argv[2] + '.back.npy', fields._irfft(geo, hat))\n"
+    "print(fields.FFT_LIBRARY[2])\n"
+)
+
+
+@pytest.mark.parametrize("order", ["kernel first", "stacks first"])
+def test_n2_transforms_keep_their_bits_beside_scipy_stacks(order, tmp_path):
+    import scipy.fft
+
+    geo = TorusGeometry(2, 16)
+    values = _grid_values(geo, seed=11)
+    np.save(tmp_path / "values.npy", values)
+    out = tmp_path / "hat.npy"
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LOAD_ORDER, str(tmp_path / "values.npy"),
+                           str(out), order], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["pypocketfft"]
+    hat = scipy.fft.rfftn(values, axes=geo.grid_axes)
+    assert np.array_equal(np.load(out), np.stack([hat.real, hat.imag]))
+    assert np.array_equal(np.load(str(out) + ".back.npy"),
+                          scipy.fft.irfftn(hat, s=geo.shape, axes=geo.grid_axes))

@@ -32,6 +32,7 @@ from torusflow import (
     scalar_curvature,
     volume,
 )
+from torusflow import fields
 from torusflow import flow as flow_module
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -351,26 +352,38 @@ def test_constant_in_phi_moves_its_mean_not_the_metric(bump_trace_two_dim):
 # background Hessian, the evaluation and diagnostics at t = 0, and phi on
 # the grid for the snapshot at t_end, which is also the final state
 TRANSFORM_BUDGET = {1: (4, 13), 2: (10, 28)}
-# the module that runs the real transforms of each rank's grids
-TRANSFORM_MODULE = {1: "numpy.fft", 2: "scipy.fft"}
 
 
 @pytest.mark.parametrize("n, N", [(1, 32), (2, 8)])
 def test_transform_budget(monkeypatch, n, N):
-    import scipy.fft
-
-    m = single_mode(TorusGeometry(n, N), 0.03)
+    """Counted at fields' real-transform helpers, under every name a
+    torusflow module calls them by.  The module fields chose for the rank
+    runs exactly the transforms the helpers ask for, and numpy.fft runs no
+    other: no complex transform, and none at all at n = 2."""
+    geo = TorusGeometry(n, N)
+    m = single_mode(geo, 0.03)
     counts = {}
-    for module in (np.fft, scipy.fft):
+
+    def count(owner, name, key):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] = counts.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    helpers = {name: getattr(fields, name) for name in ("_rfft", "_irfft")}
+    for module in [sys.modules[name] for name in sys.modules if name.startswith("torusflow")]:
+        for name, helper in helpers.items():
+            if getattr(module, name, None) is helper:
+                count(module, name, name)
+    chosen = fields._fft_module(geo)
+    modules = {"numpy.fft": np.fft, fields.FFT_LIBRARY[n]: chosen}
+    for label, module in modules.items():
         for name in ("rfftn", "irfftn", "fftn", "ifftn"):
-            key = (module.__name__, name)
-            counts[key] = 0
-
-            def counted(*args, _key=key, _fn=getattr(module, name), **kwargs):
-                counts[_key] += 1
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
+            if hasattr(module, name):
+                count(module, name, (label, name))
     advances = []
     original = flow_module._Kernel.advance
     monkeypatch.setattr(flow_module._Kernel, "advance",
@@ -378,10 +391,11 @@ def test_transform_budget(monkeypatch, n, N):
     trace = run_flow(m, FlowConfig(t_end=0.1, snapshot_times=(0.1,)))
     steps = len(trace.diagnostics) - 1
     assert steps > 10 and len(advances) == steps  # no rejection
-    used = {key: c for key, c in counts.items() if c}
-    assert set(used) <= {(TRANSFORM_MODULE[n], "rfftn"), (TRANSFORM_MODULE[n], "irfftn")}
+    forward, inverse = counts.pop("_rfft"), counts.pop("_irfft")
+    label = {1: "numpy.fft", 2: "pypocketfft"}[n]
+    assert counts == {(label, "rfftn"): forward, (label, "irfftn"): inverse}
     per_step, setup = TRANSFORM_BUDGET[n]
-    assert per_step * steps <= sum(used.values()) <= per_step * steps + setup
+    assert per_step * steps <= forward + inverse <= per_step * steps + setup
 
 
 @pytest.mark.parametrize("H, pencil", [(np.eye(2), 0), (np.array([[1.0, 1.0], [1.0, 2.0]]), 1)])
@@ -454,20 +468,22 @@ def test_evaluation_keeps_only_half_spectra(monkeypatch, n):
 
 
 def test_transform_module_is_chosen_by_grid_rank():
-    """An n = 1 flow leaves scipy.fft unimported, since importing it also
-    loads scipy.special; an n = 2 flow imports it."""
+    """An n = 1 flow runs numpy.fft and an n = 2 flow scipy's pocketfft
+    kernel, loaded alone: neither loads any scipy module, since importing
+    scipy.fft also loads scipy.special and scipy's array-API layer."""
     code = (
         "import sys\n"
         "import numpy as np\n"
         "from torusflow import FlowConfig, KahlerMetric, ScalarField, TorusGeometry, run_flow\n"
+        "from torusflow.fields import FFT_LIBRARY\n"
         "for n in (1, 2):\n"
         "    geo = TorusGeometry(n, 8)\n"
         "    psi = ScalarField(geo, 0.02 * np.cos(2 * np.pi * geo.coordinate(0)))\n"
         "    run_flow(KahlerMetric(np.eye(n), psi), FlowConfig(t_end=0.01, snapshot_times=(0.01,)))\n"
-        "    print(n, 'scipy.fft' in sys.modules)\n"
+        "    print(n, FFT_LIBRARY.get(2), [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
     )
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "False", "2", "True"]
+    assert proc.stdout.splitlines() == ["1 None []", "2 pypocketfft []"]

@@ -724,7 +724,8 @@ def test_manifest_records_minor_faults_per_stage(calib_run):
 
 
 def test_manifest_records_library_versions(calib_run):
-    """The interpreter, numpy, scipy (which a distance run loads) and the C library."""
+    """The interpreter, numpy, scipy (which a distance run loads), the C
+    library and the FFT that ran."""
     import platform
 
     import scipy
@@ -736,17 +737,38 @@ def test_manifest_records_library_versions(calib_run):
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "libc": " ".join(filter(None, platform.libc_ver())) or None,
+        "fft": "numpy.fft",
     }
 
 
+# runs a command in a fresh interpreter, then prints the manifest's scipy
+# and fft entries and every scipy module loaded
+_LIBRARIES_OF = (
+    "import json, sys\n"
+    "from torusflow.cli import main\n"
+    "for command in sys.argv[3:]:\n"
+    "    assert main([command, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+    "libraries = json.load(open(sys.argv[2] + '/manifest.json'))['libraries']\n"
+    "print(libraries['scipy'], libraries['fft'],"
+    " [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+)
+
+
 def test_manifest_of_a_run_that_loads_no_scipy_names_none(flat_cfg_file, tmp_path):
-    proc = _python("import json, sys\n"
-                   "from torusflow.cli import main\n"
-                   "assert main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-                   "print(json.load(open(sys.argv[2] + '/manifest.json'))['libraries']['scipy'],"
-                   " 'scipy' in sys.modules)\n",
-                   str(flat_cfg_file), str(tmp_path / "out"))
-    assert proc.stdout.split()[-2:] == ["None", "False"]
+    proc = _python(_LIBRARIES_OF, str(flat_cfg_file), str(tmp_path / "out"), "run")
+    assert proc.stdout.splitlines()[-1] == "None numpy.fft []"
+
+
+def test_n2_check_runs_the_fft_kernel_and_loads_no_scipy_module(tmp_path):
+    """An n = 2 run and check with distances off run scipy's FFT kernel:
+    the manifest names it and scipy's installed version, and no scipy module
+    is loaded at exit."""
+    import scipy
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"geometry": {"n": 2, "N": 16}, "scenario": {"indices": [1]}}))
+    proc = _python(_LIBRARIES_OF, str(cfg), str(tmp_path / "out"), "run", "check")
+    assert proc.stdout.splitlines()[-1] == f"{scipy.__version__} pypocketfft []"
 
 
 def test_distance_artifacts(calib_run):
@@ -1222,7 +1244,8 @@ MANIFEST_FALLBACKS = {
     "invalid JSON": lambda out: (out / "manifest.json").write_text('{"config_hash": '),
     "not UTF-8": lambda out: (out / "manifest.json").write_bytes(b"\xff\xfe{}"),
     "not an object": lambda out: (out / "manifest.json").write_text("[]"),
-    "another hash": _edit_manifest(lambda m: m.update(config_hash="0" * 64)),
+    "another trace key": _edit_manifest(lambda m: m.update(trace_key="0" * 64)),
+    "no trace key": _edit_manifest(lambda m: m.pop("trace_key")),
     "generation failure row": _edit_manifest(lambda m: m.update(
         scenarios=[{"status": "error", "error": "scenario generation failed: x"}])),
     "missing row": _edit_manifest(lambda m: m["scenarios"].pop()),
@@ -1249,6 +1272,30 @@ def test_manifest_that_records_no_family_of_this_config_is_recalibrated(
     assert main([command, "--config", str(calib_cfg_file), "--out", str(out)]) == EXIT_OK
     assert len(calibrations) == 3
     assert _files(out) == _files(first)
+    assert _scenario_rows(out) == _scenario_rows(first)
+
+
+def test_manifest_records_the_trace_key(calib_run):
+    cfg, out, manifest = calib_run
+    assert json.loads((out / "manifest.json").read_text())["trace_key"] \
+        == manifest.trace_key == cfg.trace_key
+
+
+def test_check_with_other_test_forms_resumes_the_family_without_calibrating(
+        calib_run, calibrations, tmp_path, capsys):
+    """The family depends only on the trace key's slice of the config, so a
+    check whose config changes only harness.test_forms (another config hash)
+    takes every scenario from the manifest, as an unchanged config does."""
+    first, out = _copy_run(calib_run, tmp_path)
+    d = json.loads(json.dumps(CALIB_DICT))
+    d["harness"] = {"test_forms": 3}
+    cfg = tmp_path / "forms.json"
+    cfg.write_text(json.dumps(d))
+    changed = config_from_dict(json.loads(cfg.read_text()))
+    assert changed.config_hash != calib_run[0].config_hash
+    assert changed.trace_key == calib_run[0].trace_key
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert calibrations == []
     assert _scenario_rows(out) == _scenario_rows(first)
 
 
@@ -1776,13 +1823,16 @@ def test_importing_the_cli_loads_no_process_pool():
     assert proc.stdout.split() == ["False", "False"]
 
 
-# stops `run` where its pipeline would start and prints which stacks set-up loaded
+# stops `run` where its pipeline would start and prints what set-up loaded:
+# the n = 2 transforms (fields), the scipy stacks, and whether any scipy module
 _SETUP_OF_RUN = (
     "import sys\n"
     "import torusflow.cli as cli\n"
+    "from torusflow.fields import FFT_LIBRARY\n"
     "def stop(*args, **kwargs):\n"
     "    stacks = ('scipy.fft', 'scipy.sparse', 'scipy.sparse.csgraph')\n"
-    "    print(*(m in sys.modules for m in stacks))\n"
+    "    print(FFT_LIBRARY.get(2), *(m in sys.modules for m in stacks),\n"
+    "          any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
     "    raise SystemExit(0)\n"
     "cli.run_experiment = stop\n"
     "cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
@@ -1790,8 +1840,9 @@ _SETUP_OF_RUN = (
 
 
 @pytest.mark.parametrize("d, loaded", [
-    ({"geometry": {"n": 2, "N": 16}, "scenario": {"indices": [1]}}, ["True", "False", "False"]),
-    (CALIB_DICT, ["False", "True", "True"]),
+    ({"geometry": {"n": 2, "N": 16}, "scenario": {"indices": [1]}},
+     ["pypocketfft", "False", "False", "False", "False"]),
+    (CALIB_DICT, ["None", "False", "True", "True", "True"]),
 ], ids=["n2-no-distances", "n1-distances"])
 def test_run_setup_loads_the_stacks_its_config_runs(d, loaded, tmp_path):
     cfg = tmp_path / "cfg.json"
