@@ -10,24 +10,19 @@ constant representative of the class).  Stationary states are exactly
 the constant-coefficient metrics, and the grid integral of det g is a
 conserved quantity.
 
-Two time steppers:
-
-  explicit        forward Euler with dt = sigma * h^2 / lambda_max(g^{-1});
-                  stable for sigma up to explicit_sigma_limit, which the
-                  config loader enforces;
-  semi_implicit   the constant-coefficient operator c * tr_{H0}(d dbar)
-                  is solved implicitly (a diagonal division in Fourier
-                  space) with c = max_x lambda_max of g^{-1} relative to
-                  H0, the remainder advances explicitly.  Because the
-                  implicit operator dominates the parabolic part, every
-                  resolved mode contracts monotonically, and dt may ride
-                  the elapsed-time scale sigma * max(t, t_ramp).
+One time stepper, semi-implicit: the constant-coefficient operator
+c * tr_{H0}(d dbar) is solved implicitly (a diagonal division in Fourier
+space) with c = max_x lambda_max of g^{-1} relative to H0, and the
+remainder advances explicitly.  Because the implicit operator dominates
+the parabolic part, every resolved mode contracts monotonically, and dt
+may ride the elapsed-time scale sigma * max(t, t_ramp).  The rhs keeps
+the 2/3-dealiased band of log det g.
 
 Spectral state: the flow potential is carried from step to step as its
-real half spectrum (rfftn), so the implicit solve and the explicit
-update never transform the potential or the rhs forward.  The
-coefficients use the packed layout of HermitianField (see the fields
-module), held as plain arrays on the hot path.  One accepted step runs
+real half spectrum (rfftn), so the step never transforms the potential
+or the rhs forward.  The coefficients use the packed layout of
+HermitianField (see the fields module), held as plain arrays on the hot
+path.  One accepted step runs
 these real transforms:
 
   Hessian of phi from its spectrum    n^2 inverse, one per packed slot
@@ -60,8 +55,8 @@ potential, mean included; run_flow is the only stepper.
 
 Any candidate with non-finite values or an eigenvalue floor below
 EPS_POS (or NaN), the package's one positivity gate, is rejected and
-retried at dt/2; too many consecutive rejections abort the flow with
-the last good state attached.
+retried at dt/2; more than MAX_REJECTS consecutive rejections abort the
+flow with the last good state attached.
 Diagnostics (curvature floor, potential rate extremes, eigenvalue floor,
 volume) are recorded at every accepted step.  Full states are kept at
 the configured snapshot times, whose last entry is always t_end: the
@@ -103,10 +98,10 @@ __all__ = [
     "StepDiagnostics",
     "FlowFailure",
     "run_flow",
-    "explicit_sigma_limit",
 ]
 
 DEFAULT_SNAPSHOTS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
+MAX_REJECTS = 20  # consecutive halvings of one step before the flow aborts
 
 
 class FlowFailure(RuntimeError):
@@ -119,17 +114,12 @@ class FlowFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowConfig:
-    scheme: str = "semi_implicit"
     sigma: float = 0.2
     t_end: float = 1.0
     snapshot_times: tuple = DEFAULT_SNAPSHOTS
-    dealias: bool = True
-    max_rejects: int = 20
     t_ramp: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("semi_implicit", "explicit"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (0 < self.sigma <= 1.0):
             raise ValueError(f"sigma must lie in (0, 1], got {self.sigma}")
         if not (0 < self.t_end <= 2.0):
@@ -147,8 +137,6 @@ class FlowConfig:
         if not (snaps and snaps[-1] == t_end):
             snaps.append(t_end)
         object.__setattr__(self, "snapshot_times", tuple(snaps))
-        if self.max_rejects < 1:
-            raise ValueError("max_rejects must be at least 1")
         if not (0 < self.t_ramp < math.inf):
             raise ValueError(f"t_ramp must be positive and finite, got {self.t_ramp}")
 
@@ -227,38 +215,16 @@ class _Evaluation:
         self.readings = readings    # the StepDiagnostics fields after t and dt
 
 
-def _stab_symbol(geo: TorusGeometry, H0: np.ndarray) -> np.ndarray:
-    """Half-spectrum symbol of tr_{H0}(d dbar), H0 packed: the pairing of H0
-    with the Hessian symbol over det H0."""
-    return _pairing(H0, geo.hessian_symbols) / _det(H0)
-
-
-def explicit_sigma_limit(geo: TorusGeometry, H0: np.ndarray, dealias: bool) -> float:
-    """The largest sigma at which the explicit scheme is stable on the
-    background H0 (an n x n matrix): forward Euler's 2 / (h^2 max |symbol|)
-    of tr_{H0}(d dbar) over the modes the rhs keeps.  Its dt scales that
-    operator by the top eigenvalue of g^{-1} wrt H0, which bounds tr_g(d
-    dbar), the rhs's linearisation.  At H0 = I it is 4 / (n pi^2), and
-    N^2 / (n pi^2 cut^2), about 9 / (n pi^2), with the 2/3 cut."""
-    symbol = np.abs(_stab_symbol(geo, _pack(H0)))
-    if dealias:
-        symbol = symbol[geo.dealias_keep]
-    return 2.0 / (geo.spacing**2 * float(symbol.max()))
-
-
-def _rhs(geo: TorusGeometry, log_det_hat: np.ndarray, alpha: FlatMetric,
-         dealias: bool) -> np.ndarray:
-    """Half spectrum of d phi/dt = log det g - log det H_alpha,
-    2/3-truncated when dealias."""
-    out = log_det_hat * geo.dealias_keep if dealias else log_det_hat.copy()
+def _rhs(geo: TorusGeometry, log_det_hat: np.ndarray, alpha: FlatMetric) -> np.ndarray:
+    """Half spectrum of d phi/dt = log det g - log det H_alpha, 2/3-truncated."""
+    out = log_det_hat * geo.dealias_keep
     out[(0,) * geo.axes] -= geo.npoints * math.log(_det(_pack(alpha.H)))
     return out
 
 
-def _rhs_field(geo: TorusGeometry, log_det: np.ndarray, alpha: FlatMetric,
-               dealias: bool) -> ScalarField:
+def _rhs_field(geo: TorusGeometry, log_det: np.ndarray, alpha: FlatMetric) -> ScalarField:
     """_rhs on the grid, from log det g on the grid."""
-    return ScalarField(geo, _irfft(geo, _rhs(geo, _rfft(geo, log_det), alpha, dealias)))
+    return ScalarField(geo, _irfft(geo, _rhs(geo, _rfft(geo, log_det), alpha)))
 
 
 class _Kernel:
@@ -276,7 +242,8 @@ class _Kernel:
         # eigenvalue arithmetic, so its floor is the gate's, bit for bit
         self.identity_background = np.array_equal(self.H0, _pack(np.eye(geo.n)))
         self.fixed = g0.values
-        self.stab_symbol = _stab_symbol(geo, self.H0)
+        # half-spectrum symbol of tr_{H0}(d dbar)
+        self.stab_symbol = _pairing(self.H0, geo.hessian_symbols) / _det(self.H0)
 
     def evaluate(self, phi_hat: np.ndarray) -> _Evaluation | None:
         """None rejects the candidate: non-finite, or failing the positivity
@@ -295,7 +262,7 @@ class _Kernel:
         min_eig = float(eig[0].min())
         log_det_hat = _rfft(geo, _log_det(eig))
         del eig
-        rhs_hat = _rhs(geo, log_det_hat, self.alpha, self.config.dealias)
+        rhs_hat = _rhs(geo, log_det_hat, self.alpha)
         # c = 1 / smallest root of det(g - lam H0): the top eigenvalue of g^{-1} wrt H0
         if self.identity_background:
             stiffness = 1.0 / min_eig
@@ -306,18 +273,9 @@ class _Kernel:
         readings = (min_curv, float(rhs.min()), float(rhs.max()), min_eig, _volume(coeffs, det))
         return _Evaluation(phi_hat, rhs_hat, stiffness, readings)
 
-    def target_dt(self, t: float, ev: _Evaluation) -> float:
-        cfg = self.config
-        if cfg.scheme == "explicit":
-            h2 = self.geometry.spacing**2
-            return cfg.sigma * h2 / ev.stiffness
-        return cfg.sigma * max(t, cfg.t_ramp)
-
     def advance(self, ev: _Evaluation, dt: float) -> np.ndarray:
         """Half spectrum of the candidate potential after dt."""
         phi_hat, rhs_hat = ev.phi_hat, ev.rhs_hat
-        if self.config.scheme == "explicit":
-            return phi_hat + dt * rhs_hat
         c = ev.stiffness
         s = self.stab_symbol
         # (phi_hat + dt * (rhs_hat - c * s * phi_hat)) / (1.0 - dt * c * s),
@@ -343,14 +301,14 @@ def _step(kernel: _Kernel, t: float, ev: _Evaluation, t_next: float):
     """One accepted step from time t, whose state has the evaluation ev,
     ending at t_next at the latest; returns (new_t, dt, new_evaluation)."""
     config = kernel.config
-    dt = min(kernel.target_dt(t, ev), t_next - t)
+    dt = min(config.sigma * max(t, config.t_ramp), t_next - t)
     rejects = 0
     while True:
         ev_new = kernel.evaluate(kernel.advance(ev, dt))
         if ev_new is not None:
             return t + dt, dt, ev_new
         rejects += 1
-        if rejects > config.max_rejects:
+        if rejects > MAX_REJECTS:
             raise FlowFailure(
                 f"step at t={t:.6g} rejected {rejects} times (dt={dt:.3e})",
                 kernel.state(t, ev),

@@ -213,8 +213,7 @@ class ScenarioMeasurement:
     distance: object = None  # distances.DistanceResult when the battery ran
 
 
-def _snapshot_readings(g: HermitianField, t: float, alpha: FlatMetric,
-                       dealias: bool) -> tuple:
+def _snapshot_readings(g: HermitianField, t: float, alpha: FlatMetric) -> tuple:
     """(sup_x t^{n-1} e^{-dot phi} tr_alpha omega, lambda_min, lambda_max) of one
     snapshot's assembled metric, from one eigenvalue pass.  None of its grid
     temporaries outlives the call into the next assembly."""
@@ -223,7 +222,7 @@ def _snapshot_readings(g: HermitianField, t: float, alpha: FlatMetric,
     lo, hi = float(eig[0].min()), float(eig[-1].max())
     log_det = _log_det(eig)
     del eig  # before the transforms of the rate
-    weight = t ** (geo.n - 1) * np.exp(-_rhs_field(geo, log_det, alpha, dealias).values)
+    weight = t ** (geo.n - 1) * np.exp(-_rhs_field(geo, log_det, alpha).values)
     return float((weight * trace_wrt(alpha, g).values).max()), lo, hi
 
 
@@ -261,7 +260,7 @@ def measure(trace: FlowTrace, index: int, amplitude: float, forms, densities,
     for s in trace.snapshots:
         sup_abs_phi = max(sup_abs_phi, float(np.abs(s.phi.values).max()))
         g_t = assemble(s.metric())
-        bound, lo, hi = _snapshot_readings(g_t, s.t, alpha, trace.config.dealias)
+        bound, lo, hi = _snapshot_readings(g_t, s.t, alpha)
         trace_bound = max(trace_bound, bound)
         if s is not final:
             del g_t  # before the next assembly, which would otherwise be a second live field

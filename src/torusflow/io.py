@@ -140,6 +140,13 @@ def _config_json(config: FlowConfig) -> dict:
 
 
 def _config_from_json(d: dict) -> FlowConfig:
+    """The record's FlowConfig.  Its keys must be exactly FlowConfig's
+    fields: a key this version does not read may have changed the flow."""
+    extra = sorted(set(d) - set(_CONFIG_FIELDS))
+    missing = [name for name in _CONFIG_FIELDS if name not in d]
+    if extra or missing:
+        raise FormatError(f"config keys are not FlowConfig's fields: extra {extra}, "
+                          f"missing {missing}")
     # FlowConfig turns the snapshot list back into its normalized tuple
     return FlowConfig(**{name: d[name] for name in _CONFIG_FIELDS})
 
@@ -227,11 +234,11 @@ def _read_diagnostics(path: Path) -> tuple:
 def load_trace(directory) -> FlowTrace:
     """Read a trace written by save_trace.  Raises FormatError when
     meta.json is not a torusflow-trace-2 record with every key and type
-    save_trace writes, when its snapshot table does not hold one entry
-    per configured snapshot time in order, each in its own file, when a
-    field file is not on the initial potential's grid, or when the
-    diagnostics file has no rows, a row of the wrong length or a
-    non-finite cell."""
+    save_trace writes, when its config has a key FlowConfig lacks, when
+    its snapshot table does not hold one entry per configured snapshot
+    time in order, each in its own file, when a field file is not on the
+    initial potential's grid, or when the diagnostics file has no rows, a
+    row of the wrong length or a non-finite cell."""
     d = Path(directory)
     try:
         meta = json.loads((d / "meta.json").read_text())

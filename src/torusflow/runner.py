@@ -66,7 +66,7 @@ import numpy as np
 from . import __version__
 from . import io as tfio
 from .fields import FFT_LIBRARY, FieldError, TorusGeometry, constant_field
-from .flow import FlowConfig, explicit_sigma_limit, run_flow
+from .flow import FlowConfig, run_flow
 from .geometry import PositivityError, pairing_density
 from .harness import (HarnessConfig, build_reports, default_test_forms, family_columns,
                       family_passed, family_summary, measure)
@@ -237,12 +237,9 @@ _SCENARIO = (
     ("seed", _is_seed, "must be an integer >= 0", None),
 )
 _FLOW = (  # types only: FlowConfig checks the values
-    ("scheme", None, None, None),
     ("sigma", _is_num, "must be a number", None),
     ("t_end", _is_num, "must be a number", None),
     ("snapshot_times", lambda v: _is_list(v, _is_num), "must be a list of numbers", _floats),
-    ("dealias", lambda v: isinstance(v, bool), "must be true or false", None),
-    ("max_rejects", _is_int, "must be an integer", None),
     ("t_ramp", _is_num, "must be a number", None),
 )
 _HARNESS = (
@@ -330,12 +327,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         spec = ScenarioSpec(geometry=geometry, **scen)
     except ScenarioError as exc:
         raise ConfigError([f"scenario: {exc}"]) from exc
-    if flow.scheme == "explicit":
-        limit = explicit_sigma_limit(geometry, spec.background, flow.dealias)
-        if flow.sigma > limit:
-            raise ConfigError([f"flow.sigma: {flow.sigma} exceeds {limit:.6g}, the explicit "
-                               f"scheme's stability limit at n={n}, N={N}, "
-                               f"dealias={str(flow.dealias).lower()} on this background"])
     harness = HarnessConfig(**harness)
     if not harness.q_list:
         harness = replace(harness, q_list=(float(n), 1.5 * n))
@@ -425,12 +416,13 @@ def _flow_one(config: ExperimentConfig, scenario: Scenario, out: Path) -> str | 
 
 
 def _has_persisted_trace(sdir: Path, trace_key: str) -> bool:
-    key_file = sdir / "trace_key.txt"
-    return (
-        key_file.exists()
-        and (sdir / "trace" / "meta.json").exists()
-        and key_file.read_text().strip() == trace_key
-    )
+    """Whether sdir holds a trace under trace_key.  A key file that cannot
+    be read, or holds other bytes, marks no trace."""
+    try:
+        key = (sdir / "trace_key.txt").read_bytes()
+    except OSError:
+        return False
+    return key.strip() == trace_key.encode() and (sdir / "trace" / "meta.json").exists()
 
 
 def ensure_trace(config: ExperimentConfig, out, scenario: Scenario,

@@ -30,11 +30,12 @@ def sin_field(geometry, axis: int, mode: int = 1, amplitude: float = 1.0) -> Sca
     return ScalarField(geometry, amplitude * np.sin(2.0 * np.pi * mode * x))
 
 
-def rate_field(state, alpha, dealias: bool = False) -> ScalarField:
-    """d phi/dt = log(det g / det alpha.H) of a flow state, through the
-    flow's right-hand side, as the harness derives it from a snapshot."""
+def rate_field(state, alpha) -> ScalarField:
+    """d phi/dt = log(det g / det alpha.H), 2/3-truncated, of a flow state,
+    through the flow's right-hand side, as the harness derives it from a
+    snapshot."""
     g = assemble(state.metric())
-    return _rhs_field(g.geometry, _log_det(_positive_eigenvalues(g.values)), alpha, dealias)
+    return _rhs_field(g.geometry, _log_det(_positive_eigenvalues(g.values)), alpha)
 
 
 @pytest.fixture

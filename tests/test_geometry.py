@@ -206,7 +206,7 @@ POSITIVITY_GATES = {
     "riemann_norm": riemann_norm,
     # the log det of the rate d phi/dt that measure reads off each snapshot
     "snapshot_readings": lambda m: harness._snapshot_readings(
-        assemble(m), 1.0, FlatMetric(np.eye(m.geometry.n), m.geometry), True),
+        assemble(m), 1.0, FlatMetric(np.eye(m.geometry.n), m.geometry)),
     "FlatMetric_background": lambda m: FlatMetric(background_at_floor(m), m.geometry),
     "KahlerMetric_background": lambda m: KahlerMetric(background_at_floor(m), 0.0 * m.phi),
 }

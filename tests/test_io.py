@@ -167,8 +167,8 @@ def test_trace_round_trip(tmp_path, small_trace):
         # the full potential, mean included
         assert np.array_equal(s1.phi.values, s0.phi.values)
         # the rate derived from the stored potential matches the flow's state
-        rate0 = rate_field(s0, small_trace.alpha, dealias=True)
-        rate1 = rate_field(s1, back.alpha, dealias=True)
+        rate0 = rate_field(s0, small_trace.alpha)
+        rate1 = rate_field(s1, back.alpha)
         assert np.abs(rate1.values - rate0.values).max() < 1e-11
 
     # diagnostics go through repr() so floats survive exactly
@@ -273,6 +273,10 @@ MALFORMED_TRACES = {
     "meta_nested_too_deep": lambda d: (d / "meta.json").write_text("[" * 200_000),
     "missing_last_snapshot": _edit_meta(lambda m: m["snapshots"].pop()),
     "missing_config_key": _edit_meta(lambda m: m["config"].pop("sigma")),
+    # keys of flow settings this version no longer has
+    "extra_config_key_scheme": _edit_meta(lambda m: m["config"].update(scheme="explicit")),
+    "extra_config_key_dealias": _edit_meta(lambda m: m["config"].update(dealias=False)),
+    "extra_config_key_max_rejects": _edit_meta(lambda m: m["config"].update(max_rejects=20)),
     "missing_snapshot_time": _edit_meta(lambda m: m["snapshots"][0].pop("t")),
     "snapshots_not_list": _edit_meta(lambda m: m.update(snapshots=5)),
     "time_not_number": _edit_meta(lambda m: m["snapshots"][-1].update(t="late")),
@@ -299,3 +303,15 @@ def test_trace_rejects_malformed_records(tmp_path, small_trace, name):
     MALFORMED_TRACES[name](d)
     with pytest.raises(FormatError):
         load_trace(d)
+
+
+def test_trace_config_key_error_names_extra_and_missing_keys(tmp_path, small_trace):
+    d = save_trace(small_trace, tmp_path / "trace")
+    meta = json.loads((d / "meta.json").read_text())
+    meta["config"].update(scheme="explicit", dealias=True)
+    del meta["config"]["t_ramp"], meta["config"]["sigma"]
+    (d / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(FormatError) as err:
+        load_trace(d)
+    assert str(err.value) == ("config keys are not FlowConfig's fields: extra ['dealias', "
+                              "'scheme'], missing ['sigma', 't_ramp']")

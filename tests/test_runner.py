@@ -80,7 +80,8 @@ def test_unknown_top_level_key():
 
 
 def test_unknown_section_keys_all_reported():
-    d = base_dict(flow={"dt": 0.1, "eps_pos": 1e-8}, distance={"stencil": 3})
+    d = base_dict(flow={"dt": 0.1, "eps_pos": 1e-8, "scheme": "explicit", "dealias": False,
+                        "max_rejects": 20}, distance={"stencil": 3})
     d["scenario"]["amplitude"] = 0.5
     with pytest.raises(ConfigError) as err:
         config_from_dict(d)
@@ -89,6 +90,9 @@ def test_unknown_section_keys_all_reported():
     assert any(m.startswith("flow.dt: unknown key") for m in msgs)
     # the one positivity floor is EPS_POS; the flow has no knob of its own
     assert any(m.startswith("flow.eps_pos: unknown key") for m in msgs)
+    # one stepper, a dealiased rhs and a fixed rejection limit
+    for key in ("scheme", "dealias", "max_rejects"):
+        assert f"flow.{key}: unknown key (allowed: sigma, snapshot_times, t_end, t_ramp)" in msgs
     assert any(m.startswith("distance.stencil: unknown key") for m in msgs)
 
 
@@ -327,67 +331,25 @@ def test_flow_values_validated(tmp_path, capsys):
         assert f"config error: flow: {key} must " in capsys.readouterr().err
 
 
-# the explicit scheme's stability limit, 4 / (n pi^2) without the 2/3 cut at
-# H0 = I, and N^2 / (n pi^2 (N // 3)^2) with it
-UNSTABLE_N1 = {"geometry": {"n": 1, "N": 16}, "scenario": {"indices": [1], "seed": 90},
-               "flow": {"scheme": "explicit", "sigma": 1.0, "dealias": False}}
-
-
-@pytest.mark.parametrize("n, sigma, dealias, limit", [
-    (1, 1.0, False, "0.405285"),
-    (1, 0.41, False, "0.405285"),
-    (2, 0.6, True, "0.518764"),
-    (2, 0.21, False, "0.202642"),
-])
-def test_explicit_sigma_above_the_stability_limit_is_a_config_error(n, sigma, dealias, limit,
-                                                                     tmp_path, capsys):
-    d = json.loads(json.dumps(UNSTABLE_N1))
-    d["geometry"]["n"] = n
-    d["flow"].update(sigma=sigma, dealias=dealias)
-    message = (f"flow.sigma: {sigma} exceeds {limit}, the explicit scheme's stability limit at "
-               f"n={n}, N=16, dealias={str(dealias).lower()} on this background")
-    with pytest.raises(ConfigError) as err:
-        config_from_dict(d)
-    assert err.value.errors == [message]
-    assert _cli_exit(tmp_path, d) == EXIT_CONFIG_ERROR
-    assert capsys.readouterr().err == f"config error: {message}\n"
-
-
-@pytest.mark.parametrize("n, sigma, dealias", [
-    (1, 0.4, False), (1, 1.0, True), (2, 0.5, True), (2, 0.2, False),
-])
-def test_explicit_sigma_within_the_stability_limit_is_accepted(n, sigma, dealias):
-    d = json.loads(json.dumps(UNSTABLE_N1))
-    d["geometry"]["n"] = n
-    d["flow"].update(sigma=sigma, dealias=dealias)
-    assert config_from_dict(d).flow.sigma == sigma
-
-
-def test_stability_limit_reads_the_background():
-    """A wider background scales the symbol down, so the limit rises with it."""
-    d = json.loads(json.dumps(UNSTABLE_N1))
-    d["scenario"]["background"] = [[[1.5, 0.0]]]
-    d["flow"]["sigma"] = 0.6
-    assert config_from_dict(d).flow.sigma == 0.6
-    d["flow"]["sigma"] = 0.61
-    with pytest.raises(ConfigError, match=r"flow.sigma: 0.61 exceeds 0.607927"):
-        config_from_dict(d)
-
-
-def test_explicit_run_within_the_limit_passes(tmp_path, capsys):
-    d = json.loads(json.dumps(UNSTABLE_N1))
-    d["flow"]["sigma"] = 0.4
-    assert _cli_exit(tmp_path, d) == EXIT_OK
-    assert "checks: PASS" in capsys.readouterr().out
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("key, value", [("scheme", "explicit"), ("dealias", False),
+                                        ("max_rejects", 20)])
+def test_removed_flow_key_is_a_config_error(key, value, command, tmp_path, capsys):
+    """The flow has one stepper, a dealiased rhs and a fixed rejection limit;
+    a config that still sets one of their old keys is refused, not ignored."""
+    assert _cli_exit(tmp_path, base_dict(flow={key: value}), command) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == (f"config error: flow.{key}: unknown key "
+                                       "(allowed: sigma, snapshot_times, t_end, t_ramp)\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("section,key,value", [
     ("flow", "sigma", "0.2"),
-    ("flow", "max_rejects", "a"),
+    ("flow", "t_end", "1"),
     ("flow", "t_ramp", None),
     ("geometry", "n", True),
+    ("scenario", "flat", "no"),
     # a bool is not a number
-    ("flow", "dealias", "no"),
     ("distance", "radius", True),
     ("harness", "test_forms", True),
     ("scenario", "lambda_gate", True),
@@ -462,8 +424,8 @@ def test_flat_switch_is_part_of_the_scenario_spec():
     assert cfg.scenario.flat is True
     assert cfg.normalized["scenario"]["flat"] is True
     # pinned: the hashes move only when the normalized config does
-    assert cfg.config_hash == "435c02dd3a0ec82031d08ea76c9d32a04d3572f096ad9585d76f153eaae6ac85"
-    assert cfg.trace_key == "437c7e87a50e0da5fe21839cafe44f4621254cace14419c0210f0fcaac92d513"
+    assert cfg.config_hash == "c9b21b2cc1e7cd17d0880f969b0f912b80c55df362e113ab011625d91855eaa4"
+    assert cfg.trace_key == "e78c30164aba01627957ac97bfa4524dd939e4c8ff0ec4e27e8619185815dc48"
     assert config_from_dict(base_dict()).scenario.flat is False
 
 
@@ -501,7 +463,7 @@ def test_hash_semantics():
     d = config_from_dict(base_dict(seed=8))
     assert d.trace_key != a.trace_key
 
-    e = config_from_dict(base_dict(flow={"dealias": False}))
+    e = config_from_dict(base_dict(flow={"sigma": 0.1}))
     assert e.trace_key != a.trace_key
 
 
@@ -1376,6 +1338,19 @@ def _name_format_1(trace_dir):
     (trace_dir / "meta.json").write_text(json.dumps(meta))
 
 
+def _explicit_scheme_key(trace_dir):
+    """A config record with a flow key this version does not read."""
+    meta = json.loads((trace_dir / "meta.json").read_text())
+    meta["config"]["scheme"] = "explicit"
+    (trace_dir / "meta.json").write_text(json.dumps(meta))
+
+
+def _drop_t_ramp(trace_dir):
+    meta = json.loads((trace_dir / "meta.json").read_text())
+    del meta["config"]["t_ramp"]
+    (trace_dir / "meta.json").write_text(json.dumps(meta))
+
+
 def _cut_diagnostics_row(trace_dir):
     path = trace_dir / "diagnostics.csv"
     lines = path.read_text().splitlines()
@@ -1411,7 +1386,8 @@ def _nest_meta_too_deep(trace_dir):
 
 @pytest.mark.parametrize("corrupt", [_drop_last_snapshot, _cut_diagnostics_row,
                                      share_first_snapshot_file, _nan_min_r(1), _nan_min_r(3),
-                                     _name_format_1, _oversized_header, _nest_meta_too_deep])
+                                     _name_format_1, _oversized_header, _nest_meta_too_deep,
+                                     _explicit_scheme_key, _drop_t_ramp])
 def test_cli_malformed_trace_is_reported_then_recomputed(corrupt, tmp_path, capsys):
     d = json.loads(json.dumps(FLAT_DICT))
     d["scenario"]["indices"] = [1]
@@ -1430,6 +1406,10 @@ def test_cli_malformed_trace_is_reported_then_recomputed(corrupt, tmp_path, caps
     assert manifest["scenarios"][0]["status"] == "error"
     if corrupt is _name_format_1:
         assert "'torusflow-trace-1'" in manifest["scenarios"][0]["error"]
+    if corrupt is _explicit_scheme_key:
+        assert "extra ['scheme'], missing []" in manifest["scenarios"][0]["error"]
+    if corrupt is _drop_t_ramp:
+        assert "extra [], missing ['t_ramp']" in manifest["scenarios"][0]["error"]
     assert manifest["any_errors"] and not manifest["all_checks_pass"]
     assert {p.name: p.read_bytes() for p in trace_dir.iterdir()} == corrupted
 
@@ -1437,6 +1417,44 @@ def test_cli_malformed_trace_is_reported_then_recomputed(corrupt, tmp_path, caps
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["scenarios"][0]["status"] == "ok"
     assert main(["check", *args]) == EXIT_OK
+
+
+def _non_utf8_key(key_file):
+    key_file.write_bytes(b"\xff\xfe" + key_file.read_bytes()[2:])
+
+
+def _key_as_directory(key_file):
+    key_file.unlink()
+    key_file.mkdir()
+
+
+@pytest.mark.parametrize("corrupt, command, code, error", [
+    (_non_utf8_key, "check", EXIT_SCENARIO_ERROR, "no persisted trace"),
+    (_non_utf8_key, "run", EXIT_OK, None),  # flowed again under a fresh key
+    (_key_as_directory, "check", EXIT_SCENARIO_ERROR, "no persisted trace"),
+    (_key_as_directory, "run", EXIT_SCENARIO_ERROR, "flow failed: IsADirectoryError"),
+])
+def test_cli_unreadable_trace_key_is_no_persisted_trace(corrupt, command, code, error,
+                                                        tmp_path):
+    """A trace key file that cannot be read or decoded marks no trace: the
+    command ends in a manifest, not a traceback."""
+    d = json.loads(json.dumps(FLAT_DICT))
+    d["scenario"]["indices"] = [1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    args = ["--config", str(cfg), "--out", str(out)]
+    assert main(["run", *args]) == EXIT_OK
+    key_file = out / "scenario_i001" / "trace_key.txt"
+    corrupt(key_file)
+
+    assert main([command, *args]) == code
+    (row,) = json.loads((out / "manifest.json").read_text())["scenarios"]
+    if error is None:
+        assert row["status"] == "ok"
+        assert key_file.read_text().strip() == config_from_dict(d).trace_key
+    else:
+        assert row["status"] == "error" and row["error"].startswith(error)
 
 
 @pytest.fixture(scope="module")
