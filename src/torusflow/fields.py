@@ -22,7 +22,8 @@ every n = 2 output.  scipy.fft's rfftn and irfftn are each one call into
 that kernel, the C++ extension scipy/fft/_pocketfft/pypocketfft, so
 _fft_module loads the extension alone, by file path and under its full
 name, and makes the same two calls with scipy's default norm and one
-worker.  Importing scipy.fft after numpy costs 0.2-0.3 s and about 27 MB,
+worker, beside the unnormalized single-axis passes of the band inverse
+(below).  Importing scipy.fft after numpy costs 0.2-0.3 s and about 27 MB,
 almost none of it the transforms: it loads scipy.special and scipy's
 shared array-API layer, which walks numpy's attributes and so loads
 numpy.f2py, numpy.testing and more.  The extension alone loads in a few
@@ -44,6 +45,25 @@ imaginary parts are even in k, so each part maps a real field to a real
 field and one inverse real transform per part and entry j <= k gives
 the Hessian.
 
+Band arrays.  A half spectrum that is zero outside the 2/3-rule band
+(every |k_axis| <= c = N//3) is carried as its band array alone: the modes
+0..c, -c..-1 of each full axis and 0..c of the half axis, cut into
+2^(2n-1) blocks that are contiguous in both arrays (band_blocks).  At
+n = 2, N = 16 that is 11*11*11*6 = 7,986 coefficients against 36,864.
+_band_of gathers it and _irfft_band inverts it.  At n = 1 the inverse puts
+the band into a zero half spectrum and calls irfftn.  At n = 2 it runs the
+passes of the kernel's multi-axis c2r itself, in its order: a backward
+c2c on axes 0, 1 and 2 in turn, then a c2r on axis 3.  Each c2c pass
+covers only the lines whose later-axis indices lie in the band, 726 +
+1,056 + 1,536 lines at N = 16 against 3 x 2,304; a skipped line is all
+zero, and so is its transform.  The bits are irfftn's on the zero-padded
+spectrum: each line kept goes through the same one-dimensional transform,
+and pocketfft applies the 1/N^{2n} of the inverse (the reciprocal taken
+in long double, rounded once) as one multiplication of each output of the
+last pass, which _irfft_band makes after an unnormalized c2r.  Tests pin
+these bits at n = 1 and n = 2, with N a power of two and not, and under
+the scipy.fft fallback.
+
 Hermitian coefficient fields are stored packed: a real float64 array of
 shape (n^2, *grid), one contiguous grid array per slot.  The slots are
 the real parts of the diagonal and the real and imaginary parts of the
@@ -56,6 +76,7 @@ layout; the n <= 2 closed forms of geometry read it.
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -117,6 +138,11 @@ class TorusGeometry:
     @property
     def spacing(self) -> float:
         return 1.0 / self.N
+
+    @property
+    def half_shape(self) -> tuple:
+        """Shape of a half spectrum: rfftn keeps N/2 + 1 modes on the last axis."""
+        return self.shape[:-1] + (self.N // 2 + 1,)
 
     @property
     def npoints(self) -> int:
@@ -183,6 +209,28 @@ class TorusGeometry:
         """Half-spectrum mask of the 2/3-rule band."""
         return _band(self.half_mode_arrays, self.dealias_cutoff)
 
+    @property
+    def band_shape(self) -> tuple:
+        """Shape of a band array: the 2/3-rule band of the half spectrum as
+        its own array, with the modes 0..c, -c..-1 on each full axis and
+        0..c on the half axis (c = dealias_cutoff)."""
+        c = self.dealias_cutoff
+        return (2 * c + 1,) * (self.axes - 1) + (c + 1,)
+
+    @cached_property
+    def band_blocks(self) -> tuple:
+        """(half-spectrum index, band-array index) of each of the 2^(2n-1)
+        blocks a band array is cut into, contiguous in both; each index
+        starts with an Ellipsis, for leading slot axes."""
+        c, N = self.dealias_cutoff, self.N
+        # (spectrum, band) slices of the modes 0..c and -c..-1 of a full axis
+        pieces = ((slice(0, c + 1), slice(0, c + 1)), (slice(N - c, N), slice(c + 1, 2 * c + 1)))
+        blocks = []
+        for p in itertools.product(pieces, repeat=self.axes - 1):
+            spectrum, band = zip(*p)
+            blocks.append(((Ellipsis, *spectrum, slice(0, c + 1)), (Ellipsis, *band, slice(None))))
+        return tuple(blocks)
+
 
 def _band(modes: tuple, cut: int) -> np.ndarray:
     """Mask of the modes with every |k_axis| <= cut."""
@@ -197,12 +245,16 @@ def _band(modes: tuple, cut: int) -> np.ndarray:
 # "pypocketfft" (the kernel alone) or "scipy.fft" (the fallback).
 FFT_LIBRARY = {1: "numpy.fft"}
 _KERNEL = "scipy.fft._pocketfft.pypocketfft"
-_fft_4d = None  # rfftn and irfftn of 4-D grids, once loaded
+_fft_4d = None  # the transforms of 4-D grids, once loaded
 
 
 def _fft_module(geometry: TorusGeometry):
-    """numpy.fft on 2-D grids; on 4-D ones scipy's pocketfft kernel, loaded
-    alone, or scipy.fft where it cannot be (module docstring)."""
+    """numpy.fft on 2-D grids; on 4-D ones the calls of scipy's pocketfft
+    kernel, loaded alone, or of scipy.fft where it cannot be (module
+    docstring).  The 4-D calls are rfftn and irfftn, as scipy.fft's but with
+    irfftn writing into out, and the unnormalized single-axis passes of a
+    band inverse: c2c, complex and backward, in place, and c2r, complex to
+    real, into out."""
     global _fft_4d
     if geometry.n == 1:
         return np.fft
@@ -217,12 +269,22 @@ def _fft_module(geometry: TorusGeometry):
         except (AttributeError, StopIteration, ImportError):  # no scipy, no file, or no load
             import scipy.fft
 
-            _fft_4d, FFT_LIBRARY[2] = scipy.fft, "scipy.fft"
+            _fft_4d = SimpleNamespace(
+                rfftn=scipy.fft.rfftn,
+                irfftn=lambda x, s, axes, out: np.copyto(out, scipy.fft.irfftn(x, s=s, axes=axes)),
+                c2c=lambda x, axis: np.copyto(x, scipy.fft.ifft(x, axis=axis, norm="forward")),
+                c2r=lambda x, n, axis, out: np.copyto(out, scipy.fft.irfft(x, n, axis=axis,
+                                                                          norm="forward")),
+            )
+            FFT_LIBRARY[2] = "scipy.fft"
         else:
-            # scipy.fft's calls: forward unnormalized (0), inverse by 1/N^{2n} (2), one worker
+            # scipy.fft's calls: forward unnormalized (0), inverse by 1/N^{2n} (2),
+            # one worker; the band passes are backward (False) and unnormalized
             _fft_4d = SimpleNamespace(
                 rfftn=lambda x, axes: kernel.r2c(x, axes, True, 0, None, 1),
-                irfftn=lambda x, s, axes: kernel.c2r(x, axes, s[-1], False, 2, None, 1),
+                irfftn=lambda x, s, axes, out: kernel.c2r(x, axes, s[-1], False, 2, out, 1),
+                c2c=lambda x, axis: kernel.c2c(x, (axis,), False, 0, x, 1),
+                c2r=lambda x, n, axis, out: kernel.c2r(x, (axis,), n, False, 0, out, 1),
             )
             FFT_LIBRARY[2] = "pypocketfft"
     return _fft_4d
@@ -233,17 +295,70 @@ def _rfft(geometry: TorusGeometry, values: np.ndarray) -> np.ndarray:
     return _fft_module(geometry).rfftn(values, axes=geometry.grid_axes)
 
 
-def _irfft(geometry: TorusGeometry, hat: np.ndarray) -> np.ndarray:
-    """Real grid values of a half spectrum."""
-    return _fft_module(geometry).irfftn(hat, s=geometry.shape, axes=geometry.grid_axes)
+def _irfft(geometry: TorusGeometry, hat: np.ndarray, out=None) -> np.ndarray:
+    """Real grid values of a half spectrum, over its last 2n axes; into out
+    when given."""
+    lead = hat.shape[: hat.ndim - geometry.axes]
+    if out is None:
+        out = np.empty(lead + geometry.shape)
+    axes = tuple(range(len(lead), hat.ndim))
+    _fft_module(geometry).irfftn(hat, s=geometry.shape, axes=axes, out=out)
+    return out
+
+
+def _band_of(geometry: TorusGeometry, hat: np.ndarray) -> np.ndarray:
+    """The band array of a half spectrum (leading slot axes allowed)."""
+    out = np.empty(hat.shape[: hat.ndim - geometry.axes] + geometry.band_shape, dtype=hat.dtype)
+    for spectrum, band in geometry.band_blocks:
+        out[band] = hat[spectrum]
+    return out
+
+
+def _irfft_band(geometry: TorusGeometry, band: np.ndarray, out=None) -> np.ndarray:
+    """Real grid values of a band array (leading slot axes allowed), bit for
+    bit those _irfft gives on its zero-padded half spectrum; into out when
+    given (module docstring)."""
+    lead = band.shape[: band.ndim - geometry.axes]
+    if out is None:
+        out = np.empty(lead + geometry.shape)
+    if geometry.n == 1:
+        return _irfft(geometry, _padded(geometry, band), out)
+    # irfftn's passes, slot by slot: backward c2c on each full axis in turn,
+    # then c2r on the half axis, each over the lines whose later indices
+    # are in the band
+    N, c = geometry.N, geometry.dealias_cutoff
+    fft, low = _fft_module(geometry), slice(0, c + 1)
+    halves = (low, slice(N - c, N))
+    # irfftn's factor 1/N^{2n}, as pocketfft takes it: the reciprocal in
+    # long double, rounded once, times each output of the last pass
+    factor = float(1 / np.longdouble(geometry.npoints))
+    for slot in np.ndindex(lead):
+        hat = _padded(geometry, band[slot])
+        for axis in range(geometry.axes - 1):
+            for later in itertools.product(halves, repeat=geometry.axes - 2 - axis):
+                fft.c2c(hat[(slice(None),) * (axis + 1) + later + (low,)], axis)
+        fft.c2r(hat, N, geometry.axes - 1, out[slot])
+        out[slot] *= factor
+    return out
+
+
+def _padded(geometry: TorusGeometry, band: np.ndarray) -> np.ndarray:
+    """The half spectrum of a band array, zero outside the band."""
+    hat = np.zeros(band.shape[: band.ndim - geometry.axes] + geometry.half_shape,
+                   dtype=np.complex128)
+    for spectrum, part in geometry.band_blocks:
+        hat[spectrum] = band[part]
+    return hat
 
 
 def _hessian(geometry: TorusGeometry, hat: np.ndarray) -> np.ndarray:
     """d_j d_kbar of the real field with half spectrum hat, packed: one
-    inverse real transform per slot."""
+    inverse real transform per slot, each symbol multiplied into one reused
+    buffer and inverted straight into its slot."""
     out = np.empty((len(geometry.hessian_symbols),) + geometry.shape)
+    buf = np.empty_like(hat)
     for slot, sym in enumerate(geometry.hessian_symbols):
-        out[slot] = _irfft(geometry, sym * hat)
+        _irfft(geometry, np.multiply(sym, hat, out=buf), out=out[slot])
     return out
 
 

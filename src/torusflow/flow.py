@@ -18,19 +18,24 @@ the parabolic part, every resolved mode contracts monotonically, and dt
 may ride the elapsed-time scale sigma * max(t, t_ramp).  The rhs keeps
 the 2/3-dealiased band of log det g.
 
-Spectral state: the flow potential is carried from step to step as its
-real half spectrum (rfftn), so the step never transforms the potential
-or the rhs forward.  The coefficients use the packed layout of
+Spectral state: the flow potential is carried from step to step as the
+band array of its real half spectrum (fields: the 2/3-rule band alone,
+7,986 coefficients against 36,864 at n = 2, N = 16), so the step never
+transforms the potential or the rhs forward.  The potential stays inside
+the band because the step only scales and adds band arrays: the rhs is
+2/3-truncated, and the implicit symbol and the Hessian symbols are kept
+as band arrays too.  The coefficients use the packed layout of
 HermitianField (see the fields module), held as plain arrays on the hot
-path.  One accepted step runs
-these real transforms:
+path.  One accepted step runs these real transforms, with the lines each
+runs at n = 2, N = 16 (a full inverse runs 3 x 2,304 complex lines and
+4,096 real ones, a band inverse 726 + 1,056 + 1,536 and 4,096):
 
-  Hessian of phi from its spectrum    n^2 inverse, one per packed slot
-  log det g                           1 forward; feeds the dealiased rhs,
-                                      the implicit solve and the Ricci
-                                      term of the curvature floor
-  Ricci term -d dbar log det g        as many as the Hessian of phi
-  rhs on the grid                     1 inverse
+  Hessian of phi from its band        n^2 band inverses, in one call
+  log det g                           1 forward; its band is the rhs, and
+                                      it feeds the implicit solve and the
+                                      Ricci term of the curvature floor
+  Ricci term -d dbar log det g        n^2 full inverses, one per slot
+  rhs on the grid                     1 band inverse
 
 which is 4 at n = 1 and 10 at n = 2, with no complex transform; fields
 runs them on numpy.fft at n = 1 and on scipy's pocketfft kernel at
@@ -45,11 +50,11 @@ once:
 
 Every candidate that passes the evaluation is accepted, so the evaluation
 also takes the step's diagnostics readings while its grid arrays live.
-It keeps the half spectra of phi and of the rhs, the stiffness and those
+It keeps the band arrays of phi and of the rhs, the stiffness and those
 readings; no grid array outlives it.
 
 The stepper carries (t, dt, evaluation), and phi goes back to the grid
-(1 inverse more) only for a FlowState that is kept: a snapshot, or the
+(1 band inverse more) only for a FlowState that is kept: a snapshot, or the
 last state of a FlowFailure.  A FlowState is its time and its full
 potential, mean included; run_flow is the only stepper.
 
@@ -71,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, TorusGeometry, _hessian, _irfft, _rfft
+from .fields import ScalarField, TorusGeometry, _band_of, _irfft_band, _rfft
 # complex_hessian is not called here, but perfbench/test_perfbench.py
 # checks that its tracer also patches this module's binding of it
 from .fields import complex_hessian
@@ -202,29 +207,30 @@ def _same_time(stored: float, t: float) -> bool:
 
 
 class _Evaluation:
-    """A candidate potential that passed evaluate: the half spectra the step
+    """A candidate potential that passed evaluate: the band arrays the step
     reads, its stiffness, and the diagnostics readings, taken while its grid
     arrays lived."""
 
     __slots__ = ("phi_hat", "rhs_hat", "stiffness", "readings")
 
     def __init__(self, phi_hat, rhs_hat, stiffness, readings):
-        self.phi_hat = phi_hat      # half spectrum of the flow potential
-        self.rhs_hat = rhs_hat      # half spectrum of d phi/dt
+        self.phi_hat = phi_hat      # band array of the flow potential
+        self.rhs_hat = rhs_hat      # band array of d phi/dt
         self.stiffness = stiffness  # max eigenvalue of g^{-1} wrt H0
         self.readings = readings    # the StepDiagnostics fields after t and dt
 
 
 def _rhs(geo: TorusGeometry, log_det_hat: np.ndarray, alpha: FlatMetric) -> np.ndarray:
-    """Half spectrum of d phi/dt = log det g - log det H_alpha, 2/3-truncated."""
-    out = log_det_hat * geo.dealias_keep
+    """Band array of d phi/dt = log det g - log det H_alpha, 2/3-truncated,
+    from the half spectrum of log det g."""
+    out = _band_of(geo, log_det_hat)
     out[(0,) * geo.axes] -= geo.npoints * math.log(_det(_pack(alpha.H)))
     return out
 
 
 def _rhs_field(geo: TorusGeometry, log_det: np.ndarray, alpha: FlatMetric) -> ScalarField:
     """_rhs on the grid, from log det g on the grid."""
-    return ScalarField(geo, _irfft(geo, _rhs(geo, _rfft(geo, log_det), alpha)))
+    return ScalarField(geo, _irfft_band(geo, _rhs(geo, _rfft(geo, log_det), alpha)))
 
 
 class _Kernel:
@@ -242,8 +248,11 @@ class _Kernel:
         # eigenvalue arithmetic, so its floor is the gate's, bit for bit
         self.identity_background = np.array_equal(self.H0, _pack(np.eye(geo.n)))
         self.fixed = g0.values
-        # half-spectrum symbol of tr_{H0}(d dbar)
-        self.stab_symbol = _pairing(self.H0, geo.hessian_symbols) / _det(self.H0)
+        # band arrays of the d_j d_kbar multipliers, one per packed slot,
+        # and of the symbol of tr_{H0}(d dbar)
+        full = [np.broadcast_to(sym, geo.half_shape) for sym in geo.hessian_symbols]
+        self.hessian_symbols = _band_of(geo, np.stack(full))
+        self.stab_symbol = _pairing(self.H0, self.hessian_symbols) / _det(self.H0)
 
     def evaluate(self, phi_hat: np.ndarray) -> _Evaluation | None:
         """None rejects the candidate: non-finite, or failing the positivity
@@ -252,7 +261,7 @@ class _Kernel:
         if not np.all(np.isfinite(phi_hat)):
             return None
         geo = self.geometry
-        coeffs = _hessian(geo, phi_hat)
+        coeffs = _irfft_band(geo, self.hessian_symbols * phi_hat)
         coeffs += self.fixed
         det = _det(coeffs)
         try:
@@ -269,12 +278,12 @@ class _Kernel:
         else:
             stiffness = 1.0 / float(_eigenvalues(coeffs, self.H0, det)[0].min())
         min_curv = float(_scalar_curvature(geo, coeffs, det, log_det_hat).min())
-        rhs = _irfft(geo, rhs_hat)
+        rhs = _irfft_band(geo, rhs_hat)
         readings = (min_curv, float(rhs.min()), float(rhs.max()), min_eig, _volume(coeffs, det))
         return _Evaluation(phi_hat, rhs_hat, stiffness, readings)
 
     def advance(self, ev: _Evaluation, dt: float) -> np.ndarray:
-        """Half spectrum of the candidate potential after dt."""
+        """Band array of the candidate potential after dt."""
         phi_hat, rhs_hat = ev.phi_hat, ev.rhs_hat
         c = ev.stiffness
         s = self.stab_symbol
@@ -294,7 +303,7 @@ class _Kernel:
 
     def state(self, t: float, ev: _Evaluation) -> FlowState:
         geo = self.geometry
-        return FlowState(self.base, t, ScalarField(geo, _irfft(geo, ev.phi_hat)))
+        return FlowState(self.base, t, ScalarField(geo, _irfft_band(geo, ev.phi_hat)))
 
 
 def _step(kernel: _Kernel, t: float, ev: _Evaluation, t_next: float):
@@ -322,7 +331,7 @@ def run_flow(metric0: KahlerMetric, config: FlowConfig) -> FlowTrace:
     """Integrate from metric0 to t_end, collecting snapshots and diagnostics."""
     kernel = _Kernel(metric0, config)
     geo = metric0.geometry
-    ev = kernel.evaluate(np.zeros(geo.dealias_keep.shape, dtype=np.complex128))
+    ev = kernel.evaluate(np.zeros(geo.band_shape, dtype=np.complex128))
     if ev is None:
         zero = ScalarField(geo, np.zeros(geo.shape))
         raise FlowFailure("initial metric is not positive", FlowState(metric0, 0.0, zero))

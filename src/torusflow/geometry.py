@@ -271,8 +271,21 @@ def _volume(v: np.ndarray, det) -> float:
 def _scalar_curvature(geometry: TorusGeometry, v: np.ndarray, det: np.ndarray,
                       log_det_hat: np.ndarray) -> np.ndarray:
     """tr_g Ric with Ric = -d dbar log det g, from the coefficients, det =
-    _det(v) and the half spectrum of log det g."""
-    return -_pairing(v, _hessian(geometry, log_det_hat)) / det
+    _det(v) and the half spectrum of log det g.  The pairing is _pairing's,
+    the same operations in the same order, formed in place on the Hessian."""
+    b = _hessian(geometry, log_det_hat)
+    out = b[0]
+    if len(v) > 1:
+        out *= v[3]
+        b[3] *= v[0]
+        out += b[3]
+        b[1] *= v[1]
+        b[2] *= v[2]
+        b[1] += b[2]
+        b[1] *= 2.0
+        out -= b[1]
+    np.negative(out, out=out)
+    return out / det  # a fresh array, so the Hessian dies with the call
 
 
 def _field(metric) -> HermitianField:

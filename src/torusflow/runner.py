@@ -405,9 +405,12 @@ def first_scenario(config: ExperimentConfig) -> Scenario:
 
 
 def _flow_one(config: ExperimentConfig, scenario: Scenario, out: Path) -> str | None:
-    """Worker: run one flow and persist it; returns None, or why it failed."""
+    """Worker: run one flow and persist it; returns None, or why it failed.
+    The old key goes first, so a key path that cannot be written fails
+    before the flow, and an interrupted save leaves no key beside it."""
     sdir = scenario_dir(out, scenario.index)
     try:
+        (sdir / "trace_key.txt").unlink(missing_ok=True)
         tfio.save_trace(run_flow(scenario.metric, config.flow), sdir / "trace")
         (sdir / "trace_key.txt").write_text(config.trace_key + "\n")
     except Exception as exc:  # any failure becomes this scenario's error row

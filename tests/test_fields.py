@@ -286,13 +286,66 @@ def test_n2_transforms_fall_back_to_scipy_fft_with_the_same_bits(cause, monkeypa
     values = _grid_values(geo)
     hat = fields._rfft(geo, values)
     back = fields._irfft(geo, hat)
-    monkeypatch.setattr(fields, "_fft_4d", None)
-    monkeypatch.delitem(fields.FFT_LIBRARY, 2, raising=False)
-    _NO_KERNEL[cause](monkeypatch)
-    assert fields._fft_module(geo) is scipy.fft
+    _force_fallback(monkeypatch, cause)
+    assert fields._fft_module(geo).rfftn is scipy.fft.rfftn
     assert fields.FFT_LIBRARY[2] == "scipy.fft"
     assert np.array_equal(fields._rfft(geo, values), hat)
     assert np.array_equal(fields._irfft(geo, hat), back)
+
+
+def _force_fallback(monkeypatch, cause):
+    monkeypatch.setattr(fields, "_fft_4d", None)
+    monkeypatch.delitem(fields.FFT_LIBRARY, 2, raising=False)
+    _NO_KERNEL[cause](monkeypatch)
+
+
+# the band inverse: bit for bit _irfft of the zero-padded band, at sizes
+# whose 1/N^{2n} is and is not a power of two
+
+
+def _band_case(n, N, lead):
+    """A random half spectrum, its band array, and the spectrum zeroed
+    outside the 2/3 band."""
+    geo = TorusGeometry(n, N)
+    rng = np.random.default_rng(7)
+    shape = lead + geo.half_shape
+    full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return geo, fields._band_of(geo, full), full * geo.dealias_keep
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (1, 64), (1, 18), (2, 8), (2, 16), (2, 12)])
+@pytest.mark.parametrize("lead", [(), (4,)], ids=["scalar", "packed"])
+def test_band_inverse_equals_irfft_of_the_padded_band_bit_for_bit(n, N, lead):
+    geo, band, padded = _band_case(n, N, lead)
+    assert band.shape == lead + geo.band_shape
+    assert band.size == np.prod(lead, dtype=int) * np.count_nonzero(geo.dealias_keep)
+    slots = padded.reshape((-1,) + geo.half_shape)  # one grid array at a time
+    want = np.stack([fields._irfft(geo, hat) for hat in slots]).reshape(lead + geo.shape)
+    got = fields._irfft_band(geo, band)
+    assert got.shape == lead + geo.shape and np.array_equal(got, want)
+    out = np.empty(lead + geo.shape)
+    assert fields._irfft_band(geo, band, out) is out and np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("cause", list(_NO_KERNEL))
+@pytest.mark.parametrize("N", [16, 12])
+def test_band_inverse_falls_back_to_scipy_fft_with_the_same_bits(N, cause, monkeypatch):
+    """Under each fallback cause the band passes are scipy.fft's unnormalized
+    (norm="forward") ifft and irfft, with the kernel's bits."""
+    import scipy.fft
+
+    geo, band, padded = _band_case(2, N, (4,))
+    want = fields._irfft_band(geo, band)
+    _force_fallback(monkeypatch, cause)
+    norms = []
+    for name in ("ifft", "irfft"):
+        fn = getattr(scipy.fft, name)
+        monkeypatch.setattr(scipy.fft, name, lambda *a, _fn=fn, _name=name, **k:
+                            norms.append((_name, k["norm"])) or _fn(*a, **k))
+    assert np.array_equal(fields._irfft_band(geo, band), want)
+    assert fields.FFT_LIBRARY[2] == "scipy.fft"
+    assert norms == ([("ifft", "forward")] * 7 + [("irfft", "forward")]) * 4  # per slot
+    assert np.array_equal(np.stack([fields._irfft(geo, hat) for hat in padded]), want)
 
 
 # the kernel's bits in a fresh interpreter, with scipy's FFT and graph

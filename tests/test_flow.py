@@ -376,32 +376,48 @@ TRANSFORM_BUDGET = {1: (4, 13), 2: (10, 28)}
 
 @pytest.mark.parametrize("n, N", [(1, 32), (2, 8)])
 def test_transform_budget(monkeypatch, n, N):
-    """Counted at fields' real-transform helpers, under every name a
-    torusflow module calls them by.  The module fields chose for the rank
-    runs exactly the transforms the helpers ask for, and numpy.fft runs no
-    other: no complex transform, and none at all at n = 2."""
+    """Counted at fields' real-transform helpers, _rfft, _irfft and
+    _irfft_band, under every name a torusflow module calls them by: one
+    real transform per grid array a call asks for, slot axes included, and
+    a helper's calls into another helper are not counted again.  The module
+    fields chose for the rank runs exactly the transforms the helpers ask
+    for, and numpy.fft runs no other: no complex transform, and none at all
+    at n = 2.  The Hessian of phi and the rhs go through the band inverse."""
     geo = TorusGeometry(n, N)
     m = single_mode(geo, 0.03)
-    counts = {}
+    counts, calls, active = {}, {}, []
 
-    def count(owner, name, key):
+    def count(owner, name, key, transforms=None):
         fn = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            counts[key] = counts.get(key, 0) + 1
-            return fn(*args, **kwargs)
+            if transforms is None:
+                counts[key] = counts.get(key, 0) + 1
+                return fn(*args, **kwargs)
+            if not active:  # a helper called by a helper is not a request
+                counts[key] = counts.get(key, 0) + transforms(*args)
+                calls[key] = calls.get(key, 0) + 1
+            active.append(key)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active.pop()
 
         monkeypatch.setattr(owner, name, counted)
 
-    helpers = {name: getattr(fields, name) for name in ("_rfft", "_irfft")}
+    def slots(geometry, hat, out=None):
+        return int(np.prod(hat.shape[: hat.ndim - geometry.axes]))
+
+    helpers = {"_rfft": lambda geometry, values: 1, "_irfft": slots, "_irfft_band": slots}
+    originals = {name: getattr(fields, name) for name in helpers}
     for module in [sys.modules[name] for name in sys.modules if name.startswith("torusflow")]:
-        for name, helper in helpers.items():
-            if getattr(module, name, None) is helper:
-                count(module, name, name)
+        for name, transforms in helpers.items():
+            if getattr(module, name, None) is originals[name]:
+                count(module, name, name, transforms)
     chosen = fields._fft_module(geo)
     modules = {"numpy.fft": np.fft, fields.FFT_LIBRARY[n]: chosen}
     for label, module in modules.items():
-        for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+        for name in ("rfftn", "irfftn", "fftn", "ifftn", "c2c", "c2r"):
             if hasattr(module, name):
                 count(module, name, (label, name))
     advances = []
@@ -411,11 +427,20 @@ def test_transform_budget(monkeypatch, n, N):
     trace = run_flow(m, FlowConfig(t_end=0.1, snapshot_times=(0.1,)))
     steps = len(trace.diagnostics) - 1
     assert steps > 10 and len(advances) == steps  # no rejection
-    forward, inverse = counts.pop("_rfft"), counts.pop("_irfft")
-    label = {1: "numpy.fft", 2: "pypocketfft"}[n]
-    assert counts == {(label, "rfftn"): forward, (label, "irfftn"): inverse}
+    forward, inverse, band = counts.pop("_rfft"), counts.pop("_irfft"), counts.pop("_irfft_band")
+    # each evaluation (steps + 1, the one at t = 0 included) inverts the n^2
+    # Hessian slots of phi and the rhs from their band, and the final state
+    # its phi: a return to full-spectrum inverses changes this count
+    assert band == (n * n + 1) * (steps + 1) + 1
+    if n == 1:  # a band inverse is one numpy irfftn of the zero-padded spectrum
+        assert counts == {("numpy.fft", "rfftn"): calls["_rfft"],
+                          ("numpy.fft", "irfftn"): calls["_irfft"] + calls["_irfft_band"]}
+    else:  # per slot, c2c on the three full axes over 4 + 2 + 1 blocks of lines, then c2r
+        label = "pypocketfft"
+        assert counts == {(label, "rfftn"): calls["_rfft"], (label, "irfftn"): calls["_irfft"],
+                          (label, "c2c"): 7 * band, (label, "c2r"): band}
     per_step, setup = TRANSFORM_BUDGET[n]
-    assert per_step * steps <= forward + inverse <= per_step * steps + setup
+    assert per_step * steps <= forward + inverse + band <= per_step * steps + setup
 
 
 @pytest.mark.parametrize("H, pencil", [(np.eye(2), 0), (np.array([[1.0, 1.0], [1.0, 2.0]]), 1)])
@@ -462,10 +487,11 @@ def test_one_det_and_eigenvalue_pass_per_evaluation(monkeypatch, H, pencil):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_evaluation_keeps_only_half_spectra(monkeypatch, n):
-    """After run_flow, no evaluation holds an array of the grid's shape or of
-    the packed coefficients' shape: only the half spectra of phi and of the
-    rhs remain, beside the stiffness and the diagnostics readings."""
+def test_evaluation_keeps_only_band_arrays(monkeypatch, n):
+    """After run_flow, no evaluation holds an array of the grid's shape, of
+    the packed coefficients' shape or of the half spectrum's: only the band
+    arrays of phi and of the rhs remain, beside the stiffness and the
+    diagnostics readings."""
     evaluations = []
     original_evaluate = flow_module._Kernel.evaluate
 
@@ -479,12 +505,13 @@ def test_evaluation_keeps_only_half_spectra(monkeypatch, n):
     psi = 0.01 * cos_field(geo, 0) + 0.005 * cos_field(geo, 1)
     run_flow(KahlerMetric(H, psi), FlowConfig(t_end=0.05, snapshot_times=(0.05,)))
     assert len(evaluations) > 5 and None not in evaluations
-    half = geo.dealias_keep.shape
+    band = geo.band_shape
+    assert np.prod(band) == np.count_nonzero(geo.dealias_keep)
     for ev in evaluations:
         held = [getattr(ev, name) for name in ev.__slots__] + list(ev.readings)
         shapes = [a.shape for a in held if isinstance(a, np.ndarray)]
-        assert shapes == [half, half]
-        assert geo.shape not in shapes and (n * n,) + geo.shape not in shapes
+        assert shapes == [band, band]
+        assert not {geo.shape, (n * n,) + geo.shape, geo.half_shape} & set(shapes)
 
 
 def test_transform_module_is_chosen_by_grid_rank():

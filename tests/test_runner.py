@@ -1435,9 +1435,10 @@ def _key_as_directory(key_file):
     (_key_as_directory, "run", EXIT_SCENARIO_ERROR, "flow failed: IsADirectoryError"),
 ])
 def test_cli_unreadable_trace_key_is_no_persisted_trace(corrupt, command, code, error,
-                                                        tmp_path):
+                                                        tmp_path, monkeypatch):
     """A trace key file that cannot be read or decoded marks no trace: the
-    command ends in a manifest, not a traceback."""
+    command ends in a manifest, not a traceback.  A key path that cannot be
+    removed fails the scenario before its flow runs."""
     d = json.loads(json.dumps(FLAT_DICT))
     d["scenario"]["indices"] = [1]
     cfg = tmp_path / "cfg.json"
@@ -1447,9 +1448,13 @@ def test_cli_unreadable_trace_key_is_no_persisted_trace(corrupt, command, code, 
     assert main(["run", *args]) == EXIT_OK
     key_file = out / "scenario_i001" / "trace_key.txt"
     corrupt(key_file)
+    flows = []
+    original = runner.run_flow
+    monkeypatch.setattr(runner, "run_flow", lambda *a: flows.append(1) or original(*a))
 
     assert main([command, *args]) == code
     (row,) = json.loads((out / "manifest.json").read_text())["scenarios"]
+    assert len(flows) == (command == "run" and corrupt is _non_utf8_key)
     if error is None:
         assert row["status"] == "ok"
         assert key_file.read_text().strip() == config_from_dict(d).trace_key
