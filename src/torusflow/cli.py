@@ -8,12 +8,13 @@ errors, 3 config errors.  A run or check that does not pass prints each
 failing row of every measured scenario's checks.csv.
 
 Importing the package loads no scipy and changes no process setting.
-Each command, once its config is parsed, runs its set-up (`_set_up`): it
-loads the back ends that config runs, so their load cost falls in set-up
-and not in the pipeline.  At n = 2 that is scipy's FFT kernel, loaded
-alone with no scipy module (fields); scipy's sparse graph stack is
-imported only where graphs are searched.  Set-up also sets the C
-library's malloc thresholds so that freed memory stays in the process
+Each command checks its config, its output path (made there) and, for
+`distance`, the battery's preconditions before it loads anything.  Then
+its set-up (`_set_up`) loads the back ends the config runs, so their load
+cost falls in set-up and not in the pipeline: scipy's FFT kernel, loaded
+alone with no scipy module (fields), and scipy's sparse graph stack only
+where graphs are searched.  Set-up also sets the C library's malloc
+thresholds so that freed memory stays in the process
 (`_keep_freed_memory`).  glibc otherwise serves each grid array of a
 megabyte or more from a mapping of its own and unmaps it when the array is
 freed, and trims the heap top it frees, so every measured snapshot and flow
@@ -80,7 +81,7 @@ def _resolve_out(args, config) -> Path:
     out = args.out or config.output
     if out is None:
         raise ConfigError(["output: no directory given (set `output` in the config or pass --out)"])
-    return Path(out)
+    return output_dir(out)
 
 
 # glibc's mallopt parameters (malloc.h)
@@ -110,13 +111,13 @@ def _keep_freed_memory() -> None:
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
-def _set_up(config, graphs: bool) -> None:
-    """Everything a command does before its pipeline.  Load what the config
-    runs: the n = 2 transforms, scipy's FFT kernel without the scipy package
-    (fields), and scipy's sparse graph stack when graphs will be searched
-    (distances); where the kernel loads, a command that searches no graph
-    imports no scipy module.  Then keep freed memory in the process."""
-    _fft_module(config.geometry)
+def _set_up(graphs: bool) -> None:
+    """Everything a command does after its config checks and before its
+    pipeline.  Load what it runs: scipy's FFT kernel without the scipy
+    package (fields), and scipy's sparse graph stack when graphs will be
+    searched (distances); so where the kernel loads, a command that searches
+    no graph imports no scipy module.  Then keep freed memory in the process."""
+    _fft_module()
     if graphs:
         _graph_stack()
     _keep_freed_memory()
@@ -135,7 +136,6 @@ def _first_scenario(config):
 
 def _first_trace(config, out: Path) -> tuple:
     """(scenario, trace) of the first scenario, flowed first if no trace is stored."""
-    output_dir(out)  # run_experiment makes it for run and check
     scenario = _first_scenario(config)
     trace, why = ensure_trace(config, out, scenario)
     if trace is None:
@@ -156,8 +156,8 @@ def _cmd_run(args, resume_only: bool = False) -> int:
     if args.jobs < 1:
         raise ConfigError([f"--jobs: must be an integer >= 1, got {args.jobs}"])
     config = parse_config(args.config, args.seed)
-    _set_up(config, graphs=config.distance.enabled)
     out = _resolve_out(args, config)
+    _set_up(graphs=config.distance.enabled)
     manifest = run_experiment(config, out, jobs=args.jobs, resume_only=resume_only)
     for row in manifest.scenarios:
         print(f"scenario i={row.get('index', '?')}: {_row_text(row, resume_only)}")
@@ -171,8 +171,8 @@ def _cmd_run(args, resume_only: bool = False) -> int:
 
 def _cmd_flow(args) -> int:
     config = parse_config(args.config, args.seed)
-    _set_up(config, graphs=False)
     out = _resolve_out(args, config)
+    _set_up(graphs=False)
     scenario, trace = _first_trace(config, out)
     last = trace.diagnostics[-1]
     print(f"flow complete: i={scenario.index}, t={last.t:.6g}, steps={len(trace.diagnostics) - 1}")
@@ -184,8 +184,8 @@ def _cmd_flow(args) -> int:
 
 def _cmd_project(args) -> int:
     config = parse_config(args.config, args.seed)
-    _set_up(config, graphs=False)
     out = output_dir(args.out) if args.out else None
+    _set_up(graphs=False)
     scenario = _first_scenario(config)
     g = assemble(scenario.metric)  # the projection and the volume share one assembly
     try:
@@ -206,10 +206,10 @@ def _cmd_project(args) -> int:
 
 def _cmd_distance(args) -> int:
     config = parse_config(args.config, args.seed)
-    _set_up(config, graphs=True)
     if errors := battery_config_errors(config):  # whether or not `run` measures distances
         raise ConfigError(errors)
     out = _resolve_out(args, config)
+    _set_up(graphs=True)
     scenario, trace = _first_trace(config, out)
     try:
         result = distance_fragment(config, trace)

@@ -7,34 +7,35 @@ that order.
 
 Transforms follow numpy's FFT conventions: the forward transform is an
 unnormalized DFT and the inverse carries the 1/N^{2n} factor, with modes
-laid out as np.fft.fftfreq.  Real fields are transformed to their half
-spectrum (rfftn over every grid axis, so the last axis keeps the
-modes 0..N/2, the Nyquist bin carrying the fftfreq value -N/2).
+laid out as numpy's fftfreq, as exact integers.  Real fields are
+transformed to their half spectrum (rfftn over every grid axis, so the
+last axis keeps the modes 0..N/2, the Nyquist bin carrying the mode -N/2).
 Derivatives are Fourier multipliers, exact to rounding for fields whose
 modes stay inside the resolved band, and the rectangle rule (the plain
 mean of grid values) integrates products of band-limited fields exactly.
 
-The grid's rank chooses the module that runs a real transform.  2-D
-grids (n = 1) use numpy.fft.  4-D grids (n = 2) use scipy's pocketfft
-kernel, which keeps numpy's conventions and runs a 16^4 transform about a
-fifth faster on one worker; numpy.fft there would also change the bits of
-every n = 2 output.  scipy.fft's rfftn and irfftn are each one call into
-that kernel, the C++ extension scipy/fft/_pocketfft/pypocketfft, so
-_fft_module loads the extension alone, by file path and under its full
-name, and makes the same two calls with scipy's default norm and one
-worker, beside the unnormalized single-axis passes of the band inverse
-(below).  Importing scipy.fft after numpy costs 0.2-0.3 s and about 27 MB,
-almost none of it the transforms: it loads scipy.special and scipy's
-shared array-API layer, which walks numpy's attributes and so loads
-numpy.f2py, numpy.testing and more.  The extension alone loads in a few
-milliseconds and loads no scipy module.  It is not scipy's public API, so
-where it cannot be found or loaded _fft_module imports scipy.fft instead,
-with the same bits, and tests pin the kernel's bits to scipy.fft's.
-_fft_module loads the n = 2 transforms at the first 4-D transform, or when
-the command line's set-up loads the back ends a config runs (cli), and
-records which one it loaded in FFT_LIBRARY for the run's manifest.  The
-shape draws of random_band_limited stay on numpy's complex fftn/ifftn at
-every rank.  Only this module runs transforms.
+One module runs every real transform, at every grid rank: scipy's
+pocketfft kernel, which keeps numpy's conventions.  On 4-D grids (n = 2)
+it runs a 16^4 transform about a fifth faster than numpy's FFT on one
+worker, whose bits would differ; on 2-D grids (n = 1) it gives numpy's
+bits wherever N is a power of two, as in every reference config.
+scipy.fft's rfftn and irfftn are each one call into that kernel, the C++
+extension scipy/fft/_pocketfft/pypocketfft, so _fft_module loads the
+extension alone, by file path and under its full name, and makes the same
+two calls with scipy's default norm and one worker, beside the
+unnormalized single-axis passes of the band inverse (below).  Importing
+scipy.fft after numpy costs 0.2-0.3 s and about 27 MB, almost none of it
+the transforms: it loads scipy.special and scipy's shared array-API
+layer, which walks numpy's attributes and so loads numpy.f2py,
+numpy.testing and more.  The extension alone loads in a few milliseconds
+and loads no scipy module.  It is not scipy's public API, so where it
+cannot be found or loaded _fft_module imports scipy.fft instead, with the
+same bits, and tests pin the kernel's bits to scipy.fft's.  _fft_module
+loads the transforms at the first one, or when the command line's set-up
+loads the back ends a config runs (cli), and records which one it loaded
+in FFT_LIBRARY for the run's manifest.  The shape draws of
+random_band_limited stay on numpy's complex transforms (their docstring
+says why).  Only this module runs transforms.
 
 d/dx^a has the multiplier 2 pi i k_a, odd in k: one inverse real
 transform per axis gives the real gradient, from whose x^j and y^j
@@ -50,19 +51,19 @@ Band arrays.  A half spectrum that is zero outside the 2/3-rule band
 0..c, -c..-1 of each full axis and 0..c of the half axis, cut into
 2^(2n-1) blocks that are contiguous in both arrays (band_blocks).  At
 n = 2, N = 16 that is 11*11*11*6 = 7,986 coefficients against 36,864.
-_band_of gathers it and _irfft_band inverts it.  At n = 1 the inverse puts
-the band into a zero half spectrum and calls irfftn.  At n = 2 it runs the
-passes of the kernel's multi-axis c2r itself, in its order: a backward
-c2c on axes 0, 1 and 2 in turn, then a c2r on axis 3.  Each c2c pass
-covers only the lines whose later-axis indices lie in the band, 726 +
-1,056 + 1,536 lines at N = 16 against 3 x 2,304; a skipped line is all
-zero, and so is its transform.  The bits are irfftn's on the zero-padded
-spectrum: each line kept goes through the same one-dimensional transform,
-and pocketfft applies the 1/N^{2n} of the inverse (the reciprocal taken
-in long double, rounded once) as one multiplication of each output of the
-last pass, which _irfft_band makes after an unnormalized c2r.  Tests pin
-these bits at n = 1 and n = 2, with N a power of two and not, and under
-the scipy.fft fallback.
+_band_of gathers it and _irfft_band inverts it, at both ranks, by the
+passes of the kernel's multi-axis c2r, in its order: a backward c2c on
+each full axis in turn, then a c2r on the last axis.  Each c2c pass
+covers only the lines whose later-axis indices lie in the band: at n = 2,
+N = 16, 726 + 1,056 + 1,536 lines against 3 x 2,304, and at n = 1,
+N = 64, 22 lines against 33; a skipped line is all zero, and so is its
+transform.  The bits are irfftn's on the zero-padded spectrum: each line
+kept goes through the same one-dimensional transform, and pocketfft
+applies the 1/N^{2n} of the inverse (the reciprocal taken in long double,
+rounded once) as one multiplication of each output of the last pass,
+which _irfft_band makes after an unnormalized c2r.  Tests pin these bits
+at n = 1 and n = 2, with N a power of two and not, and under the
+scipy.fft fallback.
 
 Hermitian coefficient fields are stored packed: a real float64 array of
 shape (n^2, *grid), one contiguous grid array per slot.  The slots are
@@ -165,8 +166,10 @@ class TorusGeometry:
 
     @cached_property
     def mode_arrays(self) -> tuple:
-        """Integer mode numbers along each real axis, broadcastable."""
-        base = np.fft.fftfreq(self.N) * self.N
+        """Integer mode numbers along each real axis, broadcastable, in
+        fftfreq's order: 0..N/2-1, then -N/2..-1, each exact."""
+        base = np.arange(self.N, dtype=np.float64)
+        base[self.N // 2:] -= self.N
         out = []
         for a in range(self.axes):
             shp = [1] * self.axes
@@ -240,25 +243,22 @@ def _band(modes: tuple, cut: int) -> np.ndarray:
     return keep
 
 
-# The module that runs each grid rank's real transforms, by name, for the
-# manifest: "numpy.fft", and at n = 2, once _fft_module has loaded it,
-# "pypocketfft" (the kernel alone) or "scipy.fft" (the fallback).
-FFT_LIBRARY = {1: "numpy.fft"}
+# The module that runs every real transform, by name, for the manifest:
+# None until _fft_module has loaded it, then "pypocketfft" (the kernel
+# alone) or "scipy.fft" (the fallback).
+FFT_LIBRARY = None
 _KERNEL = "scipy.fft._pocketfft.pypocketfft"
-_fft_4d = None  # the transforms of 4-D grids, once loaded
+_fft = None  # the real transforms, once loaded
 
 
-def _fft_module(geometry: TorusGeometry):
-    """numpy.fft on 2-D grids; on 4-D ones the calls of scipy's pocketfft
-    kernel, loaded alone, or of scipy.fft where it cannot be (module
-    docstring).  The 4-D calls are rfftn and irfftn, as scipy.fft's but with
-    irfftn writing into out, and the unnormalized single-axis passes of a
-    band inverse: c2c, complex and backward, in place, and c2r, complex to
-    real, into out."""
-    global _fft_4d
-    if geometry.n == 1:
-        return np.fft
-    if _fft_4d is None:
+def _fft_module():
+    """The calls of scipy's pocketfft kernel, loaded alone, or of scipy.fft
+    where it cannot be (module docstring): rfftn and irfftn, as scipy.fft's
+    but with irfftn writing into out, and the unnormalized single-axis
+    passes of a band inverse: c2c, complex and backward, in place, and c2r,
+    complex to real, into out."""
+    global FFT_LIBRARY, _fft
+    if _fft is None:
         try:  # find_spec locates scipy without importing it
             where = Path(importlib.util.find_spec("scipy").origin).parent / "fft" / "_pocketfft"
             names = (where / f"pypocketfft{suffix}" for suffix in EXTENSION_SUFFIXES)
@@ -269,30 +269,30 @@ def _fft_module(geometry: TorusGeometry):
         except (AttributeError, StopIteration, ImportError):  # no scipy, no file, or no load
             import scipy.fft
 
-            _fft_4d = SimpleNamespace(
+            _fft = SimpleNamespace(
                 rfftn=scipy.fft.rfftn,
                 irfftn=lambda x, s, axes, out: np.copyto(out, scipy.fft.irfftn(x, s=s, axes=axes)),
                 c2c=lambda x, axis: np.copyto(x, scipy.fft.ifft(x, axis=axis, norm="forward")),
                 c2r=lambda x, n, axis, out: np.copyto(out, scipy.fft.irfft(x, n, axis=axis,
                                                                           norm="forward")),
             )
-            FFT_LIBRARY[2] = "scipy.fft"
+            FFT_LIBRARY = "scipy.fft"
         else:
             # scipy.fft's calls: forward unnormalized (0), inverse by 1/N^{2n} (2),
             # one worker; the band passes are backward (False) and unnormalized
-            _fft_4d = SimpleNamespace(
+            _fft = SimpleNamespace(
                 rfftn=lambda x, axes: kernel.r2c(x, axes, True, 0, None, 1),
                 irfftn=lambda x, s, axes, out: kernel.c2r(x, axes, s[-1], False, 2, out, 1),
                 c2c=lambda x, axis: kernel.c2c(x, (axis,), False, 0, x, 1),
                 c2r=lambda x, n, axis, out: kernel.c2r(x, (axis,), n, False, 0, out, 1),
             )
-            FFT_LIBRARY[2] = "pypocketfft"
-    return _fft_4d
+            FFT_LIBRARY = "pypocketfft"
+    return _fft
 
 
 def _rfft(geometry: TorusGeometry, values: np.ndarray) -> np.ndarray:
     """Half spectrum of real grid values."""
-    return _fft_module(geometry).rfftn(values, axes=geometry.grid_axes)
+    return _fft_module().rfftn(values, axes=geometry.grid_axes)
 
 
 def _irfft(geometry: TorusGeometry, hat: np.ndarray, out=None) -> np.ndarray:
@@ -302,7 +302,7 @@ def _irfft(geometry: TorusGeometry, hat: np.ndarray, out=None) -> np.ndarray:
     if out is None:
         out = np.empty(lead + geometry.shape)
     axes = tuple(range(len(lead), hat.ndim))
-    _fft_module(geometry).irfftn(hat, s=geometry.shape, axes=axes, out=out)
+    _fft_module().irfftn(hat, s=geometry.shape, axes=axes, out=out)
     return out
 
 
@@ -321,13 +321,11 @@ def _irfft_band(geometry: TorusGeometry, band: np.ndarray, out=None) -> np.ndarr
     lead = band.shape[: band.ndim - geometry.axes]
     if out is None:
         out = np.empty(lead + geometry.shape)
-    if geometry.n == 1:
-        return _irfft(geometry, _padded(geometry, band), out)
     # irfftn's passes, slot by slot: backward c2c on each full axis in turn,
     # then c2r on the half axis, each over the lines whose later indices
     # are in the band
     N, c = geometry.N, geometry.dealias_cutoff
-    fft, low = _fft_module(geometry), slice(0, c + 1)
+    fft, low = _fft_module(), slice(0, c + 1)
     halves = (low, slice(N - c, N))
     # irfftn's factor 1/N^{2n}, as pocketfft takes it: the reciprocal in
     # long double, rounded once, times each output of the last pass
@@ -498,7 +496,10 @@ def lp_norm(f: ScalarField, p: float, weight: ScalarField | None = None) -> floa
 
 def random_band_limited(seed: int, max_mode: int, geometry: TorusGeometry) -> ScalarField:
     """Deterministic mean-zero random field, modes |k|_inf <= max_mode,
-    normalized to unit L^2 norm."""
+    normalized to unit L^2 norm.  The draw stays on numpy's complex
+    fftn/ifftn, not the real transforms of _fft_module: its bits fix every
+    scenario shape, and perfbench's fields.fft_calls counts these
+    calls."""
     if max_mode < 1:
         raise FieldError(f"max_mode must be >= 1, got {max_mode}")
     if 3 * max_mode > geometry.N:

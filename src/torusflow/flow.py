@@ -38,9 +38,8 @@ runs at n = 2, N = 16 (a full inverse runs 3 x 2,304 complex lines and
   rhs on the grid                     1 band inverse
 
 which is 4 at n = 1 and 10 at n = 2, with no complex transform; fields
-runs them on numpy.fft at n = 1 and on scipy's pocketfft kernel at
-n = 2.  Each evaluation of a candidate computes the grid's closed forms
-once:
+runs them on scipy's pocketfft kernel at both ranks.  Each evaluation of
+a candidate computes the grid's closed forms once:
 
   det g                  1; read by the eigenvalues, the pencil, the
                          curvature floor and the volume

@@ -55,7 +55,6 @@ import math
 import platform
 import re
 import resource
-import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -65,7 +64,8 @@ import numpy as np
 
 from . import __version__
 from . import io as tfio
-from .fields import FFT_LIBRARY, FieldError, TorusGeometry, constant_field
+from . import fields
+from .fields import FieldError, TorusGeometry, constant_field
 from .flow import FlowConfig, run_flow
 from .geometry import PositivityError, pairing_density
 from .harness import (HarnessConfig, build_reports, default_test_forms, family_columns,
@@ -480,23 +480,18 @@ def _usage():
     return resource.getrusage(resource.RUSAGE_SELF)
 
 
-def _library_versions(geometry: TorusGeometry) -> dict:
+def _library_versions() -> dict:
     """The interpreter, numpy, scipy, the C library and the module that ran
-    the grid's real transforms (fields.FFT_LIBRARY).  scipy is None when the
-    command ran none of it (an n = 1 run without distances): neither its FFT
-    kernel nor a stack.  Its version is read from its version.py, which
-    imports nothing; the C library is None when platform cannot name it."""
-    fft = FFT_LIBRARY.get(geometry.n)
-    scipy = None
-    if fft in ("pypocketfft", "scipy.fft") or "scipy" in sys.modules:
-        version_py = Path(importlib.util.find_spec("scipy").origin).with_name("version.py")
-        scipy = re.search(r"^version = ['\"](.+)['\"]$", version_py.read_text(), re.M)[1]
+    the real transforms (fields.FFT_LIBRARY), scipy code at every grid rank.
+    scipy's version is read from its version.py, which imports nothing; the
+    C library is None when platform cannot name it."""
+    version_py = Path(importlib.util.find_spec("scipy").origin).with_name("version.py")
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy,
+        "scipy": re.search(r"^version = ['\"](.+)['\"]$", version_py.read_text(), re.M)[1],
         "libc": " ".join(filter(None, platform.libc_ver())) or None,
-        "fft": fft,
+        "fft": fields.FFT_LIBRARY,
     }
 
 
@@ -628,7 +623,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
         timings=stages.timings,
         minor_faults=stages.minor_faults,
         peak_rss_mb=stages.peak_rss_mb,
-        libraries=_library_versions(config.geometry),
+        libraries=_library_versions(),
     )
     tfio.write_json_atomic(out / "manifest.json", manifest.as_dict())
     return manifest

@@ -59,6 +59,20 @@ def test_geometry_layout(geo1, geo2):
     assert np.all(c[:, :, 3, :] == 3 / 16.0)
 
 
+@pytest.mark.parametrize("N", [10, 16, 18, 20])
+def test_mode_numbers_are_exact_integers_and_fill_the_band(N):
+    """fftfreq(N) * N reads 3 as 3.0000000000000004 at N = 10 and 6 as
+    6.000000000000001 at N = 20, where N // 3 is that mode, so a mask built
+    from it loses the band's edge; the mode table holds exact integers."""
+    for n in (1, 2):
+        geo = TorusGeometry(n, N)
+        base = geo.mode_arrays[0].ravel()
+        assert np.array_equal(base, np.round(np.fft.fftfreq(N) * N))
+        assert np.count_nonzero(geo.dealias_keep) == np.prod(geo.band_shape)
+    f = random_band_limited(1, N // 3, TorusGeometry(1, N))
+    assert np.abs(np.fft.fft2(f.values)[N // 3]).max() > 1e-6
+
+
 def test_fields_reject_nonfinite(geo1):
     bad = np.zeros(geo1.shape)
     bad[0, 0] = np.nan
@@ -241,30 +255,49 @@ def test_derivatives_are_linear_and_real(seed, mode):
 
 
 # ---------------------------------------------------------------------------
-# the n = 2 transforms: scipy's pocketfft kernel, loaded alone, is not public
-# API, so its bits are pinned to scipy.fft's on the installed scipy
+# the real transforms, at both ranks: scipy's pocketfft kernel, loaded
+# alone, is not public API, so its bits are pinned to scipy.fft's on the
+# installed scipy
+
+RANKS = [(1, 64), (1, 18), (2, 16)]
 
 
 def _grid_values(geo, *lead, seed=3):
     return np.random.default_rng(seed).standard_normal(lead + geo.shape)
 
 
-@pytest.mark.parametrize("N", [16, 32])
+@pytest.mark.parametrize("n, N", RANKS + [(2, 32)])
 @pytest.mark.parametrize("lead", [(), (4,)], ids=["scalar", "packed"])
-def test_n2_transforms_equal_scipy_fft_bit_for_bit(N, lead):
+def test_transforms_equal_scipy_fft_bit_for_bit(n, N, lead):
     """Forward and inverse, on a scalar field and on each slot of a packed
-    (4, N, N, N, N) stack, as geometry transforms its slots."""
+    (4, *grid) stack, as geometry transforms its slots."""
     import scipy.fft
 
-    geo = TorusGeometry(2, N)
-    assert fields.FFT_LIBRARY.get(2, "pypocketfft") == "pypocketfft"
+    geo = TorusGeometry(n, N)
+    assert fields.FFT_LIBRARY in (None, "pypocketfft")
     stack = _grid_values(geo, *lead).reshape((-1,) + geo.shape)
     for values in stack:
         hat = fields._rfft(geo, values)
         assert np.array_equal(hat, scipy.fft.rfftn(values, axes=geo.grid_axes))
         back = fields._irfft(geo, hat)
         assert np.array_equal(back, scipy.fft.irfftn(hat, s=geo.shape, axes=geo.grid_axes))
-    assert fields.FFT_LIBRARY[2] == "pypocketfft"
+    assert fields.FFT_LIBRARY == "pypocketfft"
+
+
+@pytest.mark.parametrize("N, exact", [(16, True), (64, True), (18, False)])
+def test_n1_transforms_equal_numpy_fft_on_power_of_two_grids(N, exact):
+    """The kernel gives numpy.fft's bits at n = 1 where N is a power of two,
+    as in every reference config; elsewhere the two differ by rounding."""
+    geo = TorusGeometry(1, N)
+    values = _grid_values(geo)
+    hat = fields._rfft(geo, values)
+    want = np.fft.rfftn(values)
+    back, want_back = fields._irfft(geo, want), np.fft.irfftn(want, s=geo.shape, axes=(0, 1))
+    if exact:
+        assert np.array_equal(hat, want) and np.array_equal(back, want_back)
+    else:
+        assert not np.array_equal(back, want_back)
+        assert np.abs(hat - want).max() <= 1e-13 and np.abs(back - want_back).max() <= 2e-15
 
 
 _NO_KERNEL = {
@@ -279,23 +312,24 @@ def _refuse(spec):
 
 
 @pytest.mark.parametrize("cause", list(_NO_KERNEL))
-def test_n2_transforms_fall_back_to_scipy_fft_with_the_same_bits(cause, monkeypatch):
+@pytest.mark.parametrize("n, N", RANKS)
+def test_transforms_fall_back_to_scipy_fft_with_the_same_bits(n, N, cause, monkeypatch):
     import scipy.fft
 
-    geo = TorusGeometry(2, 16)
+    geo = TorusGeometry(n, N)
     values = _grid_values(geo)
     hat = fields._rfft(geo, values)
     back = fields._irfft(geo, hat)
     _force_fallback(monkeypatch, cause)
-    assert fields._fft_module(geo).rfftn is scipy.fft.rfftn
-    assert fields.FFT_LIBRARY[2] == "scipy.fft"
+    assert fields._fft_module().rfftn is scipy.fft.rfftn
+    assert fields.FFT_LIBRARY == "scipy.fft"
     assert np.array_equal(fields._rfft(geo, values), hat)
     assert np.array_equal(fields._irfft(geo, hat), back)
 
 
 def _force_fallback(monkeypatch, cause):
-    monkeypatch.setattr(fields, "_fft_4d", None)
-    monkeypatch.delitem(fields.FFT_LIBRARY, 2, raising=False)
+    monkeypatch.setattr(fields, "_fft", None)
+    monkeypatch.setattr(fields, "FFT_LIBRARY", None)
     _NO_KERNEL[cause](monkeypatch)
 
 
@@ -328,13 +362,14 @@ def test_band_inverse_equals_irfft_of_the_padded_band_bit_for_bit(n, N, lead):
 
 
 @pytest.mark.parametrize("cause", list(_NO_KERNEL))
-@pytest.mark.parametrize("N", [16, 12])
-def test_band_inverse_falls_back_to_scipy_fft_with_the_same_bits(N, cause, monkeypatch):
+@pytest.mark.parametrize("n, N", RANKS + [(2, 12)])
+def test_band_inverse_falls_back_to_scipy_fft_with_the_same_bits(n, N, cause, monkeypatch):
     """Under each fallback cause the band passes are scipy.fft's unnormalized
-    (norm="forward") ifft and irfft, with the kernel's bits."""
+    (norm="forward") ifft and irfft, with the kernel's bits: per slot, one
+    ifft per block of lines, 2^(2n-1) - 1 of them, then the irfft."""
     import scipy.fft
 
-    geo, band, padded = _band_case(2, N, (4,))
+    geo, band, padded = _band_case(n, N, (4,))
     want = fields._irfft_band(geo, band)
     _force_fallback(monkeypatch, cause)
     norms = []
@@ -343,18 +378,19 @@ def test_band_inverse_falls_back_to_scipy_fft_with_the_same_bits(N, cause, monke
         monkeypatch.setattr(scipy.fft, name, lambda *a, _fn=fn, _name=name, **k:
                             norms.append((_name, k["norm"])) or _fn(*a, **k))
     assert np.array_equal(fields._irfft_band(geo, band), want)
-    assert fields.FFT_LIBRARY[2] == "scipy.fft"
-    assert norms == ([("ifft", "forward")] * 7 + [("irfft", "forward")]) * 4  # per slot
+    assert fields.FFT_LIBRARY == "scipy.fft"
+    blocks = 2 ** (geo.axes - 1) - 1
+    assert norms == ([("ifft", "forward")] * blocks + [("irfft", "forward")]) * 4
     assert np.array_equal(np.stack([fields._irfft(geo, hat) for hat in padded]), want)
 
 
 # the kernel's bits in a fresh interpreter, with scipy's FFT and graph
-# stacks imported after it or before it (an n = 2 run with distances on)
+# stacks imported after it or before it (a run with distances on)
 _LOAD_ORDER = (
     "import sys\n"
     "import numpy as np\n"
     "from torusflow import fields\n"
-    "geo = fields.TorusGeometry(2, 16)\n"
+    "geo = fields.TorusGeometry(int(sys.argv[4]), int(sys.argv[5]))\n"
     "values = np.load(sys.argv[1])\n"
     "def stacks():\n"
     "    import scipy.fft\n"
@@ -365,22 +401,23 @@ _LOAD_ORDER = (
     "stacks()\n"
     "np.save(sys.argv[2], np.stack([hat.real, hat.imag]))\n"
     "np.save(sys.argv[2] + '.back.npy', fields._irfft(geo, hat))\n"
-    "print(fields.FFT_LIBRARY[2])\n"
+    "print(fields.FFT_LIBRARY)\n"
 )
 
 
 @pytest.mark.parametrize("order", ["kernel first", "stacks first"])
-def test_n2_transforms_keep_their_bits_beside_scipy_stacks(order, tmp_path):
+@pytest.mark.parametrize("n, N", RANKS)
+def test_transforms_keep_their_bits_beside_scipy_stacks(n, N, order, tmp_path):
     import scipy.fft
 
-    geo = TorusGeometry(2, 16)
+    geo = TorusGeometry(n, N)
     values = _grid_values(geo, seed=11)
     np.save(tmp_path / "values.npy", values)
     out = tmp_path / "hat.npy"
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _LOAD_ORDER, str(tmp_path / "values.npy"),
-                           str(out), order], capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": pythonpath})
+                           str(out), order, str(n), str(N)], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": pythonpath})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["pypocketfft"]
     hat = scipy.fft.rfftn(values, axes=geo.grid_axes)

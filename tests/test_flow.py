@@ -379,10 +379,10 @@ def test_transform_budget(monkeypatch, n, N):
     """Counted at fields' real-transform helpers, _rfft, _irfft and
     _irfft_band, under every name a torusflow module calls them by: one
     real transform per grid array a call asks for, slot axes included, and
-    a helper's calls into another helper are not counted again.  The module
-    fields chose for the rank runs exactly the transforms the helpers ask
-    for, and numpy.fft runs no other: no complex transform, and none at all
-    at n = 2.  The Hessian of phi and the rhs go through the band inverse."""
+    a helper's calls into another helper are not counted again.  The one
+    module fields loads runs exactly the transforms the helpers ask for, at
+    both ranks, and numpy.fft runs none.  The Hessian of phi and the rhs go
+    through the band inverse."""
     geo = TorusGeometry(n, N)
     m = single_mode(geo, 0.03)
     counts, calls, active = {}, {}, []
@@ -414,8 +414,8 @@ def test_transform_budget(monkeypatch, n, N):
         for name, transforms in helpers.items():
             if getattr(module, name, None) is originals[name]:
                 count(module, name, name, transforms)
-    chosen = fields._fft_module(geo)
-    modules = {"numpy.fft": np.fft, fields.FFT_LIBRARY[n]: chosen}
+    modules = {"numpy.fft": np.fft, "pypocketfft": fields._fft_module()}
+    assert fields.FFT_LIBRARY == "pypocketfft"
     for label, module in modules.items():
         for name in ("rfftn", "irfftn", "fftn", "ifftn", "c2c", "c2r"):
             if hasattr(module, name):
@@ -432,13 +432,11 @@ def test_transform_budget(monkeypatch, n, N):
     # Hessian slots of phi and the rhs from their band, and the final state
     # its phi: a return to full-spectrum inverses changes this count
     assert band == (n * n + 1) * (steps + 1) + 1
-    if n == 1:  # a band inverse is one numpy irfftn of the zero-padded spectrum
-        assert counts == {("numpy.fft", "rfftn"): calls["_rfft"],
-                          ("numpy.fft", "irfftn"): calls["_irfft"] + calls["_irfft_band"]}
-    else:  # per slot, c2c on the three full axes over 4 + 2 + 1 blocks of lines, then c2r
-        label = "pypocketfft"
-        assert counts == {(label, "rfftn"): calls["_rfft"], (label, "irfftn"): calls["_irfft"],
-                          (label, "c2c"): 7 * band, (label, "c2r"): band}
+    # per slot, c2c on each full axis over its blocks of lines, 1 at n = 1
+    # and 4 + 2 + 1 at n = 2, then c2r
+    label, blocks = "pypocketfft", 2 ** (geo.axes - 1) - 1
+    assert counts == {(label, "rfftn"): calls["_rfft"], (label, "irfftn"): calls["_irfft"],
+                      (label, "c2c"): blocks * band, (label, "c2r"): band}
     per_step, setup = TRANSFORM_BUDGET[n]
     assert per_step * steps <= forward + inverse + band <= per_step * steps + setup
 
@@ -514,23 +512,24 @@ def test_evaluation_keeps_only_band_arrays(monkeypatch, n):
         assert not {geo.shape, (n * n,) + geo.shape, geo.half_shape} & set(shapes)
 
 
-def test_transform_module_is_chosen_by_grid_rank():
-    """An n = 1 flow runs numpy.fft and an n = 2 flow scipy's pocketfft
-    kernel, loaded alone: neither loads any scipy module, since importing
-    scipy.fft also loads scipy.special and scipy's array-API layer."""
+def test_one_transform_module_runs_both_ranks():
+    """An n = 1 flow and an n = 2 flow both run scipy's pocketfft kernel,
+    loaded alone: neither loads any scipy module, since importing scipy.fft
+    also loads scipy.special and scipy's array-API layer."""
     code = (
         "import sys\n"
         "import numpy as np\n"
         "from torusflow import FlowConfig, KahlerMetric, ScalarField, TorusGeometry, run_flow\n"
-        "from torusflow.fields import FFT_LIBRARY\n"
+        "from torusflow import fields\n"
+        "print(fields.FFT_LIBRARY)\n"
         "for n in (1, 2):\n"
         "    geo = TorusGeometry(n, 8)\n"
         "    psi = ScalarField(geo, 0.02 * np.cos(2 * np.pi * geo.coordinate(0)))\n"
         "    run_flow(KahlerMetric(np.eye(n), psi), FlowConfig(t_end=0.01, snapshot_times=(0.01,)))\n"
-        "    print(n, FFT_LIBRARY.get(2), [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+        "    print(n, fields.FFT_LIBRARY, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
     )
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["1 None []", "2 pypocketfft []"]
+    assert proc.stdout.splitlines() == ["None", "1 pypocketfft []", "2 pypocketfft []"]

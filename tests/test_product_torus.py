@@ -11,6 +11,8 @@ stiffness pencil.  f is the seed-1 n = 1 shape with max_mode 2 at
 amplitude 0.002, whose max |R| on the product is 36.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,8 @@ from torusflow import (
     scalar_curvature,
     volume,
 )
+from torusflow import fields, geometry
+from torusflow.geometry import PositivityError
 
 N = 16
 GEO1, GEO2 = TorusGeometry(1, N), TorusGeometry(2, N)
@@ -57,12 +61,17 @@ def factor():
     return KahlerMetric(np.eye(1), F)
 
 
-@pytest.mark.parametrize("sheared, H", CASES)
-def test_scalar_curvature_is_the_sum_over_the_factors(factor, sheared, H):
+def curvature_gap(factor, H, sheared: bool) -> float:
+    """max |R - lifted n = 1 R| on the n = 2 grid."""
     r1 = scalar_curvature(factor).values
     r2 = scalar_curvature(lifted_metric(H, sheared)).values
     assert np.abs(r2).max() > 30.0
-    assert np.abs(r2 - lift(r1, sheared)).max() <= CURVATURE_TOL
+    return float(np.abs(r2 - lift(r1, sheared)).max())
+
+
+@pytest.mark.parametrize("sheared, H", CASES)
+def test_scalar_curvature_is_the_sum_over_the_factors(factor, sheared, H):
+    assert curvature_gap(factor, H, sheared) <= CURVATURE_TOL
 
 
 def test_wrong_background_breaks_the_curvature_oracle(factor):
@@ -73,13 +82,60 @@ def test_wrong_background_breaks_the_curvature_oracle(factor):
     assert np.abs(r2 - lift(r1, True)).max() > 1.0
 
 
-@pytest.mark.parametrize("sheared, H", CASES)
-def test_volume_is_twice_the_factor_volume_squared(factor, sheared, H):
+def test_sign_flip_in_an_off_diagonal_hessian_symbol_breaks_the_curvature_oracle(
+        factor, monkeypatch):
+    """The symbol of the real part of slot (0, 1), negated where R takes the
+    Hessian of log det g: the sheared case has d_1 d_2bar log det g != 0,
+    so its R moves far off the sum, while the product case, with no
+    off-diagonal part, cannot see the flip.  A transform is linear, so
+    negating that slot of the Hessian negates its symbol, bit for bit."""
+    def flipped(geo, hat):
+        out = fields._hessian(geo, hat)
+        if geo.n == 2:
+            out[1] *= -1.0
+        return out
+
+    monkeypatch.setattr(geometry, "_hessian", flipped)
+    assert curvature_gap(factor, SHEAR, True) > 1.0
+    assert curvature_gap(factor, np.eye(2), False) <= CURVATURE_TOL
+
+
+def test_sign_flip_in_the_metric_hessian_symbol_breaks_the_sheared_metric(factor, monkeypatch):
+    """Negated in every Hessian of the grid, metric included, the same flip
+    leaves the sheared metric with no positive definite coefficients."""
+    symbols = list(GEO2.hessian_symbols)
+    symbols[1] = -symbols[1]
+    monkeypatch.setitem(vars(GEO2), "hessian_symbols", tuple(symbols))
+    with pytest.raises(PositivityError):
+        curvature_gap(factor, SHEAR, True)
+
+
+def check_volume(factor, H, sheared: bool) -> None:
     """int omega^n = 2^n n! int det g: 2 on the factor, whose det g has mean
     1, and 2 * 2^2 on the product, which pins the factor at both n."""
     assert volume(factor) == pytest.approx(2.0, rel=1e-12)
     assert volume(lifted_metric(H, sheared)) == pytest.approx(2.0 * volume(factor) ** 2,
                                                               rel=1e-12)
+
+
+@pytest.mark.parametrize("sheared, H", CASES)
+def test_volume_is_twice_the_factor_volume_squared(factor, sheared, H):
+    check_volume(factor, H, sheared)
+
+
+# wrong factors in place of 2^n n!: the first two agree with it at n = 1
+WRONG_VOLUME_FACTORS = {"2^n": lambda n: 2.0**n, "2 n!": lambda n: 2.0 * math.factorial(n),
+                        "n!": lambda n: float(math.factorial(n))}
+
+
+@pytest.mark.parametrize("wrong", list(WRONG_VOLUME_FACTORS))
+@pytest.mark.parametrize("sheared, H", CASES)
+def test_wrong_volume_factor_breaks_the_volume_oracle(factor, sheared, H, wrong, monkeypatch):
+    factor_of = WRONG_VOLUME_FACTORS[wrong]
+    monkeypatch.setattr(geometry, "_volume",
+                        lambda v, det: float(factor_of(1 if len(v) == 1 else 2) * det.mean()))
+    with pytest.raises(AssertionError):
+        check_volume(factor, H, sheared)
 
 
 @pytest.fixture(scope="module")

@@ -686,8 +686,8 @@ def test_manifest_records_minor_faults_per_stage(calib_run):
 
 
 def test_manifest_records_library_versions(calib_run):
-    """The interpreter, numpy, scipy (which a distance run loads), the C
-    library and the FFT that ran."""
+    """The interpreter, numpy, scipy (whose FFT kernel every run runs), the
+    C library and the FFT that ran."""
     import platform
 
     import scipy
@@ -699,7 +699,7 @@ def test_manifest_records_library_versions(calib_run):
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "libc": " ".join(filter(None, platform.libc_ver())) or None,
-        "fft": "numpy.fft",
+        "fft": "pypocketfft",
     }
 
 
@@ -716,9 +716,13 @@ _LIBRARIES_OF = (
 )
 
 
-def test_manifest_of_a_run_that_loads_no_scipy_names_none(flat_cfg_file, tmp_path):
+def test_n1_run_runs_the_fft_kernel_and_loads_no_scipy_module(flat_cfg_file, tmp_path):
+    """An n = 1 run with distances off runs the same kernel as an n = 2 one,
+    and loads no scipy module either."""
+    import scipy
+
     proc = _python(_LIBRARIES_OF, str(flat_cfg_file), str(tmp_path / "out"), "run")
-    assert proc.stdout.splitlines()[-1] == "None numpy.fft []"
+    assert proc.stdout.splitlines()[-1] == f"{scipy.__version__} pypocketfft []"
 
 
 def test_n2_check_runs_the_fft_kernel_and_loads_no_scipy_module(tmp_path):
@@ -1847,14 +1851,14 @@ def test_importing_the_cli_loads_no_process_pool():
 
 
 # stops `run` where its pipeline would start and prints what set-up loaded:
-# the n = 2 transforms (fields), the scipy stacks, and whether any scipy module
+# the transforms (fields), the scipy stacks, and whether any scipy module
 _SETUP_OF_RUN = (
     "import sys\n"
     "import torusflow.cli as cli\n"
-    "from torusflow.fields import FFT_LIBRARY\n"
+    "from torusflow import fields\n"
     "def stop(*args, **kwargs):\n"
     "    stacks = ('scipy.fft', 'scipy.sparse', 'scipy.sparse.csgraph')\n"
-    "    print(FFT_LIBRARY.get(2), *(m in sys.modules for m in stacks),\n"
+    "    print(fields.FFT_LIBRARY, *(m in sys.modules for m in stacks),\n"
     "          any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
     "    raise SystemExit(0)\n"
     "cli.run_experiment = stop\n"
@@ -1865,13 +1869,48 @@ _SETUP_OF_RUN = (
 @pytest.mark.parametrize("d, loaded", [
     ({"geometry": {"n": 2, "N": 16}, "scenario": {"indices": [1]}},
      ["pypocketfft", "False", "False", "False", "False"]),
-    (CALIB_DICT, ["None", "False", "True", "True", "True"]),
+    (CALIB_DICT, ["pypocketfft", "False", "True", "True", "True"]),
 ], ids=["n2-no-distances", "n1-distances"])
 def test_run_setup_loads_the_stacks_its_config_runs(d, loaded, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(d))
     proc = _python(_SETUP_OF_RUN, str(cfg), str(tmp_path / "out"))
     assert proc.stdout.split() == loaded
+
+
+# runs commands that end in a config error in a fresh interpreter, then
+# prints their exit codes, the transforms loaded (None for none), and every
+# scipy module loaded
+_CONFIG_ERRORS_OF = (
+    "import json, sys\n"
+    "from torusflow import fields\n"
+    "from torusflow.cli import main\n"
+    "codes = [main(json.loads(argv)) for argv in sys.argv[1:]]\n"
+    "print(*codes, fields.FFT_LIBRARY, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+)
+
+
+def test_config_errors_exit_before_set_up_loads_anything(tmp_path):
+    """A missing or unusable output path and, for `distance`, a battery that
+    cannot run are config errors found before set-up: the command loads
+    neither the FFT kernel nor any scipy module."""
+    configs = {}
+    for name, d in (("calib", CALIB_DICT),
+                    ("no_battery", {**CALIB_DICT, "geometry": {"n": 2, "N": 16},
+                                    "distance": {"enabled": False, "radius": 8}})):
+        configs[name] = tmp_path / f"{name}.json"
+        configs[name].write_text(json.dumps(d))
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    argvs = [[command, "--config", str(configs["calib"])] for command in ("run", "flow")]
+    argvs += [[command, "--config", str(configs["calib"]), "--out", str(a_file / "out")]
+              for command in ("run", "flow", "project", "distance")]
+    argvs.append(["distance", "--config", str(configs["no_battery"]), "--out",
+                  str(tmp_path / "out")])
+    proc = _python(_CONFIG_ERRORS_OF, *(json.dumps(argv) for argv in argvs))
+    assert proc.stdout.split() == ["3"] * len(argvs) + ["None", "[]"]
+    assert "distance.radius: stencil radius 8 needs N > 16" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_distance_command_runs_with_distances_off(calib_run, tmp_path):

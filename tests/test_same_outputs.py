@@ -1,6 +1,8 @@
 """tools/same_outputs.py: the refusal and the tree comparison; no command runs."""
 
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -39,10 +41,37 @@ def test_checkout_without_the_cli_is_refused_before_anything_runs(same_outputs, 
     assert str(tmp_path) in capsys.readouterr().err
 
 
-def test_identical_trees_apart_from_the_manifest(same_outputs, tmp_path):
-    a = _tree(tmp_path / "a", {**RUN, "manifest.json": b'{"timings": 1}'})
-    b = _tree(tmp_path / "b", {**RUN, "manifest.json": b'{"timings": 2}'})
+def _manifest(root: Path, floor: float, timings: dict, fft: str) -> bytes:
+    """A run manifest whose paths start with root."""
+    return json.dumps({
+        "all_checks_pass": True,
+        "scenarios": [{"index": 1, "status": "ok", "curvature_floor": floor, "volume": 2.0,
+                       "trace_dir": f"{root}/scenario_i001/trace",
+                       "report": f"{root}/scenario_i001/report.json"}],
+        "outputs": [f"{root}/family.csv"],
+        "timings": timings, "minor_faults": {"total": timings["total"] * 1000},
+        "peak_rss_mb": {"total": 50.0 + timings["total"]},
+        "libraries": {"fft": fft, "scipy": None if fft == "numpy.fft" else "1.17.1"},
+    }).encode()
+
+
+def _run_tree(root: Path, floor=-0.5, timings=None, fft="pypocketfft") -> Path:
+    timings = timings or {"total": 1.0}
+    return _tree(root, {**RUN, "manifest.json": _manifest(root, floor, timings, fft)})
+
+
+def test_manifests_that_differ_in_timings_libraries_and_root_are_the_same(same_outputs,
+                                                                           tmp_path):
+    a = _run_tree(tmp_path / "a", timings={"total": 1.0}, fft="numpy.fft")
+    b = _run_tree(tmp_path / "b", timings={"total": 2.0, "flows": 1.5})
+    assert (a / "manifest.json").read_bytes() != (b / "manifest.json").read_bytes()
     assert same_outputs.tree_differences(a, b) == []
+
+
+def test_a_changed_curvature_floor_in_the_manifest_is_reported(same_outputs, tmp_path):
+    a = _run_tree(tmp_path / "a")
+    b = _run_tree(tmp_path / "b", floor=math.nextafter(-0.5, 0.0))  # one ulp
+    assert same_outputs.tree_differences(a, b) == ["manifest.json: scenarios differs"]
 
 
 def test_one_byte_and_one_extra_file_are_reported(same_outputs, tmp_path):

@@ -10,15 +10,21 @@ run's output.  Each side runs with its own src on PYTHONPATH and one
 BLAS thread, into a temporary directory.  A command is identical when
 both sides exit with the same code, print the same standard output once
 the output path is masked, and leave run directories with the same files,
-each byte-identical, apart from manifest.json (it holds timings and
-paths).  Each difference is printed with its path, then one
-"N of M commands identical" line; the exit code is 1 on any difference.
+each byte-identical but manifest.json.  The manifests are compared as
+JSON without the entries that change from run to run or name the
+libraries that ran (VOLATILE), and with the output root masked in their
+paths; the rest must be equal: the verdicts, the family summary and the
+scenario rows, whose amplitudes, curvature floors and volumes `check`
+rebuilds the family from.  Each difference is printed with its path,
+then one "N of M commands identical" line; the exit code is 1 on any
+difference.
 A checkout without src/torusflow/cli.py is refused (exit code 2) before
 anything runs.  No file under perfbench/ is written.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -36,7 +42,9 @@ sys.path.insert(0, str(ROOT / "tools"))
 from gate_refs import benchmark_commands  # noqa: E402
 
 SIDES = ("parent", "change")
-SKIPPED = {"manifest.json"}  # timings and paths differ from run to run
+MANIFEST = "manifest.json"
+# manifest entries that differ from run to run, or name the libraries that ran
+VOLATILE = ("timings", "minor_faults", "peak_rss_mb", "libraries")
 
 
 def run_command(checkout: Path, command: str, config: Path, out: Path) -> tuple:
@@ -52,18 +60,39 @@ def run_command(checkout: Path, command: str, config: Path, out: Path) -> tuple:
     return proc.returncode, proc.stdout.replace(str(out), "<out>")
 
 
+def manifest_view(root: Path) -> dict:
+    """root's manifest without its VOLATILE entries, with root masked in the
+    paths of its outputs and scenario rows."""
+    manifest = json.loads((root / MANIFEST).read_text(encoding="utf-8"))
+    for key in VOLATILE:
+        manifest.pop(key, None)
+
+    def mask(path: str) -> str:
+        return path.replace(str(root), "<out>", 1)
+
+    manifest["outputs"] = [mask(p) for p in manifest.get("outputs", [])]
+    for row in manifest.get("scenarios", []):
+        for key in ("trace_dir", "report"):
+            if key in row:
+                row[key] = mask(row[key])
+    return manifest
+
+
 def tree_differences(a: Path, b: Path) -> list:
-    """Paths, relative to the two roots, of the files apart from SKIPPED
-    that only one tree has or whose bytes differ."""
+    """Paths, relative to the two roots, of the files that only one tree has
+    or whose bytes differ, and the top-level manifest entries that differ."""
     def files(root: Path) -> set:
-        return {p.relative_to(root).as_posix() for p in root.rglob("*")
-                if p.is_file() and p.relative_to(root).as_posix() not in SKIPPED}
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
 
     in_a, in_b = files(a), files(b)
     out = [f"{rel}: only in {'parent' if rel in in_a else 'change'}"
            for rel in sorted(in_a ^ in_b)]
-    out += [f"{rel}: bytes differ" for rel in sorted(in_a & in_b)
+    out += [f"{rel}: bytes differ" for rel in sorted(in_a & in_b - {MANIFEST})
             if (a / rel).read_bytes() != (b / rel).read_bytes()]
+    if MANIFEST in in_a & in_b:
+        view_a, view_b = manifest_view(a), manifest_view(b)
+        out += [f"{MANIFEST}: {key} differs" for key in sorted(view_a.keys() | view_b.keys())
+                if view_a.get(key) != view_b.get(key)]
     return out
 
 
