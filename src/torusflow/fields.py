@@ -19,11 +19,11 @@ pocketfft kernel, which keeps numpy's conventions.  On 4-D grids (n = 2)
 it runs a 16^4 transform about a fifth faster than numpy's FFT on one
 worker, whose bits would differ; on 2-D grids (n = 1) it gives numpy's
 bits wherever N is a power of two, as in every reference config.
-scipy.fft's rfftn and irfftn are each one call into that kernel, the C++
-extension scipy/fft/_pocketfft/pypocketfft, so _fft_module loads the
-extension alone, by file path and under its full name, and makes the same
-two calls with scipy's default norm and one worker, beside the
-unnormalized single-axis passes of the band inverse (below).  Importing
+scipy.fft's rfftn is one call into that kernel, the C++ extension
+scipy/fft/_pocketfft/pypocketfft, so _fft_module loads the extension
+alone, by file path and under its full name, and makes the same call with
+scipy's default norm and one worker, beside the unnormalized single-axis
+passes of the inverse (below).  Importing
 scipy.fft after numpy costs 0.2-0.3 s and about 27 MB, almost none of it
 the transforms: it loads scipy.special and scipy's shared array-API
 layer, which walks numpy's attributes and so loads numpy.f2py,
@@ -46,24 +46,29 @@ imaginary parts are even in k, so each part maps a real field to a real
 field and one inverse real transform per part and entry j <= k gives
 the Hessian.
 
+The inverse.  _irfft runs the passes of the kernel's multi-axis c2r, in
+its order, in place on the half spectrum it is given: a backward c2c on
+each full axis in turn, then a c2r on the last axis into the grid array.
+So it needs no complex work array of the spectrum's size, which the
+multi-axis call allocates, and it overwrites its input.  pocketfft
+applies the 1/N^{2n} of the inverse (the reciprocal taken in long double,
+rounded once) as one multiplication of each output of the last pass,
+which _irfft makes after an unnormalized c2r, so the bits are irfftn's.
+
 Band arrays.  A half spectrum that is zero outside the 2/3-rule band
 (every |k_axis| <= c = N//3) is carried as its band array alone: the modes
 0..c, -c..-1 of each full axis and 0..c of the half axis, cut into
 2^(2n-1) blocks that are contiguous in both arrays (band_blocks).  At
 n = 2, N = 16 that is 11*11*11*6 = 7,986 coefficients against 36,864.
-_band_of gathers it and _irfft_band inverts it, at both ranks, by the
-passes of the kernel's multi-axis c2r, in its order: a backward c2c on
-each full axis in turn, then a c2r on the last axis.  Each c2c pass
-covers only the lines whose later-axis indices lie in the band: at n = 2,
+_band_of gathers it and _irfft_band inverts it, at both ranks, slot by
+slot: it pads the slot's spectrum with zeros and runs _irfft's passes
+over the lines whose later-axis indices lie in the band: at n = 2,
 N = 16, 726 + 1,056 + 1,536 lines against 3 x 2,304, and at n = 1,
 N = 64, 22 lines against 33; a skipped line is all zero, and so is its
-transform.  The bits are irfftn's on the zero-padded spectrum: each line
-kept goes through the same one-dimensional transform, and pocketfft
-applies the 1/N^{2n} of the inverse (the reciprocal taken in long double,
-rounded once) as one multiplication of each output of the last pass,
-which _irfft_band makes after an unnormalized c2r.  Tests pin these bits
-at n = 1 and n = 2, with N a power of two and not, and under the
-scipy.fft fallback.
+transform.  The bits are irfftn's on the zero-padded spectrum, since each
+line kept goes through the same one-dimensional transform.  Tests pin
+these bits at n = 1 and n = 2, with N a power of two and not, and under
+the scipy.fft fallback.
 
 Hermitian coefficient fields are stored packed: a real float64 array of
 shape (n^2, *grid), one contiguous grid array per slot.  The slots are
@@ -253,10 +258,9 @@ _fft = None  # the real transforms, once loaded
 
 def _fft_module():
     """The calls of scipy's pocketfft kernel, loaded alone, or of scipy.fft
-    where it cannot be (module docstring): rfftn and irfftn, as scipy.fft's
-    but with irfftn writing into out, and the unnormalized single-axis
-    passes of a band inverse: c2c, complex and backward, in place, and c2r,
-    complex to real, into out."""
+    where it cannot be (module docstring): rfftn, as scipy.fft's, and the
+    unnormalized single-axis passes of the inverse: c2c, complex and
+    backward, in place, and c2r, complex to real, into out."""
     global FFT_LIBRARY, _fft
     if _fft is None:
         try:  # find_spec locates scipy without importing it
@@ -271,18 +275,16 @@ def _fft_module():
 
             _fft = SimpleNamespace(
                 rfftn=scipy.fft.rfftn,
-                irfftn=lambda x, s, axes, out: np.copyto(out, scipy.fft.irfftn(x, s=s, axes=axes)),
                 c2c=lambda x, axis: np.copyto(x, scipy.fft.ifft(x, axis=axis, norm="forward")),
                 c2r=lambda x, n, axis, out: np.copyto(out, scipy.fft.irfft(x, n, axis=axis,
                                                                           norm="forward")),
             )
             FFT_LIBRARY = "scipy.fft"
         else:
-            # scipy.fft's calls: forward unnormalized (0), inverse by 1/N^{2n} (2),
-            # one worker; the band passes are backward (False) and unnormalized
+            # scipy.fft's rfftn: forward, unnormalized (0), one worker; the
+            # inverse passes are backward (False) and unnormalized
             _fft = SimpleNamespace(
                 rfftn=lambda x, axes: kernel.r2c(x, axes, True, 0, None, 1),
-                irfftn=lambda x, s, axes, out: kernel.c2r(x, axes, s[-1], False, 2, out, 1),
                 c2c=lambda x, axis: kernel.c2c(x, (axis,), False, 0, x, 1),
                 c2r=lambda x, n, axis, out: kernel.c2r(x, (axis,), n, False, 0, out, 1),
             )
@@ -295,14 +297,29 @@ def _rfft(geometry: TorusGeometry, values: np.ndarray) -> np.ndarray:
     return _fft_module().rfftn(values, axes=geometry.grid_axes)
 
 
-def _irfft(geometry: TorusGeometry, hat: np.ndarray, out=None) -> np.ndarray:
+def _irfft(geometry: TorusGeometry, hat: np.ndarray, out=None, band: bool = False) -> np.ndarray:
     """Real grid values of a half spectrum, over its last 2n axes; into out
-    when given."""
-    lead = hat.shape[: hat.ndim - geometry.axes]
+    when given.  The passes run in place, so hat is overwritten (module
+    docstring).  With band, hat is zero outside the 2/3 band, and the c2c
+    passes skip the lines that are all zero."""
+    lead = hat.ndim - geometry.axes
     if out is None:
-        out = np.empty(lead + geometry.shape)
-    axes = tuple(range(len(lead), hat.ndim))
-    _fft_module().irfftn(hat, s=geometry.shape, axes=axes, out=out)
+        out = np.empty(hat.shape[:lead] + geometry.shape)
+    N, c = geometry.N, geometry.dealias_cutoff
+    everything = (slice(None),)
+    # each c2c pass covers the lines whose indices on the later axes can be
+    # nonzero: with band, 0..c on the half axis and 0..c, N-c..N-1 on a full one
+    low, halves = ((), everything)
+    if band:
+        low, halves = (slice(0, c + 1),), (slice(0, c + 1), slice(N - c, N))
+    fft = _fft_module()
+    for axis in range(lead, hat.ndim - 1):
+        for later in itertools.product(halves, repeat=hat.ndim - 2 - axis):
+            fft.c2c(hat[everything * (axis + 1) + later + low], axis)
+    fft.c2r(hat, N, hat.ndim - 1, out)
+    # irfftn's factor 1/N^{2n}, as pocketfft takes it: the reciprocal in
+    # long double, rounded once, times each output of the last pass
+    out *= float(1 / np.longdouble(geometry.npoints))
     return out
 
 
@@ -317,26 +334,12 @@ def _band_of(geometry: TorusGeometry, hat: np.ndarray) -> np.ndarray:
 def _irfft_band(geometry: TorusGeometry, band: np.ndarray, out=None) -> np.ndarray:
     """Real grid values of a band array (leading slot axes allowed), bit for
     bit those _irfft gives on its zero-padded half spectrum; into out when
-    given (module docstring)."""
+    given.  One slot at a time, so one padded spectrum is live."""
     lead = band.shape[: band.ndim - geometry.axes]
     if out is None:
         out = np.empty(lead + geometry.shape)
-    # irfftn's passes, slot by slot: backward c2c on each full axis in turn,
-    # then c2r on the half axis, each over the lines whose later indices
-    # are in the band
-    N, c = geometry.N, geometry.dealias_cutoff
-    fft, low = _fft_module(), slice(0, c + 1)
-    halves = (low, slice(N - c, N))
-    # irfftn's factor 1/N^{2n}, as pocketfft takes it: the reciprocal in
-    # long double, rounded once, times each output of the last pass
-    factor = float(1 / np.longdouble(geometry.npoints))
     for slot in np.ndindex(lead):
-        hat = _padded(geometry, band[slot])
-        for axis in range(geometry.axes - 1):
-            for later in itertools.product(halves, repeat=geometry.axes - 2 - axis):
-                fft.c2c(hat[(slice(None),) * (axis + 1) + later + (low,)], axis)
-        fft.c2r(hat, N, geometry.axes - 1, out[slot])
-        out[slot] *= factor
+        _irfft(geometry, _padded(geometry, band[slot]), out[slot], band=True)
     return out
 
 
@@ -349,10 +352,13 @@ def _padded(geometry: TorusGeometry, band: np.ndarray) -> np.ndarray:
     return hat
 
 
-def _hessian(geometry: TorusGeometry, hat: np.ndarray) -> np.ndarray:
+def _hessian(geometry: TorusGeometry, hat: np.ndarray, slot: int | None = None) -> np.ndarray:
     """d_j d_kbar of the real field with half spectrum hat, packed: one
     inverse real transform per slot, each symbol multiplied into one reused
-    buffer and inverted straight into its slot."""
+    buffer and inverted straight into its slot.  Given a slot, that packed
+    slot alone, as one grid array."""
+    if slot is not None:
+        return _irfft(geometry, geometry.hessian_symbols[slot] * hat)
     out = np.empty((len(geometry.hessian_symbols),) + geometry.shape)
     buf = np.empty_like(hat)
     for slot, sym in enumerate(geometry.hessian_symbols):

@@ -47,10 +47,38 @@ a candidate computes the grid's closed forms once:
                          and, when H0 = I, the stiffness
   pencil det(g - lam H0) 1 pass more, only when H0 is not the identity
 
-Every candidate that passes the evaluation is accepted, so the evaluation
-also takes the step's diagnostics readings while its grid arrays live.
-It keeps the band arrays of phi and of the rhs, the stiffness and those
-readings; no grid array outlives it.
+Every candidate that passes the evaluation is accepted.  The evaluation
+is the step: what the next step reads, the band arrays of phi and of the
+rhs and the stiffness, from the Hessian of phi, det g, the gate, log det g
+and its forward transform.  It hands its grid arrays (the coefficients,
+det g and the half spectrum of log det g) to the accepted step's
+diagnostics pass, which fills that step's StepDiagnostics row: the Ricci
+term and its pairing (_scalar_curvature), the rhs on the grid, the rate
+extremes and the volume.  No step reads a row, so the pass of step k may
+run on one helper thread while the main thread advances and evaluates
+step k + 1; pocketfft and numpy release the GIL, so two cores overlap the
+work.  At most one pass is in flight: the step waits for pass k before it
+hands over pass k + 1, and run_flow waits for the last one and joins the
+thread on every exit, a FlowFailure or an error raised in a pass
+included.  The rows are the same bits either way.  A pass calls only
+private array functions, none of which perfbench's single-threaded tracer
+patches.
+
+The helper starts only where it pays: where the process may use at least
+2 CPUs and the pass's grid work n^2 N^{2n} reaches HELPER_MIN_WORK = 2^18,
+which n = 2, N >= 16 does.  Else each pass runs at once on the main
+thread.  The Ricci term and its pairing took 2.93 of an evaluation's
+7.32 ms at n = 2, N = 16 before the split.  While a pass and a step
+overlap, the pass's grid arrays and work arrays are live beside the
+step's: glibc's heap grew 4.8 MB more over a seed-90 n = 2, N = 16 run's
+flows, and its peak RSS rose 2.6% (cli keeps glibc to one arena, so the
+helper's freed memory serves the main thread).  With the Ricci
+term alone on the helper (per step, 2 vCPUs):
+n = 2, N = 16 went from 7.2-7.8 to 4.4-5.0 ms and N = 32 from 161-192 to
+108-134 ms, while n = 1, N = 256 broke about even, and n = 1, N = 64
+(0.14-0.22 to 0.22-0.31 ms) and n = 2, N = 8 (about +15%) lost.  Threads
+inside each transform lose instead: two pocketfft workers per full
+transform made a whole run 30-40% slower.
 
 The stepper carries (t, dt, evaluation), and phi goes back to the grid
 (1 band inverse more) only for a FlowState that is kept: a snapshot, or the
@@ -66,11 +94,18 @@ volume) are recorded at every accepted step.  Full states are kept at
 the configured snapshot times, whose last entry is always t_end: the
 stepper lands on each in turn, and the state at t_end, the trace's
 final state, is its last snapshot.
+
+The step count is known before the flow: step_count follows the stepper's
+dt rule (_dt) with no rejection, about 1/sigma + ln(t_end/t_ramp)/ln(1 +
+sigma) steps plus one landing per snapshot, 45 at the defaults.  The
+runner's config loader refuses a config over MAX_STEPS.  A rejection only
+adds steps, at most MAX_REJECTS halvings of one.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,10 +137,20 @@ __all__ = [
     "StepDiagnostics",
     "FlowFailure",
     "run_flow",
+    "step_count",
+    "MAX_STEPS",
 ]
 
 DEFAULT_SNAPSHOTS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
 MAX_REJECTS = 20  # consecutive halvings of one step before the flow aborts
+# Steps a flow may take, counted before it starts (step_count).  At n = 2,
+# N = 32, the largest grid measured, a step takes 110-190 ms, so this is
+# 20-30 minutes of flow there; at the default t_end and t_ramp it admits
+# sigma down to about 0.0008 (9,890 steps).
+MAX_STEPS = 10_000
+# Grid work n^2 N^{2n} of a diagnostics pass from which it runs on a helper
+# thread, where the process may use 2 CPUs (module docstring)
+HELPER_MIN_WORK = 1 << 18
 
 
 class FlowFailure(RuntimeError):
@@ -207,16 +252,18 @@ def _same_time(stored: float, t: float) -> bool:
 
 class _Evaluation:
     """A candidate potential that passed evaluate: the band arrays the step
-    reads, its stiffness, and the diagnostics readings, taken while its grid
-    arrays lived."""
+    reads, its stiffness, and the grid arrays its diagnostics pass reads,
+    which the pass drops."""
 
-    __slots__ = ("phi_hat", "rhs_hat", "stiffness", "readings")
+    __slots__ = ("phi_hat", "rhs_hat", "stiffness", "grids")
 
-    def __init__(self, phi_hat, rhs_hat, stiffness, readings):
+    def __init__(self, phi_hat, rhs_hat, stiffness, grids):
         self.phi_hat = phi_hat      # band array of the flow potential
         self.rhs_hat = rhs_hat      # band array of d phi/dt
         self.stiffness = stiffness  # max eigenvalue of g^{-1} wrt H0
-        self.readings = readings    # the StepDiagnostics fields after t and dt
+        # (coefficients, det g, half spectrum of log det g, min eigenvalue)
+        # until the diagnostics pass takes them, then None
+        self.grids = grids
 
 
 def _rhs(geo: TorusGeometry, log_det_hat: np.ndarray, alpha: FlatMetric) -> np.ndarray:
@@ -255,8 +302,8 @@ class _Kernel:
 
     def evaluate(self, phi_hat: np.ndarray) -> _Evaluation | None:
         """None rejects the candidate: non-finite, or failing the positivity
-        gate.  A candidate that passes is accepted, so its diagnostics
-        readings are taken here and its grid arrays die with the call."""
+        gate.  A candidate that passes is accepted, and its grid arrays go
+        to its diagnostics pass."""
         if not np.all(np.isfinite(phi_hat)):
             return None
         geo = self.geometry
@@ -276,10 +323,7 @@ class _Kernel:
             stiffness = 1.0 / min_eig
         else:
             stiffness = 1.0 / float(_eigenvalues(coeffs, self.H0, det)[0].min())
-        min_curv = float(_scalar_curvature(geo, coeffs, det, log_det_hat).min())
-        rhs = _irfft_band(geo, rhs_hat)
-        readings = (min_curv, float(rhs.min()), float(rhs.max()), min_eig, _volume(coeffs, det))
-        return _Evaluation(phi_hat, rhs_hat, stiffness, readings)
+        return _Evaluation(phi_hat, rhs_hat, stiffness, (coeffs, det, log_det_hat, min_eig))
 
     def advance(self, ev: _Evaluation, dt: float) -> np.ndarray:
         """Band array of the candidate potential after dt."""
@@ -298,18 +342,89 @@ class _Kernel:
         return out
 
     def diagnostics(self, t: float, dt: float, ev: _Evaluation) -> StepDiagnostics:
-        return StepDiagnostics(t, dt, *ev.readings)
+        """The diagnostics pass of the step accepted at t: its row, from the
+        grid arrays of ev, which it drops; on the helper thread or not
+        (module docstring)."""
+        coeffs, det, log_det_hat, min_eig = ev.grids
+        ev.grids = None
+        geo = self.geometry
+        rhs = _irfft_band(geo, ev.rhs_hat)
+        min_rate, max_rate = float(rhs.min()), float(rhs.max())
+        del rhs
+        min_curv = float(_scalar_curvature(geo, coeffs, det, log_det_hat).min())
+        return StepDiagnostics(t, dt, min_curv, min_rate, max_rate, min_eig, _volume(coeffs, det))
 
     def state(self, t: float, ev: _Evaluation) -> FlowState:
         geo = self.geometry
         return FlowState(self.base, t, ScalarField(geo, _irfft_band(geo, ev.phi_hat)))
 
 
+class _Passes:
+    """The diagnostics rows of a flow's accepted steps, each from its pass:
+    run at once, or on one helper thread with at most one in flight."""
+
+    def __init__(self, kernel: _Kernel, helper: bool):
+        self.kernel = kernel
+        self.rows = []
+        self.pending = None  # the Future of the pass in flight
+        self.pool = None
+        if helper:
+            from concurrent.futures import ThreadPoolExecutor  # 5 ms to import, so only here
+
+            self.pool = ThreadPoolExecutor(1, thread_name_prefix="torusflow-diagnostics")
+
+    def add(self, t: float, dt: float, ev: _Evaluation) -> None:
+        """Hand over the pass of the step accepted at t, once the last one
+        is done."""
+        self.resolve()
+        if self.pool is None:
+            self.rows.append(self.kernel.diagnostics(t, dt, ev))
+        else:
+            self.pending = self.pool.submit(self.kernel.diagnostics, t, dt, ev)
+
+    def resolve(self) -> None:
+        """Wait for the pass in flight and keep its row; an error raised in
+        the pass is raised here."""
+        pending, self.pending = self.pending, None
+        if pending is not None:
+            self.rows.append(pending.result())
+
+    def close(self) -> None:
+        """Wait for the pass in flight, if any, and join the helper."""
+        if self.pool is not None:
+            self.pool.shutdown(wait=True)
+
+
+def _helper_pays(geo: TorusGeometry) -> bool:
+    """Whether a flow on geo runs its diagnostics passes on a helper thread
+    (module docstring)."""
+    if geo.n * geo.n * geo.npoints < HELPER_MIN_WORK:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _dt(config: FlowConfig, t: float, t_next: float) -> float:
+    """The stepper's first try at a step from t, ending at t_next at the latest."""
+    return min(config.sigma * max(t, config.t_ramp), t_next - t)
+
+
+def step_count(config: FlowConfig, limit: int = MAX_STEPS) -> int:
+    """The accepted steps of a flow under config when no step is rejected;
+    it stops counting past limit, so it returns at most limit + 1."""
+    t, steps = 0.0, 0
+    for t_snap in config.snapshot_times:
+        while t_snap > t + 1e-14 and steps <= limit:
+            t += _dt(config, t, t_snap)
+            steps += 1
+    return steps
+
+
 def _step(kernel: _Kernel, t: float, ev: _Evaluation, t_next: float):
     """One accepted step from time t, whose state has the evaluation ev,
     ending at t_next at the latest; returns (new_t, dt, new_evaluation)."""
-    config = kernel.config
-    dt = min(config.sigma * max(t, config.t_ramp), t_next - t)
+    dt = _dt(kernel.config, t, t_next)
     rejects = 0
     while True:
         ev_new = kernel.evaluate(kernel.advance(ev, dt))
@@ -335,18 +450,23 @@ def run_flow(metric0: KahlerMetric, config: FlowConfig) -> FlowTrace:
         zero = ScalarField(geo, np.zeros(geo.shape))
         raise FlowFailure("initial metric is not positive", FlowState(metric0, 0.0, zero))
     t, dt = 0.0, 0.0
-    diagnostics = [kernel.diagnostics(t, dt, ev)]
+    passes = _Passes(kernel, _helper_pays(geo))
     snapshots = []
-    for t_snap in config.snapshot_times:  # the last one is t_end
-        while t_snap > t + 1e-14:
-            t, dt, ev = _step(kernel, t, ev, t_snap)
-            diagnostics.append(kernel.diagnostics(t, dt, ev))
-        snapshots.append(kernel.state(t, ev))
+    try:
+        passes.add(t, dt, ev)
+        for t_snap in config.snapshot_times:  # the last one is t_end
+            while t_snap > t + 1e-14:
+                t, dt, ev = _step(kernel, t, ev, t_snap)
+                passes.add(t, dt, ev)
+            snapshots.append(kernel.state(t, ev))
+        passes.resolve()
+    finally:
+        passes.close()
     return FlowTrace(
         initial=metric0,
         alpha=kernel.alpha,
         flat_potential=kernel.flat_potential,
         config=config,
         snapshots=tuple(snapshots),
-        diagnostics=tuple(diagnostics),
+        diagnostics=tuple(passes.rows),
     )

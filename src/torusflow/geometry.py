@@ -272,20 +272,27 @@ def _scalar_curvature(geometry: TorusGeometry, v: np.ndarray, det: np.ndarray,
                       log_det_hat: np.ndarray) -> np.ndarray:
     """tr_g Ric with Ric = -d dbar log det g, from the coefficients, det =
     _det(v) and the half spectrum of log det g.  The pairing is _pairing's,
-    the same operations in the same order, formed in place on the Hessian."""
-    b = _hessian(geometry, log_det_hat)
-    out = b[0]
+    the same operations in the same order, formed slot by slot as each slot
+    of the Hessian is inverted, so at most three grid arrays are live."""
+    out = _hessian(geometry, log_det_hat, 0)
     if len(v) > 1:
         out *= v[3]
-        b[3] *= v[0]
-        out += b[3]
-        b[1] *= v[1]
-        b[2] *= v[2]
-        b[1] += b[2]
-        b[1] *= 2.0
-        out -= b[1]
+        b = _hessian(geometry, log_det_hat, 3)
+        b *= v[0]
+        out += b
+        del b
+        b = _hessian(geometry, log_det_hat, 1)
+        b *= v[1]
+        c = _hessian(geometry, log_det_hat, 2)
+        c *= v[2]
+        b += c
+        del c
+        b *= 2.0
+        out -= b
+        del b
     np.negative(out, out=out)
-    return out / det  # a fresh array, so the Hessian dies with the call
+    out /= det
+    return out
 
 
 def _field(metric) -> HermitianField:

@@ -6,9 +6,11 @@ Laplacian, so the mode-(1,0) coefficient must decay like e^{-pi^2 t}.
 """
 
 import functools
+import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -374,7 +376,7 @@ def test_constant_in_phi_moves_its_mean_not_the_metric(bump_trace_two_dim):
 TRANSFORM_BUDGET = {1: (4, 13), 2: (10, 28)}
 
 
-@pytest.mark.parametrize("n, N", [(1, 32), (2, 8)])
+@pytest.mark.parametrize("n, N", [(1, 32), (2, 8), (2, 16)])
 def test_transform_budget(monkeypatch, n, N):
     """Counted at fields' real-transform helpers, _rfft, _irfft and
     _irfft_band, under every name a torusflow module calls them by: one
@@ -382,21 +384,29 @@ def test_transform_budget(monkeypatch, n, N):
     a helper's calls into another helper are not counted again.  The one
     module fields loads runs exactly the transforms the helpers ask for, at
     both ranks, and numpy.fft runs none.  The Hessian of phi and the rhs go
-    through the band inverse."""
+    through the band inverse.  At n = 2, N = 16 the diagnostics passes run
+    on the helper thread, so the nesting is tracked per thread, and the
+    budget is the same."""
+    _cpus(monkeypatch, 2)
     geo = TorusGeometry(n, N)
     m = single_mode(geo, 0.03)
-    counts, calls, active = {}, {}, []
+    counts, calls, threads = {}, {}, set()
+    nesting, lock = threading.local(), threading.Lock()
 
     def count(owner, name, key, transforms=None):
         fn = getattr(owner, name)
 
         def counted(*args, **kwargs):
             if transforms is None:
-                counts[key] = counts.get(key, 0) + 1
+                with lock:
+                    counts[key] = counts.get(key, 0) + 1
                 return fn(*args, **kwargs)
+            active = nesting.__dict__.setdefault("active", [])
             if not active:  # a helper called by a helper is not a request
-                counts[key] = counts.get(key, 0) + transforms(*args)
-                calls[key] = calls.get(key, 0) + 1
+                with lock:
+                    counts[key] = counts.get(key, 0) + transforms(*args)
+                    calls[key] = calls.get(key, 0) + 1
+                    threads.add(threading.current_thread().name)
             active.append(key)
             try:
                 return fn(*args, **kwargs)
@@ -405,7 +415,7 @@ def test_transform_budget(monkeypatch, n, N):
 
         monkeypatch.setattr(owner, name, counted)
 
-    def slots(geometry, hat, out=None):
+    def slots(geometry, hat, out=None, band=False):
         return int(np.prod(hat.shape[: hat.ndim - geometry.axes]))
 
     helpers = {"_rfft": lambda geometry, values: 1, "_irfft": slots, "_irfft_band": slots}
@@ -427,18 +437,142 @@ def test_transform_budget(monkeypatch, n, N):
     trace = run_flow(m, FlowConfig(t_end=0.1, snapshot_times=(0.1,)))
     steps = len(trace.diagnostics) - 1
     assert steps > 10 and len(advances) == steps  # no rejection
+    helper = any(name.startswith("torusflow-diagnostics") for name in threads)
+    assert helper == (n * n * geo.npoints >= flow_module.HELPER_MIN_WORK)
     forward, inverse, band = counts.pop("_rfft"), counts.pop("_irfft"), counts.pop("_irfft_band")
     # each evaluation (steps + 1, the one at t = 0 included) inverts the n^2
     # Hessian slots of phi and the rhs from their band, and the final state
     # its phi: a return to full-spectrum inverses changes this count
     assert band == (n * n + 1) * (steps + 1) + 1
-    # per slot, c2c on each full axis over its blocks of lines, 1 at n = 1
-    # and 4 + 2 + 1 at n = 2, then c2r
+    # per band slot, c2c on each full axis over its blocks of lines, 1 at
+    # n = 1 and 4 + 2 + 1 at n = 2, then c2r; per full inverse, one c2c on
+    # each full axis, then c2r
     label, blocks = "pypocketfft", 2 ** (geo.axes - 1) - 1
-    assert counts == {(label, "rfftn"): calls["_rfft"], (label, "irfftn"): calls["_irfft"],
-                      (label, "c2c"): blocks * band, (label, "c2r"): band}
+    assert counts == {(label, "rfftn"): calls["_rfft"],
+                      (label, "c2c"): blocks * band + (geo.axes - 1) * inverse,
+                      (label, "c2r"): band + inverse}
     per_step, setup = TRANSFORM_BUDGET[n]
     assert per_step * steps <= forward + inverse + band <= per_step * steps + setup
+
+
+# ---------------------------------------------------------------------------
+# the diagnostics pass on the helper thread, and the step budget
+
+
+def _cpus(monkeypatch, count):
+    """The process may use count CPUs, as the flow reads it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _started(monkeypatch) -> list:
+    """The names of the threads started from here on."""
+    started = []
+    original = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self.name) or original(self))
+    return started
+
+
+def _bump(n, N):
+    geo = TorusGeometry(n, N)
+    H = np.eye(n) if n == 1 else np.array([[1.0, 0.2j], [-0.2j, 1.5]])
+    return KahlerMetric(H, 0.02 * cos_field(geo, 0) + 0.01 * cos_field(geo, geo.axes - 1))
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 8)])
+def test_helper_on_and_off_give_the_same_bits(monkeypatch, n, N):
+    """The rows and the states are bit-equal whether each pass runs on the
+    helper thread or at once; repr tells -0.0 from 0.0."""
+    _cpus(monkeypatch, 2)
+    started = _started(monkeypatch)
+    traces = {}
+    for helper, threshold in ((True, 0), (False, math.inf)):
+        monkeypatch.setattr(flow_module, "HELPER_MIN_WORK", threshold)
+        traces[helper] = run_flow(_bump(n, N), FlowConfig(t_end=0.1, snapshot_times=(0.05, 0.1)))
+        assert len(started) == 1  # the one helper of the first flow
+    on, off = traces[True], traces[False]
+    assert len(on.diagnostics) > 10
+    assert list(map(repr, on.diagnostics)) == list(map(repr, off.diagnostics))
+    for a, b in zip(on.snapshots, off.snapshots, strict=True):
+        assert a.t == b.t and np.array_equal(a.phi.values, b.phi.values)
+
+
+def test_flow_failure_leaves_no_live_helper(monkeypatch):
+    """Every candidate after the third step is non-finite: the flow aborts
+    while a pass may be in flight, and the helper is joined."""
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(flow_module, "HELPER_MIN_WORK", 0)
+    before = threading.active_count()
+    started = _started(monkeypatch)
+    original = flow_module._Kernel.advance
+    dts = []
+
+    def advance(self, ev, dt):
+        out = original(self, ev, dt)
+        dts.append(dt)
+        return out if len(dts) <= 3 else np.full_like(out, np.nan)
+
+    monkeypatch.setattr(flow_module._Kernel, "advance", advance)
+    with pytest.raises(FlowFailure, match="rejected"):
+        run_flow(_bump(2, 8), FlowConfig(t_end=0.1, snapshot_times=(0.1,)))
+    assert len(started) == 1 and threading.active_count() == before
+
+
+def test_error_raised_in_a_pass_propagates_and_the_helper_is_joined(monkeypatch):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(flow_module, "HELPER_MIN_WORK", 0)
+    before = threading.active_count()
+    original = flow_module._Kernel.diagnostics
+    ran_on = []
+
+    def diagnostics(self, t, dt, ev):
+        ran_on.append(threading.current_thread().name)
+        if len(ran_on) == 4:
+            raise ArithmeticError("pass 4")
+        return original(self, t, dt, ev)
+
+    monkeypatch.setattr(flow_module._Kernel, "diagnostics", diagnostics)
+    with pytest.raises(ArithmeticError, match="pass 4"):
+        run_flow(_bump(2, 8), FlowConfig(t_end=0.1, snapshot_times=(0.1,)))
+    assert len(ran_on) == 4
+    assert all(name.startswith("torusflow-diagnostics") for name in ran_on)
+    assert threading.active_count() == before
+
+
+def test_one_cpu_starts_no_helper(monkeypatch):
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(flow_module, "HELPER_MIN_WORK", 0)
+    started = _started(monkeypatch)
+    run_flow(_bump(2, 8), FlowConfig(t_end=0.05, snapshot_times=(0.05,)))
+    assert started == []
+
+
+def test_helper_starts_from_n2_N16(monkeypatch):
+    """The rule's constant: n = 2, N >= 16 runs its passes on the helper,
+    and a flow shaped as the dist-n1-N64 benchmark's starts no thread."""
+    _cpus(monkeypatch, 2)
+    pays = flow_module._helper_pays
+    assert pays(TorusGeometry(2, 16)) and pays(TorusGeometry(2, 32))
+    assert not pays(TorusGeometry(2, 14)) and not pays(TorusGeometry(1, 256))
+    started = _started(monkeypatch)
+    trace = run_flow(single_mode(TorusGeometry(1, 64), 0.03), FlowConfig())
+    assert len(trace.diagnostics) > 40 and started == []
+
+
+@pytest.mark.parametrize("config", [
+    FlowConfig(), FlowConfig(sigma=0.05, t_end=0.3, t_ramp=0.01, snapshot_times=(0.1,)),
+    FlowConfig(sigma=1.0, snapshot_times=(0.01, 0.3))])
+def test_step_count_is_the_stepper_s_count(config):
+    trace = run_flow(single_mode(TorusGeometry(1, 8), 0.03), config)
+    assert flow_module.step_count(config) == len(trace.diagnostics) - 1
+
+
+def test_step_count_stops_past_its_limit():
+    """sigma = 1e-300 would take about 1e300 steps, and t + dt == t from the
+    first one: the count stops at limit + 1."""
+    assert flow_module.step_count(FlowConfig(sigma=1e-300)) == flow_module.MAX_STEPS + 1
+    assert flow_module.step_count(FlowConfig(sigma=1e-3), limit=100) == 101
+    assert flow_module.step_count(FlowConfig()) == 45
 
 
 @pytest.mark.parametrize("H, pencil", [(np.eye(2), 0), (np.array([[1.0, 1.0], [1.0, 2.0]]), 1)])
@@ -487,9 +621,9 @@ def test_one_det_and_eigenvalue_pass_per_evaluation(monkeypatch, H, pencil):
 @pytest.mark.parametrize("n", [1, 2])
 def test_evaluation_keeps_only_band_arrays(monkeypatch, n):
     """After run_flow, no evaluation holds an array of the grid's shape, of
-    the packed coefficients' shape or of the half spectrum's: only the band
-    arrays of phi and of the rhs remain, beside the stiffness and the
-    diagnostics readings."""
+    the packed coefficients' shape or of the half spectrum's: each
+    diagnostics pass dropped its grid arrays, and only the band arrays of
+    phi and of the rhs remain, beside the stiffness."""
     evaluations = []
     original_evaluate = flow_module._Kernel.evaluate
 
@@ -506,7 +640,8 @@ def test_evaluation_keeps_only_band_arrays(monkeypatch, n):
     band = geo.band_shape
     assert np.prod(band) == np.count_nonzero(geo.dealias_keep)
     for ev in evaluations:
-        held = [getattr(ev, name) for name in ev.__slots__] + list(ev.readings)
+        assert ev.grids is None
+        held = [getattr(ev, name) for name in ev.__slots__]
         shapes = [a.shape for a in held if isinstance(a, np.ndarray)]
         assert shapes == [band, band]
         assert not {geo.shape, (n * n,) + geo.shape, geo.half_shape} & set(shapes)

@@ -88,11 +88,12 @@ def test_sign_flip_in_an_off_diagonal_hessian_symbol_breaks_the_curvature_oracle
     Hessian of log det g: the sheared case has d_1 d_2bar log det g != 0,
     so its R moves far off the sum, while the product case, with no
     off-diagonal part, cannot see the flip.  A transform is linear, so
-    negating that slot of the Hessian negates its symbol, bit for bit."""
-    def flipped(geo, hat):
-        out = fields._hessian(geo, hat)
-        if geo.n == 2:
-            out[1] *= -1.0
+    negating that slot of the Hessian negates its symbol, bit for bit; R
+    takes its Hessian one slot at a time."""
+    def flipped(geo, hat, slot=None):
+        out = fields._hessian(geo, hat, slot)
+        if geo.n == 2 and slot == 1:
+            out *= -1.0
         return out
 
     monkeypatch.setattr(geometry, "_hessian", flipped)

@@ -4,6 +4,7 @@ a reason, and the report can fail both ways."""
 import importlib.util
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,24 @@ def test_sweep_flags_a_command_that_ends_in_another_exit_code(reach, tmp_path):
     assert len(problems) == 1 and problems[0].startswith("missing config: exit code 3, expected 0")
     assert reach.sweep([("missing config", argv, 3)])[1] == []
     assert any(path.endswith("cli.py") for path, _ in reached)
+
+
+def test_sweep_sees_a_function_called_only_on_a_thread(reach, tmp_path):
+    """A profile hook is per thread, so the sweep hooks every thread that a
+    case starts, as a flow starts its diagnostics helper."""
+    def on_thread():
+        pass
+
+    def start():
+        thread = threading.Thread(target=on_thread)
+        thread.start()
+        thread.join()
+
+    argv = ["run", "--config", str(tmp_path / "missing.json")]
+    reached, problems = reach.sweep([("missing config", argv, 3, start)])
+    code = on_thread.__code__
+    assert problems == []
+    assert (str(Path(code.co_filename).resolve()), code.co_firstlineno) in reached
 
 
 def test_defined_functions_start_where_their_code_objects_do(reach):

@@ -204,6 +204,22 @@ def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: seed: must be an integer >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_flow_over_the_step_budget_is_a_config_error(command, tmp_path, capsys):
+    """sigma = 1e-300 is in (0, 1] but would take about 1e300 steps; the
+    count stops past the budget, so the refusal itself is quick."""
+    message = ("flow: sigma=1e-300, t_ramp=0.001 and t_end=1 take more than 10,000 steps, "
+               "the budget of one flow")
+    d = base_dict(flow={"sigma": 1e-300})
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    assert err.value.errors == [message]
+    assert _cli_exit(tmp_path, d, command) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+    assert config_from_dict(base_dict(flow={"sigma": 0.002})).flow.sigma == 0.002
+
+
 @pytest.mark.parametrize("t_ramp", [math.nan, math.inf])
 def test_nonfinite_t_ramp_is_a_config_error(t_ramp, tmp_path, capsys):
     """check never flows, so a t_ramp that slips through fails here
@@ -1780,10 +1796,13 @@ def _set_up_of(command, cfg_file, out, monkeypatch) -> None:
 
 @pytest.mark.parametrize("command", ["run", "check", "flow", "project", "distance"])
 def test_set_up_sets_both_malloc_thresholds_once(command, calib_cfg_file, tmp_path, monkeypatch):
+    """And keeps glibc to one arena, also once."""
     calls = _fake_c_library(monkeypatch)
     _set_up_of(command, calib_cfg_file, tmp_path, monkeypatch)
-    assert calls == [(cli._M_TRIM_THRESHOLD, 1 << 30), (cli._M_MMAP_THRESHOLD, 32 << 20)]
-    assert (cli._M_TRIM_THRESHOLD, cli._M_MMAP_THRESHOLD) == (-1, -3)  # glibc's malloc.h
+    assert calls == [(cli._M_TRIM_THRESHOLD, 1 << 30), (cli._M_MMAP_THRESHOLD, 32 << 20),
+                     (cli._M_ARENA_MAX, 1)]
+    # glibc's malloc.h
+    assert (cli._M_TRIM_THRESHOLD, cli._M_MMAP_THRESHOLD, cli._M_ARENA_MAX) == (-1, -3, -8)
 
 
 def test_set_up_leaves_a_c_library_without_mallopt_as_it_is(calib_cfg_file, tmp_path,
@@ -1796,7 +1815,7 @@ def test_set_up_leaves_a_c_library_without_mallopt_as_it_is(calib_cfg_file, tmp_
 def test_set_up_goes_on_when_mallopt_refuses_a_value(calib_cfg_file, tmp_path, monkeypatch):
     calls = _fake_c_library(monkeypatch, mallopt_returns=0)
     _set_up_of("run", calib_cfg_file, tmp_path, monkeypatch)
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 def test_importing_the_package_sets_no_malloc_threshold():
@@ -1816,7 +1835,7 @@ def test_importing_the_package_sets_no_malloc_threshold():
                    "print(len(calls))\n"
                    "torusflow.cli._keep_freed_memory()\n"
                    "print(len(calls))\n")
-    assert proc.stdout.split() == ["0", "2"]
+    assert proc.stdout.split() == ["0", "3"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 
     python3 tools/reach.py
 
-It runs every torusflow command in this process with a sys.setprofile
-hook that records each code object called.  The commands are `run` on
+It runs every torusflow command in this process with a profile hook that
+records each code object called, on the main thread (sys.setprofile) and
+on every thread started meanwhile (threading.setprofile), such as a flow's
+diagnostics helper.  The commands are `run` on
 each of the benchmark's configs (perfbench/run.py's CONFIGS at seed 90,
 read as tools/gate_refs.py reads them; nothing under perfbench/ is
 written), on smaller grids with three indices each, which reach the same
@@ -30,6 +32,7 @@ import io
 import json
 import sys
 import tempfile
+import threading
 import traceback
 from pathlib import Path
 
@@ -168,6 +171,7 @@ def sweep(case_list) -> tuple:
 
     problems = []
     sys.setprofile(profile)
+    threading.setprofile(profile)
     try:
         from torusflow import cli  # import-time calls count as reached
 
@@ -186,6 +190,7 @@ def sweep(case_list) -> tuple:
                                 + sink.getvalue())
     finally:
         sys.setprofile(None)
+        threading.setprofile(None)
     return {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in called}, problems
 
 
