@@ -96,10 +96,11 @@ stepper lands on each in turn, and the state at t_end, the trace's
 final state, is its last snapshot.
 
 The step count is known before the flow: step_count follows the stepper's
-dt rule (_dt) with no rejection, about 1/sigma + ln(t_end/t_ramp)/ln(1 +
-sigma) steps plus one landing per snapshot, 45 at the defaults.  The
-runner's config loader refuses a config over MAX_STEPS.  A rejection only
-adds steps, at most MAX_REJECTS halvings of one.
+dt rule (_dt) and landing rule (_landed) with no rejection, 45 steps at the
+defaults.  Its closed form (_step_estimate) is about 1/sigma +
+ln(t_end/t_ramp)/ln(1 + sigma) steps plus one landing per snapshot.  The
+runner's config loader refuses a count over MAX_STEPS and prints the closed
+form.  A rejection only adds steps, at most MAX_REJECTS halvings of one.
 """
 
 from __future__ import annotations
@@ -410,15 +411,28 @@ def _dt(config: FlowConfig, t: float, t_next: float) -> float:
     return min(config.sigma * max(t, config.t_ramp), t_next - t)
 
 
-def step_count(config: FlowConfig, limit: int = MAX_STEPS) -> int:
+def _landed(t: float, t_snap: float) -> bool:
+    """Whether the stepper, at time t, has reached the snapshot time t_snap."""
+    return t_snap <= t + 1e-14
+
+
+def step_count(config: FlowConfig) -> int:
     """The accepted steps of a flow under config when no step is rejected;
-    it stops counting past limit, so it returns at most limit + 1."""
+    it stops counting past MAX_STEPS, so it returns at most MAX_STEPS + 1."""
     t, steps = 0.0, 0
     for t_snap in config.snapshot_times:
-        while t_snap > t + 1e-14 and steps <= limit:
+        while not _landed(t, t_snap) and steps <= MAX_STEPS:
             t += _dt(config, t, t_snap)
             steps += 1
     return steps
+
+
+def _step_estimate(config: FlowConfig) -> float:
+    """step_count's closed form, uncapped: 1/sigma steps of the ramp,
+    ln(t_end/t_ramp)/ln(1 + sigma) after it, and one landing per snapshot."""
+    ratio = config.t_end / config.t_ramp
+    ramp = min(ratio, 1.0) / config.sigma
+    return ramp + math.log(max(ratio, 1.0)) / math.log1p(config.sigma) + len(config.snapshot_times)
 
 
 def _step(kernel: _Kernel, t: float, ev: _Evaluation, t_next: float):
@@ -455,7 +469,7 @@ def run_flow(metric0: KahlerMetric, config: FlowConfig) -> FlowTrace:
     try:
         passes.add(t, dt, ev)
         for t_snap in config.snapshot_times:  # the last one is t_end
-            while t_snap > t + 1e-14:
+            while not _landed(t, t_snap):
                 t, dt, ev = _step(kernel, t, ev, t_snap)
                 passes.add(t, dt, ev)
             snapshots.append(kernel.state(t, ev))

@@ -66,7 +66,7 @@ from . import __version__
 from . import io as tfio
 from . import fields
 from .fields import FieldError, TorusGeometry, constant_field
-from .flow import MAX_STEPS, FlowConfig, run_flow, step_count
+from .flow import MAX_STEPS, FlowConfig, _step_estimate, run_flow, step_count
 from .geometry import PositivityError, pairing_density
 from .harness import (HarnessConfig, build_reports, default_test_forms, family_columns,
                       family_passed, family_summary, measure)
@@ -323,8 +323,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError([f"flow: {exc}"]) from exc
     if step_count(flow) > MAX_STEPS:  # the count stops at MAX_STEPS + 1
         raise ConfigError([f"flow: sigma={flow.sigma:g}, t_ramp={flow.t_ramp:g} and "
-                           f"t_end={flow.t_end:g} take more than {MAX_STEPS:,} steps, "
-                           "the budget of one flow"])
+                           f"t_end={flow.t_end:g} take about {_step_estimate(flow):.3g} "
+                           f"steps, more than the budget of {MAX_STEPS:,} for one flow"])
     seed = top.get("seed", ExperimentConfig.seed)
     scen.setdefault("seed", seed)
     try:

@@ -208,8 +208,8 @@ def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
 def test_flow_over_the_step_budget_is_a_config_error(command, tmp_path, capsys):
     """sigma = 1e-300 is in (0, 1] but would take about 1e300 steps; the
     count stops past the budget, so the refusal itself is quick."""
-    message = ("flow: sigma=1e-300, t_ramp=0.001 and t_end=1 take more than 10,000 steps, "
-               "the budget of one flow")
+    message = ("flow: sigma=1e-300, t_ramp=0.001 and t_end=1 take about 7.91e+300 steps, "
+               "more than the budget of 10,000 for one flow")
     d = base_dict(flow={"sigma": 1e-300})
     with pytest.raises(ConfigError) as err:
         config_from_dict(d)
