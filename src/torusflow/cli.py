@@ -3,9 +3,13 @@
 Subcommands: run (full pipeline), flow (integrate the first scenario),
 project (harmonic projection of the first scenario), distance (query
 battery on the first scenario's trace), check (harness on persisted
-traces only).  Exit codes: 0 all pass, 1 check failures, 2 scenario
-errors, 3 config errors.  A run or check that does not pass prints each
-failing row of every measured scenario's checks.csv.
+traces only).  Every command takes its scenarios from
+`scenarios.make_sequence`, through `runner`: from the output directory's
+manifest when a completed run there recorded them, calibrated otherwise
+(`project` reads a manifest only with --out).  Exit codes: 0 all pass,
+1 check failures, 2 scenario errors (a grid too large to allocate
+included), 3 config errors.  A run or check that does not pass prints
+each failing row of every measured scenario's checks.csv.
 
 Importing the package loads no scipy and changes no process setting.
 Each command checks its config, its output path (made there) and, for
@@ -135,16 +139,16 @@ class _Failed(Exception):
     """Ends a command with EXIT_SCENARIO_ERROR; the message goes to stderr."""
 
 
-def _first_scenario(config):
+def _first_scenario(config, out):
     try:
-        return first_scenario(config)
+        return first_scenario(config, out)
     except ScenarioError as exc:
         raise _Failed(f"scenario error: {exc}") from exc
 
 
 def _first_trace(config, out: Path) -> tuple:
     """(scenario, trace) of the first scenario, flowed first if no trace is stored."""
-    scenario = _first_scenario(config)
+    scenario = _first_scenario(config, out)
     trace, why = ensure_trace(config, out, scenario)
     if trace is None:
         raise _Failed(why)
@@ -194,7 +198,7 @@ def _cmd_project(args) -> int:
     config = parse_config(args.config, args.seed)
     out = output_dir(args.out) if args.out else None
     _set_up(graphs=False)
-    scenario = _first_scenario(config)
+    scenario = _first_scenario(config, out)
     g = assemble(scenario.metric)  # the projection and the volume share one assembly
     try:
         flat, u = harmonic_projection(g)

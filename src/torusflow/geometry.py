@@ -126,9 +126,6 @@ class FlatMetric:
     def __post_init__(self) -> None:
         object.__setattr__(self, "H", _check_background(self.H, self.geometry.n))
 
-    def as_metric(self) -> KahlerMetric:
-        return KahlerMetric(self.H, constant_field(self.geometry, 0.0))
-
 
 @dataclass(frozen=True, eq=False)
 class TestForm:

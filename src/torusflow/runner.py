@@ -18,11 +18,13 @@ A run directory looks like
 Re-running with the same config resumes from persisted traces (matching
 trace_key) and regenerates everything downstream, byte-identically apart
 from the manifest's timings, minor faults and peak RSS.  It also resumes
-the family: when the manifest it replaces recorded a completed run under
-the same trace_key (one well-formed row per index), `check` and
-`run` take each scenario from its row (`scenarios.rebuild_sequence`)
-instead of calibrating again; otherwise `make_sequence` calibrates as on a
-fresh directory.
+the family: the scenario rows of the manifest in the output directory
+(`_recorded_scenarios`, read before `run` or `check` replaces it) go to
+`scenarios.make_sequence`, which takes each scenario from its row when a
+completed run under the same trace_key recorded one well-formed row per
+index, and calibrates as on a fresh directory otherwise.
+`first_scenario`, which builds the scenario of `flow`, `distance` and
+`project`, passes it the first row the same way.
 
 Scenarios are measured one at a time: each trace is loaded, measured,
 given its distance result and released before the next is loaded.  A
@@ -32,11 +34,12 @@ over the others.  A run first removes every report file above that an
 earlier run wrote, so none outlives the run that replaced it.
 
 The runner builds no scenario and makes no measurement decision:
-`scenarios.make_sequence` builds every family, `distances` decides when
-its battery may run and hands back a finished `DistanceResult`, and
-`harness` decides each scenario's verdict (`EstimateReport.all_passed`,
-the battery included) and the family's (`family_passed`).  The runner
-writes their rows and reads their verdicts into the manifest.
+`scenarios.make_sequence` builds every family and every first scenario,
+`distances` decides when its battery may run and hands back a finished
+`DistanceResult`, and `harness` decides each scenario's verdict
+(`EstimateReport.all_passed`, the battery included) and the family's
+(`family_passed`).  The runner writes their rows and reads their verdicts
+into the manifest.
 
 Config defaults live in the records the sections build (FlowConfig,
 ScenarioSpec, HarnessConfig, DistanceConfig; ExperimentConfig for the
@@ -71,8 +74,7 @@ from .geometry import PositivityError, pairing_density
 from .harness import (HarnessConfig, build_reports, default_test_forms, family_columns,
                       family_passed, family_summary, measure)
 from .distances import DISTANCE_COLUMNS, DistanceConfig, battery_config_errors, distance_fragment
-from .scenarios import (SCENARIO_FIELDS, Scenario, ScenarioError, ScenarioSpec, make_sequence,
-                        rebuild_sequence)
+from .scenarios import SCENARIO_FIELDS, Scenario, ScenarioError, ScenarioSpec, make_sequence
 
 __all__ = [
     "ConfigError",
@@ -402,10 +404,12 @@ def scenario_dir(out: Path, index: int) -> Path:
     return Path(out) / f"scenario_i{index:03d}"
 
 
-def first_scenario(config: ExperimentConfig) -> Scenario:
-    """The smallest-index scenario, built as run_experiment builds it."""
+def first_scenario(config: ExperimentConfig, out: Path | None) -> Scenario:
+    """The smallest-index scenario, built as run_experiment builds it: from
+    the manifest in out (None for none) when its first row records it."""
+    rows = None if out is None else _recorded_scenarios(out, config)
     spec = replace(config.scenario, indices=config.scenario.indices[:1])
-    return make_sequence(spec)[0]
+    return make_sequence(spec, rows[:1] if isinstance(rows, list) else None)[0]
 
 
 def _flow_one(config: ExperimentConfig, scenario: Scenario, out: Path) -> str | None:
@@ -560,8 +564,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1,
     scenario_rows = []
     try:
         with stages.timed("scenario_generation"):
-            scenarios = (rebuild_sequence(config.scenario, recorded)
-                         or make_sequence(config.scenario))
+            scenarios = make_sequence(config.scenario, recorded)
     except ScenarioError as exc:
         scenarios = []
         scenario_rows.append({"status": "error", "error": f"scenario generation failed: {exc}"})

@@ -16,14 +16,17 @@ across them, and a table hit skips the probe but still counts as a
 step, so each index takes the same path and lands on the same amplitude
 as a calibration of its own.
 
-A flat family (ScenarioSpec.flat) is the background itself at every
-index, with amplitude 0: no shape is drawn and no curvature probed.
-Calibrated or flat, every index passes the same admission gates.
+A flat family (ScenarioSpec.flat) takes the zero field for its shape, so
+every index is the background itself, with amplitude 0 and no curvature
+probed.  Calibrated or flat, every index passes the same admission gates.
 
-A family a completed run recorded (its SCENARIO_FIELDS per index) is
-rebuilt by rebuild_sequence without a probe: the shape is drawn again and
-scaled by each recorded amplitude, which gives the same metric bits as
-the calibration that recorded it.
+make_sequence is the one path that builds a family, and every member is
+H0 + a d dbar psi on the family's one shape.  Given the rows in which a
+completed run recorded the family (its SCENARIO_FIELDS per index), it
+takes each index's amplitude and readings from its row instead: the
+shape is drawn again and scaled by the recorded amplitude, which gives
+the same metric bits as the calibration that recorded it, with no probe,
+no assembly and no gate.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ __all__ = [
     "Scenario",
     "calibrate_amplitude",
     "make_sequence",
-    "rebuild_sequence",
     "SCENARIO_FIELDS",
 ]
 
@@ -136,7 +138,7 @@ class Scenario:
 
 
 # the readings a Scenario carries beside its index and metric: the fields of
-# a manifest's scenario row, and all rebuild_sequence needs to restore one
+# a manifest's scenario row, and all make_sequence needs to restore one
 SCENARIO_FIELDS = ("amplitude", "curvature_floor", "volume", "trace_norm", "positive_part_budget")
 
 
@@ -209,87 +211,67 @@ def calibrate_amplitude(
     )
 
 
-def _members(spec: ScenarioSpec):
-    """(index, amplitude, metric, coefficients, scalar curvature) of each
-    index.  A flat family is its background at every index: no shape is
-    drawn and no curvature probed."""
-    geo, H0 = spec.geometry, spec.background
-    if spec.flat:
-        metric = FlatMetric(H0, geo).as_metric()
-        coeffs, curv = assemble(metric), constant_field(geo, 0.0)
-        for i in spec.indices:
-            yield i, 0.0, metric, coeffs, curv
-        return
-    shape = random_band_limited(spec.seed, spec.max_mode, geo)
-    table: dict = {}  # one family, one shape: the indices share their probes
-    for i in spec.indices:
-        a, coeffs, curv = calibrate_amplitude(shape, H0, -1.0 / i, table=table)
-        yield i, a, KahlerMetric(H0, shape * a), coeffs, curv
-
-
-def make_sequence(spec: ScenarioSpec) -> list:
-    """Every index of the family, calibrated (or flat), each through the
-    admission gates; deterministic in the seed.  A grid whose fields do
-    not fit in memory is a ScenarioError."""
-    out = []
-    try:
-        for i, a, metric, coeffs, curv in _members(spec):
-            vol = volume(coeffs)
-            if vol < 1.0 / spec.lambda_gate:
-                raise GateViolation(
-                    f"index {i}: volume {vol:.6g} below the non-collapsing gate "
-                    f"1/{spec.lambda_gate:g}"
-                )
-            tr_norm = spec.trace_norm(coeffs)
-            if tr_norm > spec.lambda_gate:
-                raise GateViolation(
-                    f"index {i}: trace norm {tr_norm:.6g} exceeds the gate {spec.lambda_gate:g}"
-                )
-            det = _det(coeffs.values)
-            budget = float((np.maximum(curv.values, 0.0) * det).mean() / det.mean())
-            out.append(
-                Scenario(
-                    index=i,
-                    amplitude=a,
-                    metric=metric,
-                    curvature_floor=curv.min(),
-                    volume=vol,
-                    trace_norm=tr_norm,
-                    positive_part_budget=budget,
-                )
-            )
-    except MemoryError as exc:
-        geo = spec.geometry
-        raise ScenarioError(
-            f"n={geo.n}, N={geo.N}: the grid is too large to allocate: {exc}") from exc
-    return out
-
-
 def _finite(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def rebuild_sequence(spec: ScenarioSpec, rows) -> list | None:
-    """The family a completed run of spec recorded, or None.
+def _records(spec: ScenarioSpec, rows) -> bool:
+    """Whether rows, a completed run's manifest scenario rows, record the
+    family of spec: exactly one per index, in order, each with every
+    SCENARIO_FIELDS value a finite number."""
+    return isinstance(rows, list) and len(rows) == len(spec.indices) and all(
+        isinstance(row, dict) and type(row.get("index")) is int and row["index"] == i
+        and all(_finite(row.get(name)) for name in SCENARIO_FIELDS)
+        for row, i in zip(rows, spec.indices))
 
-    rows are that run's manifest scenario rows: exactly one per index of
-    spec, in order, each with every SCENARIO_FIELDS value a finite number;
-    anything else is None.  Each metric is H0 + a d dbar psi on the
-    family's one shape at the recorded amplitude a (the background for a
-    flat family), the metric make_sequence built, so no curvature is
-    probed and no gate read again."""
-    if not (isinstance(rows, list) and len(rows) == len(spec.indices)):
-        return None
-    for row, i in zip(rows, spec.indices):
-        if not (isinstance(row, dict) and type(row.get("index")) is int and row["index"] == i
-                and all(_finite(row.get(name)) for name in SCENARIO_FIELDS)):
-            return None
+
+def _admitted(spec: ScenarioSpec, shape: ScalarField, i: int, table: dict) -> dict:
+    """The SCENARIO_FIELDS readings of index i: its amplitude, calibrated
+    on the family's probe table (0 for a flat family, with no probe), and
+    the admission gates read off the metric at that amplitude."""
+    if spec.flat:  # the zero shape: no curvature at any amplitude
+        a, coeffs, curv = 0.0, assemble(KahlerMetric(spec.background, shape)), shape
+    else:
+        a, coeffs, curv = calibrate_amplitude(shape, spec.background, -1.0 / i, table=table)
+    vol = volume(coeffs)
+    if vol < 1.0 / spec.lambda_gate:
+        raise GateViolation(
+            f"index {i}: volume {vol:.6g} below the non-collapsing gate 1/{spec.lambda_gate:g}"
+        )
+    tr_norm = spec.trace_norm(coeffs)
+    if tr_norm > spec.lambda_gate:
+        raise GateViolation(
+            f"index {i}: trace norm {tr_norm:.6g} exceeds the gate {spec.lambda_gate:g}"
+        )
+    det = _det(coeffs.values)
+    budget = float((np.maximum(curv.values, 0.0) * det).mean() / det.mean())
+    return {"amplitude": a, "curvature_floor": curv.min(), "volume": vol,
+            "trace_norm": tr_norm, "positive_part_budget": budget}
+
+
+def make_sequence(spec: ScenarioSpec, rows=None) -> list:
+    """Every index of the family, deterministic in the seed: H0 + a d dbar
+    psi on the family's one shape psi (zero for a flat family).  When rows
+    record the family (a completed run's manifest scenario rows, see
+    _records), each index takes its row's readings, with no probe, no
+    assembly and no gate; otherwise it is calibrated and admitted by the
+    gates (_admitted).  A grid whose fields do not fit in memory is a
+    ScenarioError."""
     geo, H0 = spec.geometry, spec.background
-    flat = FlatMetric(H0, geo).as_metric() if spec.flat else None
-    shape = None if spec.flat else random_band_limited(spec.seed, spec.max_mode, geo)
+    too_large = f"n={geo.n}, N={geo.N}: the grid is too large to allocate"
+    if geo.npoints * 8 > np.iinfo(np.intp).max:  # numpy cannot size one float field: a ValueError
+        raise ScenarioError(f"{too_large}: {geo.npoints:.3g} points")
+    recorded = _records(spec, rows)
+    table: dict = {}  # one family, one shape: the indices share their probes
     out = []
-    for row in rows:
-        values = {name: float(row[name]) for name in SCENARIO_FIELDS}
-        metric = flat if spec.flat else KahlerMetric(H0, shape * values["amplitude"])
-        out.append(Scenario(index=row["index"], metric=metric, **values))
+    try:
+        shape = (constant_field(geo, 0.0) if spec.flat
+                 else random_band_limited(spec.seed, spec.max_mode, geo))
+        for k, i in enumerate(spec.indices):
+            values = ({name: float(rows[k][name]) for name in SCENARIO_FIELDS} if recorded
+                      else _admitted(spec, shape, i, table))
+            out.append(Scenario(index=i, metric=KahlerMetric(H0, shape * values["amplitude"]),
+                                **values))
+    except MemoryError as exc:
+        raise ScenarioError(f"{too_large}: {exc}") from exc
     return out

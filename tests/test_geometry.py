@@ -30,6 +30,7 @@ from torusflow import (
     TorusGeometry,
     assemble,
     complex_hessian,
+    constant_field,
     default_test_forms,
     harmonic_projection,
     integrate,
@@ -437,7 +438,7 @@ def test_flat_curvature_is_zero(geo1):
     flat = FlatMetric(1.7 * np.eye(1), geometry=geo1)
     assert np.abs(scalar_curvature(flat).values).max() == 0.0
     # and through the spectral path, as a flat family's metric
-    assert np.abs(scalar_curvature(flat.as_metric()).values).max() == 0.0
+    assert np.abs(scalar_curvature(KahlerMetric(flat.H, constant_field(geo1, 0.0))).values).max() == 0.0
 
 
 def test_trace_of_ricci_is_scalar_curvature(geo1, geo2):
@@ -505,7 +506,7 @@ def test_projection_reference_values(geo1):
     assert np.abs(flat.H - 1.0).max() < 1e-10
     expected = -0.05 * np.cos(2.0 * np.pi * x) - 0.05
     assert np.abs(u.values - expected).max() < 1e-8
-    assert np.abs(scalar_curvature(flat.as_metric()).values).max() <= 1e-8
+    assert np.abs(scalar_curvature(KahlerMetric(flat.H, constant_field(geo1, 0.0))).values).max() <= 1e-8
     assert abs(volume(flat) - volume(bump_metric(geo1))) < 1e-10
 
 
@@ -530,7 +531,7 @@ def test_projection_two_dim_recovery(geo2):
 
 def test_projection_idempotent(geo1):
     flat0 = FlatMetric(1.3 * np.eye(1), geometry=geo1)
-    flat, u = harmonic_projection(flat0.as_metric())
+    flat, u = harmonic_projection(KahlerMetric(flat0.H, constant_field(geo1, 0.0)))
     assert np.abs(flat.H - flat0.H).max() < 1e-14
     assert np.abs(u.values).max() < 1e-14
 
@@ -657,7 +658,7 @@ def test_test_form_rejects_nonfinite_coefficients(geo1, geo2, bad):
 
 def test_volume_density_identity(geo1):
     flat = FlatMetric(1.4 * np.eye(1), geometry=geo1)
-    v = volume_density(flat.as_metric(), flat)
+    v = volume_density(KahlerMetric(flat.H, constant_field(geo1, 0.0)), flat)
     assert np.abs(v.values - 1.0).max() < 1e-14
 
 

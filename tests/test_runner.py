@@ -866,6 +866,33 @@ def test_grid_too_large_to_allocate_is_a_scenario_error(command, tmp_path, capsy
     assert "n=2, N=16384: the grid is too large to allocate" in message
 
 
+HUGE_GRIDS = {
+    "n2-N100000": {"geometry": {"n": 2, "N": 100000}, "scenario": {"indices": [1]}},
+    "n2-N100000-flat": {"geometry": {"n": 2, "N": 100000},
+                        "scenario": {"indices": [1], "flat": True}},
+    "n1-N4294967296": {"geometry": {"n": 1, "N": 2 ** 32}, "scenario": {"indices": [1]}},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "check", "flow", "project"])
+@pytest.mark.parametrize("grid", list(HUGE_GRIDS))
+def test_grid_numpy_cannot_size_is_a_scenario_error(grid, command, tmp_path, capsys):
+    """A field of 10^20 (or 2^64) points has more bytes than numpy can
+    count, so numpy refuses it with a ValueError before allocating; the
+    family path ends it as it ends a MemoryError, before any field."""
+    d = HUGE_GRIDS[grid]
+    geo = d["geometry"]
+    assert _cli_exit(tmp_path, d, command) == EXIT_SCENARIO_ERROR
+    err = capsys.readouterr().err
+    message = f"n={geo['n']}, N={geo['N']}: the grid is too large to allocate"
+    if command in ("run", "check"):
+        [row] = json.loads((tmp_path / "out" / "manifest.json").read_text())["scenarios"]
+        assert row["status"] == "error" and message in row["error"]
+        assert err == ""
+    else:
+        assert err.startswith(f"scenario error: {message}") and err.count("\n") == 1
+
+
 def test_worker_exception_becomes_error_row(tmp_path, monkeypatch):
     def broken(metric, config):
         raise ProjectionError("injected")
@@ -1301,6 +1328,42 @@ def test_flat_family_round_trips_through_the_manifest(flat_run, flat_cfg_file, t
         assert _scenario_rows(out) == _scenario_rows(first)
 
 
+@pytest.mark.parametrize("command", ["flow", "distance", "project"])
+def test_first_scenario_of_a_completed_run_is_not_calibrated_again(
+        command, calib_run, calib_cfg_file, calibrations, tmp_path, capsys):
+    """flow, distance and project --out take the first scenario from the
+    manifest of a completed run, and print what they print after a fresh
+    calibration of it."""
+    _, out = _copy_run(calib_run, tmp_path)
+    argv = [command, "--config", str(calib_cfg_file), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    resumed = capsys.readouterr().out
+    assert calibrations == []
+    (out / "manifest.json").unlink()
+    assert main(argv) == EXIT_OK
+    assert len(calibrations) == 1
+    assert capsys.readouterr().out == resumed
+
+
+FIRST_SCENARIO_FALLBACKS = {
+    **{case: MANIFEST_FALLBACKS[case] for case in ("another trace key", "not an object")},
+    "scenarios an object": _edit_manifest(lambda m: m.update(scenarios={"index": 1})),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_SCENARIO_FALLBACKS))
+def test_flow_on_a_manifest_that_records_no_family_calibrates(
+        case, calib_run, calib_cfg_file, calibrations, tmp_path, capsys):
+    _, out = _copy_run(calib_run, tmp_path)
+    argv = ["flow", "--config", str(calib_cfg_file), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    resumed = capsys.readouterr().out
+    FIRST_SCENARIO_FALLBACKS[case](out)
+    assert main(argv) == EXIT_OK
+    assert len(calibrations) == 1
+    assert capsys.readouterr() == (resumed, "")
+
+
 def test_check_prints_each_failing_check(flat_run, flat_cfg_file, tmp_path, monkeypatch, capsys):
     """A failing check names itself with its slack and tolerance, as in
     checks.csv; a passing one prints nothing."""
@@ -1555,8 +1618,8 @@ def test_cli_flow_reports_a_failed_flow(flat_cfg_file, tmp_path, monkeypatch, ca
 def test_cli_project(calib_cfg_file, tmp_path, capsys, monkeypatch, validations):
     """Past the scenario, project assembles its metric once and validates
     one more field, the projection's residual Hessian."""
-    scenario = runner.first_scenario(parse_config(calib_cfg_file))
-    monkeypatch.setattr(cli, "first_scenario", lambda config: scenario)
+    scenario = runner.first_scenario(parse_config(calib_cfg_file), None)
+    monkeypatch.setattr(cli, "first_scenario", lambda config, out: scenario)
     validations.clear()
     code = main(["project", "--config", str(calib_cfg_file), "--out", str(tmp_path)])
     outtext = capsys.readouterr().out
@@ -1625,7 +1688,7 @@ def test_cli_distance_rejects_time_without_snapshot(tmp_path, capsys, monkeypatc
     """The distance command applies every battery rule before any scenario
     or flow, even when the config leaves the run's distance stage off."""
 
-    def no_scenario(config):
+    def no_scenario(config, out):
         raise AssertionError("a scenario was built for a battery that cannot run")
 
     monkeypatch.setattr(cli, "first_scenario", no_scenario)

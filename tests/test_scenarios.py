@@ -5,6 +5,7 @@ min R = -pi^2 b / (1-b)^2 with b = a pi^2, so the amplitude that lands
 the floor in [-1, -1/2] must lie between the two quadratic roots below.
 """
 
+import json
 import math
 import re
 
@@ -30,7 +31,7 @@ from torusflow import (
     volume,
 )
 from torusflow import geometry, scenarios
-from torusflow.scenarios import GateViolation
+from torusflow.scenarios import SCENARIO_FIELDS, GateViolation
 
 # roots of b^2 - (2 + pi^2/F) b + 1 = 0 at F=1/2 and F=1, divided by pi^2
 A_FLOOR_HALF = 0.0046706616962276706
@@ -301,6 +302,35 @@ def test_flat_family_is_its_background_through_the_gates(geo2, monkeypatch):
         assert np.array_equal(sc.metric.H, H0)
         phi = sc.metric.phi.values
         assert not phi.any() and not np.signbit(phi).any()
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_recorded_family_is_rebuilt_without_probe_assembly_or_gate(flat, monkeypatch):
+    """Given the rows a manifest holds for it, make_sequence returns the
+    family it calibrated, bit for bit, and probes, assembles and gates
+    nothing; rows that record another family are calibrated."""
+    spec = ScenarioSpec(geometry=TorusGeometry(1, 32), seed=90, indices=(1, 4), flat=flat)
+    family = make_sequence(spec)
+    rows = json.loads(json.dumps(
+        [{"index": sc.index, **{name: getattr(sc, name) for name in SCENARIO_FIELDS}}
+         for sc in family]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a recorded family is probed, assembled or gated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scenarios, "calibrate_amplitude", refuse)
+        patch.setattr(scenarios, "assemble", refuse)
+        rebuilt = make_sequence(spec, rows)
+    for a, b in zip(family, rebuilt, strict=True):
+        assert a.index == b.index
+        for name in SCENARIO_FIELDS:
+            assert getattr(a, name) == getattr(b, name)
+        assert np.array_equal(a.metric.H, b.metric.H)
+        assert np.array_equal(a.metric.phi.values, b.metric.phi.values)
+    for other in (rows[:1], rows[::-1], {"index": 1}, None):
+        assert [sc.amplitude for sc in make_sequence(spec, other)] == \
+            [sc.amplitude for sc in family]
 
 
 def test_flat_family_fails_the_volume_gate():

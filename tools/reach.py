@@ -13,7 +13,8 @@ written), on smaller grids with three indices each, which reach the same
 functions as the full-size configs in about half the time; `check` on
 the n2-N16 run's output, `flow`, `project` and `distance` on
 dist-n1-N64, a flat family, and commands that end in exit codes 1, 2
-and 3, so that the error paths are reached rather than listed.
+(a grid too large to allocate among them) and 3, so that the error paths
+are reached rather than listed.
 Every command must end in its expected exit code.
 
 It then prints each function defined in src/torusflow (each `def`,
@@ -100,6 +101,8 @@ def cases(configs: dict, work: Path) -> list:
                    "distance": {"enabled": True, "radius": 1}},
         # the trace gate admits no member: a scenario error
         "gated": {**n1_small, "scenario": {**n1_small["scenario"], "lambda_gate": 0.5}},
+        # 10^20 points, more than numpy can size: a scenario error before any field
+        "huge": {"geometry": {"n": 2, "N": 100_000}, "scenario": {"indices": [1], "seed": SEED}},
         "unknown": {**n1_small, "colour": "blue"},
         # about 7.9e300 steps: over the step budget, refused before any flow
         "endless": {**n1_small, "flow": {"sigma": 1e-300}},
@@ -131,6 +134,7 @@ def cases(configs: dict, work: Path) -> list:
         ("check on an empty directory", cmd("check", "flat", str(work / "empty")), 2),
         ("run gated", cmd("run", "gated"), 2),
         ("flow gated", cmd("flow", "gated"), 2),
+        ("run on a grid too large to allocate", cmd("run", "huge"), 2),
         ("check on a nested meta.json", cmd("check", "flat"), 2, damage_trace),
         ("run unknown key", cmd("run", "unknown"), 3),
         ("run over the step budget", cmd("run", "endless"), 3),
